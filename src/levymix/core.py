@@ -1,11 +1,14 @@
-"""Jump measures, characteristic triplets and subordinator pairs.
+"""Jump measures, characteristic triplets, subordinator pairs and tagged laws.
 
 The measure side is a closed tagged union.  Each family implements the small
 set of functionals the rest of the library consumes: interval masses,
-truncated moments, (1 and |x|**p) integrals with an explicit infinity, and a
-tail sampler for jumps above a threshold.  Characteristic and Laplace
-exponents use closed forms wherever the family admits one and fall back to
-quadrature only for tabulated densities.
+truncated moments, (1 and |x|**p) integrals with an explicit infinity, a
+tail sampler for jumps above a threshold, its Laplace and characteristic
+integrals, and an exact increment sampler where one exists.  Closed forms
+are used wherever the family admits one; quadrature only for tabulated
+densities and the index-1 one-sided case.  ``LevyTriplet.law`` turns the
+tag of a constructed law into a ``TaggedLaw`` that owns the closed forms of
+its convolution powers mu^s.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -72,10 +76,22 @@ def _require(cond, message):
         raise DomainError(message)
 
 
+def _where_positive(x, f, *params):
+    """f(x, *params) where x > 0 and 0 elsewhere, broadcasting x against params."""
+    x = np.asarray(x, dtype=float)
+    if params:
+        x, *params = np.broadcast_arrays(x, *params)
+    out = np.zeros(x.shape)
+    pos = x > 0
+    out[pos] = f(x[pos], *(p[pos] for p in params))
+    return out
+
+
 class LevyMeasure(ABC):
     """Common interface of all jump-measure families."""
 
     family: MeasureFamily
+    symmetric = False  # symmetric measures have a vanishing compensator integral
 
     @abstractmethod
     def total_mass(self) -> float:
@@ -104,6 +120,25 @@ class LevyMeasure(ABC):
     @abstractmethod
     def scaled(self, factor: float) -> "LevyMeasure":
         """The measure multiplied by a positive scalar."""
+
+    def char_integral(self, theta, convention: "TruncationConvention"):
+        """Integral of exp(i theta x) - 1 - i theta tau(x), elementwise over a
+        theta array: the Laplace integral at i theta less the compensator."""
+        return self.laplace_integral(1j * theta) - 1j * theta * _truncation_shift(self, convention)
+
+    def laplace_integral(self, z):
+        """Integral of exp(z x) - 1, elementwise over a z array."""
+        raise UnsupportedFamily(f"no laplace exponent for family {self.family}")
+
+    def sample_increments(self, dt: float, n: int, rng):
+        """Per-step sum of all jumps over n steps of length dt, or None when
+        the family has no exact sampler (callers then truncate small jumps)."""
+        return None
+
+    def image_in_ml1(self, alpha: float) -> bool:
+        """Whether the image under s -> s**(1/alpha) integrates (1 and t), given
+        that the measure integrates (1 and s): only a power law at 0 breaks it."""
+        return True
 
     def mass_above(self, eps: float) -> float:
         _require(eps > 0, "threshold must be positive")
@@ -151,6 +186,12 @@ class ZeroMeasure(LevyMeasure):
     def scaled(self, factor):
         return self
 
+    def laplace_integral(self, z):
+        return np.zeros(np.shape(z), dtype=complex)
+
+    def sample_increments(self, dt, n, rng):
+        return np.zeros(n)
+
     def is_zero(self):
         return True
 
@@ -171,11 +212,7 @@ class GammaMeasure(LevyMeasure):
         _require(self.rate > 0, "rate must be > 0")
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = self.shape / x[pos] * np.exp(-self.rate * x[pos])
-        return out
+        return _where_positive(x, lambda x: self.shape / x * np.exp(-self.rate * x))
 
     def total_mass(self):
         return INF
@@ -222,6 +259,12 @@ class GammaMeasure(LevyMeasure):
     def scaled(self, factor):
         return GammaMeasure(self.shape * factor, self.rate)
 
+    def laplace_integral(self, z):
+        return -self.shape * np.log(1.0 - z / self.rate)
+
+    def sample_increments(self, dt, n, rng):
+        return rng.gamma(self.shape * dt, 1.0 / self.rate, n)
+
     def is_positive(self):
         return True
 
@@ -239,11 +282,7 @@ class OneSidedStableMeasure(LevyMeasure):
         _require(self.coeff > 0, "coeff must be > 0")
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = self.coeff * x[pos] ** (-self.index - 1.0)
-        return out
+        return _where_positive(x, lambda x: self.coeff * x ** (-self.index - 1.0))
 
     def total_mass(self):
         return INF
@@ -288,6 +327,49 @@ class OneSidedStableMeasure(LevyMeasure):
     def scaled(self, factor):
         return OneSidedStableMeasure(self.index, self.coeff * factor)
 
+    def char_integral(self, theta, convention):
+        a, c = self.index, self.coeff
+        if a < 1:
+            return super().char_integral(theta, convention)
+        if convention is TruncationConvention.ZERO:
+            raise NotFiniteVariation("zero truncation needs index < 1")
+        if a > 1:
+            # Fully compensated closed form, compensation moved to |x| <= 1.
+            return c * math.gamma(-a) * (-1j * theta) ** a + 1j * theta * c / (a - 1.0)
+        return _elementwise(self._char_numeric, theta)
+
+    def _char_numeric(self, theta):
+        """Quadrature for index 1 (standard truncation), which has no closed form."""
+        if theta == 0.0:
+            return 0.0 + 0.0j
+
+        def f(x):
+            tau = x if x <= 1.0 else 0.0
+            return (cmath.exp(1j * theta * x) - 1.0 - 1j * theta * tau) * float(
+                self.density(np.array([x]))[0]
+            )
+
+        hi = self.tail_cutoff(1e-13 / max(1.0, abs(theta)))
+        # Split at 1 for the compensator kink; log-substitute near the origin.
+        value, _ = quadrature.integrate_complex(
+            lambda u: f(math.exp(u)) * math.exp(u), math.log(1e-12), 0.0, tol=1e-11
+        )
+        upper, _ = quadrature.integrate_complex(f, 1.0, hi, tol=1e-11, points=[1.0])
+        return value + upper
+
+    def laplace_integral(self, z):
+        if self.index >= 1:
+            raise NotFiniteVariation("laplace exponent needs index < 1")
+        return self.coeff * math.gamma(-self.index) * (-z) ** self.index
+
+    def sample_increments(self, dt, n, rng):
+        if self.index != 0.5:
+            return None
+        return _levy_positive(rng, levy_dist_scale(self.coeff * dt), n)
+
+    def image_in_ml1(self, alpha):
+        return self.index < 1.0 / alpha
+
     def is_positive(self):
         return True
 
@@ -299,6 +381,7 @@ class SymmetricStableMeasure(LevyMeasure):
     index: float
     coeff: float
     family = MeasureFamily.SYMMETRIC_STABLE
+    symmetric = True
 
     def __post_init__(self):
         _require(0 < self.index < 2, "index must lie in (0, 2)")
@@ -308,11 +391,7 @@ class SymmetricStableMeasure(LevyMeasure):
         return OneSidedStableMeasure(self.index, self.coeff)
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        nz = x != 0
-        out[nz] = self.coeff * np.abs(x[nz]) ** (-self.index - 1.0)
-        return out
+        return self._half().density(np.abs(x))
 
     def total_mass(self):
         return INF
@@ -346,6 +425,21 @@ class SymmetricStableMeasure(LevyMeasure):
 
     def scaled(self, factor):
         return SymmetricStableMeasure(self.index, self.coeff * factor)
+
+    def char_integral(self, theta, convention):
+        # The compensator integral vanishes by symmetry under both conventions.
+        if convention is TruncationConvention.ZERO and self.index >= 1:
+            raise NotFiniteVariation("zero truncation needs index < 1")
+        return np.asarray(
+            -2.0 * self.coeff * stable_cos_integral(self.index) * np.abs(theta) ** self.index,
+            dtype=complex,
+        )
+
+    def sample_increments(self, dt, n, rng):
+        # Symmetric jumps compensate to zero shift regardless of index.
+        alpha = self.index
+        scale = (2.0 * self.coeff * stable_cos_integral(alpha)) ** (1.0 / alpha)
+        return scale * dt ** (1.0 / alpha) * _standard_symmetric_stable(rng, alpha, n)
 
 
 @dataclass(frozen=True)
@@ -400,6 +494,18 @@ class AtomicMeasure(LevyMeasure):
     def scaled(self, factor):
         return AtomicMeasure(tuple((p, m * factor) for p, m in self.atoms))
 
+    def laplace_integral(self, z):
+        total = 0.0
+        for pos, mass in self.atoms:
+            total = total + mass * (np.exp(z * pos) - 1.0)
+        return total
+
+    def sample_increments(self, dt, n, rng):
+        total = 0.0
+        for pos, mass in self.atoms:
+            total = total + pos * rng.poisson(mass * dt, n)
+        return total
+
     def is_positive(self):
         return all(p > 0 for p, _ in self.atoms)
 
@@ -420,11 +526,7 @@ class CompoundExponentialMeasure(LevyMeasure):
         _require(self.jump_rate > 0, "jump_rate must be > 0")
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = self.rate * self.jump_rate * np.exp(-self.jump_rate * x[pos])
-        return out
+        return _where_positive(x, lambda x: self.rate * self.jump_rate * np.exp(-self.jump_rate * x))
 
     def total_mass(self):
         return self.rate
@@ -460,6 +562,17 @@ class CompoundExponentialMeasure(LevyMeasure):
 
     def scaled(self, factor):
         return CompoundExponentialMeasure(self.rate * factor, self.jump_rate)
+
+    def laplace_integral(self, z):
+        return self.rate * z / (self.jump_rate - z)
+
+    def sample_increments(self, dt, n, rng):
+        counts = rng.poisson(self.rate * dt, n)
+        out = np.zeros(n)
+        busy = counts > 0
+        if busy.any():
+            out[busy] = rng.gamma(counts[busy].astype(float), 1.0 / self.jump_rate)
+        return out
 
     def is_positive(self):
         return True
@@ -510,26 +623,20 @@ class TabulatedMeasure(LevyMeasure):
         xs, dens = self._grid()
         return float(np.trapezoid(dens, xs))
 
+    def _trapezoid(self, lo, hi, power=0):
+        """Trapezoid integral of x**power times the density over [lo, hi] cut to the grid."""
+        xs, _ = self._grid()
+        lo, hi = max(lo, xs[0]), min(hi, xs[-1])
+        if hi <= lo:
+            return 0.0
+        grid = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
+        return float(np.trapezoid(grid**power * self.density(grid), grid))
+
     def interval_mass(self, lo, hi):
-        if hi <= lo:
-            return 0.0
-        xs, dens = self._grid()
-        lo = max(lo, xs[0])
-        hi = min(hi, xs[-1])
-        if hi <= lo:
-            return 0.0
-        inner = xs[(xs > lo) & (xs < hi)]
-        grid = np.concatenate(([lo], inner, [hi]))
-        return float(np.trapezoid(self.density(grid), grid))
+        return self._trapezoid(lo, hi)
 
     def truncated_moment(self, power, cutoff=1.0):
-        xs, _ = self._grid()
-        lo, hi = max(xs[0], -cutoff), min(xs[-1], cutoff)
-        if hi <= lo:
-            return 0.0
-        inner = xs[(xs > lo) & (xs < hi)]
-        grid = np.concatenate(([lo], inner, [hi]))
-        return float(np.trapezoid(grid**power * self.density(grid), grid))
+        return self._trapezoid(-cutoff, cutoff, power)
 
     def one_wedge(self, power):
         return float(self._integral(lambda x: np.minimum(1.0, np.abs(x) ** power)))
@@ -555,6 +662,9 @@ class TabulatedMeasure(LevyMeasure):
     def scaled(self, factor):
         return TabulatedMeasure(self.xs, tuple(v * factor for v in self.dens))
 
+    def laplace_integral(self, z):
+        return _elementwise(lambda w: self._integral(lambda s: np.exp(w * s) - 1.0), z)
+
     def is_positive(self):
         return self.xs[0] > 0
 
@@ -569,6 +679,30 @@ def stable_cos_integral(alpha: float) -> float:
     if alpha == 1.0:
         return math.pi / 2.0
     return -math.gamma(-alpha) * math.cos(math.pi * alpha / 2.0)
+
+
+def _standard_symmetric_stable(rng, alpha: float, size) -> np.ndarray:
+    # Chambers-Mallows-Stuck; log-CF -|theta|**alpha.
+    v = math.pi * (rng.random(size) - 0.5)
+    if alpha == 1.0:
+        return np.tan(v)
+    w = rng.exponential(1.0, size)
+    return (
+        np.sin(alpha * v)
+        / np.cos(v) ** (1.0 / alpha)
+        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+    )
+
+
+def _levy_positive(rng, c, size) -> np.ndarray:
+    # One-sided 1/2-stable with density sqrt(c/2 pi) x^-3/2 e^{-c/2x}: c / Z^2.
+    z = rng.standard_normal(size)
+    while True:
+        bad = z == 0.0
+        if not bad.any():
+            break
+        z[bad] = rng.standard_normal(int(bad.sum()))
+    return np.asarray(c) / (z * z)
 
 
 @dataclass(frozen=True)
@@ -597,6 +731,13 @@ class LevyTriplet:
     def is_degenerate(self) -> bool:
         """True for a point mass (pure drift, possibly zero)."""
         return self.gaussian_var == 0.0 and self.jumps.is_zero()
+
+    @cached_property
+    def law(self) -> "TaggedLaw | None":
+        """Closed forms of the tagged family's convolution powers; None when untagged."""
+        if self.law_family is None:
+            return None
+        return _LAW_CLASSES[self.law_family](*self.law_params)
 
 
 @dataclass(frozen=True)
@@ -691,146 +832,372 @@ def levy_dist_scale(coeff: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Tagged laws: closed forms of the convolution powers mu^s.
+
+
+def _poisson_count_cdf(n, mean):
+    """P(K <= n) for K Poisson(mean); n may be any float (floored)."""
+    if n < 0:
+        return 0.0
+    if math.isinf(n):
+        return 1.0
+    if mean == 0.0:
+        return 1.0
+    return float(special.gammaincc(math.floor(n) + 1.0, mean))
+
+
+def _npdf(t):
+    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
+class TaggedLaw:
+    """Closed forms of the convolution powers mu^s of one tagged law family.
+
+    Scalar: ``cdf(s, x)``, ``interval_mass(s, lo, hi)``, ``truncated_mean(s)``
+    (the integral of x over |x| <= 1) and ``small_s_ratio(s)``.  Broadcasting
+    over s: ``density(s, x)``, the upper tail ``sf(s, x)`` for x > 0 and, for
+    heavy tails, ``density_derivs`` (p, p', p'').  ``sample(r, rng)`` draws
+    one value from mu^r per entry of r.
+    """
+
+    family: LawFamily
+    sides = (-1, 1)  # sides of 0 on which mu^s has a density
+    heavy_tail = False  # power-law tails: the x-grid gets a tail expansion
+    mix_route = "grid"  # mixed jump measure: "grid", "atomic" or "pushforward"
+    power_samplable = True
+
+    def interval_mass(self, s, lo, hi):
+        return max(self.cdf(s, hi) - self.cdf(s, lo), 0.0)
+
+    def density(self, s, x):
+        raise UnsupportedFamily(f"no closed density for {self.family}")
+
+    def require_stable(self, alpha: float) -> None:
+        """Raise unless the law is strictly alpha-stable with a closed cdf."""
+        raise UnsupportedFamily(f"{self.family} is not a supported strictly stable base")
+
+
+@dataclass(frozen=True)
+class GaussianLaw(TaggedLaw):
+    mean: float
+    var: float
+    family = LawFamily.GAUSSIAN
+
+    def cdf(self, s, x):
+        return float(special.ndtr((x - self.mean * s) / math.sqrt(self.var * s)))
+
+    def sf(self, s, x):
+        return special.ndtr((self.mean * s - x) / np.sqrt(self.var * s))
+
+    def density(self, s, x):
+        sd = np.sqrt(self.var * s)
+        z = (x - self.mean * s) / sd
+        return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+
+    def _unit_interval(self, s):
+        """Mean and sd of mu^s, and -1 and 1 in its standard units."""
+        m, sd = self.mean * s, math.sqrt(self.var * s)
+        return m, sd, (-1.0 - m) / sd, (1.0 - m) / sd
+
+    def truncated_mean(self, s):
+        if self.mean == 0.0:
+            return 0.0  # symmetric law: exact cancellation
+        m, sd, alpha, beta = self._unit_interval(s)
+        return m * (special.ndtr(beta) - special.ndtr(alpha)) - sd * (_npdf(beta) - _npdf(alpha))
+
+    def small_s_ratio(self, s):
+        m, sd, alpha, beta = self._unit_interval(s)
+        gap = float(special.ndtr(beta) - special.ndtr(alpha))
+        inside_sq = (
+            (m * m + sd * sd) * gap
+            + 2.0 * m * sd * (_npdf(alpha) - _npdf(beta))
+            + sd * sd * (alpha * _npdf(alpha) - beta * _npdf(beta))
+        )
+        tails = 1.0 - gap
+        return (inside_sq + tails) / s
+
+    def sample(self, r, rng):
+        return self.mean * r + np.sqrt(self.var * r) * rng.standard_normal(r.shape)
+
+    def require_stable(self, alpha):
+        if alpha != 2.0:
+            raise DomainError("a gaussian base is 2-stable")
+        if self.mean != 0.0:
+            raise DomainError("strict 2-stability needs mean 0")
+
+
+@dataclass(frozen=True)
+class GammaLaw(TaggedLaw):
+    shape: float
+    rate: float
+    family = LawFamily.GAMMA
+    sides = (1,)
+
+    def cdf(self, s, x):
+        if x <= 0:
+            return 0.0
+        return float(special.gammainc(self.shape * s, self.rate * x))
+
+    def sf(self, s, x):
+        return special.gammaincc(self.shape * s, self.rate * x)
+
+    def density(self, s, x):
+        rate = self.rate
+        return _where_positive(
+            x,
+            lambda x, a: np.exp(a * math.log(rate) + (a - 1.0) * np.log(x) - rate * x - special.gammaln(a)),
+            self.shape * s,
+        )
+
+    def truncated_mean(self, s):
+        a = self.shape * s
+        return a / self.rate * float(special.gammainc(a + 1.0, self.rate))
+
+    def small_s_ratio(self, s):
+        a = self.shape * s
+        inside = a * (a + 1.0) / self.rate**2 * float(special.gammainc(a + 2.0, self.rate))
+        tail = 1.0 - float(special.gammainc(a, self.rate))
+        return (inside + tail) / s
+
+    def sample(self, r, rng):
+        return rng.gamma(self.shape * r, 1.0 / self.rate)
+
+
+@dataclass(frozen=True)
+class PoissonLaw(TaggedLaw):
+    rate: float
+    jump_size: float
+    family = LawFamily.POISSON
+    mix_route = "atomic"
+
+    def cdf(self, s, x):
+        return self.interval_mass(s, -INF, x)
+
+    def interval_mass(self, s, lo, hi):
+        # Sum atom masses directly so half-open boundaries land on atoms exactly.
+        h = self.jump_size
+        mean = self.rate * s
+        if h > 0:
+            k_lo = math.floor(lo / h) if not math.isinf(lo) else (-INF if lo < 0 else INF)
+            k_hi = math.floor(hi / h) if not math.isinf(hi) else (-INF if hi < 0 else INF)
+            return _poisson_count_cdf(k_hi, mean) - _poisson_count_cdf(k_lo, mean)
+        k_top = math.ceil(lo / h) - 1 if not math.isinf(lo) else (INF if lo < 0 else -INF)
+        k_bot = math.ceil(hi / h) if not math.isinf(hi) else (-INF if hi > 0 else INF)
+        return _poisson_count_cdf(k_top, mean) - _poisson_count_cdf(k_bot - 1, mean)
+
+    def _inner_counts(self, s):
+        """Counts k >= 1 with |h k| <= 1 and their probabilities under mu^s."""
+        mean = self.rate * s
+        ks = np.arange(1, math.floor(1.0 / abs(self.jump_size)) + 1, dtype=float)
+        return ks, np.exp(ks * math.log(mean) - mean - special.gammaln(ks + 1.0))
+
+    def truncated_mean(self, s):
+        ks, pmf = self._inner_counts(s)
+        if ks.size == 0:
+            return 0.0
+        return float(self.jump_size * np.sum(ks * pmf))
+
+    def small_s_ratio(self, s):
+        ks, pmf = self._inner_counts(s)
+        inside = float(np.sum((self.jump_size * ks) ** 2 * pmf))
+        tail = 1.0 - _poisson_count_cdf(ks.size, self.rate * s)
+        return (inside + tail) / s
+
+    def sample(self, r, rng):
+        return self.jump_size * rng.poisson(self.rate * r)
+
+
+@dataclass(frozen=True)
+class DeltaLaw(TaggedLaw):
+    drift: float
+    family = LawFamily.DELTA
+    mix_route = "pushforward"
+
+    def cdf(self, s, x):
+        return 1.0 if self.drift * s <= x else 0.0
+
+    def truncated_mean(self, s):
+        x = self.drift * s
+        return x if abs(x) <= 1.0 else 0.0
+
+    def sample(self, r, rng):
+        return self.drift * r
+
+
+class _StableLaw(TaggedLaw):
+    """Strictly stable families, whose closed forms exist at one index only."""
+
+    heavy_tail = True
+    closed_index: float
+
+    def _closed(self):
+        if self.alpha != self.closed_index:
+            raise UnsupportedFamily(
+                f"{self.family.value} convolution powers implemented for index "
+                f"{self.closed_index} only"
+            )
+
+    def require_stable(self, alpha):
+        if alpha != self.alpha:
+            raise DomainError(f"base law has stability index {self.alpha}, not {alpha}")
+        self._closed()
+
+
+@dataclass(frozen=True)
+class SymmetricStableLaw(_StableLaw):
+    alpha: float
+    scale: float
+    family = LawFamily.SYMMETRIC_STABLE
+    closed_index = 1.0
+
+    def _c(self, s):
+        self._closed()
+        return self.scale * s
+
+    def cdf(self, s, x):
+        return 0.5 + math.atan(x / self._c(s)) / math.pi
+
+    def sf(self, s, x):
+        return 0.5 - np.arctan(x / self._c(s)) / math.pi
+
+    def density(self, s, x):
+        c = self._c(s)
+        return c / (math.pi * (x * x + c * c))
+
+    def density_derivs(self, s, x):
+        c = self._c(s)
+        denom = x * x + c * c
+        p = c / (math.pi * denom)
+        p1 = -2.0 * x * c / (math.pi * denom**2)
+        p2 = c * (6.0 * x * x - 2.0 * c * c) / (math.pi * denom**3)
+        return p, p1, p2
+
+    def truncated_mean(self, s):
+        return 0.0
+
+    def small_s_ratio(self, s):
+        c = self._c(s)
+        inside = (c / math.pi) * (1.0 - c * math.atan(1.0 / c))
+        tail = 0.5 - math.atan(1.0 / c) / math.pi
+        return 2.0 * (inside + tail) / s
+
+    def sample(self, r, rng):
+        return self.scale * r ** (1.0 / self.alpha) * _standard_symmetric_stable(rng, self.alpha, r.shape)
+
+
+@dataclass(frozen=True)
+class OneSidedStableLaw(_StableLaw):
+    alpha: float
+    coeff: float
+    family = LawFamily.ONE_SIDED_STABLE
+    closed_index = 0.5
+    sides = (1,)
+
+    @property
+    def power_samplable(self):
+        return self.alpha == self.closed_index
+
+    def _c(self, s):
+        self._closed()
+        return levy_dist_scale(self.coeff) * s * s
+
+    def cdf(self, s, x):
+        if x <= 0:
+            return 0.0
+        return float(special.erfc(math.sqrt(0.5 * self._c(s) / x)))
+
+    def sf(self, s, x):
+        return special.erf(np.sqrt(0.5 * self._c(s) / x))
+
+    def density(self, s, x):
+        return _where_positive(
+            x, lambda x, c: np.sqrt(c / (2.0 * math.pi)) * x**-1.5 * np.exp(-0.5 * c / x), self._c(s)
+        )
+
+    def density_derivs(self, s, x):
+        c = self._c(s)
+        p = np.sqrt(c / (2.0 * math.pi)) * x**-1.5 * np.exp(-0.5 * c / x)
+        g = -1.5 / x + 0.5 * c / (x * x)
+        p1 = p * g
+        p2 = p * (g * g + 1.5 / (x * x) - c / x**3)
+        return p, p1, p2
+
+    def truncated_mean(self, s):
+        # int_0^1 x p_c(x) dx = sqrt(2c/pi) e^{-c/2} - c erfc(sqrt(c/2))
+        c = self._c(s)
+        return math.sqrt(2.0 * c / math.pi) * math.exp(-0.5 * c) - c * float(
+            special.erfc(math.sqrt(0.5 * c))
+        )
+
+    def small_s_ratio(self, s):
+        c = self._c(s)
+        inside, _ = quadrature.integrate_interval(
+            lambda x: x * x * math.sqrt(c / (2 * math.pi)) * x**-1.5
+            * math.exp(-0.5 * c / x),
+            0.0, 1.0, tol=1e-14,
+        )
+        tail = float(special.erf(math.sqrt(0.5 * c)))
+        return (inside + tail) / s
+
+    def sample(self, r, rng):
+        return _levy_positive(rng, self._c(r), r.shape)
+
+
+_LAW_CLASSES = {
+    cls.family: cls
+    for cls in (GaussianLaw, GammaLaw, PoissonLaw, DeltaLaw, SymmetricStableLaw, OneSidedStableLaw)
+}
+
+
+# ---------------------------------------------------------------------------
 # Exponents.
 
 
 def _truncation_shift(measure: LevyMeasure, convention: TruncationConvention) -> float:
-    if convention is TruncationConvention.STANDARD:
+    """Drift the compensator removes: the integral of x over |x| <= 1 under
+    the standard convention, which vanishes for a symmetric measure."""
+    if convention is TruncationConvention.STANDARD and not measure.symmetric:
         return measure.truncated_moment(1, 1.0)
     return 0.0
 
 
-def _jump_char_integral(measure, theta, convention):
-    """Integral of exp(i theta x) - 1 - i theta tau(x) against the measure."""
-    fam = measure.family
-    if fam is MeasureFamily.ZERO:
-        return 0.0 + 0.0j
-    if fam is MeasureFamily.FINITE_ATOMIC:
-        total = 0.0 + 0.0j
-        for pos, mass in measure.atoms:
-            tau = pos if (convention is TruncationConvention.STANDARD and abs(pos) <= 1) else 0.0
-            total += mass * (cmath.exp(1j * theta * pos) - 1.0 - 1j * theta * tau)
-        return total
-    if fam is MeasureFamily.GAMMA:
-        base = -measure.shape * cmath.log(1.0 - 1j * theta / measure.rate)
-        return base - 1j * theta * _truncation_shift(measure, convention)
-    if fam is MeasureFamily.FINITE_PARAMETRIC:
-        jr = measure.jump_rate
-        base = measure.rate * (jr / (jr - 1j * theta) - 1.0)
-        return base - 1j * theta * _truncation_shift(measure, convention)
-    if fam is MeasureFamily.SYMMETRIC_STABLE:
-        # The compensator integral vanishes by symmetry under both conventions.
-        if convention is TruncationConvention.ZERO and measure.index >= 1:
-            raise NotFiniteVariation("zero truncation needs index < 1")
-        return complex(
-            -2.0 * measure.coeff * stable_cos_integral(measure.index)
-            * abs(theta) ** measure.index
-        )
-    if fam is MeasureFamily.ONE_SIDED_STABLE:
-        a, c = measure.index, measure.coeff
-        if a < 1:
-            base = c * math.gamma(-a) * (-1j * theta) ** a
-            return base - 1j * theta * _truncation_shift(measure, convention)
-        if convention is TruncationConvention.ZERO:
-            raise NotFiniteVariation("zero truncation needs index < 1")
-        if a > 1:
-            # Fully compensated closed form, compensation moved to |x| <= 1.
-            return c * math.gamma(-a) * (-1j * theta) ** a + 1j * theta * c / (a - 1.0)
-        return _jump_char_numeric(measure, theta, convention)
-    if fam is MeasureFamily.TABULATED:
-        if theta == 0.0:
-            return 0.0 + 0.0j
-        std = convention is TruncationConvention.STANDARD
-
-        def f(x):
-            tau = np.where(std & (np.abs(x) <= 1.0), x, 0.0)
-            return np.exp(1j * theta * x) - 1.0 - 1j * theta * tau
-
-        value, err = measure.integrate(f)
-        if err > 1e-6 * max(1.0, abs(value)):
-            raise QuadratureFailure(
-                f"tabulated grid too coarse for theta={theta}: error {err:.3e}"
-            )
-        return value
-    raise UnsupportedFamily(f"no exponent for family {fam}")
+def _elementwise(fn, values) -> np.ndarray:
+    """fn applied to every entry of a scalar or array, as a complex array of its shape."""
+    arr = np.asarray(values)
+    return np.array([fn(v) for v in arr.ravel().tolist()], dtype=complex).reshape(arr.shape)
 
 
-def _jump_char_numeric(measure, theta, convention):
-    """Quadrature fallback for one-sided densities without a closed form."""
-    if theta == 0.0:
-        return 0.0 + 0.0j
-    std = convention is TruncationConvention.STANDARD
-    if not std and measure.one_wedge(1) == INF:
-        raise NotFiniteVariation("zero truncation needs finite variation")
+def char_exponent(triplet: LevyTriplet, theta):
+    """Log characteristic function of the time-one law at theta.
 
-    def f(x):
-        tau = x if (std and x <= 1.0) else 0.0
-        return (cmath.exp(1j * theta * x) - 1.0 - 1j * theta * tau) * float(
-            measure.density(np.array([x]))[0]
-        )
-
-    hi = measure.tail_cutoff(1e-13 / max(1.0, abs(theta)))
-    # Split at 1 for the compensator kink; log-substitute near the origin.
-    value, _ = quadrature.integrate_complex(
-        lambda u: f(math.exp(u)) * math.exp(u), math.log(1e-12), 0.0, tol=1e-11
-    )
-    upper, _ = quadrature.integrate_complex(f, 1.0, hi, tol=1e-11, points=[1.0])
-    return value + upper
-
-
-def char_exponent(triplet: LevyTriplet, theta: float) -> complex:
-    """Log characteristic function of the time-one law at theta."""
-    theta = float(theta)
-    if theta == 0.0:
-        return 0.0 + 0.0j
+    theta may be a scalar (the result is a complex) or an array (the result
+    is a complex array of its shape); theta = 0 gives exactly 0.
+    """
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
     value = (
-        1j * theta * triplet.drift
-        - 0.5 * triplet.gaussian_var * theta * theta
-        + _jump_char_integral(triplet.jumps, theta, triplet.convention)
+        1j * th * triplet.drift
+        - 0.5 * triplet.gaussian_var * th * th
+        + triplet.jumps.char_integral(th, triplet.convention)
     )
-    return value
+    value = np.where(th == 0.0, 0.0 + 0.0j, value)
+    return complex(value[0]) if np.ndim(theta) == 0 else value
 
 
-def _jump_laplace_integral(measure, z):
-    """Integral of exp(z*s) - 1 against a positive-support measure."""
-    fam = measure.family
-    if fam is MeasureFamily.ZERO:
-        return 0.0 + 0.0j
-    if fam is MeasureFamily.FINITE_ATOMIC:
-        return sum(
-            mass * (cmath.exp(z * pos) - 1.0) for pos, mass in measure.atoms
-        )
-    if fam is MeasureFamily.GAMMA:
-        return -measure.shape * cmath.log(1.0 - z / measure.rate)
-    if fam is MeasureFamily.ONE_SIDED_STABLE:
-        if measure.index >= 1:
-            raise NotFiniteVariation("laplace exponent needs index < 1")
-        return measure.coeff * math.gamma(-measure.index) * (-z) ** measure.index
-    if fam is MeasureFamily.FINITE_PARAMETRIC:
-        return measure.rate * z / (measure.jump_rate - z)
-    if fam is MeasureFamily.TABULATED:
-        value, err = measure.integrate(lambda s: np.exp(z * s) - 1.0)
-        if err > 1e-6 * max(1.0, abs(value)):
-            raise QuadratureFailure(
-                f"tabulated grid too coarse for z={z}: error {err:.3e}"
-            )
-        return value
-    raise UnsupportedFamily(f"no laplace exponent for family {fam}")
-
-
-def laplace_exponent(pair: SubordinatorPair, z: complex) -> complex:
+def laplace_exponent(pair: SubordinatorPair, z):
     """Laplace exponent of the subordinator at z with Re z <= 0.
 
-    Tiny positive real parts (roundoff from composed exponents) are clamped.
+    z may be a scalar (the result is a complex) or an array, checked entry
+    by entry; z = 0 gives exactly 0.  Tiny positive real parts (roundoff
+    from composed exponents) are clamped.
     """
-    z = complex(z)
-    if z.real > 1e-12 * max(1.0, abs(z)):
-        raise DomainError(f"laplace exponent needs Re z <= 0, got {z}")
-    if z.real > 0.0:
-        z = complex(0.0, z.imag)
-    if z == 0.0:
-        return 0.0 + 0.0j
-    return pair.drift * z + _jump_laplace_integral(pair.jumps, z)
+    zz = np.array(np.atleast_1d(z), dtype=complex)
+    bad = zz.real > 1e-12 * np.maximum(1.0, np.abs(zz))
+    if bad.any():
+        raise DomainError(f"laplace exponent needs Re z <= 0, got {zz[bad][0]}")
+    zz.real = np.where(zz.real > 0.0, 0.0, zz.real)
+    value = pair.drift * zz + pair.jumps.laplace_integral(zz)
+    value = np.where(zz == 0.0, 0.0 + 0.0j, value)
+    return complex(value[0]) if np.ndim(z) == 0 else value
 
 
 def truncated_mean(measure: LevyMeasure) -> float:

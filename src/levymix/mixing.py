@@ -14,17 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import quadrature
 from .core import (
     INF,
-    LawFamily,
     LevyMeasure,
     LevyTriplet,
     MeasureFamily,
     char_exponent,
-    levy_dist_scale,
 )
 from .errors import DomainError, QuadratureFailure, UnsupportedFamily
 
@@ -74,94 +71,25 @@ class MixResult:
 
 
 # ---------------------------------------------------------------------------
-# Convolution powers mu^s in closed form, keyed by the law tag.
+# Convolution powers mu^s in closed form, from the law tag.
 
 
 def _require_tag(mu: LevyTriplet):
-    if mu.law_family is None:
+    if mu.law is None:
         raise UnsupportedFamily(
             "convolution powers need a law-tagged triplet (use the law constructors)"
         )
-    return mu.law_family
-
-
-def _poisson_count_cdf(n, mean):
-    """P(K <= n) for K Poisson(mean); n may be any float (floored)."""
-    if n < 0:
-        return 0.0
-    if math.isinf(n):
-        return 1.0
-    if mean == 0.0:
-        return 1.0
-    return float(special.gammaincc(math.floor(n) + 1.0, mean))
+    return mu.law
 
 
 def conv_power_cdf(mu: LevyTriplet, s: float, x: float) -> float:
     """CDF of mu^s at x for scalar s > 0."""
-    fam = _require_tag(mu)
-    if fam is LawFamily.GAUSSIAN:
-        mean, var = mu.law_params
-        if math.isinf(x):
-            return 1.0 if x > 0 else 0.0
-        return float(special.ndtr((x - mean * s) / math.sqrt(var * s)))
-    if fam is LawFamily.GAMMA:
-        shape, rate = mu.law_params
-        if x <= 0:
-            return 0.0
-        if math.isinf(x):
-            return 1.0
-        return float(special.gammainc(shape * s, rate * x))
-    if fam is LawFamily.POISSON:
-        rate, h = mu.law_params
-        if h > 0:
-            return _poisson_count_cdf(math.floor(x / h) if not math.isinf(x) else x, rate * s)
-        # negative jumps: h*K <= x  <=>  K >= x/h
-        if math.isinf(x):
-            return 1.0 if x > 0 else 0.0
-        n = math.ceil(x / h)
-        return 1.0 - _poisson_count_cdf(n - 1, rate * s)
-    if fam is LawFamily.DELTA:
-        (drift,) = mu.law_params
-        return 1.0 if drift * s <= x else 0.0
-    if fam is LawFamily.SYMMETRIC_STABLE:
-        alpha, scale = mu.law_params
-        if alpha != 1.0:
-            raise UnsupportedFamily(
-                "symmetric stable convolution powers implemented for index 1 only"
-            )
-        if math.isinf(x):
-            return 1.0 if x > 0 else 0.0
-        return 0.5 + math.atan(x / (scale * s)) / math.pi
-    if fam is LawFamily.ONE_SIDED_STABLE:
-        alpha, coeff = mu.law_params
-        if alpha != 0.5:
-            raise UnsupportedFamily(
-                "one-sided stable convolution powers implemented for index 1/2 only"
-            )
-        if x <= 0:
-            return 0.0
-        if math.isinf(x):
-            return 1.0
-        c = levy_dist_scale(coeff) * s * s
-        return float(special.erfc(math.sqrt(0.5 * c / x)))
-    raise UnsupportedFamily(f"no convolution power for {fam}")
+    return _require_tag(mu).cdf(s, x)
 
 
 def conv_power_interval_mass(mu: LevyTriplet, s: float, lo: float, hi: float) -> float:
     """Mass of mu^s on the half-open interval (lo, hi]."""
-    fam = _require_tag(mu)
-    if fam is LawFamily.POISSON:
-        # Sum atom masses directly so half-open boundaries land on atoms exactly.
-        rate, h = mu.law_params
-        mean = rate * s
-        if h > 0:
-            k_lo = math.floor(lo / h) if not math.isinf(lo) else (-INF if lo < 0 else INF)
-            k_hi = math.floor(hi / h) if not math.isinf(hi) else (-INF if hi < 0 else INF)
-            return _poisson_count_cdf(k_hi, mean) - _poisson_count_cdf(k_lo, mean)
-        k_top = math.ceil(lo / h) - 1 if not math.isinf(lo) else (INF if lo < 0 else -INF)
-        k_bot = math.ceil(hi / h) if not math.isinf(hi) else (-INF if hi > 0 else INF)
-        return _poisson_count_cdf(k_top, mean) - _poisson_count_cdf(k_bot - 1, mean)
-    return max(conv_power_cdf(mu, s, hi) - conv_power_cdf(mu, s, lo), 0.0)
+    return _require_tag(mu).interval_mass(s, lo, hi)
 
 
 def conv_power_set_mass(mu: LevyTriplet, s: float, sets: IntervalSet) -> float:
@@ -170,95 +98,13 @@ def conv_power_set_mass(mu: LevyTriplet, s: float, sets: IntervalSet) -> float:
 
 def conv_power_density(mu: LevyTriplet, s, x):
     """Density of mu^s, vectorized over x (and broadcastable s)."""
-    fam = _require_tag(mu)
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if fam is LawFamily.GAUSSIAN:
-        mean, var = mu.law_params
-        sd = np.sqrt(var * s)
-        z = (x - mean * s) / sd
-        return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-    if fam is LawFamily.GAMMA:
-        shape, rate = mu.law_params
-        a = shape * s
-        out = np.zeros(np.broadcast_shapes(x.shape, a.shape))
-        xb, ab = np.broadcast_arrays(x, a)
-        pos = xb > 0
-        out[pos] = np.exp(
-            ab[pos] * math.log(rate)
-            + (ab[pos] - 1.0) * np.log(xb[pos])
-            - rate * xb[pos]
-            - special.gammaln(ab[pos])
-        )
-        return out
-    if fam is LawFamily.SYMMETRIC_STABLE:
-        alpha, scale = mu.law_params
-        if alpha != 1.0:
-            raise UnsupportedFamily("density implemented for index 1 only")
-        c = scale * s
-        return c / (math.pi * (x * x + c * c))
-    if fam is LawFamily.ONE_SIDED_STABLE:
-        alpha, coeff = mu.law_params
-        if alpha != 0.5:
-            raise UnsupportedFamily("density implemented for index 1/2 only")
-        c = levy_dist_scale(coeff) * s * s
-        out = np.zeros(np.broadcast_shapes(x.shape, np.shape(c)))
-        xb, cb = np.broadcast_arrays(x, c)
-        pos = xb > 0
-        out[pos] = (
-            np.sqrt(cb[pos] / (2.0 * math.pi))
-            * xb[pos] ** -1.5
-            * np.exp(-0.5 * cb[pos] / xb[pos])
-        )
-        return out
-    raise UnsupportedFamily(f"no closed density for {fam}")
-
-
-def _gaussian_partial_mean(mean, sd, a, b):
-    """E[X 1_{a < X <= b}] for X normal(mean, sd**2)."""
-    alpha = (a - mean) / sd
-    beta = (b - mean) / sd
-    pdf = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    return mean * (special.ndtr(beta) - special.ndtr(alpha)) - sd * (pdf(beta) - pdf(alpha))
+    law = _require_tag(mu)
+    return law.density(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
 
 
 def conv_power_truncated_mean(mu: LevyTriplet, s: float) -> float:
     """Integral of x over |x| <= 1 against mu^s."""
-    fam = _require_tag(mu)
-    if fam is LawFamily.GAUSSIAN:
-        mean, var = mu.law_params
-        if mean == 0.0:
-            return 0.0  # symmetric law: exact cancellation
-        return _gaussian_partial_mean(mean * s, math.sqrt(var * s), -1.0, 1.0)
-    if fam is LawFamily.GAMMA:
-        shape, rate = mu.law_params
-        a = shape * s
-        return a / rate * float(special.gammainc(a + 1.0, rate))
-    if fam is LawFamily.POISSON:
-        rate, h = mu.law_params
-        mean = rate * s
-        k_max = math.floor(1.0 / abs(h))
-        ks = np.arange(1, k_max + 1, dtype=float)
-        if ks.size == 0:
-            return 0.0
-        pmf = np.exp(ks * math.log(mean) - mean - special.gammaln(ks + 1.0)) if mean > 0 else 0.0 * ks
-        return float(h * np.sum(ks * pmf))
-    if fam is LawFamily.DELTA:
-        (drift,) = mu.law_params
-        x = drift * s
-        return x if abs(x) <= 1.0 else 0.0
-    if fam is LawFamily.SYMMETRIC_STABLE:
-        return 0.0
-    if fam is LawFamily.ONE_SIDED_STABLE:
-        alpha, coeff = mu.law_params
-        if alpha != 0.5:
-            raise UnsupportedFamily("implemented for index 1/2 only")
-        # int_0^1 x p_c(x) dx = sqrt(2c/pi) e^{-c/2} - c erfc(sqrt(c/2))
-        c = levy_dist_scale(coeff) * s * s
-        return math.sqrt(2.0 * c / math.pi) * math.exp(-0.5 * c) - c * float(
-            special.erfc(math.sqrt(0.5 * c))
-        )
-    raise UnsupportedFamily(f"no truncated mean for {fam}")
+    return _require_tag(mu).truncated_mean(s)
 
 
 def lemma_constant(mu: LevyTriplet) -> float:
@@ -407,30 +253,33 @@ def _delta_pushforward_mass(drift, rho, sets):
     return MixResult(total, 1e-15 * total, rho.tail_cutoff(1e-15))
 
 
-def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, sets: IntervalSet,
-                 *, tol=1e-10) -> MixResult:
-    """Interval masses of the mixed measure integral mu^s(.) rho(ds)."""
-    if not rho.is_positive():
-        raise DomainError("the mixing measure must live on (0, inf)")
-    if mu.law_family is LawFamily.DELTA:
-        # Degenerate base: the mix is a pushforward, defined for any
-        # positive jump measure as long as the point is not 0.
-        if mu.law_params[0] == 0.0:
-            raise DomainError("a degenerate base at 0 is outside the mixing domain")
-        return _delta_pushforward_mass(mu.law_params[0], rho, sets)
-    if rho.one_wedge(1) == INF:
-        raise DomainError("the mixing measure must integrate (1 and s)")
+def _mix_over_sets(mu, rho, sets, fn, tol):
+    """Integral of fn, the mu^s mass of the sets, against rho.  Sets away
+    from 0 give the linear small-s bound that certifies the lower cut."""
     d = sets.distance_from_zero
     if d <= 0.0 and math.isinf(rho.total_mass()):
-        raise DomainError(
-            "interval sets touching 0 need a finite mixing measure"
-        )
-    fn = lambda s: conv_power_set_mass(mu, s, sets)
+        raise DomainError("interval sets touching 0 need a finite mixing measure")
     bound = None
     if d > 0.0:
         bound = 2.0 * lemma_constant(mu) / min(1.0, d * d)
     value, err, upper = integrate_rho(rho, fn, tol=tol, linear_bound=bound)
     return MixResult(max(value, 0.0), err, upper)
+
+
+def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, sets: IntervalSet,
+                 *, tol=1e-10) -> MixResult:
+    """Interval masses of the mixed measure integral mu^s(.) rho(ds)."""
+    if not rho.is_positive():
+        raise DomainError("the mixing measure must live on (0, inf)")
+    if mu.law is not None and mu.law.mix_route == "pushforward":
+        # Degenerate base: the mix is a pushforward, defined for any
+        # positive jump measure as long as the point is not 0.
+        if mu.law.drift == 0.0:
+            raise DomainError("a degenerate base at 0 is outside the mixing domain")
+        return _delta_pushforward_mass(mu.law.drift, rho, sets)
+    if rho.one_wedge(1) == INF:
+        raise DomainError("the mixing measure must integrate (1 and s)")
+    return _mix_over_sets(mu, rho, sets, lambda s: conv_power_set_mass(mu, s, sets), tol)
 
 
 def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float,
@@ -461,44 +310,9 @@ def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float,
 
 def _stable_reference_cdf(mu: LevyTriplet, alpha: float):
     """Reference CDF of the strictly stable base law, plus validation."""
-    fam = _require_tag(mu)
-    if fam is LawFamily.GAUSSIAN:
-        mean, var = mu.law_params
-        if alpha != 2.0:
-            raise DomainError("a gaussian base is 2-stable")
-        if mean != 0.0:
-            raise DomainError("strict 2-stability needs mean 0")
-        sd = math.sqrt(var)
-        return lambda x: float(special.ndtr(x / sd))
-    if fam is LawFamily.SYMMETRIC_STABLE:
-        index, scale = mu.law_params
-        if alpha != index:
-            raise DomainError(f"base law has stability index {index}, not {alpha}")
-        if index != 1.0:
-            raise UnsupportedFamily("symmetric stable reference CDF needs index 1")
-        return lambda x: 0.5 + math.atan(x / scale) / math.pi
-    if fam is LawFamily.ONE_SIDED_STABLE:
-        index, coeff = mu.law_params
-        if alpha != index:
-            raise DomainError(f"base law has stability index {index}, not {alpha}")
-        if index != 0.5:
-            raise UnsupportedFamily("one-sided stable reference CDF needs index 1/2")
-        c = levy_dist_scale(coeff)
-        return lambda x: float(special.erfc(math.sqrt(0.5 * c / x))) if x > 0 else 0.0
-    raise UnsupportedFamily(f"{fam} is not a supported strictly stable base")
-
-
-def _image_in_ml1(rho: LevyMeasure, alpha: float) -> bool:
-    """Whether the image of rho under s -> s**(1/alpha) integrates (1 and t)."""
-    if rho.total_mass() < INF:
-        return True
-    if rho.family is MeasureFamily.GAMMA:
-        return True
-    if rho.family is MeasureFamily.ONE_SIDED_STABLE:
-        return rho.index < 1.0 / alpha
-    if rho.family is MeasureFamily.SYMMETRIC_STABLE:
-        return False
-    return rho.one_wedge(1) < INF
+    law = _require_tag(mu)
+    law.require_stable(alpha)
+    return lambda x: law.cdf(1.0, x)
 
 
 @dataclass(frozen=True)
@@ -516,9 +330,6 @@ class StableMixEvaluator:
 
     def mass(self, sets: IntervalSet, *, tol=1e-10) -> MixResult:
         cdf = _stable_reference_cdf(self.mu, self.alpha)
-        d = sets.distance_from_zero
-        if d <= 0.0 and math.isinf(self.rho.total_mass()):
-            raise DomainError("interval sets touching 0 need a finite mixing measure")
         inv = 1.0 / self.alpha
 
         def fn(s):
@@ -530,21 +341,14 @@ class StableMixEvaluator:
                 total += max(b - a, 0.0)
             return total
 
-        bound = None
-        if d > 0.0:
-            bound = 2.0 * lemma_constant(self.mu) / min(1.0, d * d)
-        value, err, upper = integrate_rho(self.rho, fn, tol=tol, linear_bound=bound)
-        return MixResult(max(value, 0.0), err, upper)
+        return _mix_over_sets(self.mu, self.rho, sets, fn, tol)
 
 
 def phi_mix_stable(mu: LevyTriplet, alpha: float, rho: LevyMeasure) -> StableMixEvaluator:
     """Evaluator for mixing a strictly alpha-stable base law with rho."""
     _stable_reference_cdf(mu, alpha)  # validates base and alpha
-    if not rho.is_positive():
-        raise DomainError("the mixing measure must live on (0, inf)")
-    if rho.one_wedge(1) == INF:
-        raise DomainError("the mixing measure must integrate (1 and s)")
-    if not _image_in_ml1(rho, alpha):
+    _validate_mixing_measure(rho)
+    if not rho.image_in_ml1(alpha):
         raise DomainError(
             "the image of rho under s -> s**(1/alpha) must integrate (1 and t)"
         )
@@ -575,55 +379,4 @@ def small_s_ratio(mu: LevyTriplet, s: float) -> float:
         raise DomainError("s must be > 0")
     if mu.is_degenerate():
         raise DomainError("the base law must be non-degenerate")
-    fam = _require_tag(mu)
-    if fam is LawFamily.GAUSSIAN:
-        mean, var = mu.law_params
-        m, sd = mean * s, math.sqrt(var * s)
-        alpha, beta = (-1.0 - m) / sd, (1.0 - m) / sd
-        npdf = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-        gap = float(special.ndtr(beta) - special.ndtr(alpha))
-        inside_sq = (
-            (m * m + sd * sd) * gap
-            + 2.0 * m * sd * (npdf(alpha) - npdf(beta))
-            + sd * sd * (alpha * npdf(alpha) - beta * npdf(beta))
-        )
-        tails = 1.0 - gap
-        return (inside_sq + tails) / s
-    if fam is LawFamily.GAMMA:
-        shape, rate = mu.law_params
-        a = shape * s
-        inside = a * (a + 1.0) / rate**2 * float(special.gammainc(a + 2.0, rate))
-        tail = 1.0 - float(special.gammainc(a, rate))
-        return (inside + tail) / s
-    if fam is LawFamily.POISSON:
-        rate, h = mu.law_params
-        mean = rate * s
-        k1 = math.floor(1.0 / abs(h))
-        ks = np.arange(1, k1 + 1, dtype=float)
-        inside = 0.0
-        if ks.size and mean > 0:
-            pmf = np.exp(ks * math.log(mean) - mean - special.gammaln(ks + 1.0))
-            inside = float(np.sum((h * ks) ** 2 * pmf))
-        tail = 1.0 - _poisson_count_cdf(k1, mean)
-        return (inside + tail) / s
-    if fam is LawFamily.SYMMETRIC_STABLE:
-        index, scale = mu.law_params
-        if index != 1.0:
-            raise UnsupportedFamily("implemented for index 1 only")
-        c = scale * s
-        inside = (c / math.pi) * (1.0 - c * math.atan(1.0 / c))
-        tail = 0.5 - math.atan(1.0 / c) / math.pi
-        return 2.0 * (inside + tail) / s
-    if fam is LawFamily.ONE_SIDED_STABLE:
-        index, coeff = mu.law_params
-        if index != 0.5:
-            raise UnsupportedFamily("implemented for index 1/2 only")
-        c = levy_dist_scale(coeff) * s * s
-        inside, _ = quadrature.integrate_interval(
-            lambda x: x * x * math.sqrt(c / (2 * math.pi)) * x**-1.5
-            * math.exp(-0.5 * c / x),
-            0.0, 1.0, tol=1e-14,
-        )
-        tail = float(special.erf(math.sqrt(0.5 * c)))
-        return (inside + tail) / s
-    raise UnsupportedFamily(f"no small-s ratio for {fam}")
+    return _require_tag(mu).small_s_ratio(s)

@@ -10,12 +10,18 @@ No density or distribution-function inversion is performed anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 
-from .core import LevyTriplet, char_exponent
+from .core import (
+    CompoundExponentialMeasure,
+    GammaMeasure,
+    LevyTriplet,
+    OneSidedStableMeasure,
+    char_exponent,
+)
 from .errors import (
     BranchAmbiguity,
     ConfigError,
@@ -24,6 +30,7 @@ from .errors import (
     EmptyInput,
     GridTooCoarse,
     InsufficientPoints,
+    LevyMixError,
     NearZeroCF,
     NonConvergence,
     UnsupportedFamily,
@@ -45,7 +52,14 @@ __all__ = [
     "ou_invert",
 ]
 
-FAMILIES = ("gamma", "one_sided_stable", "compound_exponential", "drift")
+# Clock families a fit can name: the jump-measure class whose fields are the
+# fitted parameters, in field order, or None for a pure drift.
+FAMILIES = {
+    "gamma": GammaMeasure,
+    "one_sided_stable": OneSidedStableMeasure,
+    "compound_exponential": CompoundExponentialMeasure,
+    "drift": None,
+}
 
 
 def default_theta_grid() -> np.ndarray:
@@ -219,7 +233,7 @@ def psi_curve(mu_L: LevyTriplet, cf: CFSample) -> PsiCurve:
     if mu_L.is_degenerate() and mu_L.drift == 0.0:
         raise DegenerateBaseProcess("a point mass at zero identifies nothing")
     h = unwrap_log_cf(cf)
-    z = np.array([char_exponent(mu_L, t) for t in cf.theta_grid])
+    z = char_exponent(mu_L, cf.theta_grid)
     j0 = cf.zero_index()
     z[j0] = 0.0
     h[j0] = 0.0
@@ -234,34 +248,13 @@ def _softplus(u: float) -> float:
     return math.log1p(math.exp(-abs(u))) + max(u, 0.0)
 
 
-def _family_psi(family: str, params, z: np.ndarray) -> np.ndarray:
-    """Jump-part exponent of the named family on the curve points."""
-    if family == "gamma":
-        a, lam = params
-        return -a * np.log(1.0 - z / lam)
-    if family == "one_sided_stable":
-        alpha, coeff = params
-        out = np.zeros(z.shape, dtype=complex)
-        nz = z != 0
-        out[nz] = coeff * special.gamma(-alpha) * (-z[nz]) ** alpha
-        return out
-    if family == "compound_exponential":
-        mass, lam = params
-        return mass * z / (lam - z)
-    if family == "drift":
-        return np.zeros(z.shape, dtype=complex)
-    raise UnsupportedFamily(f"unknown family {family!r}; pick one of {FAMILIES}")
-
-
 def _unpack(family: str, vec, fixed_alpha):
     beta0 = _softplus(vec[0])
-    if family == "gamma" or family == "compound_exponential":
-        return beta0, (math.exp(vec[1]), math.exp(vec[2]))
-    if family == "one_sided_stable":
-        if fixed_alpha is not None:
-            return beta0, (fixed_alpha, math.exp(vec[1]))
-        return beta0, (1.0 / (1.0 + math.exp(-vec[1])), math.exp(vec[2]))
-    return beta0, ()
+    if family != "one_sided_stable":
+        return beta0, tuple(math.exp(v) for v in vec[1:])
+    if fixed_alpha is not None:
+        return beta0, (fixed_alpha, math.exp(vec[1]))
+    return beta0, (1.0 / (1.0 + math.exp(-vec[1])), math.exp(vec[2]))
 
 
 def _param_dim(family: str, fixed_alpha) -> int:
@@ -293,7 +286,7 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
     reparameterization. Results are reproducible given options.seed.
     """
     if family not in FAMILIES:
-        raise UnsupportedFamily(f"unknown family {family!r}; pick one of {FAMILIES}")
+        raise UnsupportedFamily(f"unknown family {family!r}; pick one of {tuple(FAMILIES)}")
     dim = _param_dim(family, options.fixed_alpha)
     if len(curve) < 3 * dim:
         raise InsufficientPoints(f"need at least {3 * dim} curve points, have {len(curve)}")
@@ -310,10 +303,17 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
             float(np.max(np.abs(resid))),
         )
 
+    measure_cls = FAMILIES[family]
+
     def objective(vec):
         beta0, params = _unpack(family, vec, options.fixed_alpha)
-        model = beta0 * z + _family_psi(family, params, z)
-        return float(np.sum(w * np.abs(h - model) ** 2))
+        try:
+            # A vector the measure rejects (an underflowed parameter, an
+            # index rounded to 1) lies outside the family.
+            psi = measure_cls(*params).laplace_integral(z)
+        except LevyMixError:
+            return math.inf
+        return float(np.sum(w * np.abs(h - (beta0 * z + psi)) ** 2))
 
     rng = np.random.Generator(np.random.Philox(key=[options.seed & ((1 << 64) - 1), 0x5EED]))
     starts = [np.zeros(dim)]
@@ -343,8 +343,7 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
     if converged == 0:
         raise NonConvergence("no simplex start met the tolerance")
     beta0, params = _unpack(family, best[1], options.fixed_alpha)
-    model = beta0 * z + _family_psi(family, params, z)
-    resid = h - model
+    resid = h - (beta0 * z + measure_cls(*params).laplace_integral(z))
     return FitResult(
         family,
         tuple(params),
@@ -357,21 +356,13 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
 
 def _rescale_for_spacing(family: str, fit: FitResult, dt: float) -> FitResult:
     """Undo the per-step spacing: the fitted exponent equals dt times the
-    unit-time exponent, and every parameter linear in time divides by dt."""
+    unit-time exponent, so beta0 and the jump measure divide by dt."""
     if dt == 1.0:
         return fit
-    beta0 = fit.beta0_hat / dt
-    if family == "gamma":
-        params = (fit.params[0] / dt, fit.params[1])
-    elif family == "one_sided_stable":
-        params = (fit.params[0], fit.params[1] / dt)
-    elif family == "compound_exponential":
-        params = (fit.params[0] / dt, fit.params[1])
-    else:
-        params = fit.params
-    return FitResult(
-        family, params, beta0, fit.objective, fit.n_starts_converged, fit.residual_max
-    )
+    params = fit.params
+    if FAMILIES[family] is not None:
+        params = astuple(FAMILIES[family](*params).scaled(1.0 / dt))
+    return replace(fit, params=params, beta0_hat=fit.beta0_hat / dt)
 
 
 def recover_from_path(path, mu_L: LevyTriplet, family: str, options: FitOptions = FitOptions(),

@@ -15,18 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    AtomicMeasure,
-    CompoundExponentialMeasure,
-    GammaMeasure,
-    LawFamily,
-    LevyMeasure,
-    LevyTriplet,
-    OneSidedStableMeasure,
-    SubordinatorPair,
-    SymmetricStableMeasure,
-    levy_dist_scale,
-)
+from .core import LevyMeasure, LevyTriplet, SubordinatorPair, _truncation_shift
 from .errors import ConfigError, DomainError, UnsupportedFamily
 from .subordinate import SeedField
 
@@ -143,63 +132,21 @@ def make_rng(seed: int, stream_id: int = 0, channel: int = 0) -> np.random.Gener
 # Exact convolution-power sampling of the tagged time-one laws.
 
 
-def _standard_symmetric_stable(rng, alpha: float, size: int) -> np.ndarray:
-    # Chambers-Mallows-Stuck; log-CF -|theta|**alpha.
-    v = math.pi * (rng.random(size) - 0.5)
-    if alpha == 1.0:
-        return np.tan(v)
-    w = rng.exponential(1.0, size)
-    return (
-        np.sin(alpha * v)
-        / np.cos(v) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-    )
-
-
-def _levy_positive(rng, c, size: int) -> np.ndarray:
-    # One-sided 1/2-stable with density sqrt(c/2 pi) x^-3/2 e^{-c/2x}: c / Z^2.
-    z = rng.standard_normal(size)
-    while True:
-        bad = z == 0.0
-        if not bad.any():
-            break
-        z[bad] = rng.standard_normal(int(bad.sum()))
-    return np.asarray(c) / (z * z)
-
-
 def conv_power_sample(mu: LevyTriplet, r, rng) -> np.ndarray:
     """One draw from mu^r for each entry of r (r >= 0)."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("convolution powers need r >= 0")
-    fam = mu.law_family
-    if fam is None:
+    if mu.law is None:
         raise UnsupportedFamily("no closed-form power sampler for an untagged law")
-    if fam is LawFamily.GAUSSIAN:
-        mean, var = mu.law_params
-        return mean * r + np.sqrt(var * r) * rng.standard_normal(r.shape)
-    if fam is LawFamily.GAMMA:
-        shape, rate = mu.law_params
-        return rng.gamma(shape * r, 1.0 / rate)
-    if fam is LawFamily.POISSON:
-        rate, h = mu.law_params
-        return h * rng.poisson(rate * r)
-    if fam is LawFamily.DELTA:
-        (drift,) = mu.law_params
-        return drift * r
-    if fam is LawFamily.SYMMETRIC_STABLE:
-        alpha, scale = mu.law_params
-        return scale * r ** (1.0 / alpha) * _standard_symmetric_stable(rng, alpha, r.shape)
-    if fam is LawFamily.ONE_SIDED_STABLE:
-        alpha, coeff = mu.law_params
-        if alpha != 0.5:
-            raise UnsupportedFamily("exact power sampling needs index 1/2")
-        return _levy_positive(rng, levy_dist_scale(coeff) * r * r, r.shape)
-    raise UnsupportedFamily(f"no power sampler for {fam}")
+    return mu.law.sample(r, rng)
 
 
 # ---------------------------------------------------------------------------
-# Subordinator increments.
+# Increments: exact jump samplers where the family has one, else truncation.
+
+# Expected jump count above which the truncation route refuses to sample.
+_MAX_EXPECTED_JUMPS = 1e7
 
 
 def _auto_epsilon(measure: LevyMeasure, horizon: float) -> float:
@@ -213,59 +160,53 @@ def _auto_epsilon(measure: LevyMeasure, horizon: float) -> float:
     raise ConfigError("could not find a truncation level meeting the error budget")
 
 
-def _compound_poisson_increments(measure, dt, n, eps, rng) -> np.ndarray:
-    """Sum of jumps above eps per step, one step per output entry."""
+def _epsilon_route(measure: LevyMeasure, dt: float, n: int, epsilon, rng,
+                   small_jump_mode: SmallJumpMode = SmallJumpMode.DRIFT_ONLY) -> np.ndarray:
+    """Per-step jumps above epsilon (a compound Poisson sum) plus the exact
+    mean of the dropped small jumps, and with GAUSSIAN_SUBSTITUTE a Gaussian
+    of their variance.  epsilon=None picks the level by _auto_epsilon.
+
+    The expected number of jumps is checked before anything is drawn.
+    """
+    eps = epsilon if epsilon is not None else _auto_epsilon(measure, dt * n)
     lam = measure.mass_above(eps)
+    expected = lam * dt * n
+    if expected > _MAX_EXPECTED_JUMPS:
+        raise ConfigError(
+            f"epsilon={eps:.3g} leaves {expected:.3g} expected jumps to draw, "
+            f"over the limit of {_MAX_EXPECTED_JUMPS:.0e}; choose a larger epsilon"
+        )
+    out = np.zeros(n)
     if lam == 0.0:
         if measure.tail_cutoff(1e-300) <= eps or measure.is_zero():
             raise ConfigError(f"epsilon={eps} is at or above the jump support")
-        return np.zeros(n)
-    counts = rng.poisson(lam * dt, n)
-    total = int(counts.sum())
-    out = np.zeros(n)
-    if total:
-        jumps = measure.sample_tail(rng, eps, total)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        out = np.add.reduceat(np.concatenate((jumps, [0.0])), bounds[:-1])
-        out[counts == 0] = 0.0
+    else:
+        counts = rng.poisson(lam * dt, n)
+        total = int(counts.sum())
+        if total:
+            jumps = measure.sample_tail(rng, eps, total)
+            bounds = np.concatenate(([0], np.cumsum(counts)))
+            out = np.add.reduceat(np.concatenate((jumps, [0.0])), bounds[:-1])
+            out[counts == 0] = 0.0
+    out = out + measure.truncated_moment(1, eps) * dt
+    if small_jump_mode is SmallJumpMode.GAUSSIAN_SUBSTITUTE:
+        var = measure.truncated_moment(2, eps)
+        if var > 0:
+            out += math.sqrt(var * dt) * rng.standard_normal(n)
     return out
-
-
-def _truncated_subordinator_increments(pair, dt, n, eps, rng) -> np.ndarray:
-    # Drift + jumps above eps + exact mean of the dropped small jumps.
-    comp = pair.jumps.truncated_moment(1, eps)
-    inc = _compound_poisson_increments(pair.jumps, dt, n, eps, rng)
-    return inc + (pair.drift + comp) * dt
 
 
 def _subordinator_increments(pair: SubordinatorPair, dt: float, n: int, cfg: SimConfig, rng) -> np.ndarray:
     """n independent increments of the subordinator over steps of length dt.
 
-    Exact for gamma, one-sided 1/2-stable, atomic, and compound-exponential
-    jump parts; anything else gets the epsilon-truncation with the dropped
-    mean folded into the drift (always nonnegative, so paths stay monotone).
+    Exact where the jump measure has an exact sampler; anything else gets
+    the epsilon-truncation with the dropped mean folded into the drift
+    (always nonnegative, so paths stay monotone).
     """
-    rho = pair.jumps
-    base = pair.drift * dt * np.ones(n)
-    if rho.is_zero():
-        return base
-    if isinstance(rho, GammaMeasure):
-        return base + rng.gamma(rho.shape * dt, 1.0 / rho.rate, n)
-    if isinstance(rho, OneSidedStableMeasure) and rho.index == 0.5:
-        return base + _levy_positive(rng, levy_dist_scale(rho.coeff * dt), n)
-    if isinstance(rho, AtomicMeasure):
-        for pos, mass in rho.atoms:
-            base = base + pos * rng.poisson(mass * dt, n)
-        return base
-    if isinstance(rho, CompoundExponentialMeasure):
-        counts = rng.poisson(rho.rate * dt, n)
-        inc = np.zeros(n)
-        busy = counts > 0
-        if busy.any():
-            inc[busy] = rng.gamma(counts[busy].astype(float), 1.0 / rho.jump_rate)
-        return base + inc
-    eps = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(rho, dt * n)
-    return _truncated_subordinator_increments(pair, dt, n, eps, rng)
+    jumps = pair.jumps.sample_increments(dt, n, rng)
+    if jumps is None:
+        jumps = _epsilon_route(pair.jumps, dt, n, cfg.epsilon, rng)
+    return pair.drift * dt * np.ones(n) + jumps
 
 
 def _paths_from_increments(draw, grid: TimeGrid, cfg: SimConfig):
@@ -296,45 +237,12 @@ def _levy_increments(t: LevyTriplet, dt: float, n: int, cfg: SimConfig, rng) -> 
     inc = t.drift * dt * np.ones(n)
     if t.gaussian_var > 0:
         inc += math.sqrt(t.gaussian_var * dt) * rng.standard_normal(n)
-    if nu.is_zero():
-        return inc
-    if isinstance(nu, SymmetricStableMeasure):
-        # Symmetric jumps compensate to zero shift regardless of index.
-        alpha = nu.index
-        scale = (2.0 * nu.coeff * _stable_cos(alpha)) ** (1.0 / alpha)
-        return inc + scale * dt ** (1.0 / alpha) * _standard_symmetric_stable(rng, alpha, n)
-    # Exact jump-part samplers; the compensator of STANDARD truncation is a
-    # deterministic shift -dt * int_{|x|<=1} x nu(dx) once all jumps are kept.
-    full_comp = nu.truncated_moment(1, 1.0)
-    if isinstance(nu, GammaMeasure):
-        return inc - full_comp * dt + rng.gamma(nu.shape * dt, 1.0 / nu.rate, n)
-    if isinstance(nu, OneSidedStableMeasure) and nu.index == 0.5:
-        return inc - full_comp * dt + _levy_positive(rng, levy_dist_scale(nu.coeff * dt), n)
-    if isinstance(nu, AtomicMeasure):
-        for pos, mass in nu.atoms:
-            inc = inc + pos * rng.poisson(mass * dt, n)
-        return inc - full_comp * dt
-    if isinstance(nu, CompoundExponentialMeasure):
-        counts = rng.poisson(nu.rate * dt, n)
-        busy = counts > 0
-        jump = np.zeros(n)
-        if busy.any():
-            jump[busy] = rng.gamma(counts[busy].astype(float), 1.0 / nu.jump_rate)
-        return inc - full_comp * dt + jump
-    eps = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(nu, dt * n)
-    inc = inc - (full_comp - nu.truncated_moment(1, eps)) * dt
-    inc += _compound_poisson_increments(nu, dt, n, eps, rng)
-    if cfg.small_jump_mode is SmallJumpMode.GAUSSIAN_SUBSTITUTE:
-        var = nu.truncated_moment(2, eps)
-        if var > 0:
-            inc += math.sqrt(var * dt) * rng.standard_normal(n)
-    return inc
-
-
-def _stable_cos(alpha: float) -> float:
-    from .core import stable_cos_integral
-
-    return stable_cos_integral(alpha)
+    # With every jump kept, the triplet's compensator is a deterministic shift.
+    inc = inc - _truncation_shift(nu, t.convention) * dt
+    jumps = nu.sample_increments(dt, n, rng)
+    if jumps is None:
+        jumps = _epsilon_route(nu, dt, n, cfg.epsilon, rng, cfg.small_jump_mode)
+    return inc + jumps
 
 
 def sample_levy(t: LevyTriplet, grid: TimeGrid, cfg: SimConfig = SimConfig()):
@@ -352,18 +260,14 @@ def sample_levy(t: LevyTriplet, grid: TimeGrid, cfg: SimConfig = SimConfig()):
 
 
 def _power_samplable(mu: LevyTriplet) -> bool:
-    fam = mu.law_family
-    if fam is None:
-        return False
-    if fam is LawFamily.ONE_SIDED_STABLE:
-        return mu.law_params[0] == 0.5
-    return fam in (
-        LawFamily.GAUSSIAN,
-        LawFamily.GAMMA,
-        LawFamily.POISSON,
-        LawFamily.DELTA,
-        LawFamily.SYMMETRIC_STABLE,
-    )
+    return mu.law is not None and mu.law.power_samplable
+
+
+def _clock_then_power(mu_L, pair, dt, n, cfg, stream):
+    """n clock increments on channel 0, then one draw from mu_L to each one's power on channel 1."""
+    rng_t = make_rng(cfg.seed, stream, channel=0)
+    d_t = _subordinator_increments(pair, dt, n, cfg, rng_t)
+    return conv_power_sample(mu_L, d_t, make_rng(cfg.seed, stream, channel=1))
 
 
 def sample_subordinated(
@@ -384,18 +288,17 @@ def sample_subordinated(
     conditional = _power_samplable(mu_L)
 
     def draw(stream):
+        if conditional:
+            return _clock_then_power(mu_L, pair, grid.dt, grid.n_steps, cfg, stream)
         rng_t = make_rng(cfg.seed, stream, channel=0)
         d_t = _subordinator_increments(pair, grid.dt, grid.n_steps, cfg, rng_t)
-        rng_x = make_rng(cfg.seed, stream, channel=1)
-        if conditional:
-            return conv_power_sample(mu_L, d_t, rng_x)
         clock = np.concatenate(([0.0], np.cumsum(d_t)))
         t_end = float(clock[-1])
         if t_end == 0.0:
             return np.zeros(grid.n_steps)
         n_fine = max(int(refine) * grid.n_steps, 64)
         dt_fine = t_end / n_fine
-        inc = _levy_increments(mu_L, dt_fine, n_fine, cfg, rng_x)
+        inc = _levy_increments(mu_L, dt_fine, n_fine, cfg, make_rng(cfg.seed, stream, channel=1))
         path = np.concatenate(([0.0], np.cumsum(inc)))
         idx = np.minimum((clock / dt_fine).astype(int), n_fine)
         return np.diff(path[idx])
@@ -407,23 +310,12 @@ def sample_subordinated(
 # Cell fields.
 
 
-def _cell_value_draws(mu_L, cell, cfg, stream, n_draws):
-    rng_t = make_rng(cfg.seed, stream, channel=0)
-    d_t = _subordinator_increments(cell.pair, cell.control_mass, n_draws, cfg, rng_t)
-    rng_x = make_rng(cfg.seed, stream, channel=1)
-    return conv_power_sample(mu_L, d_t, rng_x)
-
-
 def sample_basis_grid(mu_L: LevyTriplet, fld: SeedField, cfg: SimConfig = SimConfig()) -> GridField:
     """One independent draw per cell: the cell's control mass feeds its
     subordinator seed, whose value then powers the base law."""
-    if not _power_samplable(mu_L):
-        raise UnsupportedFamily("cell sampling needs a power-samplable base law")
-    cells = []
-    for idx, cell in enumerate(fld.cells):
-        value = float(_cell_value_draws(mu_L, cell, cfg, idx, 1)[0])
-        cells.append((cell.rect, cell.volume, value))
-    return GridField(tuple(cells), cfg.seed)
+    values = sample_basis_ensemble(mu_L, fld, cfg, 1)[0]
+    cells = tuple((cell.rect, cell.volume, float(v)) for cell, v in zip(fld.cells, values))
+    return GridField(cells, cfg.seed)
 
 
 def sample_basis_ensemble(mu_L: LevyTriplet, fld: SeedField, cfg: SimConfig, n_draws: int) -> np.ndarray:
@@ -432,7 +324,10 @@ def sample_basis_ensemble(mu_L: LevyTriplet, fld: SeedField, cfg: SimConfig, n_d
         raise UnsupportedFamily("cell sampling needs a power-samplable base law")
     if n_draws < 1:
         raise ConfigError("n_draws must be >= 1")
-    cols = [_cell_value_draws(mu_L, cell, cfg, idx, n_draws) for idx, cell in enumerate(fld.cells)]
+    cols = [
+        _clock_then_power(mu_L, cell.pair, cell.control_mass, n_draws, cfg, idx)
+        for idx, cell in enumerate(fld.cells)
+    ]
     return np.column_stack(cols)
 
 
@@ -486,20 +381,15 @@ def sample_lss(
         raise ConfigError("burn_in must be > 0")
     if float(kernel(np.array([burn_in]))[0]) > 1e-8:
         raise ConfigError("burn_in too small: kernel has not decayed to 1e-8")
+    if not _power_samplable(mu_L):
+        raise UnsupportedFamily("moving-average sampling needs a power-samplable base law")
     m = int(math.ceil(burn_in / grid.dt))
     ext = TimeGrid(grid.t0 - m * grid.dt, grid.dt, m + grid.n_steps)
     weights = kernel(grid.dt * np.arange(ext.n_steps + 1))
 
     def draw_path(stream):
-        rng_t = make_rng(cfg.seed, stream, channel=0)
-        d_t = _subordinator_increments(pair, ext.dt, ext.n_steps, cfg, rng_t)
-        rng_x = make_rng(cfg.seed, stream, channel=1)
-        if _power_samplable(mu_L):
-            d_x = conv_power_sample(mu_L, d_t, rng_x)
-        else:
-            raise UnsupportedFamily("moving-average sampling needs a power-samplable base law")
-        y = np.convolve(d_x, weights)[m : m + grid.n_steps + 1]
-        return y
+        d_x = _clock_then_power(mu_L, pair, ext.dt, ext.n_steps, cfg, stream)
+        return np.convolve(d_x, weights)[m : m + grid.n_steps + 1]
 
     out = []
     for stream in range(cfg.n_paths):

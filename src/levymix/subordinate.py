@@ -14,12 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import quadrature
 from .core import (
     INF,
-    LawFamily,
     LevyMeasure,
     LevyTriplet,
     SubordinatorPair,
@@ -27,15 +25,12 @@ from .core import (
     ZERO_MEASURE,
     char_exponent,
     laplace_exponent,
-    levy_dist_scale,
 )
 from .errors import DomainError, QuadratureFailure, UnsupportedFamily
 from .mixing import (
     IntervalSet,
     MixResult,
     check_domain,
-    conv_power_density,
-    conv_power_truncated_mean,
     integrate_rho,
     lemma_constant,
     phi_mix_mass,
@@ -44,42 +39,15 @@ from .mixing import (
 
 _X_FLOOR = 1e-9
 _S_FLOOR = 1e-14
+_X_HI_MAX = 1e6
 
 
-def compose_cf(base: LevyTriplet, pair: SubordinatorPair, theta: float) -> complex:
-    """Log-CF of the subordinated law: time-change exponent of the base exponent."""
+def compose_cf(base: LevyTriplet, pair: SubordinatorPair, theta):
+    """Log-CF of the subordinated law: time-change exponent of the base exponent.
+
+    theta may be a scalar or an array, as for char_exponent.
+    """
     return laplace_exponent(pair, char_exponent(base, theta))
-
-
-def _grid_sides(fam: LawFamily):
-    if fam in (LawFamily.GAMMA, LawFamily.ONE_SIDED_STABLE):
-        return (1,)
-    if fam in (LawFamily.GAUSSIAN, LawFamily.SYMMETRIC_STABLE):
-        return (-1, 1)
-    raise UnsupportedFamily(f"no density grid for base family {fam}")
-
-
-def _survival_vec(base: LevyTriplet, s, x: float, side: int):
-    """Per-s tail mass of mu^s beyond x on the given side, vectorized in s."""
-    fam = base.law_family
-    s = np.asarray(s, dtype=float)
-    if fam is LawFamily.GAUSSIAN:
-        mean, var = base.law_params
-        sd = np.sqrt(var * s)
-        if side > 0:
-            return special.ndtr((mean * s - x) / sd)
-        return special.ndtr((-x - mean * s) / sd)
-    if fam is LawFamily.GAMMA:
-        shape, rate = base.law_params
-        return special.gammaincc(shape * s, rate * x)
-    if fam is LawFamily.SYMMETRIC_STABLE:
-        _, scale = base.law_params
-        return 0.5 - np.arctan(x / (scale * s)) / math.pi
-    if fam is LawFamily.ONE_SIDED_STABLE:
-        _, coeff = base.law_params
-        c = levy_dist_scale(coeff) * s * s
-        return special.erf(np.sqrt(0.5 * c / x))
-    raise UnsupportedFamily(f"no tail formula for {fam}")
 
 
 def _char_weights(theta: float, xs: np.ndarray) -> np.ndarray:
@@ -88,30 +56,6 @@ def _char_weights(theta: float, xs: np.ndarray) -> np.ndarray:
     inside = np.abs(xs) <= 1.0
     out[inside] -= 1j * theta * xs[inside]
     return out
-
-
-_HEAVY_TAIL = (LawFamily.SYMMETRIC_STABLE, LawFamily.ONE_SIDED_STABLE)
-
-
-def _density_derivs(base: LevyTriplet, s, x: float):
-    """(p, p', p'') of mu^s at x > 0, vectorized over s; heavy families only."""
-    fam = base.law_family
-    s = np.asarray(s, dtype=float)
-    if fam is LawFamily.SYMMETRIC_STABLE:
-        c = base.law_params[1] * s
-        denom = x * x + c * c
-        p = c / (math.pi * denom)
-        p1 = -2.0 * x * c / (math.pi * denom**2)
-        p2 = c * (6.0 * x * x - 2.0 * c * c) / (math.pi * denom**3)
-        return p, p1, p2
-    if fam is LawFamily.ONE_SIDED_STABLE:
-        c = levy_dist_scale(base.law_params[1]) * s * s
-        p = np.sqrt(c / (2.0 * math.pi)) * x**-1.5 * np.exp(-0.5 * c / x)
-        g = -1.5 / x + 0.5 * c / (x * x)
-        p1 = p * g
-        p2 = p * (g * g + 1.5 / (x * x) - c / x**3)
-        return p, p1, p2
-    raise UnsupportedFamily(f"no tail expansion for {fam}")
 
 
 def _tail_correction(theta: float, x_hi: float, mass: float, f0: float,
@@ -139,31 +83,16 @@ class JumpMixEvaluator:
         self.drift_part = (
             base.jumps.scaled(pair.drift) if pair.drift != 0.0 else ZERO_MEASURE
         )
-        rho = pair.jumps
-        if rho.is_zero():
+        self._atoms = None
+        self._grid_cache = None
+        if pair.jumps.is_zero():
             self._mode = "zero"
-        elif base.law_family is LawFamily.DELTA:
-            self._mode = "pushforward"
-        elif base.law_family is LawFamily.POISSON:
-            self._mode = "atomic"
-            self._atoms = None
-        elif base.law_family in (
-            LawFamily.GAUSSIAN,
-            LawFamily.GAMMA,
-            LawFamily.SYMMETRIC_STABLE,
-            LawFamily.ONE_SIDED_STABLE,
-        ):
-            _grid_sides(base.law_family)  # raises early for unsupported indexes
-            self._mode = "grid"
-            self._grid_cache = None
-        elif base.law_family is None:
+        elif base.law is None:
             raise UnsupportedFamily(
                 "mixing the jump measure needs a law-tagged base triplet"
             )
         else:
-            raise UnsupportedFamily(
-                f"no mixed-jump representation for base family {base.law_family}"
-            )
+            self._mode = base.law.mix_route
 
     # -- interval masses ---------------------------------------------------
 
@@ -203,7 +132,7 @@ class JumpMixEvaluator:
         return value
 
     def _pushforward_integral(self, theta: float) -> complex:
-        speed = self.base.law_params[0]
+        speed = self.base.law.drift
         rho = self.pair.jumps
 
         def fn(s):
@@ -219,7 +148,7 @@ class JumpMixEvaluator:
     def _poisson_atoms(self):
         if self._atoms is not None:
             return self._atoms
-        rate, h = self.base.law_params
+        rate, h = self.base.law.rate, self.base.law.jump_size
         rho = self.pair.jumps
         upper = rho.tail_cutoff(1e-16)
         mean_cap = rate * upper
@@ -239,25 +168,27 @@ class JumpMixEvaluator:
 
     def _cut_point(self, theta_min: float, s_nodes, s_weights):
         """Upper truncation of the resolved x-grid, or a tail-corrected cut."""
-        heavy = self.base.law_family in _HEAVY_TAIL
-        if heavy:
+        law = self.base.law
+        if law.heavy_tail:
             # Heavy power tails: resolve out to where a 3-term integration-by-
             # parts expansion of the remaining oscillatory tail is certified.
             x_hi = max(1200.0, 40.0 / theta_min)
-            if x_hi > 1e6:
+            if x_hi > _X_HI_MAX:
                 raise QuadratureFailure(
                     f"theta = {theta_min:.3e} too close to 0 for a heavy-tailed base"
                 )
             return x_hi, True
+        # The cut is checked before any grid exists: the panel count grows
+        # linearly with x_hi.
         x_hi = 2.0
-        for _ in range(200):
-            tail = float(
-                np.dot(s_weights, _survival_vec(self.base, s_nodes, x_hi, 1))
-            )
+        while x_hi <= _X_HI_MAX:
+            tail = float(np.dot(s_weights, law.sf(s_nodes, x_hi)))
             if tail < 1e-14:
                 return x_hi, False
             x_hi *= 1.5
-        raise QuadratureFailure("mixed density tail does not decay")
+        raise QuadratureFailure(
+            f"mixed density tail still above 1e-14 beyond x = {_X_HI_MAX:g}"
+        )
 
     def _x_panels(self, side: int, theta_max: float, x_hi: float):
         # (0, 1]: panels in log x; integrating in u = log x adds a factor x.
@@ -283,7 +214,7 @@ class JumpMixEvaluator:
         block = max(1, int(2e6 // max(xs.size, 1)) or 1)
         for k in range(0, s_nodes.size, block):
             sl = slice(k, k + block)
-            m = conv_power_density(self.base, s_nodes[None, sl], xs[:, None])
+            m = self.base.law.density(s_nodes[None, sl], xs[:, None])
             out += m @ s_weights[sl]
         return out
 
@@ -299,9 +230,9 @@ class JumpMixEvaluator:
             self.pair.jumps, tol=1e-12, s_floor=_S_FLOOR
         )
         x_hi, heavy = self._cut_point(theta_min, s_nodes, s_weights)
-        sides = _grid_sides(self.base.law_family)
+        law = self.base.law
         xs_all, wx_all = [], []
-        for side in sides:
+        for side in law.sides:
             xs, wx = self._x_panels(side, theta_max, x_hi)
             xs_all.append(xs)
             wx_all.append(wx)
@@ -310,17 +241,15 @@ class JumpMixEvaluator:
         dens = self._mixed_density(xs, s_nodes, s_weights)
         tail = None
         if heavy:
-            mass = float(
-                np.dot(s_weights, _survival_vec(self.base, s_nodes, x_hi, 1))
-            )
-            p, p1, p2 = _density_derivs(self.base, s_nodes, x_hi)
+            mass = float(np.dot(s_weights, law.sf(s_nodes, x_hi)))
+            p, p1, p2 = law.density_derivs(s_nodes, x_hi)
             tail = (
                 x_hi,
                 mass,
                 float(np.dot(s_weights, p)),
                 float(np.dot(s_weights, p1)),
                 float(np.dot(s_weights, p2)),
-                len(sides),
+                len(law.sides),
             )
         self._grid_cache = (theta_max, theta_min if heavy else 0.0, xs, wx, dens, tail)
         return xs, wx, dens, tail
@@ -339,12 +268,7 @@ class SubordinatedTriplet:
 
 def _mixing_drift_term(base: LevyTriplet, pair: SubordinatorPair) -> float:
     """Integral over rho of the truncated mean of mu^s."""
-    fam = base.law_family
-    if fam is LawFamily.SYMMETRIC_STABLE:
-        return 0.0
-    if fam is LawFamily.GAUSSIAN and base.law_params[0] == 0.0:
-        return 0.0  # symmetric base: the inner integral vanishes identically
-    fn = lambda s: conv_power_truncated_mean(base, s)
+    fn = base.law.truncated_mean
     bound = 1.0 + 2.0 * (abs(base.drift) + lemma_constant(base))
     value, err, _ = integrate_rho(pair.jumps, fn, tol=1e-12, linear_bound=bound)
     if err > 1e-6 * max(1.0, abs(value)):
@@ -356,18 +280,16 @@ def subordinate_triplet(base: LevyTriplet, pair: SubordinatorPair) -> Subordinat
     """Characteristic triplet of the base process run on the subordinator clock."""
     if base.convention is not TruncationConvention.STANDARD:
         raise DomainError("the base triplet must use the standard truncation")
+    gamma_bar = base.drift * pair.drift
+    if not pair.jumps.is_zero():
+        if base.law is None:
+            raise UnsupportedFamily(
+                "subordinating with jumps needs a law-tagged base triplet"
+            )
+        if not check_domain(base, pair.jumps):
+            raise DomainError("the pair's jump measure is outside the mixing domain")
+        gamma_bar += _mixing_drift_term(base, pair)
     b_bar = base.gaussian_var * pair.drift
-    if pair.jumps.is_zero():
-        return SubordinatedTriplet(
-            base.drift * pair.drift, b_bar, JumpMixEvaluator(base, pair), base, pair
-        )
-    if base.law_family is None:
-        raise UnsupportedFamily(
-            "subordinating with jumps needs a law-tagged base triplet"
-        )
-    if not check_domain(base, pair.jumps):
-        raise DomainError("the pair's jump measure is outside the mixing domain")
-    gamma_bar = base.drift * pair.drift + _mixing_drift_term(base, pair)
     return SubordinatedTriplet(gamma_bar, b_bar, JumpMixEvaluator(base, pair), base, pair)
 
 
@@ -431,8 +353,13 @@ class SeedField:
         dims = {len(c.rect) for c in cells}
         if len(dims) != 1:
             raise DomainError("all cells must share one dimension")
-        for i, a in enumerate(cells):
-            for b in cells[i + 1:]:
+        # Sorted by first-axis start, a cell can only overlap the ones that
+        # start before its first edge ends.
+        by_start = sorted(cells, key=lambda c: c.rect[0][0])
+        for i, a in enumerate(by_start):
+            for b in by_start[i + 1:]:
+                if b.rect[0][0] >= a.rect[0][1]:
+                    break
                 if a.overlaps(b):
                     raise DomainError("cell rectangles must be disjoint")
         object.__setattr__(self, "cells", cells)

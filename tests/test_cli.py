@@ -96,15 +96,14 @@ def test_simulate_multi_path_naming_and_streams(tmp_path):
     assert p0.read_bytes() != p1.read_bytes()
 
 
-def test_recover_reports_are_reproducible_except_wall_time(tmp_path):
+def test_recover_reports_are_reproducible(tmp_path):
     a, b = tmp_path / "ra.json", tmp_path / "rb.json"
     args = ["recover", "--model", VG, "--family", "gamma", "--dt", 1.0,
             "--horizon", 20000, "--seed", 3]
     assert _run(args + ["--out", a]) == 0
     assert _run(args + ["--out", b]) == 0
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-    ra.pop("wall_time_s"), rb.pop("wall_time_s")
-    assert ra == rb
+    assert a.read_bytes() == b.read_bytes()
+    ra = json.loads(a.read_text())
     assert ra["family"] == "gamma"
     assert ra["n_obs"] == 20000
     assert len(ra["params"]) == 2
@@ -189,6 +188,18 @@ def test_config_error_exits_2(tmp_path):
     rc = _run(["simulate", "--model", VG, "--dt", 0.1, "--horizon", 0.0,
                "--out", tmp_path / "x.csv"])
     assert rc == 2
+    # a 0.7-stable clock on the truncation route would need about 1.3e13
+    # jumps at the automatic epsilon; the budget check refuses it
+    model = tmp_path / "stable07.json"
+    model.write_text(json.dumps({
+        "schema": 1,
+        "levy": {"family": "gaussian", "params": {"mean": 0.0, "variance": 1.0}},
+        "subordinator": {"drift": 0.0, "jumps": {"kind": "one_sided_stable", "index": 0.7, "coeff": 1.0}},
+    }))
+    rc = _run(["simulate", "--model", model, "--dt", 0.01, "--horizon", 100.0,
+               "--out", tmp_path / "y.csv"])
+    assert rc == 2
+    assert not (tmp_path / "y.csv").exists()
 
 
 # --- other commands --------------------------------------------------------------------

@@ -178,6 +178,32 @@ def test_char_exponent_is_a_valid_log_cf(law):
         assert w == pytest.approx(v.conjugate(), abs=1e-12)
 
 
+def test_exponents_take_arrays_entry_for_entry():
+    # one call on a grid equals the scalar calls bit for bit, 0 maps to 0
+    grid = np.linspace(-9.0, 9.0, 37)
+    for law in FIXTURE_LAWS:
+        values = lm.char_exponent(law, grid)
+        assert values.shape == grid.shape
+        for k, th in enumerate(grid):
+            scalar = lm.char_exponent(law, th)
+            assert isinstance(scalar, complex)
+            assert values[k] == scalar
+        assert lm.char_exponent(law, np.zeros(3)).tolist() == [0j, 0j, 0j]
+    xs = np.linspace(0.1, 0.9, 400)
+    zs = -np.abs(grid) + 1j * grid
+    for jumps in (GammaMeasure(2.0, 3.0), OneSidedStableMeasure(0.5, 0.6),
+                  CompoundExponentialMeasure(1.2, 2.5), AtomicMeasure(((0.5, 1.0), (2.0, 0.3))),
+                  TabulatedMeasure(tuple(xs), tuple(np.exp(-xs))), ZERO_MEASURE):
+        pair = SubordinatorPair(0.4, jumps)
+        values = lm.laplace_exponent(pair, zs)
+        for k, z in enumerate(zs):
+            assert values[k] == lm.laplace_exponent(pair, z)
+        assert lm.laplace_exponent(pair, np.zeros(2)).tolist() == [0j, 0j]
+    # the sign check runs entry by entry
+    with pytest.raises(DomainError):
+        lm.laplace_exponent(SubordinatorPair(0.4, GammaMeasure(2.0, 3.0)), np.array([-1.0, 0.5]))
+
+
 def test_laplace_exponent_frozen_value():
     pair = SubordinatorPair(0.4, GammaMeasure(2.0, 3.0))
     assert lm.laplace_exponent(pair, -1.1) == pytest.approx(

@@ -16,9 +16,12 @@ from levymix.core import (
     AtomicMeasure,
     CompoundExponentialMeasure,
     GammaMeasure,
+    LevyTriplet,
     OneSidedStableMeasure,
     SubordinatorPair,
+    TruncationConvention,
     ZERO_MEASURE,
+    convert_convention,
 )
 from levymix.errors import ConfigError
 from levymix.simulate import (
@@ -28,6 +31,7 @@ from levymix.simulate import (
     SimConfig,
     SmallJumpMode,
     TimeGrid,
+    _epsilon_route,
     conv_power_sample,
     exp_kernel,
     gamma_kernel,
@@ -159,34 +163,37 @@ def test_gamma_subordinator_t1_moments():
 
 
 def test_epsilon_route_matches_exact_route_in_law():
-    # compound-exponential jumps sample exactly; forcing the truncation
-    # route must agree in distribution (Laplace transform at 1)
-    pair = SubordinatorPair(0.0, CompoundExponentialMeasure(1.2, 2.5))
-    grid = TimeGrid(0.0, 1.0, 1)
-    exact = sample_subordinator(pair, grid, SimConfig(seed=21, n_paths=40_000))
-    trunc = sample_subordinator(pair, grid, SimConfig(seed=22, n_paths=40_000, epsilon=1e-4))
-    lap = lambda ps: np.mean([math.exp(-p.values[-1]) for p in ps])
-    want = math.exp(lm.laplace_exponent(pair, -1.0).real)
-    assert abs(lap(exact) - want) <= 8e-3
-    assert abs(lap(trunc) - want) <= 8e-3
+    # compound-exponential jumps sample exactly; the truncation route on
+    # the same clock must agree in distribution (Laplace transform at 1)
+    rho = CompoundExponentialMeasure(1.2, 2.5)
+    n = 40_000
+    exact = rho.sample_increments(1.0, n, make_rng(21))
+    trunc = _epsilon_route(rho, 1.0, n, 1e-4, make_rng(22))
+    want = math.exp(lm.laplace_exponent(SubordinatorPair(0.0, rho), -1.0).real)
+    assert abs(np.mean(np.exp(-exact)) - want) <= 8e-3
+    assert abs(np.mean(np.exp(-trunc)) - want) <= 8e-3
 
 
 def test_epsilon_halving_mean_shift_bound():
     # halving epsilon moves the empirical mean of T_1 by less than twice
     # the dropped-jump mean 2 * tm(1, eps)
     rho = GammaMeasure(2.0, 3.0)
-    pair = SubordinatorPair(0.0, rho)
-    grid = TimeGrid(0.0, 1.0, 1)
     eps = 1e-2
-    m_eps, m_half = [], []
-    for seed in range(3):
-        a = sample_subordinator(pair, grid, SimConfig(seed=seed, n_paths=20_000, epsilon=eps))
-        b = sample_subordinator(pair, grid, SimConfig(seed=seed, n_paths=20_000, epsilon=eps / 2))
-        m_eps.append(np.mean([p.values[-1] for p in a]))
-        m_half.append(np.mean([p.values[-1] for p in b]))
     bound = 2.0 * rho.truncated_moment(1, eps) + 4.0 * math.sqrt((2.0 / 9.0) / 20_000)
-    for x, y in zip(m_eps, m_half):
-        assert abs(x - y) <= bound
+    for seed in range(3):
+        a = _epsilon_route(rho, 1.0, 20_000, eps, make_rng(seed))
+        b = _epsilon_route(rho, 1.0, 20_000, eps / 2, make_rng(seed))
+        assert abs(a.mean() - b.mean()) <= bound
+
+
+def test_epsilon_route_checks_expected_jumps_before_drawing():
+    # automatic epsilon for a 0.7-stable clock at dt 0.01 over 1e4 steps is
+    # 2.2e-16, i.e. about 1.3e13 expected jumps: refused before any draw
+    rho = OneSidedStableMeasure(0.7, 1.0)
+    with pytest.raises(ConfigError, match="expected jumps"):
+        _epsilon_route(rho, 0.01, 10_000, None, make_rng(0))
+    with pytest.raises(ConfigError, match="expected jumps"):
+        sample_subordinator(SubordinatorPair(0.0, rho), TimeGrid(0.0, 0.01, 10_000))
 
 
 def test_epsilon_above_support_is_rejected():
@@ -233,11 +240,19 @@ def test_levy_path_ecf_matches_exponent():
 
 
 def test_levy_gaussian_substitute_runs_and_matches_mean():
+    # gamma_law's drift equals its compensator, so its increments are the
+    # jump part alone, here from the truncation route
     law = lm.gamma_law(2.0, 3.0)
-    cfg = SimConfig(seed=4, epsilon=1e-3, small_jump_mode=SmallJumpMode.GAUSSIAN_SUBSTITUTE)
-    path = sample_levy(law, TimeGrid(0.0, 1.0, 4000), cfg)
-    inc = path.increments()
+    inc = _epsilon_route(law.jumps, 1.0, 4000, 1e-3, make_rng(4), SmallJumpMode.GAUSSIAN_SUBSTITUTE)
     assert abs(inc.mean() - 2.0 / 3.0) <= 6.0 * math.sqrt((2.0 / 9.0) / inc.size)
+
+
+def test_levy_increments_follow_the_triplet_convention():
+    # the same law under either truncation convention has the same mean
+    grid = TimeGrid(0.0, 1.0, 20_000)
+    for law in (lm.gamma_law(2.0, 3.0), convert_convention(lm.gamma_law(2.0, 3.0), TruncationConvention.ZERO)):
+        inc = sample_levy(law, grid, SimConfig(seed=9)).increments()
+        assert abs(inc.mean() - 2.0 / 3.0) <= 4.0 * math.sqrt((2.0 / 9.0) / inc.size)
 
 
 # --- subordinated paths ----------------------------------------------------------
@@ -262,16 +277,17 @@ def test_subordinated_delta_base_equals_clock():
 
 
 def test_subordinated_composition_fallback_matches_law():
-    # a base with no exact power sampler falls back to composing with a
-    # refined base path; check the law at one theta
-    base = lm.symmetric_stable_law(1.5, 0.7)
+    # an untagged base has no exact power sampler, so the sampler falls back
+    # to composing with a refined base path; check the law at one theta
+    law = lm.symmetric_stable_law(1.5, 0.7)
+    base = LevyTriplet(0.0, 0.0, law.jumps)
     pair = SubordinatorPair(0.0, GammaMeasure(1.0, 1.0))
     n = 20_000
     path = sample_subordinated(base, pair, TimeGrid(0.0, 1.0, n), SimConfig(seed=17))
     inc = path.increments()
     theta = 1.3
     ecf = np.exp(1j * theta * inc).mean()
-    want = np.exp(compose_cf(base, pair, theta))
+    want = np.exp(compose_cf(law, pair, theta))
     assert abs(ecf - want) <= 6.0 / math.sqrt(n)
 
 

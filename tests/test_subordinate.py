@@ -16,10 +16,11 @@ from levymix.core import (
     AtomicMeasure,
     CompoundExponentialMeasure,
     GammaMeasure,
+    OneSidedStableMeasure,
     SubordinatorPair,
     ZERO_MEASURE,
 )
-from levymix.errors import DomainError, UnsupportedFamily
+from levymix.errors import DomainError, QuadratureFailure, UnsupportedFamily
 from levymix.mixing import IntervalSet
 from levymix.subordinate import (
     SeedCell,
@@ -194,6 +195,11 @@ def test_seed_field_rejects_overlap_and_mixed_dims():
         SeedField((c1, c2))
     fld = SeedField((c1, c3))  # half-open boxes: sharing a face is fine
     assert len(fld.cells) == 2
+    # overlapping cells far apart in input order, behind a row of disjoint ones
+    row = [SeedCell(((float(k), k + 1.0), (5.0, 6.0)), VG_PAIR) for k in range(20)]
+    with pytest.raises(DomainError):
+        SeedField(tuple([c1] + row + [c2]))
+    assert len(SeedField(tuple([c1] + row + [c3])).cells) == 22
     with pytest.raises(DomainError):
         SeedField((c1, SeedCell(((0.0, 1.0),), VG_PAIR)))
     with pytest.raises(DomainError):
@@ -236,3 +242,11 @@ def test_fields_differing_in_one_cell_have_separated_cell_cfs():
         for th in grid
     )
     assert gap > 0.01
+
+
+def test_light_tail_cut_is_bounded_before_the_grid():
+    # a gaussian base on a 1/2-stable clock would put the x-grid cut at
+    # 1.9e12; the cut search stops at 1e6 before any grid is built
+    st = subordinate_triplet(lm.gaussian_law(), SubordinatorPair(0.0, OneSidedStableMeasure(0.5, 0.5)))
+    with pytest.raises(QuadratureFailure, match="beyond x"):
+        cf_from_triplet(st, 10.0)
