@@ -13,7 +13,6 @@ its convolution powers mu^s.
 
 from __future__ import annotations
 
-import cmath
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
@@ -336,26 +335,12 @@ class OneSidedStableMeasure(LevyMeasure):
         if a > 1:
             # Fully compensated closed form, compensation moved to |x| <= 1.
             return c * math.gamma(-a) * (-1j * theta) ** a + 1j * theta * c / (a - 1.0)
-        return _elementwise(self._char_numeric, theta)
-
-    def _char_numeric(self, theta):
-        """Quadrature for index 1 (standard truncation), which has no closed form."""
-        if theta == 0.0:
-            return 0.0 + 0.0j
-
-        def f(x):
-            tau = x if x <= 1.0 else 0.0
-            return (cmath.exp(1j * theta * x) - 1.0 - 1j * theta * tau) * float(
-                self.density(np.array([x]))[0]
-            )
-
-        hi = self.tail_cutoff(1e-13 / max(1.0, abs(theta)))
-        # Split at 1 for the compensator kink; log-substitute near the origin.
-        value, _ = quadrature.integrate_complex(
-            lambda u: f(math.exp(u)) * math.exp(u), math.log(1e-12), 0.0, tol=1e-11
-        )
-        upper, _ = quadrature.integrate_complex(f, 1.0, hi, tol=1e-11, points=[1.0])
-        return value + upper
+        # Index 1 (Sato 1999, Lemma 14.11):
+        # c * (-pi |theta| / 2 - i theta log|theta| + i theta (1 - euler_gamma)).
+        theta = np.asarray(theta, dtype=float)
+        mod = np.abs(theta)
+        log_mod = np.log(np.where(mod > 0.0, mod, 1.0))
+        return c * (-0.5 * math.pi * mod + 1j * theta * (1.0 - np.euler_gamma - log_mod))
 
     def laplace_integral(self, z):
         if self.index >= 1:

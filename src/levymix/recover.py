@@ -154,25 +154,64 @@ class FitResult:
 
 
 def empirical_cf(increments, theta_grid) -> CFSample:
-    """Mean of exp(i theta x) over the sample, exactly 1 at theta=0."""
+    """Mean of exp(i theta x) over the sample, exactly 1 at theta=0.
+
+    On a grid j*h, j = -K..K (the default grid), this costs one complex exp
+    per observation; any other grid takes the blocked route.
+    """
     x = np.asarray(increments, dtype=float).ravel()
     if x.size == 0:
         raise EmptyInput("need at least one increment")
     theta = np.asarray(theta_grid, dtype=float)
-    sums = np.zeros(theta.size, dtype=complex)
-    step = max(1, int(4_000_000 // max(theta.size, 1)))
-    for lo in range(0, x.size, step):
-        blk = x[lo : lo + step]
-        sums += np.exp(1j * np.outer(theta, blk)).sum(axis=1)
+    if _is_symmetric_uniform(theta):
+        sums = _ecf_sums_power(x, theta)
+    else:
+        sums = _ecf_sums_blocked(x, theta)
     vals = sums / x.size
     vals[theta == 0.0] = 1.0
     return CFSample(theta, vals, n_obs=int(x.size))
 
 
+def _is_symmetric_uniform(theta: np.ndarray) -> bool:
+    """Whether theta is exactly j*h for j = -K..K with K >= 1."""
+    if theta.ndim != 1 or theta.size < 3 or theta.size % 2 == 0:
+        return False
+    k = theta.size // 2
+    return bool(np.array_equal(theta, np.arange(-k, k + 1) * theta[k + 1]))
+
+
+def _ecf_sums_power(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Sums of exp(i j h x) for theta = j*h, j = -K..K.
+
+    The positive half comes from the powers of exp(i h x), the negative
+    half by conjugation (the summands are Hermitian in theta). The powers
+    carry a phase error of order ulp * j * h * |x|, the same order as the
+    rounding of theta * x on the blocked route.
+    """
+    k = theta.size // 2
+    step = np.exp(1j * theta[k + 1] * x)
+    power = np.ones_like(step)
+    half = np.empty(k, dtype=complex)
+    for j in range(k):
+        power *= step
+        half[j] = power.sum()
+    return np.concatenate([np.conj(half[::-1]), [complex(x.size)], half])
+
+
+def _ecf_sums_blocked(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Sums of exp(i theta x) on an arbitrary grid, in blocks of the sample."""
+    sums = np.zeros(theta.size, dtype=complex)
+    step = max(1, int(4_000_000 // max(theta.size, 1)))
+    for lo in range(0, x.size, step):
+        blk = x[lo : lo + step]
+        sums += np.exp(1j * np.outer(theta, blk)).sum(axis=1)
+    return sums
+
+
 def analytic_cf(log_cf, theta_grid) -> CFSample:
-    """Wrap a callable theta -> log CF as a noiseless sample (n_obs=0)."""
+    """Wrap a callable on a theta array -> log CF as a noiseless sample (n_obs=0)."""
     theta = np.asarray(theta_grid, dtype=float)
-    vals = np.array([np.exp(complex(log_cf(t))) for t in theta])
+    vals = np.exp(np.broadcast_to(np.asarray(log_cf(theta), dtype=complex), theta.shape))
     vals[theta == 0.0] = 1.0
     return CFSample(theta, vals, n_obs=0)
 

@@ -283,6 +283,26 @@ def test_stable_cos_integral_matches_quadrature():
         )
 
 
+@pytest.mark.parametrize("theta", [0.5, 2.0, 9.0, -3.0])
+def test_index_one_stable_char_integral_matches_fourier_quadrature(theta):
+    from scipy import integrate
+
+    # Integral of exp(i theta x) - 1 - i theta x 1{x <= 1} against c x**-2 on
+    # (0, inf): stable integrands on (0, 1], cosine/sine-weight rules beyond.
+    c, w = 0.3, abs(theta)
+    re_head, _ = integrate.quad(lambda x: -2.0 * math.sin(0.5 * w * x) ** 2 / x**2, 0.0, 1.0,
+                                epsabs=1e-13, epsrel=1e-13)
+    im_head, _ = integrate.quad(lambda x: (math.sin(w * x) - w * x) / x**2, 0.0, 1.0,
+                                epsabs=1e-13, epsrel=1e-13)
+    re_tail, _ = integrate.quad(lambda x: x**-2.0, 1.0, np.inf, weight="cos", wvar=w)
+    im_tail, _ = integrate.quad(lambda x: x**-2.0, 1.0, np.inf, weight="sin", wvar=w)
+    expected = c * complex(re_head + re_tail - 1.0, math.copysign(1.0, theta) * (im_head + im_tail))
+    got = OneSidedStableMeasure(1.0, c).char_integral(np.array([theta]), TruncationConvention.STANDARD)
+    assert abs(got[0] - expected) < 1e-9
+    value = lm.char_exponent(LevyTriplet(0.1, 0.0, OneSidedStableMeasure(1.0, c)), theta)
+    assert abs(value - (0.1j * theta + expected)) < 1e-9
+
+
 @given(
     lo=st.floats(0.01, 5.0),
     width=st.floats(0.01, 5.0),

@@ -33,6 +33,8 @@ from levymix.recover import (
     CFSample,
     FitOptions,
     PsiCurve,
+    _ecf_sums_blocked,
+    _ecf_sums_power,
     analytic_cf,
     default_theta_grid,
     empirical_cf,
@@ -86,6 +88,45 @@ def test_empirical_cf_matches_direct_mean():
         if th == 0.0:
             continue
         assert cf.values[j] == pytest.approx(np.exp(1j * th * x).mean(), abs=1e-12)
+
+
+def _ecf_samples():
+    rng = np.random.default_rng(7)
+    return {
+        "normal": rng.standard_normal(20_000),
+        "cauchy": rng.standard_cauchy(20_000),
+        "shifted": rng.standard_normal(20_000) + 1e3,
+    }
+
+
+@pytest.mark.parametrize("route", [_ecf_sums_power, _ecf_sums_blocked])
+@pytest.mark.parametrize("sample", ["normal", "cauchy", "shifted"])
+def test_ecf_routes_match_direct_mean_on_default_grid(route, sample):
+    # Both routes round the phase theta*x differently from the direct mean,
+    # by a few ulp of |theta x| per term.
+    x = _ecf_samples()[sample]
+    grid = default_theta_grid()
+    means = route(x, grid) / x.size
+    tol = 64 * np.finfo(float).eps * (1.0 + np.max(np.abs(grid)) * np.max(np.abs(x)))
+    for j, th in enumerate(grid):
+        assert abs(means[j] - np.exp(1j * th * x).mean()) <= tol
+
+
+def test_ecf_route_follows_the_grid_shape():
+    x = _ecf_samples()["shifted"]
+    uniform = [default_theta_grid(), np.arange(-1, 2) * 0.3, np.arange(-7, 8) * 1.1]
+    other = [
+        np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),  # symmetric, not uniform
+        np.arange(-3, 5) * 0.5,  # uniform, even length
+        np.arange(-2, 5) * 0.5,  # uniform, offset from symmetric
+        np.array([-1.0, 0.0, 2.0]),
+    ]
+    for grid, route in [(g, _ecf_sums_power) for g in uniform] + [(g, _ecf_sums_blocked) for g in other]:
+        cf = empirical_cf(x, grid)
+        expected = route(x, grid) / x.size
+        expected[grid == 0.0] = 1.0
+        assert np.array_equal(cf.values, expected)
+        assert cf.values[cf.zero_index()] == 1.0
 
 
 def test_cf_sample_validation():
