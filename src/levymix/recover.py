@@ -10,7 +10,7 @@ No density or distribution-function inversion is performed anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 from scipy import optimize
@@ -53,12 +53,19 @@ __all__ = [
 ]
 
 # Clock families a fit can name: the jump-measure class whose fields are the
-# fitted parameters, in field order, or None for a pure drift.
+# fitted parameters, or None for a pure drift.
 FAMILIES = {
     "gamma": GammaMeasure,
     "one_sided_stable": OneSidedStableMeasure,
     "compound_exponential": CompoundExponentialMeasure,
     "drift": None,
+}
+# The field each family's exponent is linear in (its jump amplitude). The fit
+# solves it and the drift in closed form and searches the other field.
+AMPLITUDE_FIELDS = {
+    "gamma": "shape",
+    "one_sided_stable": "coeff",
+    "compound_exponential": "rate",
 }
 
 
@@ -147,6 +154,10 @@ class FitResult:
     objective: float
     n_starts_converged: int
     residual_max: float
+    # Objective evaluations summed over the simplex starts (0 when closed form).
+    n_evals: int = 0
+    # The trimmed (theta_lo, theta_hi) the curve came from, when known.
+    theta_window: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +294,8 @@ def psi_curve(mu_L: LevyTriplet, cf: CFSample) -> PsiCurve:
 # Parametric fitting.
 
 
-def _softplus(u: float) -> float:
-    return math.log1p(math.exp(-abs(u))) + max(u, 0.0)
-
-
-def _unpack(family: str, vec, fixed_alpha):
-    beta0 = _softplus(vec[0])
-    if family != "one_sided_stable":
-        return beta0, tuple(math.exp(v) for v in vec[1:])
-    if fixed_alpha is not None:
-        return beta0, (fixed_alpha, math.exp(vec[1]))
-    return beta0, (1.0 / (1.0 + math.exp(-vec[1])), math.exp(vec[2]))
-
-
 def _param_dim(family: str, fixed_alpha) -> int:
+    """Number of fitted parameters, beta0 included."""
     if family == "drift":
         return 1
     if family == "one_sided_stable" and fixed_alpha is not None:
@@ -317,12 +316,87 @@ def _curve_weights(curve: PsiCurve, weighted: bool) -> np.ndarray:
     return w
 
 
+# Below this value of det / (<z,z> <g,g>), the squared sine of the angle
+# between z and g, the 2x2 normal equations are too ill-conditioned to solve
+# and the fit takes the better one-column solution.
+_COLLINEAR = 1e-10
+
+
+def _separable_solver(z: np.ndarray, h: np.ndarray, w: np.ndarray):
+    """The closed-form part of the fit: for a given basis g, the nonnegative
+    (beta0, amp) minimizing sum w |h - beta0 z - amp g|^2, with that sum.
+
+    The weighted real inner products that do not involve g are computed
+    once here. g=None fits the drift alone.
+    """
+    wz = w * np.conj(z)
+    wh = w * np.conj(h)
+    zz = float(np.dot(w, z.real**2 + z.imag**2))
+    zh = float(np.dot(wz, h).real)
+    drift_only = max(0.0, zh / zz) if zz > 0 else 0.0
+
+    def objective(beta0, amp, g):
+        r = h - beta0 * z if amp == 0.0 else h - beta0 * z - amp * g
+        return float(np.dot(w, r.real**2 + r.imag**2))
+
+    def solve(g):
+        if g is None:
+            return drift_only, 0.0, objective(drift_only, 0.0, None)
+        gg = float(np.dot(w, g.real**2 + g.imag**2))
+        if not math.isfinite(gg):
+            return 0.0, 0.0, math.inf
+        if gg == 0.0:
+            # g underflowed to 0 (a rate far above the curve's scale).
+            return drift_only, 0.0, objective(drift_only, 0.0, None)
+        zg = float(np.dot(wz, g).real)
+        gh = float(np.dot(wh, g).real)
+        det = zz * gg - zg * zg
+        if det > _COLLINEAR * zz * gg:
+            beta0 = (gg * zh - zg * gh) / det
+            amp = (zz * gh - zg * zh) / det
+            if beta0 >= 0.0 and amp >= 0.0:
+                return beta0, amp, objective(beta0, amp, g)
+        # The constrained optimum lies on an edge: one column alone, the
+        # drift on a tie.
+        amp_only = max(0.0, gh / gg)
+        on_drift = objective(drift_only, 0.0, g)
+        on_amp = objective(0.0, amp_only, g)
+        if on_drift <= on_amp:
+            return drift_only, 0.0, on_drift
+        return 0.0, amp_only, on_amp
+
+    return solve
+
+
+def _searched_field(family: str) -> tuple[int, str]:
+    """Position and name of the field the simplex searches: the one that is
+    not the amplitude."""
+    amp_field = AMPLITUDE_FIELDS[family]
+    names = [f.name for f in fields(FAMILIES[family])]
+    (pos,) = [i for i, name in enumerate(names) if name != amp_field]
+    return pos, names[pos]
+
+
+def _from_search_coordinate(name: str, u: float) -> float:
+    """An index lives in (0, 1) and is searched on the logit scale; every
+    other searched field is positive and searched on the log scale."""
+    if name == "index":
+        return 1.0 / (1.0 + math.exp(-u))
+    return math.exp(u)
+
+
 def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOptions()) -> FitResult:
     """Weighted least squares for (beta0, family params) on the curve.
 
-    Derivative-free simplex from several deterministic starts in
-    log-parameter space; beta0 is kept nonnegative through a smooth positive
-    reparameterization. Results are reproducible given options.seed.
+    The family exponent beta0*z + amp*g(z; v) is linear in the drift beta0
+    and in the amplitude amp (the field named in AMPLITUDE_FIELDS), so for
+    each v both come from a closed-form 2x2 nonnegative least squares
+    (variable projection, Golub & Pereyra 1973). A derivative-free simplex
+    then searches v alone from several deterministic starts: the log rate
+    for gamma, the log jump_rate for compound exponential and the logit
+    index for one-sided stable. The drift family and the stable family at
+    a fixed index need no search. Results are reproducible given
+    options.seed.
     """
     if family not in FAMILIES:
         raise UnsupportedFamily(f"unknown family {family!r}; pick one of {tuple(FAMILIES)}")
@@ -331,65 +405,79 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
         raise InsufficientPoints(f"need at least {3 * dim} curve points, have {len(curve)}")
     z, h = curve.z, curve.psi_hat
     w = _curve_weights(curve, options.weighted)
-
-    if family == "drift":
-        # One real parameter: exact projection, clipped at zero.
-        denom = float(np.sum(w * np.abs(z) ** 2))
-        beta0 = 0.0 if denom == 0 else max(0.0, float(np.sum(w * (np.conj(z) * h).real)) / denom)
-        resid = h - beta0 * z
-        return FitResult(
-            family, (), beta0, float(np.sum(w * np.abs(resid) ** 2)), 1,
-            float(np.max(np.abs(resid))),
-        )
-
+    solve = _separable_solver(z, h, w)
     measure_cls = FAMILIES[family]
+    n_evals = 0
+    if measure_cls is None:
+        beta0, _, _ = solve(None)
+        params, jumps, converged = (), 0.0, 1
+    else:
+        amp_field = AMPLITUDE_FIELDS[family]
+        pos, name = _searched_field(family)
 
-    def objective(vec):
-        beta0, params = _unpack(family, vec, options.fixed_alpha)
-        try:
-            # A vector the measure rejects (an underflowed parameter, an
-            # index rounded to 1) lies outside the family.
-            psi = measure_cls(*params).laplace_integral(z)
-        except LevyMixError:
-            return math.inf
-        return float(np.sum(w * np.abs(h - (beta0 * z + psi)) ** 2))
+        def basis(value):
+            # The exponent at unit amplitude; a value the measure rejects (an
+            # underflowed rate, an index rounded to 1) lies outside the family.
+            try:
+                return measure_cls(**{amp_field: 1.0, name: value}).laplace_integral(z)
+            except LevyMixError:
+                return None
 
-    rng = np.random.Generator(np.random.Philox(key=[options.seed & ((1 << 64) - 1), 0x5EED]))
-    starts = [np.zeros(dim)]
-    while len(starts) < options.n_starts:
-        v = rng.uniform(-2.0, 2.0, dim)
-        v[0] = rng.uniform(-8.0, 1.0)
-        starts.append(v)
+        def objective(vec):
+            g = basis(_from_search_coordinate(name, vec[0]))
+            return math.inf if g is None else solve(g)[2]
 
-    best = None
-    converged = 0
-    for idx, start in enumerate(starts):
-        res = optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxfev": options.max_evals,
-                "fatol": options.objective_tol,
-                "xatol": 1e-9,
-            },
-        )
-        if res.success:
-            converged += 1
-        key = (res.fun, idx)
-        if best is None or key < best[0]:
-            best = (key, res.x)
-    if converged == 0:
-        raise NonConvergence("no simplex start met the tolerance")
-    beta0, params = _unpack(family, best[1], options.fixed_alpha)
-    resid = h - (beta0 * z + measure_cls(*params).laplace_integral(z))
+        if family == "one_sided_stable" and options.fixed_alpha is not None:
+            value, converged = options.fixed_alpha, 1
+        else:
+            # A start draws one coordinate per fitted parameter, beta0 first
+            # and then the fields in order, and keeps the searched field's.
+            rng = np.random.Generator(np.random.Philox(key=[options.seed & ((1 << 64) - 1), 0x5EED]))
+            starts = [np.zeros(3)]
+            while len(starts) < options.n_starts:
+                v = rng.uniform(-2.0, 2.0, 3)
+                v[0] = rng.uniform(-8.0, 1.0)
+                starts.append(v)
+            best = None
+            converged = 0
+            for idx, start in enumerate(starts):
+                res = optimize.minimize(
+                    objective,
+                    start[1 + pos : 2 + pos],
+                    method="Nelder-Mead",
+                    options={
+                        "maxfev": options.max_evals,
+                        "fatol": options.objective_tol,
+                        "xatol": 1e-9,
+                    },
+                )
+                n_evals += int(res.nfev)
+                if res.success:
+                    converged += 1
+                key = (res.fun, idx)
+                if best is None or key < best[0]:
+                    best = (key, float(res.x[0]))
+            if converged == 0:
+                raise NonConvergence("no simplex start met the tolerance")
+            value = _from_search_coordinate(name, best[1])
+
+        beta0, amp, _ = solve(basis(value))
+        if amp == 0.0:
+            raise NonConvergence(
+                f"the best {family} fit has no jumps ({amp_field} = 0); fit --family drift instead"
+            )
+        measure = measure_cls(**{amp_field: amp, name: value})
+        params, jumps = astuple(measure), measure.laplace_integral(z)
+
+    resid = h - (beta0 * z + jumps)
     return FitResult(
         family,
-        tuple(params),
+        params,
         beta0,
         float(np.sum(w * np.abs(resid) ** 2)),
         converged,
         float(np.max(np.abs(resid))),
+        n_evals,
     )
 
 
@@ -417,6 +505,7 @@ def recover_from_path(path, mu_L: LevyTriplet, family: str, options: FitOptions 
     cf = trim_cf(cf, _near_zero_floor(cf.n_obs))
     curve = psi_curve(mu_L, cf)
     fit = fit_subordinator(curve, family, options)
+    fit = replace(fit, theta_window=(float(cf.theta_grid[0]), float(cf.theta_grid[-1])))
     return _rescale_for_spacing(family, fit, path.grid.dt)
 
 

@@ -147,6 +147,8 @@ def conv_power_sample(mu: LevyTriplet, r, rng) -> np.ndarray:
 
 # Expected jump count above which the truncation route refuses to sample.
 _MAX_EXPECTED_JUMPS = 1e7
+# Fine-grid steps per path above which the refine fallback refuses to sample.
+_MAX_FINE_STEPS = 1e7
 
 
 def _auto_epsilon(measure: LevyMeasure, horizon: float) -> float:
@@ -286,6 +288,13 @@ def sample_subordinated(
     simulated on a grid refined by `refine` and read off at the clock times.
     """
     conditional = _power_samplable(mu_L)
+    if not conditional and int(refine) * grid.n_steps > _MAX_FINE_STEPS:
+        fits = int(_MAX_FINE_STEPS // grid.n_steps)
+        hint = f"the largest refine that fits is {fits}" if fits >= 1 else "use fewer steps"
+        raise ConfigError(
+            f"refine={refine} gives {int(refine) * grid.n_steps:.3g} fine steps per path, "
+            f"over the limit of {_MAX_FINE_STEPS:.0e}; {hint}"
+        )
 
     def draw(stream):
         if conditional:

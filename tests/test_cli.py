@@ -104,6 +104,8 @@ def test_recover_reports_are_reproducible(tmp_path):
     assert _run(args + ["--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
     ra = json.loads(a.read_text())
+    assert sorted(ra) == ["beta0", "family", "n_obs", "n_starts_converged", "objective",
+                          "params", "residual_max", "schema", "seed", "theta_grid"]
     assert ra["family"] == "gamma"
     assert ra["n_obs"] == 20000
     assert len(ra["params"]) == 2
@@ -172,6 +174,26 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert rc == 3
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_jumpless_clock_fit_exits_3_naming_drift(tmp_path, capsys):
+    # a Gaussian base under a pure-drift clock: at this seed the best gamma
+    # fit has no jumps, and the refusal points at --family drift (at other
+    # seeds the noise can favour a high-rate gamma clock that mimics a drift)
+    model = tmp_path / "drift.json"
+    model.write_text(json.dumps({
+        "schema": 1,
+        "levy": {"family": "gaussian", "params": {"mean": 0.0, "variance": 1.0}},
+        "subordinator": {"drift": 1.5, "jumps": {"kind": "zero"}},
+    }))
+    args = ["recover", "--model", model, "--dt", 1.0, "--horizon", 200000, "--seed", 0]
+    rc = _run(args + ["--family", "gamma", "--out", tmp_path / "g.json"])
+    assert rc == 3
+    assert "--family drift" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+    assert _run(args + ["--family", "drift", "--out", tmp_path / "d.json"]) == 0
+    report = json.loads((tmp_path / "d.json").read_text())
+    assert abs(report["beta0"] - 1.5) < 0.01
 
 
 def test_unwritable_out_exits_4(tmp_path, capsys):

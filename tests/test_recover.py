@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import levymix as lm
 from levymix.core import (
@@ -28,13 +29,18 @@ from levymix.errors import (
     GridTooCoarse,
     InsufficientPoints,
     NearZeroCF,
+    NonConvergence,
 )
 from levymix.recover import (
+    FAMILIES,
     CFSample,
     FitOptions,
+    FitResult,
     PsiCurve,
+    _curve_weights,
     _ecf_sums_blocked,
     _ecf_sums_power,
+    _near_zero_floor,
     analytic_cf,
     default_theta_grid,
     empirical_cf,
@@ -277,9 +283,69 @@ def test_fit_one_sided_stable_fixed_and_free_index():
     fixed = fit_subordinator(curve, "one_sided_stable", FitOptions(fixed_alpha=0.6))
     assert fixed.params[0] == 0.6
     assert abs(fixed.params[1] - 0.8) / 0.8 < 1e-5
-    free = fit_subordinator(curve, "one_sided_stable", FitOptions(max_evals=40_000))
-    assert abs(free.params[0] - 0.6) < 1e-4
-    assert abs(free.params[1] - 0.8) / 0.8 < 1e-3
+    free = fit_subordinator(curve, "one_sided_stable")
+    assert abs(free.params[0] - 0.6) < 1e-9
+    assert abs(free.params[1] - 0.8) / 0.8 < 1e-9
+
+
+def test_fit_fixed_index_stable_is_closed_form():
+    pair = SubordinatorPair(0.3, OneSidedStableMeasure(0.6, 0.8))
+    cf = analytic_cf(lambda t: compose_cf(VG_BASE, pair, t), default_theta_grid())
+    fit = fit_subordinator(psi_curve(VG_BASE, cf), "one_sided_stable", FitOptions(fixed_alpha=0.6))
+    assert fit.params[0] == 0.6
+    assert abs(fit.params[1] - 0.8) / 0.8 <= 1e-12
+    assert abs(fit.beta0_hat - 0.3) / 0.3 <= 1e-12
+    assert fit.n_evals == 0
+    assert fit.n_starts_converged == 1
+
+
+@pytest.mark.parametrize("family", ["gamma", "compound_exponential", "one_sided_stable"])
+def test_fit_without_jumps_raises_naming_drift(family):
+    pair = SubordinatorPair(1.5, ZERO_MEASURE)
+    cf = analytic_cf(lambda t: compose_cf(VG_BASE, pair, t), default_theta_grid())
+    curve = psi_curve(VG_BASE, cf)
+    with pytest.raises(NonConvergence, match="--family drift"):
+        fit_subordinator(curve, family)
+    if family == "one_sided_stable":
+        with pytest.raises(NonConvergence, match="--family drift"):
+            fit_subordinator(curve, family, FitOptions(fixed_alpha=0.5))
+
+
+def test_fit_index_next_to_one_stays_finite():
+    # g(z) = Gamma(-index) (-z)**index is almost collinear with z here; the
+    # 2x2 system is ill-conditioned and the fit falls back to one column
+    pair = SubordinatorPair(0.3, OneSidedStableMeasure(0.6, 0.8))
+    cf = analytic_cf(lambda t: compose_cf(VG_BASE, pair, t), default_theta_grid())
+    curve = psi_curve(VG_BASE, cf)
+    for index in (1.0 - 1e-9, 1.0 - 1e-12):
+        fit = fit_subordinator(curve, "one_sided_stable", FitOptions(fixed_alpha=index))
+        assert math.isfinite(fit.objective)
+        assert math.isfinite(fit.beta0_hat) and all(math.isfinite(p) for p in fit.params)
+
+
+def test_fit_clips_a_negative_drift_to_zero():
+    # h = -0.1 z + psi(z) is fitted exactly by a negative drift; the
+    # constrained optimum puts beta0 on its bound, exactly
+    z = _vg_curve().z
+    h = -0.1 * z + GammaMeasure(2.0, 3.0).laplace_integral(z)
+    curve = PsiCurve(z, h, default_theta_grid())
+    fit = fit_subordinator(curve, "gamma")
+    assert fit.beta0_hat == 0.0
+    assert all(p > 0 for p in fit.params)
+
+
+def test_fit_reports_evaluations_and_theta_window():
+    path = _vg_path(20_000, seed=1)
+    fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(seed=0, weighted=True))
+    cf = empirical_cf(path.increments(), default_theta_grid())
+    cf = trim_cf(cf, _near_zero_floor(cf.n_obs))
+    assert fit.theta_window == (cf.theta_grid[0], cf.theta_grid[-1])
+    assert fit.n_evals > 0
+    drift = fit_subordinator(_vg_curve(), "drift")
+    assert drift.n_evals == 0 and drift.theta_window is None
+    # both fields have defaults
+    bare = FitResult("drift", (), 1.0, 0.0, 1, 0.0)
+    assert bare.n_evals == 0 and bare.theta_window is None
 
 
 def test_fit_rejects_short_curves():
@@ -338,6 +404,81 @@ def test_forward_inverse_consistency_twenty_draws():
             truth = ()
         for got, want in zip(fit.params, truth):
             assert abs(got - want) / abs(want) < 1e-5, (family, fit.params, truth)
+
+
+# --- the separable fit against a direct three-parameter simplex ----------------------
+
+
+def _softplus(u):
+    return math.log1p(math.exp(-abs(u))) + max(u, 0.0)
+
+
+def _reference_fit(curve, family, options):
+    """Nelder-Mead over all three parameters at once: beta0 through a
+    softplus, the fields through log (an index through logit), from the
+    same Philox starts. Returns (beta0, params, objective)."""
+    measure_cls = FAMILIES[family]
+    z, h = curve.z, curve.psi_hat
+    w = _curve_weights(curve, options.weighted)
+
+    def unpack(vec):
+        beta0 = _softplus(vec[0])
+        if family != "one_sided_stable":
+            return beta0, tuple(math.exp(v) for v in vec[1:])
+        return beta0, (1.0 / (1.0 + math.exp(-vec[1])), math.exp(vec[2]))
+
+    def objective(vec):
+        beta0, params = unpack(vec)
+        try:
+            psi = measure_cls(*params).laplace_integral(z)
+        except lm.LevyMixError:
+            return math.inf
+        return float(np.sum(w * np.abs(h - (beta0 * z + psi)) ** 2))
+
+    rng = np.random.Generator(np.random.Philox(key=[options.seed & ((1 << 64) - 1), 0x5EED]))
+    starts = [np.zeros(3)]
+    while len(starts) < options.n_starts:
+        v = rng.uniform(-2.0, 2.0, 3)
+        v[0] = rng.uniform(-8.0, 1.0)
+        starts.append(v)
+    best = None
+    for idx, start in enumerate(starts):
+        res = optimize.minimize(objective, start, method="Nelder-Mead", options={
+            "maxfev": options.max_evals, "fatol": options.objective_tol, "xatol": 1e-9})
+        if best is None or (res.fun, idx) < best[0]:
+            best = ((res.fun, idx), res.x)
+    beta0, params = unpack(best[1])
+    return beta0, params, objective(best[1])
+
+
+# the benchmark's recovery models: (family, clock)
+ORACLE_CLOCKS = {
+    "vg-gamma": ("gamma", SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))),
+    "cpexp": ("compound_exponential", SubordinatorPair(0.2, CompoundExponentialMeasure(2.0, 1.5))),
+    "half-stable": ("one_sided_stable", SubordinatorPair(0.0, OneSidedStableMeasure(0.5, 0.5))),
+}
+
+
+@pytest.mark.parametrize("source", ["noiseless", 101, 102])
+@pytest.mark.parametrize("key", sorted(ORACLE_CLOCKS))
+def test_separable_fit_matches_three_parameter_simplex(key, source):
+    family, pair = ORACLE_CLOCKS[key]
+    grid = default_theta_grid()
+    if source == "noiseless":
+        cf = analytic_cf(lambda t: compose_cf(VG_BASE, pair, t), grid)
+        options = FitOptions()
+    else:
+        path = sample_subordinated(VG_BASE, pair, TimeGrid(0.0, 1.0, 200_000), SimConfig(seed=source))
+        cf = empirical_cf(path.increments(), grid)
+        cf = trim_cf(cf, _near_zero_floor(cf.n_obs))
+        options = FitOptions(seed=source, weighted=True)
+    curve = psi_curve(VG_BASE, cf)
+    fit = fit_subordinator(curve, family, options)
+    beta0, params, objective = _reference_fit(curve, family, options)
+    assert fit.objective <= objective * (1.0 + 1e-9) + 1e-15
+    assert abs(fit.beta0_hat - beta0) <= max(1e-5 * beta0, 1e-6)
+    for got, want in zip(fit.params, params, strict=True):
+        assert abs(got - want) <= 1e-5 * want, (fit.params, params)
 
 
 def test_cross_family_objective_separation():

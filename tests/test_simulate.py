@@ -291,6 +291,17 @@ def test_subordinated_composition_fallback_matches_law():
     assert abs(ecf - want) <= 6.0 / math.sqrt(n)
 
 
+def test_refine_fallback_checks_fine_steps_before_drawing():
+    # 64 * 200,000 = 1.28e7 fine steps per path exceeds the 1e7 budget and
+    # is refused before any draw; the message names refine = 50
+    base = LevyTriplet(0.0, 0.0, lm.symmetric_stable_law(1.5, 0.7).jumps)
+    pair = SubordinatorPair(0.0, GammaMeasure(1.0, 1.0))
+    with pytest.raises(ConfigError, match="largest refine that fits is 50"):
+        sample_subordinated(base, pair, TimeGrid(0.0, 1.0, 200_000), SimConfig(seed=0))
+    with pytest.raises(ConfigError, match="use fewer steps"):
+        sample_subordinated(base, pair, TimeGrid(0.0, 1.0, 20_000_000), SimConfig(seed=0), refine=1)
+
+
 def test_subordinated_reproducible():
     p1 = sample_subordinated(VG_BASE, VG_PAIR, GRID01, SimConfig(seed=2))
     p2 = sample_subordinated(VG_BASE, VG_PAIR, GRID01, SimConfig(seed=2))
