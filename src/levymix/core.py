@@ -4,9 +4,9 @@ The measure side is a closed tagged union.  Each family implements the small
 set of functionals the rest of the library consumes: interval masses,
 truncated moments, (1 and |x|**p) integrals with an explicit infinity, a
 tail sampler for jumps above a threshold, its Laplace and characteristic
-integrals, and an exact increment sampler where one exists.  Closed forms
-are used wherever the family admits one; quadrature only for tabulated
-densities and the index-1 one-sided case.  ``LevyTriplet.law`` turns the
+integrals, an exact increment sampler where one exists, and the rule for
+integrating against it.  Closed forms are used wherever the family admits
+one; a grid rule only for tabulated densities.  ``LevyTriplet.law`` turns the
 tag of a constructed law into a ``TaggedLaw`` that owns the closed forms of
 its convolution powers mu^s.
 """
@@ -83,7 +83,7 @@ def _where_positive(x, f, *params):
     out = np.zeros(x.shape)
     pos = x > 0
     out[pos] = f(x[pos], *(p[pos] for p in params))
-    return out
+    return out[()]
 
 
 class LevyMeasure(ABC):
@@ -128,6 +128,11 @@ class LevyMeasure(ABC):
     def laplace_integral(self, z):
         """Integral of exp(z x) - 1, elementwise over a z array."""
         raise UnsupportedFamily(f"no laplace exponent for family {self.family}")
+
+    def fixed_rule(self):
+        """(nodes, weights, check_weights) of the measure's own rule for
+        quadrature.rule_sum, or None for a density integrated adaptively."""
+        return None
 
     def sample_increments(self, dt: float, n: int, rng):
         """Per-step sum of all jumps over n steps of length dt, or None when
@@ -187,6 +192,10 @@ class ZeroMeasure(LevyMeasure):
 
     def laplace_integral(self, z):
         return np.zeros(np.shape(z), dtype=complex)
+
+    def fixed_rule(self):
+        empty = np.array([])
+        return empty, empty, empty
 
     def sample_increments(self, dt, n, rng):
         return np.zeros(n)
@@ -491,6 +500,10 @@ class AtomicMeasure(LevyMeasure):
             total = total + pos * rng.poisson(mass * dt, n)
         return total
 
+    def fixed_rule(self):
+        masses = self.masses()
+        return self.positions(), masses, masses
+
     def is_positive(self):
         return all(p > 0 for p, _ in self.atoms)
 
@@ -592,16 +605,22 @@ class TabulatedMeasure(LevyMeasure):
         xs, dens = self._grid()
         return np.interp(np.asarray(x, dtype=float), xs, dens, left=0.0, right=0.0)
 
-    def integrate(self, f):
-        """(value, error) of f integrated against the measure; error checked."""
-        return quadrature.integrate_tabulated(f, self.xs, self.dens)
+    def fixed_rule(self):
+        """Trapezoid weights on the grid with each cell cut in four (the
+        density interpolates linearly: it is the measure), checked against
+        the grid cut in two."""
+        xs, dens = self._grid()
+        nodes = np.append((xs[:-1, None] + np.diff(xs)[:, None] * np.arange(4) / 4.0).ravel(), xs[-1])
+        d = np.interp(nodes, xs, dens)
+        check = np.zeros(nodes.size)
+        check[::2] = np.convolve(np.diff(nodes[::2]), [0.5, 0.5])
+        return nodes, np.convolve(np.diff(nodes), [0.5, 0.5]) * d, check * d
 
     def _integral(self, f, tol=1e-6):
-        value, err = self.integrate(f)
-        if err > max(tol, 1e-6 * abs(value)):
-            raise QuadratureFailure(
-                f"tabulated grid too coarse: error estimate {err:.3e}"
-            )
+        """f integrated against the measure by its grid rule, error checked."""
+        value, err = quadrature.rule_sum(f, *self.fixed_rule())
+        if np.any(err > np.maximum(tol, 1e-6 * np.abs(value))):
+            raise QuadratureFailure(f"tabulated grid too coarse: error estimate {np.max(err):.3e}")
         return value
 
     def total_mass(self):
@@ -648,7 +667,8 @@ class TabulatedMeasure(LevyMeasure):
         return TabulatedMeasure(self.xs, tuple(v * factor for v in self.dens))
 
     def laplace_integral(self, z):
-        return _elementwise(lambda w: self._integral(lambda s: np.exp(w * s) - 1.0), z)
+        z = np.asarray(z)
+        return self._integral(lambda s: np.exp(np.multiply.outer(s, z.ravel())) - 1.0).reshape(z.shape)
 
     def is_positive(self):
         return self.xs[0] > 0
@@ -821,28 +841,27 @@ def levy_dist_scale(coeff: float) -> float:
 
 
 def _poisson_count_cdf(n, mean):
-    """P(K <= n) for K Poisson(mean); n may be any float (floored)."""
+    """P(K <= n) for K Poisson(mean), over a mean array; n may be any float (floored)."""
     if n < 0:
-        return 0.0
+        return np.zeros(np.shape(mean))
     if math.isinf(n):
-        return 1.0
-    if mean == 0.0:
-        return 1.0
-    return float(special.gammaincc(math.floor(n) + 1.0, mean))
+        return np.ones(np.shape(mean))
+    return special.gammaincc(math.floor(n) + 1.0, mean)
 
 
 def _npdf(t):
-    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    return np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
 class TaggedLaw:
     """Closed forms of the convolution powers mu^s of one tagged law family.
 
-    Scalar: ``cdf(s, x)``, ``interval_mass(s, lo, hi)``, ``truncated_mean(s)``
-    (the integral of x over |x| <= 1) and ``small_s_ratio(s)``.  Broadcasting
-    over s: ``density(s, x)``, the upper tail ``sf(s, x)`` for x > 0 and, for
-    heavy tails, ``density_derivs`` (p, p', p'').  ``sample(r, rng)`` draws
-    one value from mu^r per entry of r.
+    Broadcasting over s (and x): ``cdf(s, x)``, ``interval_mass(s, lo, hi)``
+    and ``truncated_mean(s)`` (the integral of x over |x| <= 1), on arrays
+    entry for entry the values of scalar calls;
+    ``density(s, x)``, the upper tail ``sf(s, x)`` for x > 0 and, for heavy
+    tails, ``density_derivs`` (p, p', p'').  Scalar: ``small_s_ratio(s)``.
+    ``sample(r, rng)`` draws one value from mu^r per entry of r.
     """
 
     family: LawFamily
@@ -852,7 +871,7 @@ class TaggedLaw:
     power_samplable = True
 
     def interval_mass(self, s, lo, hi):
-        return max(self.cdf(s, hi) - self.cdf(s, lo), 0.0)
+        return np.maximum(self.cdf(s, hi) - self.cdf(s, lo), 0.0)
 
     def density(self, s, x):
         raise UnsupportedFamily(f"no closed density for {self.family}")
@@ -869,7 +888,7 @@ class GaussianLaw(TaggedLaw):
     family = LawFamily.GAUSSIAN
 
     def cdf(self, s, x):
-        return float(special.ndtr((x - self.mean * s) / math.sqrt(self.var * s)))
+        return special.ndtr((x - self.mean * s) / np.sqrt(self.var * s))
 
     def sf(self, s, x):
         return special.ndtr((self.mean * s - x) / np.sqrt(self.var * s))
@@ -881,13 +900,13 @@ class GaussianLaw(TaggedLaw):
 
     def _unit_interval(self, s):
         """Mean and sd of mu^s, and -1 and 1 in its standard units."""
-        m, sd = self.mean * s, math.sqrt(self.var * s)
+        m, sd = self.mean * s, np.sqrt(self.var * s)
         return m, sd, (-1.0 - m) / sd, (1.0 - m) / sd
 
     def truncated_mean(self, s):
         if self.mean == 0.0:
-            return 0.0  # symmetric law: exact cancellation
-        m, sd, alpha, beta = self._unit_interval(s)
+            return 0.0 * np.asarray(s)  # symmetric law: exact cancellation
+        m, sd, alpha, beta = self._unit_interval(np.asarray(s, dtype=float))
         return m * (special.ndtr(beta) - special.ndtr(alpha)) - sd * (_npdf(beta) - _npdf(alpha))
 
     def small_s_ratio(self, s):
@@ -899,7 +918,7 @@ class GaussianLaw(TaggedLaw):
             + sd * sd * (alpha * _npdf(alpha) - beta * _npdf(beta))
         )
         tails = 1.0 - gap
-        return (inside_sq + tails) / s
+        return float((inside_sq + tails) / s)
 
     def sample(self, r, rng):
         return self.mean * r + np.sqrt(self.var * r) * rng.standard_normal(r.shape)
@@ -919,9 +938,7 @@ class GammaLaw(TaggedLaw):
     sides = (1,)
 
     def cdf(self, s, x):
-        if x <= 0:
-            return 0.0
-        return float(special.gammainc(self.shape * s, self.rate * x))
+        return special.gammainc(self.shape * np.asarray(s), self.rate * np.maximum(x, 0.0))
 
     def sf(self, s, x):
         return special.gammaincc(self.shape * s, self.rate * x)
@@ -935,8 +952,8 @@ class GammaLaw(TaggedLaw):
         )
 
     def truncated_mean(self, s):
-        a = self.shape * s
-        return a / self.rate * float(special.gammainc(a + 1.0, self.rate))
+        a = self.shape * np.asarray(s, dtype=float)
+        return a / self.rate * special.gammainc(a + 1.0, self.rate)
 
     def small_s_ratio(self, s):
         a = self.shape * s
@@ -959,34 +976,28 @@ class PoissonLaw(TaggedLaw):
         return self.interval_mass(s, -INF, x)
 
     def interval_mass(self, s, lo, hi):
-        # Sum atom masses directly so half-open boundaries land on atoms exactly.
-        h = self.jump_size
-        mean = self.rate * s
+        # Count lattice points directly so half-open boundaries land on atoms exactly.
+        h, mean = self.jump_size, self.rate * np.asarray(s, dtype=float)
         if h > 0:
-            k_lo = math.floor(lo / h) if not math.isinf(lo) else (-INF if lo < 0 else INF)
-            k_hi = math.floor(hi / h) if not math.isinf(hi) else (-INF if hi < 0 else INF)
-            return _poisson_count_cdf(k_hi, mean) - _poisson_count_cdf(k_lo, mean)
-        k_top = math.ceil(lo / h) - 1 if not math.isinf(lo) else (INF if lo < 0 else -INF)
-        k_bot = math.ceil(hi / h) if not math.isinf(hi) else (-INF if hi > 0 else INF)
-        return _poisson_count_cdf(k_top, mean) - _poisson_count_cdf(k_bot - 1, mean)
+            return _poisson_count_cdf(np.floor(hi / h), mean) - _poisson_count_cdf(np.floor(lo / h), mean)
+        return _poisson_count_cdf(np.ceil(lo / h) - 1.0, mean) - _poisson_count_cdf(np.ceil(hi / h) - 1.0, mean)
 
     def _inner_counts(self, s):
-        """Counts k >= 1 with |h k| <= 1 and their probabilities under mu^s."""
-        mean = self.rate * s
+        """Counts k >= 1 with |h k| <= 1 and their probabilities under mu^s,
+        one row of probabilities per entry of s."""
+        mean = self.rate * np.asarray(s, dtype=float)[..., None]
         ks = np.arange(1, math.floor(1.0 / abs(self.jump_size)) + 1, dtype=float)
-        return ks, np.exp(ks * math.log(mean) - mean - special.gammaln(ks + 1.0))
+        return ks, np.exp(ks * np.log(mean) - mean - special.gammaln(ks + 1.0))
 
     def truncated_mean(self, s):
         ks, pmf = self._inner_counts(s)
-        if ks.size == 0:
-            return 0.0
-        return float(self.jump_size * np.sum(ks * pmf))
+        return self.jump_size * np.sum(ks * pmf, axis=-1)
 
     def small_s_ratio(self, s):
         ks, pmf = self._inner_counts(s)
         inside = float(np.sum((self.jump_size * ks) ** 2 * pmf))
         tail = 1.0 - _poisson_count_cdf(ks.size, self.rate * s)
-        return (inside + tail) / s
+        return float((inside + tail) / s)
 
     def sample(self, r, rng):
         return self.jump_size * rng.poisson(self.rate * r)
@@ -999,11 +1010,11 @@ class DeltaLaw(TaggedLaw):
     mix_route = "pushforward"
 
     def cdf(self, s, x):
-        return 1.0 if self.drift * s <= x else 0.0
+        return 1.0 * (self.drift * np.asarray(s) <= x)
 
     def truncated_mean(self, s):
-        x = self.drift * s
-        return x if abs(x) <= 1.0 else 0.0
+        x = self.drift * np.asarray(s, dtype=float)
+        return np.where(np.abs(x) <= 1.0, x, 0.0)[()]
 
     def sample(self, r, rng):
         return self.drift * r
@@ -1040,7 +1051,7 @@ class SymmetricStableLaw(_StableLaw):
         return self.scale * s
 
     def cdf(self, s, x):
-        return 0.5 + math.atan(x / self._c(s)) / math.pi
+        return 0.5 + np.arctan(x / self._c(np.asarray(s))) / math.pi
 
     def sf(self, s, x):
         return 0.5 - np.arctan(x / self._c(s)) / math.pi
@@ -1058,7 +1069,7 @@ class SymmetricStableLaw(_StableLaw):
         return p, p1, p2
 
     def truncated_mean(self, s):
-        return 0.0
+        return 0.0 * np.asarray(s)
 
     def small_s_ratio(self, s):
         c = self._c(s)
@@ -1087,9 +1098,7 @@ class OneSidedStableLaw(_StableLaw):
         return levy_dist_scale(self.coeff) * s * s
 
     def cdf(self, s, x):
-        if x <= 0:
-            return 0.0
-        return float(special.erfc(math.sqrt(0.5 * self._c(s) / x)))
+        return _where_positive(x, lambda x, c: special.erfc(np.sqrt(0.5 * c / x)), self._c(np.asarray(s)))
 
     def sf(self, s, x):
         return special.erf(np.sqrt(0.5 * self._c(s) / x))
@@ -1109,19 +1118,20 @@ class OneSidedStableLaw(_StableLaw):
 
     def truncated_mean(self, s):
         # int_0^1 x p_c(x) dx = sqrt(2c/pi) e^{-c/2} - c erfc(sqrt(c/2))
-        c = self._c(s)
-        return math.sqrt(2.0 * c / math.pi) * math.exp(-0.5 * c) - c * float(
-            special.erfc(math.sqrt(0.5 * c))
-        )
+        c = self._c(np.asarray(s, dtype=float))
+        return np.sqrt(2.0 * c / math.pi) * np.exp(-0.5 * c) - c * special.erfc(np.sqrt(0.5 * c))
 
     def small_s_ratio(self, s):
+        # int_0^1 x^2 p_c(x) dx = sqrt(c/2pi) y^{3/2} Gamma(-3/2, y) with y = c/2,
+        # and Gamma(-3/2, y) follows from Gamma(1/2, y) = sqrt(pi) erfc(sqrt y)
+        # by the recurrence Gamma(a, y) = (Gamma(a+1, y) - y^a e^{-y}) / a.
         c = self._c(s)
-        inside, _ = quadrature.integrate_interval(
-            lambda x: x * x * math.sqrt(c / (2 * math.pi)) * x**-1.5
-            * math.exp(-0.5 * c / x),
-            0.0, 1.0, tol=1e-14,
+        y = 0.5 * c
+        inside = math.sqrt(c / (2.0 * math.pi)) * (
+            (2.0 / 3.0 - 4.0 / 3.0 * y) * math.exp(-y)
+            + 4.0 / 3.0 * math.sqrt(math.pi) * y**1.5 * float(special.erfc(math.sqrt(y)))
         )
-        tail = float(special.erf(math.sqrt(0.5 * c)))
+        tail = float(special.erf(math.sqrt(y)))
         return (inside + tail) / s
 
     def sample(self, r, rng):
@@ -1144,12 +1154,6 @@ def _truncation_shift(measure: LevyMeasure, convention: TruncationConvention) ->
     if convention is TruncationConvention.STANDARD and not measure.symmetric:
         return measure.truncated_moment(1, 1.0)
     return 0.0
-
-
-def _elementwise(fn, values) -> np.ndarray:
-    """fn applied to every entry of a scalar or array, as a complex array of its shape."""
-    arr = np.asarray(values)
-    return np.array([fn(v) for v in arr.ravel().tolist()], dtype=complex).reshape(arr.shape)
 
 
 def char_exponent(triplet: LevyTriplet, theta):

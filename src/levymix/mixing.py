@@ -9,11 +9,11 @@ without materializing it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import quadrature
 from .core import (
@@ -83,7 +83,7 @@ def _require_tag(mu: LevyTriplet):
 
 
 def conv_power_cdf(mu: LevyTriplet, s: float, x: float) -> float:
-    """CDF of mu^s at x for scalar s > 0."""
+    """CDF of mu^s at x for s > 0 (broadcasting over arrays)."""
     return _require_tag(mu).cdf(s, x)
 
 
@@ -116,38 +116,27 @@ def lemma_constant(mu: LevyTriplet) -> float:
 # Integration of a function against a jump measure on (0, inf).
 
 
-def _floor_for(rho, dropped_bound, target):
-    """Largest floor in a halving sweep with dropped_bound(floor) < target."""
-    floor = 1e-8
-    for _ in range(960):
-        if dropped_bound(floor) < target:
-            return floor, dropped_bound(floor)
-        floor *= 0.5
-    return floor, dropped_bound(floor)
-
-
-def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None,
-                  complex_valued=False):
+def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None):
     """Integral of fn over (0, inf) against rho.
 
-    fn is a scalar function, |fn| <= 1 unless a linear small-s bound
-    |fn(s)| <= linear_bound * s is supplied; the bound picks the lower
-    truncation for infinite-mass measures.  Returns (value, err, upper).
+    fn is vectorized over s: it maps an (n,) array of s to an (n,) block, or
+    to an (n, k) block of k targets integrated together; the block's dtype
+    (real or complex) is the result's.  Each entry has |fn| <= 1 unless a
+    linear small-s bound |fn(s)| <= linear_bound * s is supplied; the bound
+    picks the lower truncation for infinite-mass measures.
+
+    Measures with their own rule (atoms, tabulated grids) are summed by it;
+    densities are integrated by adaptive Gauss-Kronrod in u = log s between
+    a certified floor and a tail cut, whose bounds are added to the
+    quadrature's error estimate.  Returns (value, err, upper), value and err
+    with the block's trailing shape.
     """
-    fam = rho.family
-    if fam is MeasureFamily.ZERO:
-        return (0.0j if complex_valued else 0.0), 0.0, 0.0
-    if fam is MeasureFamily.FINITE_ATOMIC:
-        total = sum(mass * fn(pos) for pos, mass in rho.atoms)
-        err = 1e-15 * sum(mass * abs(fn(pos)) for pos, mass in rho.atoms)
-        return total, err, rho.atoms[-1][0]
-    if fam is MeasureFamily.TABULATED:
-        def fvec(xs):
-            return np.array([fn(float(v)) for v in np.atleast_1d(xs)])
-        value, err = quadrature.integrate_tabulated(fvec, rho.xs, rho.dens)
-        if err > max(tol * 1e4, 1e-4 * abs(value)):
-            raise QuadratureFailure(f"tabulated mixing grid too coarse: {err:.3e}")
-        return (complex(value) if complex_valued else float(value)), err, rho.xs[-1]
+    rule = rho.fixed_rule()
+    if rule is not None:
+        value, err = quadrature.rule_sum(fn, *rule)
+        if np.any(err > np.maximum(tol * 1e4, 1e-4 * np.abs(value))):
+            raise QuadratureFailure(f"mixing grid too coarse: {np.max(err):.3e}")
+        return value[()], err[()], float(np.max(rule[0], initial=0.0))
 
     # Density families: truncate both ends with certified bounds, then
     # integrate in u = log s so origin singularities flatten out.
@@ -160,60 +149,42 @@ def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None,
                 "an infinite-mass mixing measure needs a linear small-s bound"
             )
         dropped = lambda f: total - rho.mass_above(f)
-    floor, floor_err = _floor_for(rho, dropped, tol * 0.01)
+    floor = 1e-8
+    for _ in range(960):
+        if dropped(floor) < tol * 0.01:
+            break
+        floor *= 0.5
+    floor_err = dropped(floor)
+
+    def size_at(s):
+        return np.abs(fn(np.array([s])))[0]
 
     upper = rho.tail_cutoff(tol * 0.25)
     for _ in range(200):
-        if abs(fn(upper)) * rho.mass_above(upper) < tol * 0.25:
+        if np.max(size_at(upper)) * rho.mass_above(upper) < tol * 0.25:
             break
         upper *= 1.5
-    tail_err = max(abs(fn(upper)), abs(fn(1.5 * upper))) * rho.mass_above(upper)
+    tail_err = np.maximum(size_at(upper), size_at(1.5 * upper)) * rho.mass_above(upper)
 
     def integrand(u):
-        s = math.exp(u)
-        return fn(s) * float(rho.density(np.array([s]))[0]) * s
+        s = np.exp(u)
+        return (np.asarray(fn(s)).T * (rho.density(s) * s)).T
 
-    lo_u, hi_u = math.log(floor), math.log(upper)
-    if complex_valued:
-        value, qerr = quadrature.integrate_complex(integrand, lo_u, hi_u, tol=tol)
-    else:
-        value, qerr = quadrature.integrate_interval(integrand, lo_u, hi_u, tol=tol)
-    return value, qerr + floor_err + tail_err, upper
+    value, qerr = quadrature.integrate_adaptive(
+        integrand, math.log(floor), math.log(upper), tol=tol
+    )
+    return value[()], (qerr + floor_err + tail_err)[()], upper
 
 
-def rho_quad_nodes(rho: LevyMeasure, *, tol=1e-12, s_floor=None, order=16,
-                   max_width=1.0):
-    """Nodes and weights so that integral f d rho ~ sum w_i f(s_i).
-
-    Used by the vectorized density mixers; for atoms the nodes are the atoms
-    themselves, for densities composite Gauss-Legendre panels in log s.
-    """
-    fam = rho.family
-    if fam is MeasureFamily.ZERO:
-        return np.array([]), np.array([])
-    if fam is MeasureFamily.FINITE_ATOMIC:
-        return rho.positions(), rho.masses()
-    if fam is MeasureFamily.TABULATED:
-        xs = np.asarray(rho.xs)
-        dens = np.asarray(rho.dens)
-        # refined trapezoid weights on a 4x midpoint-split grid
-        fine = xs
-        for _ in range(2):
-            mids = 0.5 * (fine[:-1] + fine[1:])
-            merged = np.empty(fine.size + mids.size)
-            merged[0::2], merged[1::2] = fine, mids
-            fine = merged
-        d = np.interp(fine, xs, dens)
-        w = np.zeros_like(fine)
-        dx = np.diff(fine)
-        w[:-1] += 0.5 * dx
-        w[1:] += 0.5 * dx
-        return fine, w * d
-    if s_floor is None:
-        s_floor = 1e-14
-    upper = rho.tail_cutoff(tol)
-    edges = quadrature.log_panel_edges(s_floor, upper, max_width=max_width)
-    u, wu = quadrature.panel_nodes(edges, order=order)
+def rho_quad_nodes(rho: LevyMeasure):
+    """Fixed nodes and weights with integral f d rho ~ sum w_i f(s_i) for the
+    x-grid: the measure's own rule, else 16-point Gauss-Legendre panels of
+    width 1 in log s from 1e-14 to the 1e-12 tail cut."""
+    rule = rho.fixed_rule()
+    if rule is not None:
+        return rule[0], rule[1]
+    edges = quadrature.log_panel_edges(1e-14, rho.tail_cutoff(1e-12))
+    u, wu = quadrature.panel_nodes(edges)
     s = np.exp(u)
     return s, wu * s * rho.density(s)
 
@@ -277,8 +248,7 @@ def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, sets: IntervalSet,
         if mu.law.drift == 0.0:
             raise DomainError("a degenerate base at 0 is outside the mixing domain")
         return _delta_pushforward_mass(mu.law.drift, rho, sets)
-    if rho.one_wedge(1) == INF:
-        raise DomainError("the mixing measure must integrate (1 and s)")
+    _validate_mixing_measure(rho)
     return _mix_over_sets(mu, rho, sets, lambda s: conv_power_set_mass(mu, s, sets), tol)
 
 
@@ -299,7 +269,7 @@ def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float,
     log_rx = math.log(rate * x)
 
     def fn(s):
-        return math.exp(s * log_rx - math.lgamma(s))
+        return np.exp(s * log_rx - special.gammaln(s))
 
     # 1/Gamma(s) ~ s near 0, so |fn| <= 1.2 s for floors below 1e-8.
     value, err, _ = integrate_rho(rho, fn, tol=tol, linear_bound=1.2)
@@ -334,12 +304,7 @@ class StableMixEvaluator:
 
         def fn(s):
             scale = s**-inv
-            total = 0.0
-            for lo, hi in sets.intervals:
-                b = 1.0 if math.isinf(hi) else cdf(hi * scale)
-                a = 0.0 if math.isinf(lo) else cdf(lo * scale)
-                total += max(b - a, 0.0)
-            return total
+            return sum(np.maximum(cdf(hi * scale) - cdf(lo * scale), 0.0) for lo, hi in sets.intervals)
 
         return _mix_over_sets(self.mu, self.rho, sets, fn, tol)
 
@@ -366,8 +331,7 @@ def mixing_cf(mu: LevyTriplet, rho: LevyMeasure, theta: float, *, tol=1e-10) -> 
     if math.isinf(rho.total_mass()):
         raise DomainError("the transform identity needs a finite mixing measure")
     phi = char_exponent(mu, theta)
-    fn = lambda s: cmath.exp(s * phi)
-    value, err, _ = integrate_rho(rho, fn, tol=tol, complex_valued=True)
+    value, err, _ = integrate_rho(rho, lambda s: np.exp(s * phi), tol=tol)
     if err > 1e-6 * max(1.0, abs(value)):
         raise QuadratureFailure(f"mixing transform error estimate {err:.3e}")
     return value

@@ -13,7 +13,6 @@ import math
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     CompoundExponentialMeasure,
@@ -313,6 +312,8 @@ def _curve_weights(curve: PsiCurve, weighted: bool) -> np.ndarray:
     w = np.zeros(len(curve))
     ok = mod2 < 1.0 - 1e-12
     w[ok] = curve.n_obs * mod2[ok] / (1.0 - mod2[ok])
+    if not w.any():
+        raise NonConvergence("|phi| = 1 at every curve point: the increments are deterministic")
     return w
 
 
@@ -398,6 +399,8 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
     a fixed index need no search. Results are reproducible given
     options.seed.
     """
+    from scipy import optimize  # deferred, so that cf, mix and simulate never load it
+
     if family not in FAMILIES:
         raise UnsupportedFamily(f"unknown family {family!r}; pick one of {tuple(FAMILIES)}")
     dim = _param_dim(family, options.fixed_alpha)

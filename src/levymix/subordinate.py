@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import quadrature
 from .core import (
@@ -38,8 +39,10 @@ from .mixing import (
 )
 
 _X_FLOOR = 1e-9
-_S_FLOOR = 1e-14
 _X_HI_MAX = 1e6
+# Poisson counts the atoms route may integrate, in blocks of columns.
+_MAX_COUNTS = 10_000
+_COUNT_BLOCK = 64
 
 
 def compose_cf(base: LevyTriplet, pair: SubordinatorPair, theta):
@@ -132,38 +135,34 @@ class JumpMixEvaluator:
         return value
 
     def _pushforward_integral(self, theta: float) -> complex:
+        # The jump of the compensator at s = 1/|speed| is left in the
+        # integrand; the quadrature bisects around it.
         speed = self.base.law.drift
-        rho = self.pair.jumps
-
-        def fn(s):
-            u = theta * speed * s
-            tau = speed * s if abs(speed * s) <= 1.0 else 0.0
-            return cmath.exp(1j * u) - 1.0 - 1j * theta * tau
-
         bound = 0.5 * (theta * speed) ** 2 + abs(theta * speed)
-        value, _, _ = integrate_rho(rho, fn, tol=1e-12, linear_bound=bound,
-                                    complex_valued=True)
-        return value
+        fn = lambda s: _char_weights(theta, speed * s)
+        return complex(integrate_rho(self.pair.jumps, fn, tol=1e-12, linear_bound=bound)[0])
 
     def _poisson_atoms(self):
         if self._atoms is not None:
             return self._atoms
-        rate, h = self.base.law.rate, self.base.law.jump_size
-        rho = self.pair.jumps
-        upper = rho.tail_cutoff(1e-16)
-        mean_cap = rate * upper
-        k_max = int(max(20, math.ceil(mean_cap + 12.0 * math.sqrt(mean_cap) + 30)))
+        rate, h, rho = self.base.law.rate, self.base.law.jump_size, self.pair.jumps
+        mean_cap = rate * rho.tail_cutoff(1e-16)
+        need = mean_cap + 12.0 * math.sqrt(mean_cap) + 30.0
+        if not need <= _MAX_COUNTS:
+            raise QuadratureFailure(f"the Poisson mix needs {need:.3g} jump counts, over {_MAX_COUNTS}")
+        ks = np.arange(1.0, max(20, math.ceil(need)) + 1.0)
         masses = []
-        for k in range(1, k_max + 1):
-            lg = math.lgamma(k + 1.0)
-            fn = lambda s: math.exp(k * math.log(rate * s) - rate * s - lg)
-            # pmf(k, rate*s) <= rate*s for rate*s <= 1, the floor-search region
-            m, _, _ = integrate_rho(rho, fn, tol=1e-14, linear_bound=rate)
-            masses.append(m)
-            if k > mean_cap + 3 and masses[-1] < 1e-18 and masses[-2] < 1e-18:
-                break
-        ks = np.arange(1, len(masses) + 1, dtype=float)
-        self._atoms = (h * ks, np.asarray(masses))
+        for block in np.split(ks, np.arange(_COUNT_BLOCK, ks.size, _COUNT_BLOCK)):
+            log_norm = special.gammaln(block + 1.0)
+
+            def pmf(s):
+                # P(K = k) under Poisson(rate s), one column per k; it is at
+                # most rate*s for rate*s <= 1, the floor-search region
+                mean = rate * s[:, None]
+                return np.exp(block * np.log(mean) - mean - log_norm)
+
+            masses.append(integrate_rho(rho, pmf, tol=1e-14, linear_bound=rate)[0])
+        self._atoms = (h * ks, np.concatenate(masses))
         return self._atoms
 
     def _cut_point(self, theta_min: float, s_nodes, s_weights):
@@ -192,17 +191,13 @@ class JumpMixEvaluator:
 
     def _x_panels(self, side: int, theta_max: float, x_hi: float):
         # (0, 1]: panels in log x; integrating in u = log x adds a factor x.
-        u_nodes, u_w = quadrature.panel_nodes(
-            quadrature.log_panel_edges(_X_FLOOR, 1.0, max_width=0.7), order=16
-        )
+        u_nodes, u_w = quadrature.panel_nodes(quadrature.log_panel_edges(_X_FLOOR, 1.0, max_width=0.7))
         xs_log = np.exp(u_nodes)
         w_log = u_w * xs_log
         # (1, x_hi]: linear panels narrow enough for the target oscillation.
         width = min(0.5, 8.0 / max(theta_max, 1e-9))
         n_lin = int(math.ceil((x_hi - 1.0) / width))
-        xs_lin, w_lin = quadrature.panel_nodes(
-            np.linspace(1.0, x_hi, n_lin + 1), order=16
-        )
+        xs_lin, w_lin = quadrature.panel_nodes(np.linspace(1.0, x_hi, n_lin + 1))
         xs = np.concatenate([xs_log, xs_lin])
         wx = np.concatenate([w_log, w_lin])
         if side < 0:
@@ -226,9 +221,7 @@ class JumpMixEvaluator:
                 return self._grid_cache[2:]
         theta_max = max(12.0, 2.0 * theta_abs)
         theta_min = min(theta_min, 0.05)
-        s_nodes, s_weights = rho_quad_nodes(
-            self.pair.jumps, tol=1e-12, s_floor=_S_FLOOR
-        )
+        s_nodes, s_weights = rho_quad_nodes(self.pair.jumps)
         x_hi, heavy = self._cut_point(theta_min, s_nodes, s_weights)
         law = self.base.law
         xs_all, wx_all = [], []

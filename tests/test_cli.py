@@ -196,6 +196,33 @@ def test_jumpless_clock_fit_exits_3_naming_drift(tmp_path, capsys):
     assert abs(report["beta0"] - 1.5) < 0.01
 
 
+@pytest.mark.parametrize("family", ["drift", "gamma"])
+def test_deterministic_increments_recover_exits_3(tmp_path, capsys, family):
+    # a point-mass base on a pure-drift clock: |phi| = 1 everywhere, so the
+    # inverse-variance weights all vanish and there is nothing to fit
+    model = tmp_path / "delta.json"
+    model.write_text(json.dumps({
+        "schema": 1,
+        "levy": {"family": "delta", "params": {"drift": 1.0}},
+        "subordinator": {"drift": 1.5, "jumps": {"kind": "zero"}},
+    }))
+    rc = _run(["recover", "--model", model, "--family", family, "--dt", 1.0,
+               "--horizon", 2000, "--seed", 0, "--out", tmp_path / "r.json"])
+    assert rc == 3
+    assert "deterministic" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_import_loads_neither_integrate_nor_optimize():
+    src = str(HERE.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, levymix.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_unwritable_out_exits_4(tmp_path, capsys):
     rc = _run(["cf", "--model", VG, "--out", tmp_path / "no_dir" / "x.csv"])
     assert rc == 4

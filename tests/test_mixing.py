@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import levymix as lm
+from levymix import quadrature
 from levymix.core import (
     AtomicMeasure,
     CompoundExponentialMeasure,
@@ -204,6 +205,32 @@ def test_conv_power_mass_additive(s, lo, width, split):
     assert parts == pytest.approx(whole, abs=1e-13)
 
 
+@pytest.mark.parametrize("mu", [
+    lm.gaussian_law(0.3, 1.1), lm.gaussian_law(0.0, 2.0), lm.gamma_law(2.0, 3.0),
+    lm.poisson_law(2.0, 0.7), lm.poisson_law(1.5, -0.4), lm.delta_law(-1.3),
+    lm.cauchy_law(0.8), lm.one_sided_stable_law(0.5, 0.3),
+], ids=lambda mu: mu.law_family.value)
+def test_tagged_law_closed_forms_take_arrays_in_s(mu):
+    # the vectorized closed forms give every entry exactly its scalar value
+    law = mu.law
+    s = np.array([1e-6, 0.03, 0.4, 1.0, 2.7, 9.0])
+    for x in (-1.3, -0.2, 0.0, 0.35, 1.0, 2.2):
+        values = law.cdf(s, x)
+        assert [values[i] for i in range(s.size)] == [law.cdf(v, x) for v in s]
+    for lo, hi in ((-2.0, -0.5), (-0.3, 0.7), (0.0, 1.0), (1.0, np.inf), (-np.inf, 0.4)):
+        values = law.interval_mass(s, lo, hi)
+        assert [values[i] for i in range(s.size)] == [law.interval_mass(v, lo, hi) for v in s]
+    values = law.truncated_mean(s)
+    assert [values[i] for i in range(s.size)] == [law.truncated_mean(v) for v in s]
+
+
+def test_one_sided_stable_small_s_ratio_closed_form():
+    # mpmath quadrature of (1/s) int (1 and x^2) against the levy law mu^s
+    assert small_s_ratio(lm.one_sided_stable_law(0.5, 0.5), 1e-3) == pytest.approx(
+        1.3333322869580024, rel=1e-14
+    )
+
+
 def test_lemma_constant_frozen():
     assert lemma_constant(lm.gamma_law(2.0, 3.0)) == pytest.approx(
         LEMMA_GAMMA23, rel=1e-13
@@ -248,10 +275,34 @@ def test_integrate_rho_atoms_exact():
 
 def test_integrate_rho_complex_valued():
     rho = CompoundExponentialMeasure(1.2, 2.5)
-    v, _, _ = integrate_rho(rho, lambda s: complex(math.cos(s), math.sin(s)),
-                            complex_valued=True)
+    v, _, _ = integrate_rho(rho, lambda s: np.exp(1j * s))
     # integral of e^{is} 1.2 * 2.5 e^{-2.5 s} ds = 3/(2.5 - i)
     assert v == pytest.approx(3.0 / (2.5 - 1j), abs=1e-9)
+
+
+def test_adaptive_quadrature_sees_a_jump_next_to_a_panel_edge():
+    # integral of e^u 1{e^u < 0.667} over [-5, 3]: one bisection level leaves
+    # the jump 9e-12 inside a panel edge, outside every Kronrod node there
+    def step(u):
+        s = np.exp(u)
+        return np.where(s < 0.667, s, 0.0)
+
+    value, err = quadrature.integrate_adaptive(step, -5.0, 3.0, tol=1e-12)
+    assert abs(value - (0.667 - math.exp(-5.0))) <= 1e-14
+    assert err <= 1e-12
+
+
+@pytest.mark.parametrize("rho", [GammaMeasure(2.0, 3.0), CompoundExponentialMeasure(1.2, 2.5),
+                                 AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))], ids=lambda r: r.family.value)
+def test_integrate_rho_block_equals_separate_calls(rho):
+    # k targets on shared panels against k one-target integrals: the panels
+    # differ, the values agree within the quadrature's tolerance
+    rates = np.array([0.5, 1.0, 4.0])
+    block, err, _ = integrate_rho(rho, lambda s: 1.0 - np.exp(-np.outer(s, rates)), linear_bound=4.0)
+    assert block.shape == err.shape == (3,)
+    for k, r in enumerate(rates):
+        one, _, _ = integrate_rho(rho, lambda s: 1.0 - np.exp(-r * s), linear_bound=4.0)
+        assert block[k] == pytest.approx(one, rel=1e-12, abs=1e-12)
 
 
 # --- the mixing map ----------------------------------------------------------

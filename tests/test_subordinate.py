@@ -6,6 +6,7 @@ Frozen values come from closed forms evaluated with cmath/scipy only.
 """
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from levymix.core import (
 from levymix.errors import DomainError, QuadratureFailure, UnsupportedFamily
 from levymix.mixing import IntervalSet
 from levymix.subordinate import (
+    JumpMixEvaluator,
     SeedCell,
     SeedField,
     SubordinatedTriplet,
@@ -250,3 +252,38 @@ def test_light_tail_cut_is_bounded_before_the_grid():
     st = subordinate_triplet(lm.gaussian_law(), SubordinatorPair(0.0, OneSidedStableMeasure(0.5, 0.5)))
     with pytest.raises(QuadratureFailure, match="beyond x"):
         cf_from_triplet(st, 10.0)
+
+
+@pytest.mark.parametrize("theta", [-10.0, 0.5, 9.9])
+def test_pushforward_resolves_the_compensator_jump(theta):
+    # delta(1.5) base on a gamma(2, 3) clock: the pushforward integral of
+    # e^{i theta x} - 1 - i theta x 1{|x| <= 1} is the gamma Laplace integral
+    # less the compensator, whose jump sits at s = 1/1.5
+    pair = SubordinatorPair(0.2, GammaMeasure(2.0, 3.0))
+    value = JumpMixEvaluator(lm.delta_law(1.5), pair)._pushforward_integral(theta)
+    m1 = GammaMeasure(2.0, 3.0).truncated_moment(1, 2.0 / 3.0)
+    want = -2.0 * cmath.log(1.0 - 1.5j * theta / 3.0) - 1.5j * theta * m1
+    assert abs(value - want) <= 1e-12
+
+
+def test_pushforward_beyond_resolution_fails_fast_or_agrees():
+    # a 0.3-stable clock puts the tail cut at s ~ 1e43, where e^{i theta 1.5 s}
+    # oscillates past any panel count; the result is refused quickly or right
+    base, pair = lm.delta_law(1.5), SubordinatorPair(0.2, OneSidedStableMeasure(0.3, 1.0))
+    start = time.perf_counter()
+    try:
+        gap = abs(cf_from_triplet(subordinate_triplet(base, pair), -10.0) - compose_cf(base, pair, -10.0))
+        assert gap <= 1e-9
+    except QuadratureFailure:
+        pass
+    assert time.perf_counter() - start < 5.0
+
+
+def test_poisson_atoms_refuse_unbounded_counts():
+    # a 1/2-stable clock cuts its tail at 1e32, so the count range of the
+    # Poisson mix is refused before any quadrature
+    st = subordinate_triplet(lm.poisson_law(1.0, 1.0), SubordinatorPair(0.0, OneSidedStableMeasure(0.5, 0.5)))
+    start = time.perf_counter()
+    with pytest.raises(QuadratureFailure, match="jump counts"):
+        cf_from_triplet(st, 1.0)
+    assert time.perf_counter() - start < 1.0
