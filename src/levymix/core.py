@@ -6,18 +6,18 @@ truncated moments, (1 and |x|**p) integrals with an explicit infinity, a
 tail sampler for jumps above a threshold, its Laplace and characteristic
 integrals, an exact increment sampler where one exists, and the rule for
 integrating against it.  Closed forms are used wherever the family admits
-one; a grid rule only for tabulated densities.  ``LevyTriplet.law`` turns the
-tag of a constructed law into a ``TaggedLaw`` that owns the closed forms of
-its convolution powers mu^s.
+one; a grid rule only for tabulated densities.  Each class is its family:
+a parametric measure names its ``amplitude`` field, the one it is linear
+in, and a triplet built by a law constructor holds in ``LevyTriplet.law``
+the ``TaggedLaw`` that owns the closed forms of its convolution powers mu^s.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -40,16 +40,6 @@ class TruncationConvention(Enum):
     ZERO = "zero"
 
 
-class MeasureFamily(Enum):
-    ZERO = "zero"
-    GAMMA = "gamma"
-    ONE_SIDED_STABLE = "one_sided_stable"
-    SYMMETRIC_STABLE = "symmetric_stable"
-    FINITE_ATOMIC = "finite_atomic"
-    FINITE_PARAMETRIC = "finite_parametric"
-    TABULATED = "tabulated"
-
-
 class MeasureClass(Enum):
     """Nested integrability classes; classification picks the smallest."""
 
@@ -57,17 +47,6 @@ class MeasureClass(Enum):
     FINITE_VARIATION = "finite_variation"
     LEVY = "levy"
     NOT_LEVY = "not_levy"
-
-
-class LawFamily(Enum):
-    """Marginal families whose convolution powers have closed forms."""
-
-    GAUSSIAN = "gaussian"
-    GAMMA = "gamma"
-    POISSON = "poisson"
-    SYMMETRIC_STABLE = "symmetric_stable"
-    ONE_SIDED_STABLE = "one_sided_stable"
-    DELTA = "delta"
 
 
 def _require(cond, message):
@@ -86,11 +65,25 @@ def _where_positive(x, f, *params):
     return out[()]
 
 
+# numpy's Generator.poisson refuses a mean above this (its POISSON_LAM_MAX).
+_POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _poisson(rng, mean, *size):
+    """rng.poisson(mean, *size), refusing a mean past numpy's limit by name."""
+    largest = np.max(mean, initial=0.0)
+    if largest > _POISSON_MAX_MEAN:
+        raise DomainError(
+            f"a Poisson mean of {largest:.3g} is past the sampler's limit of {_POISSON_MAX_MEAN:.3g}"
+        )
+    return rng.poisson(mean, *size)
+
+
 class LevyMeasure(ABC):
     """Common interface of all jump-measure families."""
 
-    family: MeasureFamily
     symmetric = False  # symmetric measures have a vanishing compensator integral
+    amplitude = None  # name of the field the measure is linear in, if any
 
     @abstractmethod
     def total_mass(self) -> float:
@@ -104,9 +97,17 @@ class LevyMeasure(ABC):
     def truncated_moment(self, power: int, cutoff: float = 1.0) -> float:
         """Integral of x**power over |x| <= cutoff; NotFiniteVariation if it diverges."""
 
-    @abstractmethod
     def one_wedge(self, power: int) -> float:
-        """Integral of min(1, |x|**power); math.inf is an explicit return value."""
+        """Integral of min(1, |x|**power); math.inf is an explicit return value.
+
+        This default, the truncated moment plus the mass above 1 (infinite
+        where the moment raises NotFiniteVariation), holds for a measure on
+        (0, inf); a measure with negative jumps overrides it.
+        """
+        try:
+            return self.truncated_moment(power, 1.0) + self.mass_above(1.0)
+        except NotFiniteVariation:
+            return INF
 
     @abstractmethod
     def sample_tail(self, rng, eps: float, size: int) -> np.ndarray:
@@ -116,9 +117,10 @@ class LevyMeasure(ABC):
     def tail_cutoff(self, tol: float) -> float:
         """A point S with mass_above(S) < tol."""
 
-    @abstractmethod
     def scaled(self, factor: float) -> "LevyMeasure":
-        """The measure multiplied by a positive scalar."""
+        """The measure multiplied by a positive scalar: its amplitude field
+        times factor.  A measure that names no amplitude overrides this."""
+        return replace(self, **{self.amplitude: getattr(self, self.amplitude) * factor})
 
     def char_integral(self, theta, convention: "TruncationConvention"):
         """Integral of exp(i theta x) - 1 - i theta tau(x), elementwise over a
@@ -127,7 +129,7 @@ class LevyMeasure(ABC):
 
     def laplace_integral(self, z):
         """Integral of exp(z x) - 1, elementwise over a z array."""
-        raise UnsupportedFamily(f"no laplace exponent for family {self.family}")
+        raise UnsupportedFamily(f"no laplace exponent for {type(self).__name__}")
 
     def fixed_rule(self):
         """(nodes, weights, check_weights) of the measure's own rule for
@@ -167,8 +169,6 @@ class LevyMeasure(ABC):
 
 @dataclass(frozen=True)
 class ZeroMeasure(LevyMeasure):
-    family = MeasureFamily.ZERO
-
     def total_mass(self):
         return 0.0
 
@@ -176,9 +176,6 @@ class ZeroMeasure(LevyMeasure):
         return 0.0
 
     def truncated_moment(self, power, cutoff=1.0):
-        return 0.0
-
-    def one_wedge(self, power):
         return 0.0
 
     def sample_tail(self, rng, eps, size):
@@ -213,7 +210,7 @@ class GammaMeasure(LevyMeasure):
 
     shape: float
     rate: float
-    family = MeasureFamily.GAMMA
+    amplitude = "shape"
 
     def __post_init__(self):
         _require(self.shape > 0, "shape must be > 0")
@@ -242,9 +239,6 @@ class GammaMeasure(LevyMeasure):
             return self.shape * (1.0 - math.exp(-t) * (1.0 + t)) / self.rate**2
         raise DomainError("power must be 1 or 2")
 
-    def one_wedge(self, power):
-        return self.truncated_moment(power, 1.0) + self.shape * special.exp1(self.rate)
-
     def sample_tail(self, rng, eps, size):
         # Proposal eps + Exp(rate); accept with probability eps / x.
         out = np.empty(size)
@@ -264,9 +258,6 @@ class GammaMeasure(LevyMeasure):
             s *= 2.0
         return s
 
-    def scaled(self, factor):
-        return GammaMeasure(self.shape * factor, self.rate)
-
     def laplace_integral(self, z):
         return -self.shape * np.log(1.0 - z / self.rate)
 
@@ -283,7 +274,7 @@ class OneSidedStableMeasure(LevyMeasure):
 
     index: float
     coeff: float
-    family = MeasureFamily.ONE_SIDED_STABLE
+    amplitude = "coeff"
 
     def __post_init__(self):
         _require(0 < self.index < 2, "index must lie in (0, 2)")
@@ -315,25 +306,18 @@ class OneSidedStableMeasure(LevyMeasure):
             return self.coeff * cutoff ** (2.0 - self.index) / (2.0 - self.index)
         raise DomainError("power must be 1 or 2")
 
-    def one_wedge(self, power):
-        tail = self.coeff / self.index
-        if power == 1:
-            if self.index >= 1:
-                return INF
-            return self.coeff / (1.0 - self.index) + tail
-        if power == 2:
-            return self.coeff / (2.0 - self.index) + tail
-        raise DomainError("power must be 1 or 2")
-
     def sample_tail(self, rng, eps, size):
         # Pareto tail: P(X > x | X > eps) = (x/eps)**-index.
         return eps * rng.random(size) ** (-1.0 / self.index)
 
     def tail_cutoff(self, tol):
-        return (self.coeff / (self.index * tol)) ** (1.0 / self.index)
-
-    def scaled(self, factor):
-        return OneSidedStableMeasure(self.index, self.coeff * factor)
+        try:
+            return (self.coeff / (self.index * tol)) ** (1.0 / self.index)
+        except OverflowError:
+            raise QuadratureFailure(
+                f"the tail cut of a one-sided stable measure of index {self.index} "
+                f"at tol {tol} overflows a float"
+            ) from None
 
     def char_integral(self, theta, convention):
         a, c = self.index, self.coeff
@@ -374,7 +358,7 @@ class SymmetricStableMeasure(LevyMeasure):
 
     index: float
     coeff: float
-    family = MeasureFamily.SYMMETRIC_STABLE
+    amplitude = "coeff"
     symmetric = True
 
     def __post_init__(self):
@@ -417,9 +401,6 @@ class SymmetricStableMeasure(LevyMeasure):
     def tail_cutoff(self, tol):
         return self._half().tail_cutoff(tol / 2.0)
 
-    def scaled(self, factor):
-        return SymmetricStableMeasure(self.index, self.coeff * factor)
-
     def char_integral(self, theta, convention):
         # The compensator integral vanishes by symmetry under both conventions.
         if convention is TruncationConvention.ZERO and self.index >= 1:
@@ -441,7 +422,6 @@ class AtomicMeasure(LevyMeasure):
     """Finitely many atoms (position, mass); positions nonzero, masses positive."""
 
     atoms: tuple
-    family = MeasureFamily.FINITE_ATOMIC
 
     def __post_init__(self):
         merged = {}
@@ -497,7 +477,7 @@ class AtomicMeasure(LevyMeasure):
     def sample_increments(self, dt, n, rng):
         total = 0.0
         for pos, mass in self.atoms:
-            total = total + pos * rng.poisson(mass * dt, n)
+            total = total + pos * _poisson(rng, mass * dt, n)
         return total
 
     def fixed_rule(self):
@@ -517,7 +497,7 @@ class CompoundExponentialMeasure(LevyMeasure):
 
     rate: float
     jump_rate: float
-    family = MeasureFamily.FINITE_PARAMETRIC
+    amplitude = "rate"
 
     def __post_init__(self):
         _require(self.rate > 0, "rate must be > 0")
@@ -548,9 +528,6 @@ class CompoundExponentialMeasure(LevyMeasure):
             )
         raise DomainError("power must be 1 or 2")
 
-    def one_wedge(self, power):
-        return self.truncated_moment(power, 1.0) + self.interval_mass(1.0, INF)
-
     def sample_tail(self, rng, eps, size):
         # Memorylessness: the law above eps is eps + Exp(jump_rate).
         return eps + rng.exponential(1.0 / self.jump_rate, size)
@@ -558,14 +535,11 @@ class CompoundExponentialMeasure(LevyMeasure):
     def tail_cutoff(self, tol):
         return max(1.0, math.log(max(self.rate / tol, 2.0)) / self.jump_rate)
 
-    def scaled(self, factor):
-        return CompoundExponentialMeasure(self.rate * factor, self.jump_rate)
-
     def laplace_integral(self, z):
         return self.rate * z / (self.jump_rate - z)
 
     def sample_increments(self, dt, n, rng):
-        counts = rng.poisson(self.rate * dt, n)
+        counts = _poisson(rng, self.rate * dt, n)
         out = np.zeros(n)
         busy = counts > 0
         if busy.any():
@@ -585,7 +559,6 @@ class TabulatedMeasure(LevyMeasure):
 
     xs: tuple
     dens: tuple
-    family = MeasureFamily.TABULATED
 
     def __post_init__(self):
         xs = tuple(float(v) for v in self.xs)
@@ -714,16 +687,16 @@ def _levy_positive(rng, c, size) -> np.ndarray:
 class LevyTriplet:
     """Characteristic triplet (drift, gaussian_var, jumps) under a convention.
 
-    law_family / law_params tag triplets built by the law constructors so the
-    convolution powers of the time-one law stay available in closed form.
+    law holds the ``TaggedLaw`` of a triplet built by a law constructor, so
+    the convolution powers of the time-one law stay available in closed
+    form; it is None for a triplet built from its parts.
     """
 
     drift: float
     gaussian_var: float
     jumps: LevyMeasure
     convention: TruncationConvention = TruncationConvention.STANDARD
-    law_family: LawFamily | None = None
-    law_params: tuple = ()
+    law: "TaggedLaw | None" = None
 
     def __post_init__(self):
         _require(self.gaussian_var >= 0, "gaussian_var must be >= 0")
@@ -736,13 +709,6 @@ class LevyTriplet:
     def is_degenerate(self) -> bool:
         """True for a point mass (pure drift, possibly zero)."""
         return self.gaussian_var == 0.0 and self.jumps.is_zero()
-
-    @cached_property
-    def law(self) -> "TaggedLaw | None":
-        """Closed forms of the tagged family's convolution powers; None when untagged."""
-        if self.law_family is None:
-            return None
-        return _LAW_CLASSES[self.law_family](*self.law_params)
 
 
 @dataclass(frozen=True)
@@ -769,18 +735,12 @@ class SubordinatorPair:
 
 def gaussian_law(mean: float = 0.0, variance: float = 1.0) -> LevyTriplet:
     _require(variance > 0, "variance must be > 0 (use delta_law for a point mass)")
-    return LevyTriplet(
-        mean, variance, ZERO_MEASURE, TruncationConvention.STANDARD,
-        LawFamily.GAUSSIAN, (mean, variance),
-    )
+    return LevyTriplet(mean, variance, ZERO_MEASURE, law=GaussianLaw(mean, variance))
 
 
 def gamma_law(shape: float, rate: float) -> LevyTriplet:
     nu = GammaMeasure(shape, rate)
-    return LevyTriplet(
-        nu.truncated_moment(1, 1.0), 0.0, nu, TruncationConvention.STANDARD,
-        LawFamily.GAMMA, (shape, rate),
-    )
+    return LevyTriplet(nu.truncated_moment(1, 1.0), 0.0, nu, law=GammaLaw(shape, rate))
 
 
 def poisson_law(rate: float, jump_size: float = 1.0) -> LevyTriplet:
@@ -788,17 +748,11 @@ def poisson_law(rate: float, jump_size: float = 1.0) -> LevyTriplet:
     _require(jump_size != 0, "jump_size must be nonzero")
     nu = AtomicMeasure(((jump_size, rate),))
     drift = rate * jump_size if abs(jump_size) <= 1.0 else 0.0
-    return LevyTriplet(
-        drift, 0.0, nu, TruncationConvention.STANDARD,
-        LawFamily.POISSON, (rate, jump_size),
-    )
+    return LevyTriplet(drift, 0.0, nu, law=PoissonLaw(rate, jump_size))
 
 
 def delta_law(drift: float) -> LevyTriplet:
-    return LevyTriplet(
-        drift, 0.0, ZERO_MEASURE, TruncationConvention.STANDARD,
-        LawFamily.DELTA, (drift,),
-    )
+    return LevyTriplet(drift, 0.0, ZERO_MEASURE, law=DeltaLaw(drift))
 
 
 def symmetric_stable_law(alpha: float, scale: float) -> LevyTriplet:
@@ -807,10 +761,7 @@ def symmetric_stable_law(alpha: float, scale: float) -> LevyTriplet:
     _require(scale > 0, "scale must be > 0")
     coeff = scale**alpha / (2.0 * stable_cos_integral(alpha))
     nu = SymmetricStableMeasure(alpha, coeff)
-    return LevyTriplet(
-        0.0, 0.0, nu, TruncationConvention.STANDARD,
-        LawFamily.SYMMETRIC_STABLE, (alpha, scale),
-    )
+    return LevyTriplet(0.0, 0.0, nu, law=SymmetricStableLaw(alpha, scale))
 
 
 def cauchy_law(scale: float) -> LevyTriplet:
@@ -821,10 +772,7 @@ def one_sided_stable_law(alpha: float, coeff: float) -> LevyTriplet:
     """Strictly alpha-stable subordinator law, jump density coeff * x**-(1+alpha)."""
     _require(0 < alpha < 1, "alpha must lie in (0, 1) for a one-sided stable law")
     nu = OneSidedStableMeasure(alpha, coeff)
-    return LevyTriplet(
-        nu.truncated_moment(1, 1.0), 0.0, nu, TruncationConvention.STANDARD,
-        LawFamily.ONE_SIDED_STABLE, (alpha, coeff),
-    )
+    return LevyTriplet(nu.truncated_moment(1, 1.0), 0.0, nu, law=OneSidedStableLaw(alpha, coeff))
 
 
 def levy_dist_scale(coeff: float) -> float:
@@ -864,7 +812,6 @@ class TaggedLaw:
     ``sample(r, rng)`` draws one value from mu^r per entry of r.
     """
 
-    family: LawFamily
     sides = (-1, 1)  # sides of 0 on which mu^s has a density
     heavy_tail = False  # power-law tails: the x-grid gets a tail expansion
     mix_route = "grid"  # mixed jump measure: "grid", "atomic" or "pushforward"
@@ -874,18 +821,17 @@ class TaggedLaw:
         return np.maximum(self.cdf(s, hi) - self.cdf(s, lo), 0.0)
 
     def density(self, s, x):
-        raise UnsupportedFamily(f"no closed density for {self.family}")
+        raise UnsupportedFamily(f"no closed density for {type(self).__name__}")
 
     def require_stable(self, alpha: float) -> None:
         """Raise unless the law is strictly alpha-stable with a closed cdf."""
-        raise UnsupportedFamily(f"{self.family} is not a supported strictly stable base")
+        raise UnsupportedFamily(f"{type(self).__name__} is not a supported strictly stable base")
 
 
 @dataclass(frozen=True)
 class GaussianLaw(TaggedLaw):
     mean: float
     var: float
-    family = LawFamily.GAUSSIAN
 
     def cdf(self, s, x):
         return special.ndtr((x - self.mean * s) / np.sqrt(self.var * s))
@@ -934,7 +880,6 @@ class GaussianLaw(TaggedLaw):
 class GammaLaw(TaggedLaw):
     shape: float
     rate: float
-    family = LawFamily.GAMMA
     sides = (1,)
 
     def cdf(self, s, x):
@@ -969,7 +914,6 @@ class GammaLaw(TaggedLaw):
 class PoissonLaw(TaggedLaw):
     rate: float
     jump_size: float
-    family = LawFamily.POISSON
     mix_route = "atomic"
 
     def cdf(self, s, x):
@@ -1000,13 +944,12 @@ class PoissonLaw(TaggedLaw):
         return float((inside + tail) / s)
 
     def sample(self, r, rng):
-        return self.jump_size * rng.poisson(self.rate * r)
+        return self.jump_size * _poisson(rng, self.rate * r)
 
 
 @dataclass(frozen=True)
 class DeltaLaw(TaggedLaw):
     drift: float
-    family = LawFamily.DELTA
     mix_route = "pushforward"
 
     def cdf(self, s, x):
@@ -1029,7 +972,7 @@ class _StableLaw(TaggedLaw):
     def _closed(self):
         if self.alpha != self.closed_index:
             raise UnsupportedFamily(
-                f"{self.family.value} convolution powers implemented for index "
+                f"{type(self).__name__} convolution powers implemented for index "
                 f"{self.closed_index} only"
             )
 
@@ -1043,7 +986,6 @@ class _StableLaw(TaggedLaw):
 class SymmetricStableLaw(_StableLaw):
     alpha: float
     scale: float
-    family = LawFamily.SYMMETRIC_STABLE
     closed_index = 1.0
 
     def _c(self, s):
@@ -1085,7 +1027,6 @@ class SymmetricStableLaw(_StableLaw):
 class OneSidedStableLaw(_StableLaw):
     alpha: float
     coeff: float
-    family = LawFamily.ONE_SIDED_STABLE
     closed_index = 0.5
     sides = (1,)
 
@@ -1136,12 +1077,6 @@ class OneSidedStableLaw(_StableLaw):
 
     def sample(self, r, rng):
         return _levy_positive(rng, self._c(r), r.shape)
-
-
-_LAW_CLASSES = {
-    cls.family: cls
-    for cls in (GaussianLaw, GammaLaw, PoissonLaw, DeltaLaw, SymmetricStableLaw, OneSidedStableLaw)
-}
 
 
 # ---------------------------------------------------------------------------
@@ -1222,31 +1157,24 @@ def integral_one_wedge(measure: LevyMeasure, power: int) -> float:
 # Composition helpers shared by tests and the convolution invariants.
 
 
+def _other_fields(m: LevyMeasure) -> tuple:
+    return tuple(getattr(m, f.name) for f in fields(m) if f.name != m.amplitude)
+
+
 def merge_measures(m1: LevyMeasure, m2: LevyMeasure) -> LevyMeasure:
-    """Sum of two jump measures for the closed same-family combinations."""
+    """Sum of two jump measures where it stays in one family: atoms pool, and
+    two measures of one class whose fields other than the amplitude agree
+    add their amplitudes."""
     if m1.is_zero():
         return m2
     if m2.is_zero():
         return m1
     if isinstance(m1, AtomicMeasure) and isinstance(m2, AtomicMeasure):
         return AtomicMeasure(m1.atoms + m2.atoms)
-    if isinstance(m1, GammaMeasure) and isinstance(m2, GammaMeasure) and m1.rate == m2.rate:
-        return GammaMeasure(m1.shape + m2.shape, m1.rate)
-    if (
-        isinstance(m1, OneSidedStableMeasure)
-        and isinstance(m2, OneSidedStableMeasure)
-        and m1.index == m2.index
-    ):
-        return OneSidedStableMeasure(m1.index, m1.coeff + m2.coeff)
-    if (
-        isinstance(m1, CompoundExponentialMeasure)
-        and isinstance(m2, CompoundExponentialMeasure)
-        and m1.jump_rate == m2.jump_rate
-    ):
-        return CompoundExponentialMeasure(m1.rate + m2.rate, m1.jump_rate)
-    raise UnsupportedFamily(
-        f"cannot merge {m1.family.value} with {m2.family.value}"
-    )
+    amp = m1.amplitude
+    if amp is not None and type(m1) is type(m2) and _other_fields(m1) == _other_fields(m2):
+        return replace(m1, **{amp: getattr(m1, amp) + getattr(m2, amp)})
+    raise UnsupportedFamily(f"cannot merge {type(m1).__name__} with {type(m2).__name__}")
 
 
 def merge_pairs(p1: SubordinatorPair, p2: SubordinatorPair) -> SubordinatorPair:

@@ -18,9 +18,9 @@ from scipy import special
 from . import quadrature
 from .core import (
     INF,
+    AtomicMeasure,
     LevyMeasure,
     LevyTriplet,
-    MeasureFamily,
     char_exponent,
 )
 from .errors import DomainError, QuadratureFailure, UnsupportedFamily
@@ -214,7 +214,7 @@ def _delta_pushforward_mass(drift, rho, sets):
     total = 0.0
     for lo, hi in sets.intervals:
         a, b = lo / drift, hi / drift
-        if rho.family is MeasureFamily.FINITE_ATOMIC:
+        if isinstance(rho, AtomicMeasure):
             if drift > 0:
                 total += sum(m for p, m in rho.atoms if a < p <= b)
             else:
@@ -224,7 +224,7 @@ def _delta_pushforward_mass(drift, rho, sets):
     return MixResult(total, 1e-15 * total, rho.tail_cutoff(1e-15))
 
 
-def _mix_over_sets(mu, rho, sets, fn, tol):
+def _mix_over_sets(mu, rho, sets, fn):
     """Integral of fn, the mu^s mass of the sets, against rho.  Sets away
     from 0 give the linear small-s bound that certifies the lower cut."""
     d = sets.distance_from_zero
@@ -233,12 +233,11 @@ def _mix_over_sets(mu, rho, sets, fn, tol):
     bound = None
     if d > 0.0:
         bound = 2.0 * lemma_constant(mu) / min(1.0, d * d)
-    value, err, upper = integrate_rho(rho, fn, tol=tol, linear_bound=bound)
+    value, err, upper = integrate_rho(rho, fn, linear_bound=bound)
     return MixResult(max(value, 0.0), err, upper)
 
 
-def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, sets: IntervalSet,
-                 *, tol=1e-10) -> MixResult:
+def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, sets: IntervalSet) -> MixResult:
     """Interval masses of the mixed measure integral mu^s(.) rho(ds)."""
     if not rho.is_positive():
         raise DomainError("the mixing measure must live on (0, inf)")
@@ -249,11 +248,10 @@ def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, sets: IntervalSet,
             raise DomainError("a degenerate base at 0 is outside the mixing domain")
         return _delta_pushforward_mass(mu.law.drift, rho, sets)
     _validate_mixing_measure(rho)
-    return _mix_over_sets(mu, rho, sets, lambda s: conv_power_set_mass(mu, s, sets), tol)
+    return _mix_over_sets(mu, rho, sets, lambda s: conv_power_set_mass(mu, s, sets))
 
 
-def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float,
-                          *, tol=1e-10) -> float:
+def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float) -> float:
     """Pointwise density of the gamma-kernel mixed measure at x >= 0.
 
     The kernel is the gamma convolution-power family with the given rate;
@@ -272,7 +270,7 @@ def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float,
         return np.exp(s * log_rx - special.gammaln(s))
 
     # 1/Gamma(s) ~ s near 0, so |fn| <= 1.2 s for floors below 1e-8.
-    value, err, _ = integrate_rho(rho, fn, tol=tol, linear_bound=1.2)
+    value, err, _ = integrate_rho(rho, fn, linear_bound=1.2)
     if err > max(1e-7, 1e-6 * abs(value)):
         raise QuadratureFailure(f"mixed density error estimate {err:.3e} too large")
     return math.exp(-rate * x) / x * value
@@ -298,7 +296,7 @@ class StableMixEvaluator:
     alpha: float
     rho: LevyMeasure
 
-    def mass(self, sets: IntervalSet, *, tol=1e-10) -> MixResult:
+    def mass(self, sets: IntervalSet) -> MixResult:
         cdf = _stable_reference_cdf(self.mu, self.alpha)
         inv = 1.0 / self.alpha
 
@@ -306,7 +304,7 @@ class StableMixEvaluator:
             scale = s**-inv
             return sum(np.maximum(cdf(hi * scale) - cdf(lo * scale), 0.0) for lo, hi in sets.intervals)
 
-        return _mix_over_sets(self.mu, self.rho, sets, fn, tol)
+        return _mix_over_sets(self.mu, self.rho, sets, fn)
 
 
 def phi_mix_stable(mu: LevyTriplet, alpha: float, rho: LevyMeasure) -> StableMixEvaluator:
@@ -320,7 +318,7 @@ def phi_mix_stable(mu: LevyTriplet, alpha: float, rho: LevyMeasure) -> StableMix
     return StableMixEvaluator(mu, alpha, rho)
 
 
-def mixing_cf(mu: LevyTriplet, rho: LevyMeasure, theta: float, *, tol=1e-10) -> complex:
+def mixing_cf(mu: LevyTriplet, rho: LevyMeasure, theta: float) -> complex:
     """Characteristic transform of the mixed measure for finite rho.
 
     Equals the integral of exp(s * log_cf_mu(theta)) rho(ds); this identity
@@ -331,7 +329,7 @@ def mixing_cf(mu: LevyTriplet, rho: LevyMeasure, theta: float, *, tol=1e-10) -> 
     if math.isinf(rho.total_mass()):
         raise DomainError("the transform identity needs a finite mixing measure")
     phi = char_exponent(mu, theta)
-    value, err, _ = integrate_rho(rho, lambda s: np.exp(s * phi), tol=tol)
+    value, err, _ = integrate_rho(rho, lambda s: np.exp(s * phi))
     if err > 1e-6 * max(1.0, abs(value)):
         raise QuadratureFailure(f"mixing transform error estimate {err:.3e}")
     return value

@@ -52,19 +52,13 @@ __all__ = [
 ]
 
 # Clock families a fit can name: the jump-measure class whose fields are the
-# fitted parameters, or None for a pure drift.
+# fitted parameters, or None for a pure drift. The fit solves the class's
+# amplitude field and the drift in closed form and searches the other field.
 FAMILIES = {
     "gamma": GammaMeasure,
     "one_sided_stable": OneSidedStableMeasure,
     "compound_exponential": CompoundExponentialMeasure,
     "drift": None,
-}
-# The field each family's exponent is linear in (its jump amplitude). The fit
-# solves it and the drift in closed form and searches the other field.
-AMPLITUDE_FIELDS = {
-    "gamma": "shape",
-    "one_sided_stable": "coeff",
-    "compound_exponential": "rate",
 }
 
 
@@ -372,7 +366,7 @@ def _separable_solver(z: np.ndarray, h: np.ndarray, w: np.ndarray):
 def _searched_field(family: str) -> tuple[int, str]:
     """Position and name of the field the simplex searches: the one that is
     not the amplitude."""
-    amp_field = AMPLITUDE_FIELDS[family]
+    amp_field = FAMILIES[family].amplitude
     names = [f.name for f in fields(FAMILIES[family])]
     (pos,) = [i for i, name in enumerate(names) if name != amp_field]
     return pos, names[pos]
@@ -390,8 +384,8 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
     """Weighted least squares for (beta0, family params) on the curve.
 
     The family exponent beta0*z + amp*g(z; v) is linear in the drift beta0
-    and in the amplitude amp (the field named in AMPLITUDE_FIELDS), so for
-    each v both come from a closed-form 2x2 nonnegative least squares
+    and in the amplitude amp, the field FAMILIES[family].amplitude names, so
+    for each v both come from a closed-form 2x2 nonnegative least squares
     (variable projection, Golub & Pereyra 1973). A derivative-free simplex
     then searches v alone from several deterministic starts: the log rate
     for gamma, the log jump_rate for compound exponential and the logit
@@ -415,7 +409,7 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
         beta0, _, _ = solve(None)
         params, jumps, converged = (), 0.0, 1
     else:
-        amp_field = AMPLITUDE_FIELDS[family]
+        amp_field = measure_cls.amplitude
         pos, name = _searched_field(family)
 
         def basis(value):
@@ -495,16 +489,14 @@ def _rescale_for_spacing(family: str, fit: FitResult, dt: float) -> FitResult:
     return replace(fit, params=params, beta0_hat=fit.beta0_hat / dt)
 
 
-def recover_from_path(path, mu_L: LevyTriplet, family: str, options: FitOptions = FitOptions(),
-                      theta_grid=None) -> FitResult:
+def recover_from_path(path, mu_L: LevyTriplet, family: str, options: FitOptions = FitOptions()) -> FitResult:
     """Full pipeline: path increments -> CF -> curve -> parametric fit.
 
     The grid spacing is absorbed by fitting the per-step exponent and then
     rescaling the time-linear parameters.
     """
     increments = np.diff(np.asarray(path.values, dtype=float))
-    grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    cf = empirical_cf(increments, grid)
+    cf = empirical_cf(increments, default_theta_grid())
     cf = trim_cf(cf, _near_zero_floor(cf.n_obs))
     curve = psi_curve(mu_L, cf)
     fit = fit_subordinator(curve, family, options)

@@ -99,13 +99,13 @@ class JumpMixEvaluator:
 
     # -- interval masses ---------------------------------------------------
 
-    def mix_mass(self, sets: IntervalSet, *, tol=1e-10) -> MixResult:
+    def mix_mass(self, sets: IntervalSet) -> MixResult:
         if self._mode == "zero":
             return MixResult(0.0, 0.0, 0.0)
-        return phi_mix_mass(self.base, self.pair.jumps, sets, tol=tol)
+        return phi_mix_mass(self.base, self.pair.jumps, sets)
 
-    def mass(self, sets: IntervalSet, *, tol=1e-10) -> MixResult:
-        mix = self.mix_mass(sets, tol=tol)
+    def mass(self, sets: IntervalSet) -> MixResult:
+        mix = self.mix_mass(sets)
         drift = sum(self.drift_part.interval_mass(lo, hi) for lo, hi in sets.intervals)
         return MixResult(drift + mix.value, mix.abs_error_estimate, mix.truncation_point)
 

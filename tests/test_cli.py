@@ -155,7 +155,7 @@ def test_spec_wrong_schema_exits_2(tmp_path, capsys):
 
 def test_load_model_spec_round_trip():
     spec = load_model_spec(VG)
-    assert spec.levy.law_family is not None
+    assert spec.levy.law is not None
     assert spec.subordinator.drift == 0.0
     basis = load_model_spec(BASIS)
     assert basis.seed_field is not None
@@ -211,6 +211,43 @@ def test_deterministic_increments_recover_exits_3(tmp_path, capsys, family):
     assert rc == 3
     assert "deterministic" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def _model(path, levy, jumps):
+    path.write_text(json.dumps({"schema": 1, "levy": levy, "subordinator": {"drift": 0.0, "jumps": jumps}}))
+    return path
+
+
+GAUSS = {"family": "gaussian", "params": {"mean": 0.0, "variance": 1.0}}
+
+
+def test_stable_tail_cut_overflow_exits_3(tmp_path, capsys):
+    # (coeff / (index tol))**(1/index) overflows a float at small indices
+    gauss = _model(tmp_path / "g.json", GAUSS, {"kind": "one_sided_stable", "index": 0.01, "coeff": 1.0})
+    delta = _model(tmp_path / "d.json", {"family": "delta", "params": {"drift": -1.0}},
+                   {"kind": "one_sided_stable", "index": 0.05, "coeff": 1.0})
+    for command, model in (("mix", gauss), ("subordinate", gauss), ("mix", delta)):
+        assert _run([command, "--model", model, "--out", tmp_path / "x.json"]) == 3
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+
+def test_poisson_mean_past_sampler_limit_exits_3(tmp_path, capsys):
+    # numpy refuses Poisson means above about 9.2e18; the samplers say so first
+    cases = (
+        (_model(tmp_path / "p.json", {"family": "poisson", "params": {"rate": 1.0, "jump_size": -2.0}},
+                {"kind": "one_sided_stable", "index": 0.05, "coeff": 1.0}), 0.1),
+        (_model(tmp_path / "a.json", GAUSS, {"kind": "atomic", "atoms": [[1e-20, 1e20]]}), 1.0),
+        (_model(tmp_path / "c.json", GAUSS, {"kind": "compound_exponential", "rate": 1e20, "jump_rate": 1e20}), 1.0),
+    )
+    for model, dt in cases:
+        rc = _run(["simulate", "--model", model, "--dt", dt, "--horizon", 2, "--seed", 0,
+                   "--out", tmp_path / "x.csv"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Poisson mean" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_import_loads_neither_integrate_nor_optimize():

@@ -5,6 +5,7 @@ the defining integrals (see the top-of-file constants); closed identities
 are asserted at machine precision.
 """
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +17,17 @@ import levymix as lm
 from levymix.core import (
     AtomicMeasure,
     CompoundExponentialMeasure,
+    DeltaLaw,
+    GammaLaw,
     GammaMeasure,
+    GaussianLaw,
     LevyTriplet,
     MeasureClass,
+    OneSidedStableLaw,
     OneSidedStableMeasure,
+    PoissonLaw,
     SubordinatorPair,
+    SymmetricStableLaw,
     SymmetricStableMeasure,
     TabulatedMeasure,
     TruncationConvention,
@@ -167,7 +174,8 @@ FIXTURE_LAWS = [
 ]
 
 
-@pytest.mark.parametrize("law", FIXTURE_LAWS, ids=lambda t: str(t.law_family))
+@pytest.mark.parametrize("law", FIXTURE_LAWS, ids=lambda t: "LawFamily." + "".join(
+    "_" * c.isupper() + c.upper() for c in type(t.law).__name__[:-3])[1:])
 def test_char_exponent_is_a_valid_log_cf(law):
     assert lm.char_exponent(law, 0.0) == 0
     for th in np.linspace(-9.0, 9.0, 25):
@@ -233,6 +241,35 @@ def test_merge_measures_families():
     assert merge_measures(ZERO_MEASURE, g) is g
     with pytest.raises(lm.UnsupportedFamily):
         merge_measures(GammaMeasure(1.0, 2.0), GammaMeasure(1.0, 3.0))
+    # equal parameters other than the amplitude: the amplitudes add
+    assert merge_measures(OneSidedStableMeasure(0.5, 0.25), OneSidedStableMeasure(0.5, 0.5)) == (
+        OneSidedStableMeasure(0.5, 0.75))
+    assert merge_measures(CompoundExponentialMeasure(1.0, 2.5), CompoundExponentialMeasure(0.5, 2.5)) == (
+        CompoundExponentialMeasure(1.5, 2.5))
+    assert merge_measures(SymmetricStableMeasure(1.2, 0.25), SymmetricStableMeasure(1.2, 0.5)) == (
+        SymmetricStableMeasure(1.2, 0.75))
+    for m1, m2 in ((OneSidedStableMeasure(0.5, 1.0), OneSidedStableMeasure(0.6, 1.0)),
+                   (SymmetricStableMeasure(1.2, 1.0), SymmetricStableMeasure(0.7, 1.0)),
+                   (OneSidedStableMeasure(0.5, 1.0), SymmetricStableMeasure(0.5, 1.0)),
+                   (CompoundExponentialMeasure(1.0, 2.5), CompoundExponentialMeasure(1.0, 3.0))):
+        with pytest.raises(lm.UnsupportedFamily):
+            merge_measures(m1, m2)
+
+
+def test_each_class_is_its_own_family_record():
+    # a law constructor's triplet holds the tagged law of its arguments
+    assert lm.gaussian_law(0.3, 1.2).law == GaussianLaw(0.3, 1.2)
+    assert lm.gamma_law(2, 3).law == GammaLaw(2, 3)
+    assert lm.poisson_law(0.8, -0.4).law == PoissonLaw(0.8, -0.4)
+    assert lm.delta_law(1.1).law == DeltaLaw(1.1)
+    assert lm.symmetric_stable_law(0.7, 0.9).law == SymmetricStableLaw(0.7, 0.9)
+    assert lm.cauchy_law(0.5).law == SymmetricStableLaw(1.0, 0.5)
+    assert lm.one_sided_stable_law(0.5, 0.6).law == OneSidedStableLaw(0.5, 0.6)
+    assert LevyTriplet(0.0, 1.0, ZERO_MEASURE).law is None
+    # every measure class names a field as its amplitude or scales itself
+    for cls in lm.LevyMeasure.__subclasses__():
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert cls.amplitude in names or cls.scaled is not lm.LevyMeasure.scaled, cls.__name__
 
 
 def test_convert_convention_round_trip():
@@ -321,14 +358,16 @@ def test_interval_mass_additive_over_split(lo, width, split):
 @given(factor=st.floats(0.1, 10.0))
 @settings(max_examples=40, deadline=None)
 def test_scaled_measure_scales_functionals(factor):
-    g = GammaMeasure(1.3, 2.1)
-    sc = g.scaled(factor)
-    assert sc.interval_mass(0.5, 2.0) == pytest.approx(
-        factor * g.interval_mass(0.5, 2.0), rel=1e-12
-    )
-    assert sc.truncated_moment(2, 1.0) == pytest.approx(
-        factor * g.truncated_moment(2, 1.0), rel=1e-12
-    )
+    for g in (GammaMeasure(1.3, 2.1), OneSidedStableMeasure(0.6, 0.8),
+              SymmetricStableMeasure(1.4, 0.5), CompoundExponentialMeasure(1.2, 2.5)):
+        sc = g.scaled(factor)
+        assert type(sc) is type(g)
+        assert sc.interval_mass(0.5, 2.0) == pytest.approx(
+            factor * g.interval_mass(0.5, 2.0), rel=1e-12
+        )
+        assert sc.truncated_moment(2, 1.0) == pytest.approx(
+            factor * g.truncated_moment(2, 1.0), rel=1e-12
+        )
 
 
 @given(eps=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))

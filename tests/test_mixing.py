@@ -209,7 +209,7 @@ def test_conv_power_mass_additive(s, lo, width, split):
     lm.gaussian_law(0.3, 1.1), lm.gaussian_law(0.0, 2.0), lm.gamma_law(2.0, 3.0),
     lm.poisson_law(2.0, 0.7), lm.poisson_law(1.5, -0.4), lm.delta_law(-1.3),
     lm.cauchy_law(0.8), lm.one_sided_stable_law(0.5, 0.3),
-], ids=lambda mu: mu.law_family.value)
+], ids=lambda mu: "".join("_" * c.isupper() + c.lower() for c in type(mu.law).__name__[:-3])[1:])
 def test_tagged_law_closed_forms_take_arrays_in_s(mu):
     # the vectorized closed forms give every entry exactly its scalar value
     law = mu.law
@@ -293,7 +293,7 @@ def test_adaptive_quadrature_sees_a_jump_next_to_a_panel_edge():
 
 
 @pytest.mark.parametrize("rho", [GammaMeasure(2.0, 3.0), CompoundExponentialMeasure(1.2, 2.5),
-                                 AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))], ids=lambda r: r.family.value)
+                                 AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))], ids=["gamma", "finite_parametric", "finite_atomic"])
 def test_integrate_rho_block_equals_separate_calls(rho):
     # k targets on shared panels against k one-target integrals: the panels
     # differ, the values agree within the quadrature's tolerance
