@@ -155,6 +155,13 @@ def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None):
             break
         floor *= 0.5
     floor_err = dropped(floor)
+    with np.errstate(over="ignore"):
+        floor_density = rho.density(np.array([floor]))[0]
+    if not (floor_err < tol * 0.01 and np.isfinite(floor_density)):
+        raise QuadratureFailure(
+            f"no lower cut for {rho!r} drops less than {tol * 0.01:.3g} at a finite density: "
+            f"at s = {floor:.3g} the dropped bound is {floor_err:.3g}, the density {floor_density:.3g}"
+        )
 
     def size_at(s):
         return np.abs(fn(np.array([s])))[0]

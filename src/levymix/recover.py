@@ -126,15 +126,10 @@ class PsiCurve:
 @dataclass(frozen=True)
 class FitOptions:
     seed: int = 0
-    n_starts: int = 8
-    max_evals: int = 20_000
-    objective_tol: float = 1e-10
     weighted: bool = False
     fixed_alpha: float | None = None
 
     def __post_init__(self):
-        if self.n_starts < 1 or self.max_evals < 10:
-            raise ConfigError("n_starts must be >= 1 and max_evals >= 10")
         if self.fixed_alpha is not None and not (0 < self.fixed_alpha < 1):
             raise ConfigError("fixed_alpha must lie in (0, 1)")
 
@@ -427,11 +422,12 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
         if family == "one_sided_stable" and options.fixed_alpha is not None:
             value, converged = options.fixed_alpha, 1
         else:
-            # A start draws one coordinate per fitted parameter, beta0 first
-            # and then the fields in order, and keeps the searched field's.
+            # Eight starts: the origin, then seven that each draw one coordinate
+            # per fitted parameter, beta0 first and then the fields in order,
+            # and keep the searched field's.
             rng = np.random.Generator(np.random.Philox(key=[options.seed & ((1 << 64) - 1), 0x5EED]))
             starts = [np.zeros(3)]
-            while len(starts) < options.n_starts:
+            while len(starts) < 8:
                 v = rng.uniform(-2.0, 2.0, 3)
                 v[0] = rng.uniform(-8.0, 1.0)
                 starts.append(v)
@@ -442,11 +438,7 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
                     objective,
                     start[1 + pos : 2 + pos],
                     method="Nelder-Mead",
-                    options={
-                        "maxfev": options.max_evals,
-                        "fatol": options.objective_tol,
-                        "xatol": 1e-9,
-                    },
+                    options={"maxfev": 20_000, "fatol": 1e-10, "xatol": 1e-9},
                 )
                 n_evals += int(res.nfev)
                 if res.success:

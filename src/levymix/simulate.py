@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import LevyMeasure, LevyTriplet, SubordinatorPair, _truncation_shift
+from .core import LevyMeasure, LevyTriplet, SubordinatorPair, TruncationConvention, _truncation_shift
 from .errors import ConfigError, DomainError, UnsupportedFamily
 from .subordinate import SeedField
 
 __all__ = [
-    "SmallJumpMode",
     "TimeGrid",
     "SimConfig",
     "PathSample",
@@ -39,11 +37,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-
-class SmallJumpMode(Enum):
-    DRIFT_ONLY = "drift_only"
-    GAUSSIAN_SUBSTITUTE = "gaussian_substitute"
 
 
 @dataclass(frozen=True)
@@ -72,14 +65,14 @@ class SimConfig:
     """Sampling controls.
 
     epsilon=None picks the jump-truncation level per run so the dropped
-    small-jump mean is below 1e-6 * horizon; explicit values must be > 0.
+    small-jump moments are below 1e-6 * horizon, and refuses a run where no
+    level within 1e7 expected jumps does; explicit values must be > 0.
     The truncation only matters for measures without an exact sampler.
     """
 
     epsilon: float | None = None
     seed: int = 0
     n_paths: int = 1
-    small_jump_mode: SmallJumpMode = SmallJumpMode.DRIFT_ONLY
 
     def __post_init__(self):
         if self.epsilon is not None and not (self.epsilon > 0):
@@ -149,24 +142,29 @@ def conv_power_sample(mu: LevyTriplet, r, rng) -> np.ndarray:
 _MAX_EXPECTED_JUMPS = 1e7
 # Fine-grid steps per path above which the refine fallback refuses to sample.
 _MAX_FINE_STEPS = 1e7
+# Fine base steps per clock step on the refine fallback.
+_REFINE = 64
 
 
 def _auto_epsilon(measure: LevyMeasure, horizon: float) -> float:
+    """Largest power of two meeting the small-jump budget. Halving only adds
+    expected jumps, so the search stops where _epsilon_route would refuse."""
     budget = 1e-6 * max(horizon, 1e-12)
     eps = 1.0
-    for _ in range(4000):
-        small = abs(measure.truncated_moment(1, eps)) + measure.truncated_moment(2, eps) / max(eps, 1e-300)
+    while eps > 0.0 and measure.mass_above(eps) * horizon <= _MAX_EXPECTED_JUMPS:
+        small = abs(measure.truncated_moment(1, eps)) + measure.truncated_moment(2, eps) / eps
         if small < budget:
             return eps
         eps *= 0.5
-    raise ConfigError("could not find a truncation level meeting the error budget")
+    raise ConfigError(
+        f"no truncation level keeps the dropped small jumps under 1e-6 * horizon = {budget:.3g} "
+        f"with at most {_MAX_EXPECTED_JUMPS:.0e} expected jumps; pass --epsilon"
+    )
 
 
-def _epsilon_route(measure: LevyMeasure, dt: float, n: int, epsilon, rng,
-                   small_jump_mode: SmallJumpMode = SmallJumpMode.DRIFT_ONLY) -> np.ndarray:
+def _epsilon_route(measure: LevyMeasure, dt: float, n: int, epsilon, rng) -> np.ndarray:
     """Per-step jumps above epsilon (a compound Poisson sum) plus the exact
-    mean of the dropped small jumps, and with GAUSSIAN_SUBSTITUTE a Gaussian
-    of their variance.  epsilon=None picks the level by _auto_epsilon.
+    mean of the dropped small jumps; epsilon=None picks it by _auto_epsilon.
 
     The expected number of jumps is checked before anything is drawn.
     """
@@ -190,51 +188,13 @@ def _epsilon_route(measure: LevyMeasure, dt: float, n: int, epsilon, rng,
             bounds = np.concatenate(([0], np.cumsum(counts)))
             out = np.add.reduceat(np.concatenate((jumps, [0.0])), bounds[:-1])
             out[counts == 0] = 0.0
-    out = out + measure.truncated_moment(1, eps) * dt
-    if small_jump_mode is SmallJumpMode.GAUSSIAN_SUBSTITUTE:
-        var = measure.truncated_moment(2, eps)
-        if var > 0:
-            out += math.sqrt(var * dt) * rng.standard_normal(n)
-    return out
-
-
-def _subordinator_increments(pair: SubordinatorPair, dt: float, n: int, cfg: SimConfig, rng) -> np.ndarray:
-    """n independent increments of the subordinator over steps of length dt.
-
-    Exact where the jump measure has an exact sampler; anything else gets
-    the epsilon-truncation with the dropped mean folded into the drift
-    (always nonnegative, so paths stay monotone).
-    """
-    jumps = pair.jumps.sample_increments(dt, n, rng)
-    if jumps is None:
-        jumps = _epsilon_route(pair.jumps, dt, n, cfg.epsilon, rng)
-    return pair.drift * dt * np.ones(n) + jumps
-
-
-def _paths_from_increments(draw, grid: TimeGrid, cfg: SimConfig):
-    out = []
-    for stream in range(cfg.n_paths):
-        inc = draw(stream)
-        values = np.concatenate(([0.0], np.cumsum(inc)))
-        out.append(PathSample(grid, values, cfg.seed, stream))
-    return out[0] if cfg.n_paths == 1 else out
-
-
-def sample_subordinator(pair: SubordinatorPair, grid: TimeGrid, cfg: SimConfig = SimConfig()):
-    """Nondecreasing path(s) of the subordinator on the grid, started at 0."""
-
-    def draw(stream):
-        rng = make_rng(cfg.seed, stream, channel=0)
-        return _subordinator_increments(pair, grid.dt, grid.n_steps, cfg, rng)
-
-    return _paths_from_increments(draw, grid, cfg)
-
-
-# ---------------------------------------------------------------------------
-# Levy paths.
+    return out + measure.truncated_moment(1, eps) * dt
 
 
 def _levy_increments(t: LevyTriplet, dt: float, n: int, cfg: SimConfig, rng) -> np.ndarray:
+    """n independent increments over steps of length dt: exact where the
+    jump measure has an exact sampler, else the epsilon-truncation with the
+    dropped mean folded into the drift (so a clock's paths stay monotone)."""
     nu = t.jumps
     inc = t.drift * dt * np.ones(n)
     if t.gaussian_var > 0:
@@ -243,18 +203,43 @@ def _levy_increments(t: LevyTriplet, dt: float, n: int, cfg: SimConfig, rng) -> 
     inc = inc - _truncation_shift(nu, t.convention) * dt
     jumps = nu.sample_increments(dt, n, rng)
     if jumps is None:
-        jumps = _epsilon_route(nu, dt, n, cfg.epsilon, rng, cfg.small_jump_mode)
+        jumps = _epsilon_route(nu, dt, n, cfg.epsilon, rng)
     return inc + jumps
+
+
+def _clock_triplet(pair: SubordinatorPair) -> LevyTriplet:
+    """The subordinator as the Levy triplet (drift, 0, jumps) under the
+    zero-truncation convention (Sato 1999, Thm 21.5): its shift is 0."""
+    return LevyTriplet(pair.drift, 0.0, pair.jumps, TruncationConvention.ZERO)
+
+
+def _walk(inc: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(inc)))
+
+
+def _paths(values, grid: TimeGrid, cfg: SimConfig):
+    """One PathSample per stream from values(stream); a single one bare."""
+    out = [PathSample(grid, values(stream), cfg.seed, stream) for stream in range(cfg.n_paths)]
+    return out[0] if cfg.n_paths == 1 else out
+
+
+# ---------------------------------------------------------------------------
+# Levy paths; a subordinator is the Levy path of its clock triplet.
 
 
 def sample_levy(t: LevyTriplet, grid: TimeGrid, cfg: SimConfig = SimConfig()):
     """Levy path(s) with iid increments per step, started at 0."""
 
-    def draw(stream):
+    def values(stream):
         rng = make_rng(cfg.seed, stream, channel=0)
-        return _levy_increments(t, grid.dt, grid.n_steps, cfg, rng)
+        return _walk(_levy_increments(t, grid.dt, grid.n_steps, cfg, rng))
 
-    return _paths_from_increments(draw, grid, cfg)
+    return _paths(values, grid, cfg)
+
+
+def sample_subordinator(pair: SubordinatorPair, grid: TimeGrid, cfg: SimConfig = SimConfig()):
+    """Nondecreasing path(s) of the subordinator on the grid, started at 0."""
+    return sample_levy(_clock_triplet(pair), grid, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +250,9 @@ def _power_samplable(mu: LevyTriplet) -> bool:
     return mu.law is not None and mu.law.power_samplable
 
 
-def _clock_then_power(mu_L, pair, dt, n, cfg, stream):
+def _clock_then_power(mu_L, clock, dt, n, cfg, stream):
     """n clock increments on channel 0, then one draw from mu_L to each one's power on channel 1."""
-    rng_t = make_rng(cfg.seed, stream, channel=0)
-    d_t = _subordinator_increments(pair, dt, n, cfg, rng_t)
+    d_t = _levy_increments(clock, dt, n, cfg, make_rng(cfg.seed, stream, channel=0))
     return conv_power_sample(mu_L, d_t, make_rng(cfg.seed, stream, channel=1))
 
 
@@ -277,7 +261,6 @@ def sample_subordinated(
     pair: SubordinatorPair,
     grid: TimeGrid,
     cfg: SimConfig = SimConfig(),
-    refine: int = 64,
 ):
     """Path(s) of the time-changed process: the base process run at the
     subordinator's clock.
@@ -285,34 +268,32 @@ def sample_subordinated(
     Conditionally exact whenever the base law family supports convolution
     power sampling: per step, draw the clock increment, then one exact draw
     from the base law raised to that power. Otherwise the base path is
-    simulated on a grid refined by `refine` and read off at the clock times.
+    simulated 64 times finer over the clock's range and read off at the
+    clock times, on grids of at most 156,250 steps (1e7 fine steps).
     """
     conditional = _power_samplable(mu_L)
-    if not conditional and int(refine) * grid.n_steps > _MAX_FINE_STEPS:
-        fits = int(_MAX_FINE_STEPS // grid.n_steps)
-        hint = f"the largest refine that fits is {fits}" if fits >= 1 else "use fewer steps"
+    if not conditional and _REFINE * grid.n_steps > _MAX_FINE_STEPS:
         raise ConfigError(
-            f"refine={refine} gives {int(refine) * grid.n_steps:.3g} fine steps per path, "
-            f"over the limit of {_MAX_FINE_STEPS:.0e}; {hint}"
+            f"the refine fallback takes {_REFINE * grid.n_steps:.3g} fine steps per path, over the "
+            f"limit of {_MAX_FINE_STEPS:.0e}; at most {int(_MAX_FINE_STEPS // _REFINE)} steps fit"
         )
+    clock = _clock_triplet(pair)
 
-    def draw(stream):
+    def values(stream):
         if conditional:
-            return _clock_then_power(mu_L, pair, grid.dt, grid.n_steps, cfg, stream)
+            return _walk(_clock_then_power(mu_L, clock, grid.dt, grid.n_steps, cfg, stream))
         rng_t = make_rng(cfg.seed, stream, channel=0)
-        d_t = _subordinator_increments(pair, grid.dt, grid.n_steps, cfg, rng_t)
-        clock = np.concatenate(([0.0], np.cumsum(d_t)))
-        t_end = float(clock[-1])
+        clock_path = _walk(_levy_increments(clock, grid.dt, grid.n_steps, cfg, rng_t))
+        t_end = float(clock_path[-1])
         if t_end == 0.0:
-            return np.zeros(grid.n_steps)
-        n_fine = max(int(refine) * grid.n_steps, 64)
+            return np.zeros(grid.n_steps + 1)
+        n_fine = _REFINE * grid.n_steps
         dt_fine = t_end / n_fine
-        inc = _levy_increments(mu_L, dt_fine, n_fine, cfg, make_rng(cfg.seed, stream, channel=1))
-        path = np.concatenate(([0.0], np.cumsum(inc)))
-        idx = np.minimum((clock / dt_fine).astype(int), n_fine)
-        return np.diff(path[idx])
+        path = _walk(_levy_increments(mu_L, dt_fine, n_fine, cfg, make_rng(cfg.seed, stream, channel=1)))
+        idx = np.minimum((clock_path / dt_fine).astype(int), n_fine)
+        return _walk(np.diff(path[idx]))
 
-    return _paths_from_increments(draw, grid, cfg)
+    return _paths(values, grid, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +315,7 @@ def sample_basis_ensemble(mu_L: LevyTriplet, fld: SeedField, cfg: SimConfig, n_d
     if n_draws < 1:
         raise ConfigError("n_draws must be >= 1")
     cols = [
-        _clock_then_power(mu_L, cell.pair, cell.control_mass, n_draws, cfg, idx)
+        _clock_then_power(mu_L, _clock_triplet(cell.pair), cell.control_mass, n_draws, cfg, idx)
         for idx, cell in enumerate(fld.cells)
     ]
     return np.column_stack(cols)
@@ -358,10 +339,7 @@ class LssKernel:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
         pos = x > 0
-        if self.alpha == 0.0:
-            out[pos] = np.exp(-x[pos])
-        else:
-            out[pos] = np.exp(-x[pos]) * x[pos] ** self.alpha
+        out[pos] = np.exp(-x[pos]) * x[pos] ** self.alpha
         return out
 
 
@@ -395,12 +373,10 @@ def sample_lss(
     m = int(math.ceil(burn_in / grid.dt))
     ext = TimeGrid(grid.t0 - m * grid.dt, grid.dt, m + grid.n_steps)
     weights = kernel(grid.dt * np.arange(ext.n_steps + 1))
+    clock = _clock_triplet(pair)
 
-    def draw_path(stream):
-        d_x = _clock_then_power(mu_L, pair, ext.dt, ext.n_steps, cfg, stream)
+    def values(stream):
+        d_x = _clock_then_power(mu_L, clock, ext.dt, ext.n_steps, cfg, stream)
         return np.convolve(d_x, weights)[m : m + grid.n_steps + 1]
 
-    out = []
-    for stream in range(cfg.n_paths):
-        out.append(PathSample(grid, draw_path(stream), cfg.seed, stream))
-    return out[0] if cfg.n_paths == 1 else out
+    return _paths(values, grid, cfg)

@@ -233,6 +233,22 @@ def test_stable_tail_cut_overflow_exits_3(tmp_path, capsys):
         assert not (tmp_path / "x.json").exists()
 
 
+def test_stable_clock_next_to_index_one_exits_with_its_cause(tmp_path, capsys):
+    # simulate: no automatic epsilon keeps the dropped small jumps under
+    # 1e-6 * horizon within 1e7 expected jumps (it used to halve to 0.0);
+    # mix and subordinate: the density overflows at every floor that bounds
+    # the dropped mass, or no floor bounds it
+    base = {"family": "gaussian", "params": {"mean": 0.5, "variance": 1.0}}
+    runs = [(index, ["simulate", "--dt", 0.1, "--horizon", 2], 2, "--epsilon") for index in (0.97, 0.99)]
+    runs += [(index, [command], 3, "lower cut") for index in (0.95, 0.99) for command in ("mix", "subordinate")]
+    for index, argv, code, cause in runs:
+        model = _model(tmp_path / f"s{index}.json", base, {"kind": "one_sided_stable", "index": index, "coeff": 1.0})
+        assert _run(argv + ["--model", model, "--out", tmp_path / "x.out"]) == code
+        err = capsys.readouterr().err
+        assert cause in err and "Traceback" not in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "x.out").exists()
+
+
 def test_poisson_mean_past_sampler_limit_exits_3(tmp_path, capsys):
     # numpy refuses Poisson means above about 9.2e18; the samplers say so first
     cases = (

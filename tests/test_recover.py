@@ -389,9 +389,9 @@ def test_forward_inverse_consistency_twenty_draws():
     for family, pair in draws:
         cf = analytic_cf(lambda t: compose_cf(VG_BASE, pair, t), grid)
         curve = psi_curve(VG_BASE, cf)
-        opts = FitOptions(seed=1, max_evals=40_000)
+        opts = FitOptions(seed=1)
         if family == "one_sided_stable":
-            opts = FitOptions(seed=1, max_evals=40_000, fixed_alpha=pair.jumps.index)
+            opts = FitOptions(seed=1, fixed_alpha=pair.jumps.index)
         fit = fit_subordinator(curve, family, opts)
         assert abs(fit.beta0_hat - pair.drift) / max(pair.drift, 1.0) < 1e-5
         if family == "gamma":
@@ -437,14 +437,14 @@ def _reference_fit(curve, family, options):
 
     rng = np.random.Generator(np.random.Philox(key=[options.seed & ((1 << 64) - 1), 0x5EED]))
     starts = [np.zeros(3)]
-    while len(starts) < options.n_starts:
+    while len(starts) < 8:
         v = rng.uniform(-2.0, 2.0, 3)
         v[0] = rng.uniform(-8.0, 1.0)
         starts.append(v)
     best = None
     for idx, start in enumerate(starts):
         res = optimize.minimize(objective, start, method="Nelder-Mead", options={
-            "maxfev": options.max_evals, "fatol": options.objective_tol, "xatol": 1e-9})
+            "maxfev": 20_000, "fatol": 1e-10, "xatol": 1e-9})
         if best is None or (res.fun, idx) < best[0]:
             best = ((res.fun, idx), res.x)
     beta0, params = unpack(best[1])

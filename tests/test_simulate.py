@@ -29,8 +29,8 @@ from levymix.simulate import (
     LssKernel,
     PathSample,
     SimConfig,
-    SmallJumpMode,
     TimeGrid,
+    _auto_epsilon,
     _epsilon_route,
     conv_power_sample,
     exp_kernel,
@@ -187,13 +187,21 @@ def test_epsilon_halving_mean_shift_bound():
 
 
 def test_epsilon_route_checks_expected_jumps_before_drawing():
-    # automatic epsilon for a 0.7-stable clock at dt 0.01 over 1e4 steps is
-    # 2.2e-16, i.e. about 1.3e13 expected jumps: refused before any draw
+    # the dropped-moment budget for a 0.7-stable clock at dt 0.01 over 1e4
+    # steps needs epsilon = 2.2e-16, i.e. about 1.3e13 expected jumps:
+    # refused before any draw
     rho = OneSidedStableMeasure(0.7, 1.0)
     with pytest.raises(ConfigError, match="expected jumps"):
         _epsilon_route(rho, 0.01, 10_000, None, make_rng(0))
     with pytest.raises(ConfigError, match="expected jumps"):
         sample_subordinator(SubordinatorPair(0.0, rho), TimeGrid(0.0, 0.01, 10_000))
+
+
+def test_auto_epsilon_refuses_before_underflow():
+    # at index 0.99 the dropped mean falls like eps^0.01 while the jump count
+    # grows like eps^-0.99; the search stops at the jump limit, not at 0.0
+    with pytest.raises(ConfigError, match="expected jumps; pass --epsilon"):
+        _auto_epsilon(OneSidedStableMeasure(0.99, 1.0), 2.0)
 
 
 def test_epsilon_above_support_is_rejected():
@@ -237,14 +245,6 @@ def test_levy_path_ecf_matches_exponent():
         ecf = np.exp(1j * theta * inc).mean()
         want = np.exp(lm.char_exponent(law, theta))
         assert abs(ecf - want) <= 6.0 / math.sqrt(n)
-
-
-def test_levy_gaussian_substitute_runs_and_matches_mean():
-    # gamma_law's drift equals its compensator, so its increments are the
-    # jump part alone, here from the truncation route
-    law = lm.gamma_law(2.0, 3.0)
-    inc = _epsilon_route(law.jumps, 1.0, 4000, 1e-3, make_rng(4), SmallJumpMode.GAUSSIAN_SUBSTITUTE)
-    assert abs(inc.mean() - 2.0 / 3.0) <= 6.0 * math.sqrt((2.0 / 9.0) / inc.size)
 
 
 def test_levy_increments_follow_the_triplet_convention():
@@ -293,13 +293,11 @@ def test_subordinated_composition_fallback_matches_law():
 
 def test_refine_fallback_checks_fine_steps_before_drawing():
     # 64 * 200,000 = 1.28e7 fine steps per path exceeds the 1e7 budget and
-    # is refused before any draw; the message names refine = 50
+    # is refused before any draw; the message names the most steps that fit
     base = LevyTriplet(0.0, 0.0, lm.symmetric_stable_law(1.5, 0.7).jumps)
     pair = SubordinatorPair(0.0, GammaMeasure(1.0, 1.0))
-    with pytest.raises(ConfigError, match="largest refine that fits is 50"):
+    with pytest.raises(ConfigError, match="at most 156250 steps fit"):
         sample_subordinated(base, pair, TimeGrid(0.0, 1.0, 200_000), SimConfig(seed=0))
-    with pytest.raises(ConfigError, match="use fewer steps"):
-        sample_subordinated(base, pair, TimeGrid(0.0, 1.0, 20_000_000), SimConfig(seed=0), refine=1)
 
 
 def test_subordinated_reproducible():
@@ -436,3 +434,69 @@ def test_path_sample_increments_invert_cumsum():
         SubordinatorPair(0.0, GammaMeasure(1.0, 1.0)), GRID01, SimConfig(seed=1)
     )
     assert np.allclose(np.cumsum(path.increments()), path.values[1:], atol=1e-12)
+
+
+# --- frozen draws -----------------------------------------------------------------
+
+# Short seeded draws from every sampler route, pinned to the bit: the second
+# and the last entry of each (a path starts at 0.0), as float.hex. A refactor
+# of the samplers must leave every one of them unchanged.
+_TAB_XS = np.linspace(0.1, 0.5, 200)
+_STABLE_BASE = LevyTriplet(0.0, 0.0, lm.symmetric_stable_law(1.5, 0.7).jumps)
+_SHORT = TimeGrid(0.0, 0.05, 40)
+_CLOCKS = {
+    "gamma": SubordinatorPair(0.1, GammaMeasure(1.0, 2.0)),
+    "half-stable": SubordinatorPair(0.0, OneSidedStableMeasure(0.5, 0.5)),
+    "stable-0.3-auto-eps": SubordinatorPair(0.0, OneSidedStableMeasure(0.3, 1.0)),
+    "compound-exponential": SubordinatorPair(0.2, CompoundExponentialMeasure(1.5, 2.0)),
+    "atomic": SubordinatorPair(0.0, AtomicMeasure(((0.5, 1.0), (2.0, 0.3)))),
+    "tabulated-eps": SubordinatorPair(0.05, lm.TabulatedMeasure(tuple(_TAB_XS), tuple(2.0 * np.exp(-_TAB_XS)))),
+    "drift-only": SubordinatorPair(1.5, ZERO_MEASURE),
+}
+_FROZEN_DRAWS = {
+    **{
+        f"subordinator-{name}": (
+            lambda pair=pair, name=name: sample_subordinator(
+                pair, _SHORT, SimConfig(seed=7, n_paths=2, epsilon=0.2 if name == "tabulated-eps" else None)
+            )[1].values
+        )
+        for name, pair in _CLOCKS.items()
+    },
+    "levy-gaussian": lambda: sample_levy(lm.gaussian_law(0.5, 2.0), _SHORT, SimConfig(seed=8)).values,
+    "levy-gamma": lambda: sample_levy(lm.gamma_law(2.0, 3.0), _SHORT, SimConfig(seed=8)).values,
+    "subordinated-conditional": lambda: sample_subordinated(
+        VG_BASE, _CLOCKS["compound-exponential"], _SHORT, SimConfig(seed=9, n_paths=2)
+    )[1].values,
+    "subordinated-refine": lambda: sample_subordinated(
+        _STABLE_BASE, _CLOCKS["gamma"], _SHORT, SimConfig(seed=9)
+    ).values,
+    "lss-alpha-0": lambda: sample_lss(
+        exp_kernel(), VG_BASE, _CLOCKS["gamma"], _SHORT, 20.0, SimConfig(seed=10, n_paths=2)
+    )[1].values,
+    "lss-alpha-0.5": lambda: sample_lss(
+        gamma_kernel(0.5), VG_BASE, _CLOCKS["gamma"], _SHORT, 25.0, SimConfig(seed=10)
+    ).values,
+    "basis-ensemble": lambda: sample_basis_ensemble(VG_BASE, _field(), SimConfig(seed=11), 5).ravel(),
+}
+_FROZEN_VALUES = {
+    "basis-ensemble": ("-0x1.3f4c66ca9f2d2p-1", "-0x1.b7a611bfbe635p-2"),
+    "levy-gamma": ("0x1.a2be143ff0f00p-4", "0x1.433f87849e021p+0"),
+    "levy-gaussian": ("0x1.e8b55940145d2p-2", "-0x1.119b3d38359afp-1"),
+    "lss-alpha-0": ("-0x1.2c0db7087a69ep-1", "0x1.b067f64f6e7b0p-2"),
+    "lss-alpha-0.5": ("-0x1.fcf8467265594p-3", "0x1.f3244e9ab869fp-3"),
+    "subordinated-conditional": ("0x1.7bf3bb50c42b3p-4", "0x1.797ccb9c8d7fcp-1"),
+    "subordinated-refine": ("0x1.adafec89d0d08p-11", "0x1.5663325107ebdp+0"),
+    "subordinator-atomic": ("0x0.0p+0", "0x1.c000000000000p+1"),
+    "subordinator-compound-exponential": ("0x1.47ae147ae147cp-7", "0x1.4a75ebd3e806ap+1"),
+    "subordinator-drift-only": ("0x1.3333333333334p-4", "0x1.8000000000004p+1"),
+    "subordinator-gamma": ("0x1.4844cb6e91cc4p-8", "0x1.6eddf305666e3p+0"),
+    "subordinator-half-stable": ("0x1.2285cf3b5a856p-8", "0x1.567d879a20606p+5"),
+    "subordinator-stable-0.3-auto-eps": ("0x1.b753ad156bbdbp-8", "0x1.3195b2a12979cp+15"),
+    "subordinator-tabulated-eps": ("0x1.f00812ba2a414p-9", "0x1.3ea0dfa28477ep-1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_DRAWS))
+def test_frozen_draws_are_bit_identical(name):
+    values = _FROZEN_DRAWS[name]()
+    assert (float(values[1]).hex(), float(values[-1]).hex()) == _FROZEN_VALUES[name]
