@@ -27,6 +27,7 @@ from .errors import ConfigError, LevyMixError, SpecError
 from .mixing import IntervalSet, phi_mix_mass
 from .recover import FAMILIES, FitOptions, default_theta_grid, recover_from_path
 from .simulate import (
+    _MAX_FINE_STEPS,
     LssKernel,
     SimConfig,
     TimeGrid,
@@ -48,11 +49,9 @@ _DEFAULT_PARTITION = (-8.0, -4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float):
-        if math.isnan(x) or math.isinf(x):
-            raise SpecError(f"non-finite number {x} cannot be serialized")
-        return f"{x:.17g}"
-    return str(x)
+    if not math.isfinite(x):
+        raise SpecError(f"non-finite number {x} cannot be serialized")
+    return f"{x:.17g}"
 
 
 def _to_json(obj, indent=0) -> str:
@@ -93,11 +92,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns) -> str:
+    """The columns side by side, formatted whole: the bytes _fmt gives each value."""
+    table = np.column_stack(columns).astype(float, copy=False)
+    finite = np.isfinite(table)
+    if not finite.all():
+        _fmt(float(table[~finite][0]))  # raises, naming the first in row order
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +306,8 @@ def load_model_spec(path: str) -> ModelSpec:
 
 
 def _theta_grid(args) -> np.ndarray:
-    if args.theta_steps < 2:
-        raise ConfigError("--theta-steps must be >= 2")
+    if not 2 <= args.theta_steps <= _MAX_FINE_STEPS:
+        raise ConfigError(f"--theta-steps must be between 2 and {_MAX_FINE_STEPS:.0e}")
     if not args.theta_max > args.theta_min:
         raise ConfigError("--theta-max must exceed --theta-min")
     return np.linspace(args.theta_min, args.theta_max, args.theta_steps)
@@ -314,7 +316,13 @@ def _theta_grid(args) -> np.ndarray:
 def _time_grid(args) -> TimeGrid:
     if args.dt is None or args.horizon is None:
         raise ConfigError("--dt and --horizon are required for this command")
-    n = int(round(args.horizon / args.dt))
+    if not (args.dt > 0 and math.isfinite(args.dt)):
+        raise ConfigError("--dt must be positive and finite")
+    # refused before any array is built: lss-sim stretches the grid back by --burn-in
+    for flag, span in (("--horizon", args.horizon), ("--burn-in", getattr(args, "burn_in", 0.0))):
+        if not abs(span / args.dt) <= _MAX_FINE_STEPS:
+            raise ConfigError(f"{flag} / --dt must be at most {_MAX_FINE_STEPS:.0e} steps, got {span / args.dt:.3g}")
+    n = round(args.horizon / args.dt)
     if n < 1:
         raise ConfigError("--horizon must cover at least one step of --dt")
     return TimeGrid(0.0, args.dt, n)
@@ -331,18 +339,13 @@ def _partition_intervals(edges):
     return pairs
 
 
-def _path_out_name(out: str, index: int, n_paths: int) -> str:
-    if n_paths == 1:
-        return out
+def _write_paths(out: str, samples) -> None:
+    """A single path goes to out, path k of several to <stem>.p<k><ext>."""
     stem, ext = os.path.splitext(out)
-    return f"{stem}.p{index}{ext}"
-
-
-def _write_paths(out: str, samples, n_paths: int) -> None:
     paths = samples if isinstance(samples, list) else [samples]
     for k, sample in enumerate(paths):
-        rows = zip(sample.grid.times(), sample.values)
-        _atomic_write(_path_out_name(out, k, n_paths), _csv("t,value", rows))
+        name = f"{stem}.p{k}{ext}" if len(paths) > 1 else out
+        _atomic_write(name, _csv("t,value", sample.grid.times(), sample.values))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,7 @@ def cmd_cf(args) -> int:
     spec = load_model_spec(args.model)
     thetas = _theta_grid(args)
     values = compose_cf(spec.levy, spec.subordinator, thetas)
-    _atomic_write(args.out, _csv("theta,re,im", zip(thetas, values.real, values.imag)))
+    _atomic_write(args.out, _csv("theta,re,im", thetas, values.real, values.imag))
     return 0
 
 
@@ -391,7 +394,7 @@ def cmd_simulate(args) -> int:
     grid = _time_grid(args)
     cfg = SimConfig(epsilon=args.epsilon, seed=args.seed, n_paths=args.n_paths)
     samples = sample_subordinated(spec.levy, spec.subordinator, grid, cfg)
-    _write_paths(args.out, samples, args.n_paths)
+    _write_paths(args.out, samples)
     return 0
 
 
@@ -430,15 +433,12 @@ def cmd_basis_sim(args) -> int:
         if any(not 0 <= k < len(gf.cells) for k in union):
             raise SpecError(f"unions: cell index out of range in {list(union)}")
         gf = gf.with_union(union)
-    rows = []
-    for rect, _, value in gf.cells:
-        (x0, x1), (y0, y1) = rect
-        rows.append((x0, y0, x1, y1, value))
-    for idx, value in gf.unions:
-        xs = [gf.cells[k][0][0] for k in idx]
-        ys = [gf.cells[k][0][1] for k in idx]
-        rows.append((min(x[0] for x in xs), min(y[0] for y in ys), max(x[1] for x in xs), max(y[1] for y in ys), value))
-    _atomic_write(args.out, _csv("x0,y0,x1,y1,value", rows))
+    rects = np.array([rect for rect, _, _ in gf.cells])  # (cell, axis, lo/hi)
+    members = [rects[list(idx)] for idx, _ in gf.unions]
+    lo = np.vstack([rects[:, :, 0]] + [m[:, :, 0].min(axis=0) for m in members])
+    hi = np.vstack([rects[:, :, 1]] + [m[:, :, 1].max(axis=0) for m in members])
+    values = np.concatenate([gf.cell_values(), [value for _, value in gf.unions]])
+    _atomic_write(args.out, _csv("x0,y0,x1,y1,value", lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1], values))
     return 0
 
 
@@ -448,7 +448,7 @@ def cmd_lss_sim(args) -> int:
     grid = _time_grid(args)
     cfg = SimConfig(epsilon=args.epsilon, seed=args.seed, n_paths=args.n_paths)
     samples = sample_lss(kernel, spec.levy, spec.subordinator, grid, args.burn_in, cfg)
-    _write_paths(args.out, samples, args.n_paths)
+    _write_paths(args.out, samples)
     return 0
 
 

@@ -5,14 +5,19 @@ commands; correctness of the numbers themselves is covered by the library
 tests, so these catch any drift in serialization, seeding, or defaults.
 """
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levymix.cli import load_model_spec, main
+from levymix.cli import _csv, load_model_spec, main
+from levymix.errors import SpecError
 
 HERE = Path(__file__).parent
 MODELS = HERE / "models"
@@ -69,6 +74,73 @@ def test_basis_grid_union_row_is_exact_sum(tmp_path):
     rows = out.read_text().strip().splitlines()[1:]
     vals = [float(r.split(",")[4]) for r in rows]
     assert vals[2] == vals[0] + vals[1]
+
+
+# --- CSV emitter ----------------------------------------------------------------
+
+
+def _csv_reference(header, rows):
+    """The per-value emitter the table formatting must match byte for byte."""
+    return "".join(line + "\n" for line in [header] + [",".join(f"{x:.17g}" for x in row) for row in rows])
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_TABLES = st.sampled_from([1, 2, 3, 5]).flatmap(
+    lambda k: st.lists(st.lists(_FLOATS, min_size=k, max_size=k), min_size=1, max_size=12)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TABLES)
+def test_csv_matches_per_value_formatting(rows):
+    header = ",".join(f"c{j}" for j in range(len(rows[0])))
+    assert _csv(header, *zip(*rows)) == _csv_reference(header, rows)
+
+
+# zeros of both signs, the smallest subnormal and normal, the largest finite
+# values, integral floats at and past 2**53, and 17-digit ties (exact .25 and
+# .75 steps that round half to even)
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+          -1.7976931348623157e308, 1.0, 1e16, float(2**53 + 1), 0.1, 1 / 3,
+          1234567890123456.25, 1234567890123456.75]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_csv_edge_values_match_per_value_formatting(k):
+    rows = [[_EDGES[(i + j) % len(_EDGES)] for j in range(k)] for i in range(len(_EDGES))]
+    header = ",".join(f"c{j}" for j in range(k))
+    assert _csv(header, *zip(*rows)) == _csv_reference(header, rows)
+    assert _csv(header, *zip(rows[0])) == _csv_reference(header, rows[:1])
+    assert _csv("t,tie", [0.0], [1234567890123456.25]) == "t,tie\n0,1234567890123456.2\n"
+
+
+@pytest.mark.parametrize("first", range(3))
+def test_csv_names_the_first_non_finite_value_in_row_order(first):
+    bad = [math.nan, math.inf, -math.inf]
+    lead, rest = bad[first], bad[:first] + bad[first + 1:]
+    # column order would meet rest[0] first; row order meets lead
+    rows = [[1.0, 2.0, lead], [rest[0], 3.0, 4.0], [5.0, rest[1], 6.0]]
+    with pytest.raises(SpecError, match=rf"^non-finite number {re.escape(str(lead))} cannot be serialized$"):
+        _csv("a,b,c", *zip(*rows))
+
+
+def test_non_finite_output_exits_2_and_writes_nothing(tmp_path, capsys):
+    # two cells of value 1e308 each: their exact union sum overflows to inf
+    model = tmp_path / "overflow.json"
+    cell = {"drift": 1.0, "jumps": {"kind": "zero"}}
+    model.write_text(json.dumps({
+        "schema": 1,
+        "levy": {"family": "delta", "params": {"drift": 1e308}},
+        "subordinator": {"drift": 0.0, "jumps": {"kind": "zero"}},
+        "seed_field": {"cells": [dict(cell, rect=[[0.0, 1.0], [0.0, 1.0]]),
+                                 dict(cell, rect=[[1.0, 2.0], [0.0, 1.0]])]},
+        "unions": [[0, 1]],
+    }))
+    out = tmp_path / "grid.csv"
+    assert _run(["basis-sim", "--model", model, "--out", out]) == 2
+    assert "non-finite number inf cannot be serialized" in capsys.readouterr().err
+    assert not out.exists()
+    assert os.listdir(tmp_path) == ["overflow.json"]
 
 
 # --- determinism ------------------------------------------------------------------
@@ -302,6 +374,27 @@ def test_config_error_exits_2(tmp_path):
                "--out", tmp_path / "y.csv"])
     assert rc == 2
     assert not (tmp_path / "y.csv").exists()
+
+
+# Every case fails on its flags before an array is built.
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--dt", 0, "--horizon", 1], "--dt"),
+    (["simulate", "--dt", "nan", "--horizon", 1], "--dt"),
+    (["recover", "--family", "gamma", "--dt=-inf", "--horizon", 1], "--dt"),
+    (["simulate", "--dt", 0.1, "--horizon", "inf"], "--horizon"),
+    (["simulate", "--dt", 0.1, "--horizon=-inf"], "--horizon"),
+    (["simulate", "--dt", 0.1, "--horizon", "nan"], "--horizon"),
+    (["simulate", "--dt", 1e-320, "--horizon", 1], "--horizon"),
+    (["simulate", "--dt", 1e-8, "--horizon", 1], "--horizon"),
+    (["lss-sim", "--dt", 0.1, "--horizon", 1, "--burn-in", "inf"], "--burn-in"),
+    (["lss-sim", "--dt", 0.1, "--horizon", 1, "--burn-in", 1e9], "--burn-in"),
+    (["cf", "--theta-steps", 10_000_001], "--theta-steps"),
+])
+def test_grid_flags_out_of_range_exit_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.out"
+    assert _run(argv + ["--model", VG, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+    assert not out.exists()
 
 
 # --- other commands --------------------------------------------------------------------
