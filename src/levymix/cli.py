@@ -132,7 +132,14 @@ def _need(obj: dict, key: str, path: str):
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{path}: expected a number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # json.loads keeps integer literals as ints
+        x = math.inf
+    # json.loads also reads the literals NaN and +-Infinity as floats
+    if not math.isfinite(x):
+        raise SpecError(f"{path}: expected a finite number, got {x}")
+    return x
 
 
 # The JSON parameter names are the constructors' argument names.
@@ -275,7 +282,7 @@ def load_model_spec(path: str) -> ModelSpec:
         text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
         raise SpecError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SpecError("model spec must be a JSON object")

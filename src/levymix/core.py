@@ -813,6 +813,7 @@ class TaggedLaw:
     """
 
     sides = (-1, 1)  # sides of 0 on which mu^s has a density
+    even = False  # mu^s is symmetric about 0: the x-grid evaluates one side
     heavy_tail = False  # power-law tails: the x-grid gets a tail expansion
     mix_route = "grid"  # mixed jump measure: "grid", "atomic" or "pushforward"
     power_samplable = True
@@ -832,6 +833,10 @@ class TaggedLaw:
 class GaussianLaw(TaggedLaw):
     mean: float
     var: float
+
+    @property
+    def even(self):
+        return self.mean == 0.0
 
     def cdf(self, s, x):
         return special.ndtr((x - self.mean * s) / np.sqrt(self.var * s))
@@ -987,6 +992,7 @@ class SymmetricStableLaw(_StableLaw):
     alpha: float
     scale: float
     closed_index = 1.0
+    even = True
 
     def _c(self, s):
         self._closed()

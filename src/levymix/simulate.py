@@ -366,6 +366,8 @@ def sample_lss(
     """
     if not (burn_in > 0):
         raise ConfigError("burn_in must be > 0")
+    if not burn_in / grid.dt <= _MAX_FINE_STEPS:
+        raise ConfigError(f"burn_in must span at most {_MAX_FINE_STEPS:.0e} steps of dt, got {burn_in / grid.dt:.3g}")
     if float(kernel(np.array([burn_in]))[0]) > 1e-8:
         raise ConfigError("burn_in too small: kernel has not decayed to 1e-8")
     if not _power_samplable(mu_L):

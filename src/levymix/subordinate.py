@@ -71,13 +71,27 @@ def _tail_correction(theta: float, x_hi: float, mass: float, f0: float,
     return -mass + osc
 
 
+def _light_cut(tail_mass) -> float:
+    """First x_hi = 2 * 1.5^k whose tail mass is below 1e-14, checked before
+    any grid exists: the panel count grows linearly with x_hi."""
+    x_hi = 2.0
+    while x_hi <= _X_HI_MAX:
+        if tail_mass(x_hi) < 1e-14:
+            return x_hi
+        x_hi *= 1.5
+    raise QuadratureFailure(
+        f"mixed density tail still above 1e-14 beyond x = {_X_HI_MAX:g}"
+    )
+
+
 class JumpMixEvaluator:
     """Jump measure of a subordinated law: beta0 * nu plus the mixed part.
 
     Interval masses are evaluated on demand; the Levy-Khintchine jump
-    integral is evaluated through a cached x-grid representation of the
-    mixed density (or exact atom/pushforward sums where the mix is
-    discrete), entirely independent of exponent composition.
+    integral is evaluated on a cached x-grid of the mixed measure (the mixed
+    density, or the image of rho under s -> v s for a delta base), or by an
+    exact sum where the mix is discrete, entirely independent of exponent
+    composition.
     """
 
     def __init__(self, base: LevyTriplet, pair: SubordinatorPair):
@@ -118,29 +132,32 @@ class JumpMixEvaluator:
             base_part = char_exponent(carrier, theta)
         if self._mode == "zero" or theta == 0.0:
             return base_part
-        if self._mode == "pushforward":
-            return base_part + self._pushforward_integral(theta)
         if self._mode == "atomic":
             positions, masses = self._poisson_atoms()
             g = _char_weights(theta, positions)
             return base_part + complex(np.dot(masses, g))
-        xs, wx, dens, tail = self._grid(abs(theta))
-        g = _char_weights(theta, xs)
-        value = base_part + complex(np.dot(wx * dens, g))
+        if self._mode == "pushforward" and self.pair.jumps.fixed_rule() is not None:
+            return base_part + self._pushforward_integral(theta)
+        # On x > 0 the even weights carry cos(theta x) - 1 and the odd ones
+        # sin(theta x) - theta x 1{x <= 1}: the two sides of 0 in one sum.
+        xs, even, odd, even_sum, inner_odd_moment, tail = self._grid(abs(theta))
+        tx = theta * xs
+        value = base_part + (np.dot(even, np.cos(tx)) - even_sum)
+        if odd is not None:
+            value += 1j * (np.dot(odd, np.sin(tx)) - theta * inner_odd_moment)
         if tail is not None:
             x_hi, mass, f0, f1, f2, sides = tail
             value += _tail_correction(theta, x_hi, mass, f0, f1, f2)
             if sides == 2:
                 value += _tail_correction(-theta, x_hi, mass, f0, f1, f2)
-        return value
+        return complex(value)
 
     def _pushforward_integral(self, theta: float) -> complex:
-        # The jump of the compensator at s = 1/|speed| is left in the
-        # integrand; the quadrature bisects around it.
+        # A clock with its own rule (atoms, tabulated) sums the image of its
+        # nodes under s -> speed * s by that rule.
         speed = self.base.law.drift
-        bound = 0.5 * (theta * speed) ** 2 + abs(theta * speed)
         fn = lambda s: _char_weights(theta, speed * s)
-        return complex(integrate_rho(self.pair.jumps, fn, tol=1e-12, linear_bound=bound)[0])
+        return complex(integrate_rho(self.pair.jumps, fn, tol=1e-12)[0])
 
     def _poisson_atoms(self):
         if self._atoms is not None:
@@ -165,31 +182,7 @@ class JumpMixEvaluator:
         self._atoms = (h * ks, np.concatenate(masses))
         return self._atoms
 
-    def _cut_point(self, theta_min: float, s_nodes, s_weights):
-        """Upper truncation of the resolved x-grid, or a tail-corrected cut."""
-        law = self.base.law
-        if law.heavy_tail:
-            # Heavy power tails: resolve out to where a 3-term integration-by-
-            # parts expansion of the remaining oscillatory tail is certified.
-            x_hi = max(1200.0, 40.0 / theta_min)
-            if x_hi > _X_HI_MAX:
-                raise QuadratureFailure(
-                    f"theta = {theta_min:.3e} too close to 0 for a heavy-tailed base"
-                )
-            return x_hi, True
-        # The cut is checked before any grid exists: the panel count grows
-        # linearly with x_hi.
-        x_hi = 2.0
-        while x_hi <= _X_HI_MAX:
-            tail = float(np.dot(s_weights, law.sf(s_nodes, x_hi)))
-            if tail < 1e-14:
-                return x_hi, False
-            x_hi *= 1.5
-        raise QuadratureFailure(
-            f"mixed density tail still above 1e-14 beyond x = {_X_HI_MAX:g}"
-        )
-
-    def _x_panels(self, side: int, theta_max: float, x_hi: float):
+    def _x_panels(self, theta_max: float, x_hi: float):
         # (0, 1]: panels in log x; integrating in u = log x adds a factor x.
         u_nodes, u_w = quadrature.panel_nodes(quadrature.log_panel_edges(_X_FLOOR, 1.0, max_width=0.7))
         xs_log = np.exp(u_nodes)
@@ -198,20 +191,17 @@ class JumpMixEvaluator:
         width = min(0.5, 8.0 / max(theta_max, 1e-9))
         n_lin = int(math.ceil((x_hi - 1.0) / width))
         xs_lin, w_lin = quadrature.panel_nodes(np.linspace(1.0, x_hi, n_lin + 1))
-        xs = np.concatenate([xs_log, xs_lin])
-        wx = np.concatenate([w_log, w_lin])
-        if side < 0:
-            return -xs, wx
-        return xs, wx
+        return np.concatenate([xs_log, xs_lin]), np.concatenate([w_log, w_lin])
 
     def _mixed_density(self, xs: np.ndarray, s_nodes, s_weights) -> np.ndarray:
-        out = np.zeros(xs.size)
-        block = max(1, int(2e6 // max(xs.size, 1)) or 1)
-        for k in range(0, s_nodes.size, block):
-            sl = slice(k, k + block)
-            m = self.base.law.density(s_nodes[None, sl], xs[:, None])
-            out += m @ s_weights[sl]
-        return out
+        # blocks of x rows against every s-node, about 3.2e4 entries (256 KiB
+        # per temporary): 1e5-entry blocks ran 3x slower where the allocator
+        # handed each one fresh pages
+        rows = max(1, int(3.2e4 // s_nodes.size))
+        density = self.base.law.density
+        return np.concatenate(
+            [density(s_nodes, xs[k:k + rows, None]) @ s_weights for k in range(0, xs.size, rows)]
+        )
 
     def _grid(self, theta_abs: float):
         theta_min = max(theta_abs, 1e-12)
@@ -221,31 +211,55 @@ class JumpMixEvaluator:
                 return self._grid_cache[2:]
         theta_max = max(12.0, 2.0 * theta_abs)
         theta_min = min(theta_min, 0.05)
-        s_nodes, s_weights = rho_quad_nodes(self.pair.jumps)
-        x_hi, heavy = self._cut_point(theta_min, s_nodes, s_weights)
-        law = self.base.law
-        xs_all, wx_all = [], []
-        for side in law.sides:
-            xs, wx = self._x_panels(side, theta_max, x_hi)
-            xs_all.append(xs)
-            wx_all.append(wx)
-        xs = np.concatenate(xs_all)
-        wx = np.concatenate(wx_all)
-        dens = self._mixed_density(xs, s_nodes, s_weights)
+        law, rho = self.base.law, self.pair.jumps
         tail = None
-        if heavy:
-            mass = float(np.dot(s_weights, law.sf(s_nodes, x_hi)))
-            p, p1, p2 = law.density_derivs(s_nodes, x_hi)
-            tail = (
-                x_hi,
-                mass,
-                float(np.dot(s_weights, p)),
-                float(np.dot(s_weights, p1)),
-                float(np.dot(s_weights, p2)),
-                len(law.sides),
-            )
-        self._grid_cache = (theta_max, theta_min if heavy else 0.0, xs, wx, dens, tail)
-        return xs, wx, dens, tail
+        if self._mode == "pushforward":
+            # A delta base at v: the image of rho under s -> v s, which lies
+            # on the side of sign v.  |x| = 1 is a panel edge, so the
+            # compensator's jump falls between panels.
+            speed = abs(law.drift)
+            x_hi = _light_cut(lambda x: rho.mass_above(x / speed))
+            xs, wx = self._x_panels(theta_max, x_hi)
+            plus, minus = wx * rho.density(xs / speed) / speed, 0.0
+            if law.drift < 0.0:
+                plus, minus = minus, plus
+        else:
+            s_nodes, s_weights = rho_quad_nodes(rho)
+            if law.heavy_tail:
+                # resolved out to where a 3-term integration-by-parts
+                # expansion of the remaining oscillatory tail is certified
+                x_hi = max(1200.0, 40.0 / theta_min)
+                if x_hi > _X_HI_MAX:
+                    raise QuadratureFailure(f"theta = {theta_min:.3e} too close to 0 for a heavy-tailed base")
+                mass = float(np.dot(s_weights, law.sf(s_nodes, x_hi)))
+                p, p1, p2 = law.density_derivs(s_nodes, x_hi)
+                tail = (
+                    x_hi,
+                    mass,
+                    float(np.dot(s_weights, p)),
+                    float(np.dot(s_weights, p1)),
+                    float(np.dot(s_weights, p2)),
+                    len(law.sides),
+                )
+            else:
+                # the heavier of the two tails; for a law on x > 0, cdf(s, -x) is 0
+                x_hi = _light_cut(lambda x: max(np.dot(s_weights, law.sf(s_nodes, x)),
+                                                np.dot(s_weights, law.cdf(s_nodes, -x))))
+            xs, wx = self._x_panels(theta_max, x_hi)
+            plus = wx * self._mixed_density(xs, s_nodes, s_weights)
+            if law.even:
+                minus = plus
+            elif -1 in law.sides:
+                minus = wx * self._mixed_density(-xs, s_nodes, s_weights)
+            else:
+                minus = 0.0
+        even = plus + minus
+        odd = None if law.even else plus - minus
+        inner = xs <= 1.0
+        inner_odd_moment = 0.0 if odd is None else float(np.dot(odd[inner], xs[inner]))
+        grid = (xs, even, odd, float(even.sum()), inner_odd_moment, tail)
+        self._grid_cache = (theta_max, theta_min if law.heavy_tail else 0.0, *grid)
+        return grid
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ GOLDEN = HERE / "golden"
 VG = str(MODELS / "vg.json")
 POISSON_ATOM = str(MODELS / "poisson_atom.json")
 BASIS = str(MODELS / "basis.json")
+VG_TEXT = (MODELS / "vg.json").read_text()
 
 
 def _run(argv):
@@ -223,6 +224,35 @@ def test_spec_wrong_schema_exits_2(tmp_path, capsys):
     }))
     assert _run(["cf", "--model", bad, "--out", tmp_path / "x.csv"]) == 2
     assert "schema" in capsys.readouterr().err
+
+
+# json.loads accepts NaN, Infinity and -Infinity, and keeps integer literals
+# as ints however large; each is refused at parsing, naming its field.
+@pytest.mark.parametrize("argv", [["cf"], ["mix"], ["subordinate"], ["simulate", "--dt", 0.1, "--horizon", 1]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("field, literal", [
+    ("levy.params.variance", "Infinity"),
+    ("levy.params.mean", "NaN"),
+    ("subordinator.drift", "-Infinity"),
+    ("subordinator.jumps.rate", "1" + "0" * 400),
+], ids=["Infinity", "NaN", "-Infinity", "1e400"])
+def test_non_finite_spec_number_exits_2_naming_its_field(tmp_path, capsys, argv, field, literal):
+    key = field.rsplit(".", 1)[1]
+    model = tmp_path / "bad.json"
+    model.write_text(re.sub(rf'"{key}": [0-9.]+', f'"{key}": {literal}', VG_TEXT, count=1))
+    out = tmp_path / "x.out"
+    assert _run(argv + ["--model", model, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: expected a finite number")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys):
+    model = tmp_path / "bad.json"
+    model.write_text(VG_TEXT.replace('"rate": 1.0', '"rate": 1' + "0" * 5000))
+    assert _run(["cf", "--model", model, "--out", tmp_path / "x.csv"]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_load_model_spec_round_trip():

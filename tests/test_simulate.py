@@ -398,6 +398,15 @@ def test_lss_requires_decayed_kernel_over_burn_in():
         sample_lss(exp_kernel(), VG_BASE, pair, GRID01, 2.0, SimConfig(seed=3))
 
 
+@pytest.mark.parametrize("burn_in", [math.inf, 1e7])
+def test_lss_refuses_a_burn_in_past_the_step_budget(burn_in):
+    # inf passes the kernel-decay check (exp(-inf) = 0); both spans exceed
+    # 1e7 steps of dt = 0.01 and are refused before the grid is stretched
+    pair = SubordinatorPair(0.2, GammaMeasure(1.0, 1.0))
+    with pytest.raises(ConfigError, match="burn_in must span at most 1e\\+07 steps"):
+        sample_lss(exp_kernel(), VG_BASE, pair, GRID01, burn_in, SimConfig(seed=3))
+
+
 def test_lss_stationary_mean_exp_kernel():
     # driving noise dX has mean rate m = beta0 + int s rho(ds) per unit
     # time; the exp-kernel moving average has stationary mean close to m

@@ -13,6 +13,7 @@ import pytest
 from scipy import special
 
 import levymix as lm
+from levymix import quadrature
 from levymix.core import (
     AtomicMeasure,
     CompoundExponentialMeasure,
@@ -134,6 +135,12 @@ TWO_ROUTE_FIXTURES = [
     ("cauchy-gamma", lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(1.0, 1.0)), 1e-7),
     ("delta-base", lm.delta_law(1.3), SubordinatorPair(0.4, GammaMeasure(2.0, 3.0)), 1e-8),
     ("gauss-cexp", lm.gaussian_law(0.0, 1.5), SubordinatorPair(0.0, CompoundExponentialMeasure(1.2, 2.5)), 1e-8),
+    # the lower tail is the heavier one: the x-grid cut must cover it
+    ("neg-mean-gauss", lm.gaussian_law(-3.0, 1.0), SubordinatorPair(0.0, GammaMeasure(1.0, 1.0)), 1e-8),
+    ("delta-neg-gamma", lm.delta_law(-0.7), SubordinatorPair(0.0, GammaMeasure(1.0, 0.5)), 1e-11),
+    ("delta-cexp", lm.delta_law(1.5), SubordinatorPair(0.0, CompoundExponentialMeasure(2.0, 1.5)), 1e-11),
+    # rule clocks keep the rule sum of their nodes' images
+    ("delta-atoms", lm.delta_law(1.5), SubordinatorPair(0.0, AtomicMeasure(((0.5, 0.6), (2.0, 0.3)))), 1e-11),
 ]
 
 
@@ -145,6 +152,33 @@ def test_two_route_cf_agreement(name, base, pair, tol):
         gap = abs(cf_from_triplet(st, float(th)) - compose_cf(base, pair, float(th)))
         worst = max(worst, gap)
     assert worst <= tol, f"{name}: two-route gap {worst:.3e}"
+
+
+@pytest.mark.parametrize("base", [lm.gaussian_law(), lm.gaussian_law(0.0, 2.5), lm.cauchy_law(0.7)],
+                         ids=["std-gauss", "gauss-var", "cauchy"])
+def test_even_laws_have_mirror_image_densities(base):
+    # the x-grid builds the mixed density of an even law on x > 0 only
+    assert base.law.even
+    s = np.geomspace(1e-6, 50.0, 40)[:, None]
+    x = np.geomspace(1e-9, 1e3, 60)
+    assert np.array_equal(base.law.density(s, -x), base.law.density(s, x))
+
+
+@pytest.mark.parametrize("base, pair", [
+    (VG_BASE, VG_PAIR),
+    (lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))),
+    (lm.delta_law(1.5), SubordinatorPair(0.2, GammaMeasure(2.0, 3.0))),
+], ids=["vg", "cauchy-gamma", "delta-gamma"])
+def test_later_thetas_reuse_the_cached_grid(monkeypatch, base, pair):
+    st = subordinate_triplet(base, pair)
+    cf_from_triplet(st, 10.0)
+    calls = []
+    real_adaptive, real_density = quadrature.integrate_adaptive, JumpMixEvaluator._mixed_density
+    monkeypatch.setattr(quadrature, "integrate_adaptive", lambda *a, **k: calls.append("adaptive") or real_adaptive(*a, **k))
+    monkeypatch.setattr(JumpMixEvaluator, "_mixed_density", lambda *a: calls.append("density") or real_density(*a))
+    for th in np.linspace(-10.0, 10.0, 30):
+        cf_from_triplet(st, float(th))
+    assert calls == []
 
 
 def test_subordinate_triplet_rejects_zero_convention_base():
@@ -256,11 +290,11 @@ def test_light_tail_cut_is_bounded_before_the_grid():
 
 @pytest.mark.parametrize("theta", [-10.0, 0.5, 9.9])
 def test_pushforward_resolves_the_compensator_jump(theta):
-    # delta(1.5) base on a gamma(2, 3) clock: the pushforward integral of
-    # e^{i theta x} - 1 - i theta x 1{|x| <= 1} is the gamma Laplace integral
-    # less the compensator, whose jump sits at s = 1/1.5
+    # delta(1.5) base on a gamma(2, 3) clock: the jump integral of
+    # e^{i theta x} - 1 - i theta x 1{|x| <= 1} against the pushforward is the
+    # gamma Laplace integral less the compensator, whose jump sits at x = 1
     pair = SubordinatorPair(0.2, GammaMeasure(2.0, 3.0))
-    value = JumpMixEvaluator(lm.delta_law(1.5), pair)._pushforward_integral(theta)
+    value = subordinate_triplet(lm.delta_law(1.5), pair).jumps.char_integral(theta)
     m1 = GammaMeasure(2.0, 3.0).truncated_moment(1, 2.0 / 3.0)
     want = -2.0 * cmath.log(1.0 - 1.5j * theta / 3.0) - 1.5j * theta * m1
     assert abs(value - want) <= 1e-12
