@@ -410,8 +410,7 @@ def cmd_recover(args) -> int:
     grid = _time_grid(args)
     cfg = SimConfig(epsilon=args.epsilon, seed=args.seed)
     path = sample_subordinated(spec.levy, spec.subordinator, grid, cfg)
-    options = FitOptions(seed=args.seed, weighted=True)
-    fit = recover_from_path(path, spec.levy, args.family, options)
+    fit = recover_from_path(path, spec.levy, args.family, FitOptions(weighted=True))
     thetas = default_theta_grid()
     report = {
         "schema": _SCHEMA,

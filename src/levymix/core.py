@@ -259,7 +259,13 @@ class GammaMeasure(LevyMeasure):
         return s
 
     def laplace_integral(self, z):
-        return -self.shape * np.log(1.0 - z / self.rate)
+        # -shape * log(1 + w) for w = -z / rate, through log1p: at a rate far
+        # above |z| the plain log of 1 + w keeps none of the digits in w
+        w = -np.asarray(z) / self.rate
+        if not np.iscomplexobj(w):
+            return -self.shape * np.log1p(w)
+        log_mod = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2)
+        return -self.shape * (log_mod + 1j * np.arctan2(w.imag, 1.0 + w.real))
 
     def sample_increments(self, dt, n, rng):
         return rng.gamma(self.shape * dt, 1.0 / self.rate, n)

@@ -47,7 +47,9 @@ class DegenerateBaseProcess(LevyMixError):
 
 
 class NonConvergence(LevyMixError):
-    """No optimizer start reached the convergence tolerance."""
+    """A fit found no answer inside its family: the best point of the
+    searched range lies on its edge, the best fit has no jumps, or the
+    weights leave nothing to fit."""
 
 
 class InsufficientPoints(LevyMixError):

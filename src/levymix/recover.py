@@ -29,7 +29,6 @@ from .errors import (
     EmptyInput,
     GridTooCoarse,
     InsufficientPoints,
-    LevyMixError,
     NearZeroCF,
     NonConvergence,
     UnsupportedFamily,
@@ -125,7 +124,6 @@ class PsiCurve:
 
 @dataclass(frozen=True)
 class FitOptions:
-    seed: int = 0
     weighted: bool = False
     fixed_alpha: float | None = None
 
@@ -140,9 +138,11 @@ class FitResult:
     params: tuple
     beta0_hat: float
     objective: float
+    # 1 once the refine converged inside the searched range (a fit that
+    # does not raises NonConvergence), and 1 for the closed-form fits.
     n_starts_converged: int
     residual_max: float
-    # Objective evaluations summed over the simplex starts (0 when closed form).
+    # Objective evaluations: the scan nodes plus the refine's (0 when closed form).
     n_evals: int = 0
     # The trimmed (theta_lo, theta_hi) the curve came from, when known.
     theta_window: tuple | None = None
@@ -316,55 +316,70 @@ def _separable_solver(z: np.ndarray, h: np.ndarray, w: np.ndarray):
     """The closed-form part of the fit: for a given basis g, the nonnegative
     (beta0, amp) minimizing sum w |h - beta0 z - amp g|^2, with that sum.
 
-    The weighted real inner products that do not involve g are computed
-    once here. g=None fits the drift alone.
+    g is one basis (floats come back) or a block with one basis per row
+    (arrays come back, one entry per row); the sum is always taken over the
+    residuals. The weighted real inner products that do not involve g are
+    computed once here. g=None fits the drift alone.
     """
-    wz = w * np.conj(z)
-    wh = w * np.conj(h)
+    wzh = np.stack([w * np.conj(z), w * np.conj(h)], axis=1)
     zz = float(np.dot(w, z.real**2 + z.imag**2))
-    zh = float(np.dot(wz, h).real)
+    zh = float(np.dot(wzh[:, 0], h).real)
     drift_only = max(0.0, zh / zz) if zz > 0 else 0.0
-
-    def objective(beta0, amp, g):
-        r = h - beta0 * z if amp == 0.0 else h - beta0 * z - amp * g
-        return float(np.dot(w, r.real**2 + r.imag**2))
+    r = h - drift_only * z
+    on_drift = float(np.dot(w, r.real**2 + r.imag**2))
 
     def solve(g):
         if g is None:
-            return drift_only, 0.0, objective(drift_only, 0.0, None)
-        gg = float(np.dot(w, g.real**2 + g.imag**2))
-        if not math.isfinite(gg):
-            return 0.0, 0.0, math.inf
-        if gg == 0.0:
-            # g underflowed to 0 (a rate far above the curve's scale).
-            return drift_only, 0.0, objective(drift_only, 0.0, None)
-        zg = float(np.dot(wz, g).real)
-        gh = float(np.dot(wh, g).real)
-        det = zz * gg - zg * zg
-        if det > _COLLINEAR * zz * gg:
+            return drift_only, 0.0, on_drift
+        rows = np.atleast_2d(g)
+        gg = (rows.real**2 + rows.imag**2) @ w
+        zg, gh = (rows @ wzh).real.T
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det = zz * gg - zg * zg
             beta0 = (gg * zh - zg * gh) / det
             amp = (zz * gh - zg * zh) / det
-            if beta0 >= 0.0 and amp >= 0.0:
-                return beta0, amp, objective(beta0, amp, g)
-        # The constrained optimum lies on an edge: one column alone, the
-        # drift on a tie.
-        amp_only = max(0.0, gh / gg)
-        on_drift = objective(drift_only, 0.0, g)
-        on_amp = objective(0.0, amp_only, g)
-        if on_drift <= on_amp:
-            return drift_only, 0.0, on_drift
-        return 0.0, amp_only, on_amp
+            inside = (det > _COLLINEAR * zz * gg) & (beta0 >= 0.0) & (amp >= 0.0)
+            # Elsewhere the constrained optimum lies on an edge: one column
+            # alone. A g that underflowed to 0 (a rate far above the curve's
+            # scale) gives a NaN amp, and so the drift below.
+            beta0 = np.where(inside, beta0, 0.0)
+            amp = np.where(inside, amp, np.maximum(0.0, gh / gg))
+            r = h - beta0[:, None] * z - amp[:, None] * rows
+            obj = (r.real**2 + r.imag**2) @ w
+        # The drift alone wherever the jumps do not lower the summed squares,
+        # as computed: on a curve without jumps the rounding in beta0 and amp
+        # can make the exact optimum lose to the drift.
+        drift = ~(obj < on_drift)
+        beta0 = np.where(drift, drift_only, beta0)
+        amp = np.where(drift, 0.0, amp)
+        # A basis too large to square is no candidate.
+        obj = np.where(np.isfinite(gg), np.where(drift, on_drift, obj), math.inf)
+        if np.ndim(g) == 1:
+            return float(beta0[0]), float(amp[0]), float(obj[0])
+        return beta0, amp, obj
 
     return solve
 
 
-def _searched_field(family: str) -> tuple[int, str]:
-    """Position and name of the field the simplex searches: the one that is
-    not the amplitude."""
+# The searched coordinate (log rate, log jump_rate or logit index) is scanned
+# at _SCAN_NODES equally spaced nodes of _SEARCH_RANGE, and the bracket about
+# the best node is narrowed until it is _XATOL wide. e**30 is about 1e13: on
+# a curve with |z| between 1e-3 and 1e3, the upper end of the range makes
+# every family's exponent a drift to within 1e-10, and the lower end makes
+# its jump part a constant plus at most a logarithm. A best node on an end of
+# the range is no fit.
+_SEARCH_RANGE = (-30.0, 30.0)
+_SCAN_NODES = 121
+_XATOL = 1e-9
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _searched_field(family: str) -> str:
+    """Name of the field the profile scan searches: the one that is not the
+    amplitude."""
     amp_field = FAMILIES[family].amplitude
-    names = [f.name for f in fields(FAMILIES[family])]
-    (pos,) = [i for i, name in enumerate(names) if name != amp_field]
-    return pos, names[pos]
+    (name,) = [f.name for f in fields(FAMILIES[family]) if f.name != amp_field]
+    return name
 
 
 def _from_search_coordinate(name: str, u: float) -> float:
@@ -375,21 +390,80 @@ def _from_search_coordinate(name: str, u: float) -> float:
     return math.exp(u)
 
 
+def _profile_scan(basis, solve, name: str):
+    """The scan nodes of the searched coordinate, with the profiled
+    (beta0, amp, objective) at each from one block solve."""
+    nodes = np.linspace(*_SEARCH_RANGE, _SCAN_NODES)
+    block = np.array([basis(_from_search_coordinate(name, u)) for u in nodes])
+    return nodes, solve(block)
+
+
+def _brent_refine(f, a: float, x: float, b: float):
+    """Brent's (1973) minimizer of f on the bracket [a, b], from an interior
+    point x no worse than either end.
+
+    Each step fits a parabola through the three best points so far, and
+    falls back to a golden-section step where the parabola would not shrink
+    the bracket fast enough. Stops once the bracket is _XATOL wide and
+    returns the best point evaluated and the number of calls to f.
+    """
+    tol = _XATOL / 4.0
+    fx = f(x)
+    n_calls = 1
+    v, fv, w, fw = x, fx, x, fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, n_calls
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if min(x + d - a, b - x - d) < 2.0 * tol:
+                    d = tol if x < m else -tol
+        if golden:
+            e = (b if x < m else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        n_calls += 1
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _no_jumps(family: str, amp_field: str) -> NonConvergence:
+    return NonConvergence(f"the best {family} fit has no jumps ({amp_field} = 0); fit --family drift instead")
+
+
 def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOptions()) -> FitResult:
     """Weighted least squares for (beta0, family params) on the curve.
 
     The family exponent beta0*z + amp*g(z; v) is linear in the drift beta0
     and in the amplitude amp, the field FAMILIES[family].amplitude names, so
     for each v both come from a closed-form 2x2 nonnegative least squares
-    (variable projection, Golub & Pereyra 1973). A derivative-free simplex
-    then searches v alone from several deterministic starts: the log rate
-    for gamma, the log jump_rate for compound exponential and the logit
-    index for one-sided stable. The drift family and the stable family at
-    a fixed index need no search. Results are reproducible given
-    options.seed.
+    (variable projection, Golub & Pereyra 1973). The one remaining field v
+    is searched over a bounded range of one coordinate: the log rate for
+    gamma, the log jump_rate for compound exponential and the logit index
+    for one-sided stable. A profile scan picks the best node, and Brent's
+    minimizer narrows the bracket between its neighbours to _XATOL. A best
+    node on an end of the range, or one without jumps, raises
+    NonConvergence. The drift family and the stable family at a fixed index
+    need no search. The fit is deterministic.
     """
-    from scipy import optimize  # deferred, so that cf, mix and simulate never load it
-
     if family not in FAMILIES:
         raise UnsupportedFamily(f"unknown family {family!r}; pick one of {tuple(FAMILIES)}")
     dim = _param_dim(family, options.fixed_alpha)
@@ -401,73 +475,43 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
     measure_cls = FAMILIES[family]
     n_evals = 0
     if measure_cls is None:
-        beta0, _, _ = solve(None)
-        params, jumps, converged = (), 0.0, 1
+        beta0, _, objective = solve(None)
+        params, jumps = (), 0.0
     else:
         amp_field = measure_cls.amplitude
-        pos, name = _searched_field(family)
+        name = _searched_field(family)
 
         def basis(value):
-            # The exponent at unit amplitude; a value the measure rejects (an
-            # underflowed rate, an index rounded to 1) lies outside the family.
-            try:
-                return measure_cls(**{amp_field: 1.0, name: value}).laplace_integral(z)
-            except LevyMixError:
-                return None
-
-        def objective(vec):
-            g = basis(_from_search_coordinate(name, vec[0]))
-            return math.inf if g is None else solve(g)[2]
+            # The exponent at unit amplitude.
+            return measure_cls(**{amp_field: 1.0, name: value}).laplace_integral(z)
 
         if family == "one_sided_stable" and options.fixed_alpha is not None:
-            value, converged = options.fixed_alpha, 1
+            value = options.fixed_alpha
         else:
-            # Eight starts: the origin, then seven that each draw one coordinate
-            # per fitted parameter, beta0 first and then the fields in order,
-            # and keep the searched field's.
-            rng = np.random.Generator(np.random.Philox(key=[options.seed & ((1 << 64) - 1), 0x5EED]))
-            starts = [np.zeros(3)]
-            while len(starts) < 8:
-                v = rng.uniform(-2.0, 2.0, 3)
-                v[0] = rng.uniform(-8.0, 1.0)
-                starts.append(v)
-            best = None
-            converged = 0
-            for idx, start in enumerate(starts):
-                res = optimize.minimize(
-                    objective,
-                    start[1 + pos : 2 + pos],
-                    method="Nelder-Mead",
-                    options={"maxfev": 20_000, "fatol": 1e-10, "xatol": 1e-9},
+            nodes, (_, amps, objectives) = _profile_scan(basis, solve, name)
+            k = int(np.argmin(objectives))
+            if amps[k] == 0.0:
+                raise _no_jumps(family, amp_field)
+            if k in (0, nodes.size - 1):
+                edge = _from_search_coordinate(name, nodes[k])
+                raise NonConvergence(
+                    f"the best {family} fit lies on the edge of the searched range ({name} = {edge:.3g}): "
+                    f"the curve does not identify a {family} clock"
                 )
-                n_evals += int(res.nfev)
-                if res.success:
-                    converged += 1
-                key = (res.fun, idx)
-                if best is None or key < best[0]:
-                    best = (key, float(res.x[0]))
-            if converged == 0:
-                raise NonConvergence("no simplex start met the tolerance")
-            value = _from_search_coordinate(name, best[1])
-
-        beta0, amp, _ = solve(basis(value))
-        if amp == 0.0:
-            raise NonConvergence(
-                f"the best {family} fit has no jumps ({amp_field} = 0); fit --family drift instead"
+            u, n_calls = _brent_refine(
+                lambda u: solve(basis(_from_search_coordinate(name, u)))[2], *nodes[k - 1 : k + 2]
             )
+            value = _from_search_coordinate(name, u)
+            n_evals = nodes.size + n_calls
+
+        beta0, amp, objective = solve(basis(value))
+        if amp == 0.0:
+            raise _no_jumps(family, amp_field)
         measure = measure_cls(**{amp_field: amp, name: value})
         params, jumps = astuple(measure), measure.laplace_integral(z)
 
     resid = h - (beta0 * z + jumps)
-    return FitResult(
-        family,
-        params,
-        beta0,
-        float(np.sum(w * np.abs(resid) ** 2)),
-        converged,
-        float(np.max(np.abs(resid))),
-        n_evals,
-    )
+    return FitResult(family, params, beta0, objective, 1, float(np.max(np.abs(resid))), n_evals)
 
 
 def _rescale_for_spacing(family: str, fit: FitResult, dt: float) -> FitResult:

@@ -33,6 +33,11 @@ def _run(argv):
     return main([str(a) for a in argv])
 
 
+def _src_env():
+    src = str(HERE.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 # --- golden files ---------------------------------------------------------------
 
 
@@ -298,6 +303,31 @@ def test_jumpless_clock_fit_exits_3_naming_drift(tmp_path, capsys):
     assert abs(report["beta0"] - 1.5) < 0.01
 
 
+def test_unidentified_clock_exits_3_naming_the_family(tmp_path):
+    # 2000 increments of a stable-on-stable model: the best gamma fit drives
+    # the rate to the lower end of the searched range. Run in a subprocess
+    # with RuntimeWarning as an error, so that no warning passes unseen.
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({
+        "schema": 1,
+        "levy": {"family": "symmetric_stable",
+                 "params": {"alpha": 0.24391694186026586, "scale": 0.12288155453814241}},
+        "subordinator": {"drift": 0.1286851624022666,
+                         "jumps": {"kind": "one_sided_stable",
+                                   "index": 0.24429181717961407, "coeff": 6.491665274502612}},
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "levymix.cli", "recover",
+         "--model", str(model), "--dt", "0.01", "--horizon", "20", "--family", "gamma",
+         "--seed", "66", "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "gamma" in proc.stderr and "edge of the searched range" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("family", ["drift", "gamma"])
 def test_deterministic_increments_recover_exits_3(tmp_path, capsys, family):
     # a point-mass base on a pure-drift clock: |phi| = 1 everywhere, so the
@@ -369,13 +399,23 @@ def test_poisson_mean_past_sampler_limit_exits_3(tmp_path, capsys):
 
 
 def test_cli_import_loads_neither_integrate_nor_optimize():
-    src = str(HERE.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, levymix.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_recover_run_loads_no_optimizer(tmp_path):
+    out = tmp_path / "r.json"
+    code = ("import sys; from levymix.cli import main; "
+            f"rc = main(['recover', '--model', {VG!r}, '--family', 'gamma', '--dt', '1.0', "
+            f"'--horizon', '2000', '--seed', '3', '--out', {str(out)!r}]); "
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert json.loads(out.read_text())["family"] == "gamma"
 
 
 def test_unwritable_out_exits_4(tmp_path, capsys):

@@ -221,6 +221,19 @@ def test_laplace_exponent_frozen_value():
     assert lm.laplace_exponent(pair, 0.0) == 0
 
 
+def test_gamma_laplace_integral_keeps_its_digits_at_large_rates():
+    # at rate 1e12 the plain log of 1 - z/rate is off by 10% here; the
+    # series -shape (w - w^2/2 + w^3/3) in w = -z/rate is exact to double.
+    # A real z gives a real value.
+    for z in (np.array([-0.5 + 0.3j, -30.0 + 2.0j, -1e-3 + 1e-4j]), np.array([-3.0, -1e-3])):
+        for rate in (1e8, 1e12):
+            w = -z / rate
+            series = -2.0 * (w - w**2 / 2.0 + w**3 / 3.0)
+            got = GammaMeasure(2.0, rate).laplace_integral(z)
+            assert got.dtype == z.dtype
+            assert np.max(np.abs(got - series) / np.abs(series)) < 1e-14
+
+
 def test_laplace_exponent_additive_under_pair_convolution():
     rng = np.random.default_rng(7)
     p1 = SubordinatorPair(0.2, GammaMeasure(1.0, 2.0))

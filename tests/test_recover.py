@@ -32,6 +32,7 @@ from levymix.errors import (
     NonConvergence,
 )
 from levymix.recover import (
+    _SEARCH_RANGE,
     FAMILIES,
     CFSample,
     FitOptions,
@@ -40,7 +41,11 @@ from levymix.recover import (
     _curve_weights,
     _ecf_sums_blocked,
     _ecf_sums_power,
+    _from_search_coordinate,
     _near_zero_floor,
+    _profile_scan,
+    _searched_field,
+    _separable_solver,
     analytic_cf,
     default_theta_grid,
     empirical_cf,
@@ -336,7 +341,7 @@ def test_fit_clips_a_negative_drift_to_zero():
 
 def test_fit_reports_evaluations_and_theta_window():
     path = _vg_path(20_000, seed=1)
-    fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(seed=0, weighted=True))
+    fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(weighted=True))
     cf = empirical_cf(path.increments(), default_theta_grid())
     cf = trim_cf(cf, _near_zero_floor(cf.n_obs))
     assert fit.theta_window == (cf.theta_grid[0], cf.theta_grid[-1])
@@ -389,9 +394,9 @@ def test_forward_inverse_consistency_twenty_draws():
     for family, pair in draws:
         cf = analytic_cf(lambda t: compose_cf(VG_BASE, pair, t), grid)
         curve = psi_curve(VG_BASE, cf)
-        opts = FitOptions(seed=1)
+        opts = FitOptions()
         if family == "one_sided_stable":
-            opts = FitOptions(seed=1, fixed_alpha=pair.jumps.index)
+            opts = FitOptions(fixed_alpha=pair.jumps.index)
         fit = fit_subordinator(curve, family, opts)
         assert abs(fit.beta0_hat - pair.drift) / max(pair.drift, 1.0) < 1e-5
         if family == "gamma":
@@ -406,6 +411,80 @@ def test_forward_inverse_consistency_twenty_draws():
             assert abs(got - want) / abs(want) < 1e-5, (family, fit.params, truth)
 
 
+def test_forward_inverse_consistency_free_index_stable_draws():
+    # the free-index search recovers random one-sided stable clocks, drift
+    # included, from their noiseless curves to relative error < 1e-6
+    rng = np.random.default_rng(2025)
+    for _ in range(6):
+        pair = SubordinatorPair(
+            float(rng.uniform(0.0, 2.0)),
+            OneSidedStableMeasure(float(rng.uniform(0.2, 0.9)), float(rng.uniform(0.3, 1.5))),
+        )
+        cf = analytic_cf(lambda t: compose_cf(VG_BASE, pair, t), default_theta_grid())
+        fit = fit_subordinator(psi_curve(VG_BASE, cf), "one_sided_stable")
+        assert abs(fit.beta0_hat - pair.drift) / max(pair.drift, 1.0) < 1e-6
+        for got, want in zip(fit.params, (pair.jumps.index, pair.jumps.coeff), strict=True):
+            assert abs(got - want) / want < 1e-6, (fit.params, pair.jumps)
+
+
+# --- the profile scan and its refine ------------------------------------------------
+
+
+def _unit_basis(family, z):
+    measure_cls, name = FAMILIES[family], _searched_field(family)
+    return name, lambda value: measure_cls(**{measure_cls.amplitude: 1.0, name: value}).laplace_integral(z)
+
+
+@pytest.mark.parametrize("source", ["noiseless", 5])
+@pytest.mark.parametrize("family", ["gamma", "compound_exponential", "one_sided_stable"])
+def test_refined_objective_is_no_worse_than_the_best_scan_node(family, source):
+    pair = {
+        "gamma": SubordinatorPair(0.3, GammaMeasure(2.0, 3.0)),
+        "compound_exponential": SubordinatorPair(0.2, CompoundExponentialMeasure(2.0, 1.5)),
+        "one_sided_stable": SubordinatorPair(0.1, OneSidedStableMeasure(0.5, 0.5)),
+    }[family]
+    if source == "noiseless":
+        cf = analytic_cf(lambda t: compose_cf(VG_BASE, pair, t), default_theta_grid())
+    else:
+        path = sample_subordinated(VG_BASE, pair, TimeGrid(0.0, 1.0, 20_000), SimConfig(seed=source))
+        cf = empirical_cf(path.increments(), default_theta_grid())
+        cf = trim_cf(cf, _near_zero_floor(cf.n_obs))
+    curve = psi_curve(VG_BASE, cf)
+    options = FitOptions(weighted=source != "noiseless")
+    w = _curve_weights(curve, options.weighted)
+    solve = _separable_solver(curve.z, curve.psi_hat, w)
+    name, basis = _unit_basis(family, curve.z)
+    nodes, (beta0s, amps, objectives) = _profile_scan(basis, solve, name)
+    # each row of the block solve is a nonnegative pair and its summed squares
+    assert np.all(beta0s >= 0.0) and np.all(amps >= 0.0)
+    for u, beta0, amp, objective in zip(nodes, beta0s, amps, objectives):
+        r = curve.psi_hat - beta0 * curve.z - amp * basis(_from_search_coordinate(name, u))
+        assert objective == pytest.approx(float(np.sum(w * np.abs(r) ** 2)), rel=1e-12, abs=1e-30)
+    k = int(np.argmin(objectives))
+    assert 0 < k < nodes.size - 1
+    at_node = solve(basis(_from_search_coordinate(name, nodes[k])))[2]
+    fit = fit_subordinator(curve, family, options)
+    assert fit.objective <= at_node
+    assert fit.n_starts_converged == 1
+    assert fit.n_evals > nodes.size
+    # the refined field lies in the bracket between the best node's neighbours
+    value = fit.params[0] if family == "one_sided_stable" else fit.params[1]
+    lo, hi = (_from_search_coordinate(name, u) for u in (nodes[k - 1], nodes[k + 1]))
+    assert lo <= value <= hi
+
+
+@pytest.mark.parametrize("family", ["gamma", "compound_exponential", "one_sided_stable"])
+def test_best_value_beyond_the_searched_range_raises(family):
+    # the curve is exactly a clock of the family whose searched coordinate
+    # lies 5 below the range; the scan's best node is the range's lower end
+    z = _vg_curve().z
+    name, basis = _unit_basis(family, z)
+    g = basis(_from_search_coordinate(name, _SEARCH_RANGE[0] - 5.0))
+    curve = PsiCurve(z, 0.3 * z + g / np.max(np.abs(g)), default_theta_grid())
+    with pytest.raises(NonConvergence, match=f"best {family} fit lies on the edge of the searched range"):
+        fit_subordinator(curve, family)
+
+
 # --- the separable fit against a direct three-parameter simplex ----------------------
 
 
@@ -413,10 +492,10 @@ def _softplus(u):
     return math.log1p(math.exp(-abs(u))) + max(u, 0.0)
 
 
-def _reference_fit(curve, family, options):
+def _reference_fit(curve, family, options, seed):
     """Nelder-Mead over all three parameters at once: beta0 through a
-    softplus, the fields through log (an index through logit), from the
-    same Philox starts. Returns (beta0, params, objective)."""
+    softplus, the fields through log (an index through logit), from eight
+    Philox starts drawn from seed. Returns (beta0, params, objective)."""
     measure_cls = FAMILIES[family]
     z, h = curve.z, curve.psi_hat
     w = _curve_weights(curve, options.weighted)
@@ -435,7 +514,7 @@ def _reference_fit(curve, family, options):
             return math.inf
         return float(np.sum(w * np.abs(h - (beta0 * z + psi)) ** 2))
 
-    rng = np.random.Generator(np.random.Philox(key=[options.seed & ((1 << 64) - 1), 0x5EED]))
+    rng = np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), 0x5EED]))
     starts = [np.zeros(3)]
     while len(starts) < 8:
         v = rng.uniform(-2.0, 2.0, 3)
@@ -466,15 +545,15 @@ def test_separable_fit_matches_three_parameter_simplex(key, source):
     grid = default_theta_grid()
     if source == "noiseless":
         cf = analytic_cf(lambda t: compose_cf(VG_BASE, pair, t), grid)
-        options = FitOptions()
+        options, seed = FitOptions(), 0
     else:
         path = sample_subordinated(VG_BASE, pair, TimeGrid(0.0, 1.0, 200_000), SimConfig(seed=source))
         cf = empirical_cf(path.increments(), grid)
         cf = trim_cf(cf, _near_zero_floor(cf.n_obs))
-        options = FitOptions(seed=source, weighted=True)
+        options, seed = FitOptions(weighted=True), source
     curve = psi_curve(VG_BASE, cf)
     fit = fit_subordinator(curve, family, options)
-    beta0, params, objective = _reference_fit(curve, family, options)
+    beta0, params, objective = _reference_fit(curve, family, options, seed)
     assert fit.objective <= objective * (1.0 + 1e-9) + 1e-15
     assert abs(fit.beta0_hat - beta0) <= max(1e-5 * beta0, 1e-6)
     for got, want in zip(fit.params, params, strict=True):
@@ -527,7 +606,7 @@ def _vg_path(n, seed):
 
 def test_recover_from_path_vg_smoke():
     path = _vg_path(20_000, seed=1)
-    fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(seed=0, weighted=True))
+    fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(weighted=True))
     a, lam = fit.params
     assert abs(a - 1.0) < 0.25
     assert abs(lam - 1.0) < 0.25
@@ -538,7 +617,7 @@ def test_recover_from_path_rescales_time_spacing():
     # clock, and the result is reported per unit time
     pair = SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))
     path = sample_subordinated(VG_BASE, pair, TimeGrid(0.0, 0.5, 60_000), SimConfig(seed=4))
-    fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(seed=0, weighted=True))
+    fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(weighted=True))
     a, lam = fit.params
     assert abs(a - 2.0) / 2.0 < 0.15
     assert abs(lam - 3.0) / 3.0 < 0.15
@@ -551,7 +630,7 @@ def test_statistical_consistency_on_doubling():
     def rel_err(inc, n):
         grid = TimeGrid(0.0, 1.0, n)
         path = PathSample(grid, np.concatenate(([0.0], np.cumsum(inc[:n]))), 0, 0)
-        fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(seed=0, weighted=True))
+        fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(weighted=True))
         a, lam = fit.params
         return max(abs(a - 1.0), abs(lam - 1.0))
 
