@@ -27,7 +27,7 @@ from .errors import ConfigError, LevyMixError, SpecError
 from .mixing import IntervalSet, phi_mix_mass
 from .recover import FAMILIES, FitOptions, default_theta_grid, recover_from_path
 from .simulate import (
-    _MAX_FINE_STEPS,
+    _MAX_STEPS,
     LssKernel,
     SimConfig,
     TimeGrid,
@@ -313,8 +313,8 @@ def load_model_spec(path: str) -> ModelSpec:
 
 
 def _theta_grid(args) -> np.ndarray:
-    if not 2 <= args.theta_steps <= _MAX_FINE_STEPS:
-        raise ConfigError(f"--theta-steps must be between 2 and {_MAX_FINE_STEPS:.0e}")
+    if not 2 <= args.theta_steps <= _MAX_STEPS:
+        raise ConfigError(f"--theta-steps must be between 2 and {_MAX_STEPS:.0e}")
     if not args.theta_max > args.theta_min:
         raise ConfigError("--theta-max must exceed --theta-min")
     return np.linspace(args.theta_min, args.theta_max, args.theta_steps)
@@ -327,8 +327,8 @@ def _time_grid(args) -> TimeGrid:
         raise ConfigError("--dt must be positive and finite")
     # refused before any array is built: lss-sim stretches the grid back by --burn-in
     for flag, span in (("--horizon", args.horizon), ("--burn-in", getattr(args, "burn_in", 0.0))):
-        if not abs(span / args.dt) <= _MAX_FINE_STEPS:
-            raise ConfigError(f"{flag} / --dt must be at most {_MAX_FINE_STEPS:.0e} steps, got {span / args.dt:.3g}")
+        if not abs(span / args.dt) <= _MAX_STEPS:
+            raise ConfigError(f"{flag} / --dt must be at most {_MAX_STEPS:.0e} steps, got {span / args.dt:.3g}")
     n = round(args.horizon / args.dt)
     if n < 1:
         raise ConfigError("--horizon must cover at least one step of --dt")
@@ -399,7 +399,7 @@ def cmd_mix(args) -> int:
 def cmd_simulate(args) -> int:
     spec = load_model_spec(args.model)
     grid = _time_grid(args)
-    cfg = SimConfig(epsilon=args.epsilon, seed=args.seed, n_paths=args.n_paths)
+    cfg = SimConfig(seed=args.seed, n_paths=args.n_paths)
     samples = sample_subordinated(spec.levy, spec.subordinator, grid, cfg)
     _write_paths(args.out, samples)
     return 0
@@ -408,7 +408,7 @@ def cmd_simulate(args) -> int:
 def cmd_recover(args) -> int:
     spec = load_model_spec(args.model)
     grid = _time_grid(args)
-    cfg = SimConfig(epsilon=args.epsilon, seed=args.seed)
+    cfg = SimConfig(seed=args.seed)
     path = sample_subordinated(spec.levy, spec.subordinator, grid, cfg)
     fit = recover_from_path(path, spec.levy, args.family, FitOptions(weighted=True))
     thetas = default_theta_grid()
@@ -434,7 +434,7 @@ def cmd_basis_sim(args) -> int:
         raise SpecError("seed_field: required for basis-sim")
     if any(len(cell.rect) != 2 for cell in spec.seed_field.cells):
         raise SpecError("seed_field.cells: basis-sim writes 2-D grids; every rect needs two edges")
-    gf = sample_basis_grid(spec.levy, spec.seed_field, SimConfig(epsilon=args.epsilon, seed=args.seed))
+    gf = sample_basis_grid(spec.levy, spec.seed_field, SimConfig(seed=args.seed))
     for union in spec.unions or ():
         if any(not 0 <= k < len(gf.cells) for k in union):
             raise SpecError(f"unions: cell index out of range in {list(union)}")
@@ -452,7 +452,7 @@ def cmd_lss_sim(args) -> int:
     spec = load_model_spec(args.model)
     kernel = spec.kernel if spec.kernel is not None else LssKernel(0.0)
     grid = _time_grid(args)
-    cfg = SimConfig(epsilon=args.epsilon, seed=args.seed, n_paths=args.n_paths)
+    cfg = SimConfig(seed=args.seed, n_paths=args.n_paths)
     samples = sample_lss(kernel, spec.levy, spec.subordinator, grid, args.burn_in, cfg)
     _write_paths(args.out, samples)
     return 0
@@ -470,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="model spec JSON file")
         p.add_argument("--out", required=True, help="output file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epsilon", type=float, default=None)
         if grid_flags:
             p.add_argument("--dt", type=float, default=None)
             p.add_argument("--horizon", type=float, default=None)

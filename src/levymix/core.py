@@ -2,11 +2,11 @@
 
 The measure side is a closed tagged union.  Each family implements the small
 set of functionals the rest of the library consumes: interval masses,
-truncated moments, (1 and |x|**p) integrals with an explicit infinity, a
-tail sampler for jumps above a threshold, its Laplace and characteristic
-integrals, an exact increment sampler where one exists, and the rule for
-integrating against it.  Closed forms are used wherever the family admits
-one; a grid rule only for tabulated densities.  Each class is its family:
+truncated moments, (1 and |x|**p) integrals with an explicit infinity, its
+Laplace and characteristic integrals, an exact sampler of its jump sums over
+an array of step lengths, and the rule for integrating against it.  Closed
+forms are used wherever the family admits one; a grid rule only for
+tabulated densities.  Each class is its family:
 a parametric measure names its ``amplitude`` field, the one it is linear
 in, and a triplet built by a law constructor holds in ``LevyTriplet.law``
 the ``TaggedLaw`` that owns the closed forms of its convolution powers mu^s.
@@ -79,6 +79,19 @@ def _poisson(rng, mean, *size):
     return rng.poisson(mean, *size)
 
 
+# The natural log of the largest float: a draw whose log reaches it overflows.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _one_length(dt):
+    """The common length of an array of equal steps, else the array. numpy
+    draws the same stream from a scalar parameter with size=dt.shape as from
+    the array, without the per-call cost of broadcasting it."""
+    dt = np.asarray(dt, dtype=float)
+    first = dt.item(0) if dt.size else 0.0
+    return first if (dt == first).all() else dt
+
+
 class LevyMeasure(ABC):
     """Common interface of all jump-measure families."""
 
@@ -110,8 +123,10 @@ class LevyMeasure(ABC):
             return INF
 
     @abstractmethod
-    def sample_tail(self, rng, eps: float, size: int) -> np.ndarray:
-        """Draw jumps from the measure conditioned on |x| > eps."""
+    def sample_increments(self, dt, rng) -> np.ndarray:
+        """Exact draws of the sum of all jumps over steps of the lengths in
+        the array dt (dt >= 0), one per entry and of its shape; a step of
+        length 0 draws exactly 0."""
 
     @abstractmethod
     def tail_cutoff(self, tol: float) -> float:
@@ -134,11 +149,6 @@ class LevyMeasure(ABC):
     def fixed_rule(self):
         """(nodes, weights, check_weights) of the measure's own rule for
         quadrature.rule_sum, or None for a density integrated adaptively."""
-        return None
-
-    def sample_increments(self, dt: float, n: int, rng):
-        """Per-step sum of all jumps over n steps of length dt, or None when
-        the family has no exact sampler (callers then truncate small jumps)."""
         return None
 
     def image_in_ml1(self, alpha: float) -> bool:
@@ -178,9 +188,6 @@ class ZeroMeasure(LevyMeasure):
     def truncated_moment(self, power, cutoff=1.0):
         return 0.0
 
-    def sample_tail(self, rng, eps, size):
-        raise DomainError("the zero measure has no jumps to sample")
-
     def tail_cutoff(self, tol):
         return 1.0
 
@@ -194,8 +201,8 @@ class ZeroMeasure(LevyMeasure):
         empty = np.array([])
         return empty, empty, empty
 
-    def sample_increments(self, dt, n, rng):
-        return np.zeros(n)
+    def sample_increments(self, dt, rng):
+        return np.zeros(np.shape(dt))
 
     def is_zero(self):
         return True
@@ -239,19 +246,6 @@ class GammaMeasure(LevyMeasure):
             return self.shape * (1.0 - math.exp(-t) * (1.0 + t)) / self.rate**2
         raise DomainError("power must be 1 or 2")
 
-    def sample_tail(self, rng, eps, size):
-        # Proposal eps + Exp(rate); accept with probability eps / x.
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            n = max(size - filled, 16)
-            x = eps + rng.exponential(1.0 / self.rate, n)
-            keep = x[rng.random(n) * x < eps]
-            take = min(keep.size, size - filled)
-            out[filled : filled + take] = keep[:take]
-            filled += take
-        return out
-
     def tail_cutoff(self, tol):
         s = 1.0 / self.rate
         while self.shape * special.exp1(self.rate * s) >= tol:
@@ -267,8 +261,8 @@ class GammaMeasure(LevyMeasure):
         log_mod = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2)
         return -self.shape * (log_mod + 1j * np.arctan2(w.imag, 1.0 + w.real))
 
-    def sample_increments(self, dt, n, rng):
-        return rng.gamma(self.shape * dt, 1.0 / self.rate, n)
+    def sample_increments(self, dt, rng):
+        return rng.gamma(self.shape * _one_length(dt), 1.0 / self.rate, np.shape(dt))
 
     def is_positive(self):
         return True
@@ -312,10 +306,6 @@ class OneSidedStableMeasure(LevyMeasure):
             return self.coeff * cutoff ** (2.0 - self.index) / (2.0 - self.index)
         raise DomainError("power must be 1 or 2")
 
-    def sample_tail(self, rng, eps, size):
-        # Pareto tail: P(X > x | X > eps) = (x/eps)**-index.
-        return eps * rng.random(size) ** (-1.0 / self.index)
-
     def tail_cutoff(self, tol):
         try:
             return (self.coeff / (self.index * tol)) ** (1.0 / self.index)
@@ -346,10 +336,34 @@ class OneSidedStableMeasure(LevyMeasure):
             raise NotFiniteVariation("laplace exponent needs index < 1")
         return self.coeff * math.gamma(-self.index) * (-z) ** self.index
 
-    def sample_increments(self, dt, n, rng):
-        if self.index != 0.5:
-            return None
-        return _levy_positive(rng, levy_dist_scale(self.coeff * dt), n)
+    def sample_increments(self, dt, rng):
+        a, dt = self.index, np.asarray(dt, dtype=float)
+        if a >= 1:
+            raise UnsupportedFamily(f"no increment sampler for a one-sided stable measure of index {a} >= 1")
+        if a == 0.5:
+            return _levy_positive(rng, levy_dist_scale(self.coeff * dt), dt.shape)
+        # Kanter (1975): over a step r the sum has Laplace transform
+        # exp(-r k u**a), k = coeff Gamma(1 - a) / a, and is the product of
+        # (r k)**(1/a) and sin(aV) sin(V)**(-1/a) (sin((1-a)V) / W)**((1-a)/a)
+        # for V uniform on (0, pi) and W ~ Exp(1), taken here in logs so that
+        # no power overflows. V is at most math.pi, which lies below pi, and a
+        # W drawn as 0 is read as the smallest normal float: every log is finite.
+        v = math.pi * (1.0 - rng.random(dt.shape))
+        w = np.maximum(rng.standard_exponential(dt.shape), np.finfo(float).tiny)
+        pos = dt > 0
+        log_k = math.log(self.coeff) + math.lgamma(1.0 - a) - math.log(a)
+        log_x = (
+            (np.log(np.where(pos, dt, 1.0)) + log_k - np.log(np.sin(v))) / a
+            + np.log(np.sin(a * v))
+            + (1.0 - a) / a * (np.log(np.sin((1.0 - a) * v)) - np.log(w))
+        )
+        log_x = np.where(pos, log_x, -INF)
+        if (log_x >= _LOG_FLOAT_MAX).any():
+            raise DomainError(
+                f"a one-sided stable increment of index {a} is past the float range "
+                f"(e**{np.max(log_x):.4g})"
+            )
+        return np.exp(log_x)
 
     def image_in_ml1(self, alpha):
         return self.index < 1.0 / alpha
@@ -400,10 +414,6 @@ class SymmetricStableMeasure(LevyMeasure):
         half = self._half().one_wedge(power)
         return INF if math.isinf(half) else 2.0 * half
 
-    def sample_tail(self, rng, eps, size):
-        signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-        return signs * self._half().sample_tail(rng, eps, size)
-
     def tail_cutoff(self, tol):
         return self._half().tail_cutoff(tol / 2.0)
 
@@ -416,11 +426,12 @@ class SymmetricStableMeasure(LevyMeasure):
             dtype=complex,
         )
 
-    def sample_increments(self, dt, n, rng):
+    def sample_increments(self, dt, rng):
         # Symmetric jumps compensate to zero shift regardless of index.
         alpha = self.index
         scale = (2.0 * self.coeff * stable_cos_integral(alpha)) ** (1.0 / alpha)
-        return scale * dt ** (1.0 / alpha) * _standard_symmetric_stable(rng, alpha, n)
+        dt = np.asarray(dt, dtype=float)
+        return scale * dt ** (1.0 / alpha) * _standard_symmetric_stable(rng, alpha, dt.shape)
 
 
 @dataclass(frozen=True)
@@ -460,14 +471,6 @@ class AtomicMeasure(LevyMeasure):
     def one_wedge(self, power):
         return float(sum(m * min(1.0, abs(p) ** power) for p, m in self.atoms))
 
-    def sample_tail(self, rng, eps, size):
-        pairs = [(p, m) for p, m in self.atoms if abs(p) > eps]
-        if not pairs:
-            raise DomainError(f"no atoms above threshold {eps}")
-        pos = np.array([p for p, _ in pairs])
-        w = np.array([m for _, m in pairs])
-        return rng.choice(pos, size=size, p=w / w.sum())
-
     def tail_cutoff(self, tol):
         return max(abs(p) for p, _ in self.atoms) * (1.0 + 1e-12)
 
@@ -480,10 +483,10 @@ class AtomicMeasure(LevyMeasure):
             total = total + mass * (np.exp(z * pos) - 1.0)
         return total
 
-    def sample_increments(self, dt, n, rng):
-        total = 0.0
+    def sample_increments(self, dt, rng):
+        length, total = _one_length(dt), np.zeros(np.shape(dt))
         for pos, mass in self.atoms:
-            total = total + pos * _poisson(rng, mass * dt, n)
+            total = total + pos * _poisson(rng, mass * length, total.shape)
         return total
 
     def fixed_rule(self):
@@ -534,19 +537,15 @@ class CompoundExponentialMeasure(LevyMeasure):
             )
         raise DomainError("power must be 1 or 2")
 
-    def sample_tail(self, rng, eps, size):
-        # Memorylessness: the law above eps is eps + Exp(jump_rate).
-        return eps + rng.exponential(1.0 / self.jump_rate, size)
-
     def tail_cutoff(self, tol):
         return max(1.0, math.log(max(self.rate / tol, 2.0)) / self.jump_rate)
 
     def laplace_integral(self, z):
         return self.rate * z / (self.jump_rate - z)
 
-    def sample_increments(self, dt, n, rng):
-        counts = _poisson(rng, self.rate * dt, n)
-        out = np.zeros(n)
+    def sample_increments(self, dt, rng):
+        counts = _poisson(rng, self.rate * _one_length(dt), np.shape(dt))
+        out = np.zeros(counts.shape)
         busy = counts > 0
         if busy.any():
             out[busy] = rng.gamma(counts[busy].astype(float), 1.0 / self.jump_rate)
@@ -624,20 +623,25 @@ class TabulatedMeasure(LevyMeasure):
     def one_wedge(self, power):
         return float(self._integral(lambda x: np.minimum(1.0, np.abs(x) ** power)))
 
-    def sample_tail(self, rng, eps, size):
+    def sample_increments(self, dt, rng):
+        # Compound Poisson: per step a Poisson count at total_mass() * dt,
+        # then each jump's trapezoid cell by its mass and its place in the
+        # cell from the linear density d0 (1 - t) + d1 t on t in [0, 1],
+        # the mixture of the triangles 2 (1 - t) and 2 t weighted d0 and d1.
         xs, dens = self._grid()
-        if xs[0] > 0:
-            grid = np.clip(xs, eps, None)
-        else:
-            grid = np.clip(xs, None, -eps)
-        # Cell masses by trapezoid, then uniform placement inside each cell.
-        cells = 0.5 * (dens[:-1] + dens[1:]) * np.maximum(grid[1:] - grid[:-1], 0.0)
-        total = cells.sum()
-        if total <= 0:
-            raise DomainError(f"no tabulated mass above threshold {eps}")
-        idx = rng.choice(cells.size, size=size, p=cells / total)
-        u = rng.random(size)
-        return grid[idx] + u * (grid[idx + 1] - grid[idx])
+        counts = _poisson(rng, self.total_mass() * _one_length(dt), np.shape(dt))
+        n = int(counts.sum())
+        if n == 0:
+            return np.zeros(counts.shape)
+        cells = 0.5 * (dens[:-1] + dens[1:]) * np.diff(xs)
+        idx = rng.choice(cells.size, size=n, p=cells / cells.sum())
+        d0, d1 = dens[idx], dens[idx + 1]
+        pick, u = rng.random((2, n))
+        t = np.sqrt(u)
+        t = np.where(pick * (d0 + d1) < d1, t, 1.0 - t)
+        jumps = xs[idx] + t * (xs[idx + 1] - xs[idx])
+        step = np.repeat(np.arange(counts.size), counts.ravel())
+        return np.bincount(step, weights=jumps, minlength=counts.size).reshape(counts.shape)
 
     def tail_cutoff(self, tol):
         return abs(self.xs[-1]) * (1.0 + 1e-12) if self.xs[0] > 0 else abs(self.xs[0])
@@ -815,14 +819,14 @@ class TaggedLaw:
     entry for entry the values of scalar calls;
     ``density(s, x)``, the upper tail ``sf(s, x)`` for x > 0 and, for heavy
     tails, ``density_derivs`` (p, p', p'').  Scalar: ``small_s_ratio(s)``.
-    ``sample(r, rng)`` draws one value from mu^r per entry of r.
+    Draws from mu^r need no closed form here: ``simulate.conv_power_sample``
+    takes them from the triplet, for a tagged law or any other.
     """
 
     sides = (-1, 1)  # sides of 0 on which mu^s has a density
     even = False  # mu^s is symmetric about 0: the x-grid evaluates one side
     heavy_tail = False  # power-law tails: the x-grid gets a tail expansion
     mix_route = "grid"  # mixed jump measure: "grid", "atomic" or "pushforward"
-    power_samplable = True
 
     def interval_mass(self, s, lo, hi):
         return np.maximum(self.cdf(s, hi) - self.cdf(s, lo), 0.0)
@@ -877,9 +881,6 @@ class GaussianLaw(TaggedLaw):
         tails = 1.0 - gap
         return float((inside_sq + tails) / s)
 
-    def sample(self, r, rng):
-        return self.mean * r + np.sqrt(self.var * r) * rng.standard_normal(r.shape)
-
     def require_stable(self, alpha):
         if alpha != 2.0:
             raise DomainError("a gaussian base is 2-stable")
@@ -917,9 +918,6 @@ class GammaLaw(TaggedLaw):
         tail = 1.0 - float(special.gammainc(a, self.rate))
         return (inside + tail) / s
 
-    def sample(self, r, rng):
-        return rng.gamma(self.shape * r, 1.0 / self.rate)
-
 
 @dataclass(frozen=True)
 class PoissonLaw(TaggedLaw):
@@ -954,9 +952,6 @@ class PoissonLaw(TaggedLaw):
         tail = 1.0 - _poisson_count_cdf(ks.size, self.rate * s)
         return float((inside + tail) / s)
 
-    def sample(self, r, rng):
-        return self.jump_size * _poisson(rng, self.rate * r)
-
 
 @dataclass(frozen=True)
 class DeltaLaw(TaggedLaw):
@@ -969,9 +964,6 @@ class DeltaLaw(TaggedLaw):
     def truncated_mean(self, s):
         x = self.drift * np.asarray(s, dtype=float)
         return np.where(np.abs(x) <= 1.0, x, 0.0)[()]
-
-    def sample(self, r, rng):
-        return self.drift * r
 
 
 class _StableLaw(TaggedLaw):
@@ -1031,9 +1023,6 @@ class SymmetricStableLaw(_StableLaw):
         tail = 0.5 - math.atan(1.0 / c) / math.pi
         return 2.0 * (inside + tail) / s
 
-    def sample(self, r, rng):
-        return self.scale * r ** (1.0 / self.alpha) * _standard_symmetric_stable(rng, self.alpha, r.shape)
-
 
 @dataclass(frozen=True)
 class OneSidedStableLaw(_StableLaw):
@@ -1041,10 +1030,6 @@ class OneSidedStableLaw(_StableLaw):
     coeff: float
     closed_index = 0.5
     sides = (1,)
-
-    @property
-    def power_samplable(self):
-        return self.alpha == self.closed_index
 
     def _c(self, s):
         self._closed()
@@ -1086,9 +1071,6 @@ class OneSidedStableLaw(_StableLaw):
         )
         tail = float(special.erf(math.sqrt(y)))
         return (inside + tail) / s
-
-    def sample(self, r, rng):
-        return _levy_positive(rng, self._c(r), r.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,11 @@ def _separable_solver(z: np.ndarray, h: np.ndarray, w: np.ndarray):
     drift_only = max(0.0, zh / zz) if zz > 0 else 0.0
     r = h - drift_only * z
     on_drift = float(np.dot(w, r.real**2 + r.imag**2))
+    # The summed squares of the curve's rounding: the unwrapped log CF
+    # gathers up to one rounding of its largest value per point, so each
+    # point is known to about n eps max|h|. Jumps that lower the summed
+    # squares by less explain rounding, not the curve.
+    noise = float(np.sum(w)) * (h.size * np.finfo(float).eps * float(np.max(np.abs(h)))) ** 2
 
     def solve(g):
         if g is None:
@@ -346,10 +351,11 @@ def _separable_solver(z: np.ndarray, h: np.ndarray, w: np.ndarray):
             amp = np.where(inside, amp, np.maximum(0.0, gh / gg))
             r = h - beta0[:, None] * z - amp[:, None] * rows
             obj = (r.real**2 + r.imag**2) @ w
-        # The drift alone wherever the jumps do not lower the summed squares,
-        # as computed: on a curve without jumps the rounding in beta0 and amp
-        # can make the exact optimum lose to the drift.
-        drift = ~(obj < on_drift)
+        # The drift alone wherever the jumps do not lower the summed squares
+        # by more than the rounding: on a curve without jumps the rounding
+        # in beta0 and amp can make the exact optimum lose to the drift, and
+        # on a curve that is a drift to rounding, jumps fit that rounding.
+        drift = ~(obj < on_drift - noise)
         beta0 = np.where(drift, drift_only, beta0)
         amp = np.where(drift, 0.0, amp)
         # A basis too large to square is no candidate.

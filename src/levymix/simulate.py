@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LevyMeasure, LevyTriplet, SubordinatorPair, TruncationConvention, _truncation_shift
-from .errors import ConfigError, DomainError, UnsupportedFamily
+from .core import LevyTriplet, SubordinatorPair, TruncationConvention, _truncation_shift
+from .errors import ConfigError, DomainError
 from .subordinate import SeedField
 
 __all__ = [
@@ -62,21 +62,13 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sampling controls.
+    """Sampling controls: the seed and the number of paths, one stream
+    each. Every draw is exact, so there is nothing else to tune."""
 
-    epsilon=None picks the jump-truncation level per run so the dropped
-    small-jump moments are below 1e-6 * horizon, and refuses a run where no
-    level within 1e7 expected jumps does; explicit values must be > 0.
-    The truncation only matters for measures without an exact sampler.
-    """
-
-    epsilon: float | None = None
     seed: int = 0
     n_paths: int = 1
 
     def __post_init__(self):
-        if self.epsilon is not None and not (self.epsilon > 0):
-            raise ConfigError("epsilon must be > 0")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
 
@@ -122,89 +114,33 @@ def make_rng(seed: int, stream_id: int = 0, channel: int = 0) -> np.random.Gener
 
 
 # ---------------------------------------------------------------------------
-# Exact convolution-power sampling of the tagged time-one laws.
+# Exact convolution-power sampling of any triplet.
+
+# The step budget: the most steps the CLI's grid flags (--horizon and
+# --burn-in over --dt, and --theta-steps) and sample_lss's burn-in may ask
+# for, refused before any array is built.
+_MAX_STEPS = 1e7
 
 
-def conv_power_sample(mu: LevyTriplet, r, rng) -> np.ndarray:
-    """One draw from mu^r for each entry of r (r >= 0)."""
+def conv_power_sample(t: LevyTriplet, r, rng) -> np.ndarray:
+    """One exact draw from mu^r for each entry of r (r >= 0), mu the law of
+    the triplet at time one: drift r + sqrt(var r) Z - shift r + jumps(r),
+    where shift is the compensator's drift and jumps(r) the measure's sum
+    of all jumps over a step of length r. A draw past the float range is
+    refused, never returned as inf."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if (r < 0).any():
         raise DomainError("convolution powers need r >= 0")
-    if mu.law is None:
-        raise UnsupportedFamily("no closed-form power sampler for an untagged law")
-    return mu.law.sample(r, rng)
-
-
-# ---------------------------------------------------------------------------
-# Increments: exact jump samplers where the family has one, else truncation.
-
-# Expected jump count above which the truncation route refuses to sample.
-_MAX_EXPECTED_JUMPS = 1e7
-# Fine-grid steps per path above which the refine fallback refuses to sample.
-_MAX_FINE_STEPS = 1e7
-# Fine base steps per clock step on the refine fallback.
-_REFINE = 64
-
-
-def _auto_epsilon(measure: LevyMeasure, horizon: float) -> float:
-    """Largest power of two meeting the small-jump budget. Halving only adds
-    expected jumps, so the search stops where _epsilon_route would refuse."""
-    budget = 1e-6 * max(horizon, 1e-12)
-    eps = 1.0
-    while eps > 0.0 and measure.mass_above(eps) * horizon <= _MAX_EXPECTED_JUMPS:
-        small = abs(measure.truncated_moment(1, eps)) + measure.truncated_moment(2, eps) / eps
-        if small < budget:
-            return eps
-        eps *= 0.5
-    raise ConfigError(
-        f"no truncation level keeps the dropped small jumps under 1e-6 * horizon = {budget:.3g} "
-        f"with at most {_MAX_EXPECTED_JUMPS:.0e} expected jumps; pass --epsilon"
-    )
-
-
-def _epsilon_route(measure: LevyMeasure, dt: float, n: int, epsilon, rng) -> np.ndarray:
-    """Per-step jumps above epsilon (a compound Poisson sum) plus the exact
-    mean of the dropped small jumps; epsilon=None picks it by _auto_epsilon.
-
-    The expected number of jumps is checked before anything is drawn.
-    """
-    eps = epsilon if epsilon is not None else _auto_epsilon(measure, dt * n)
-    lam = measure.mass_above(eps)
-    expected = lam * dt * n
-    if expected > _MAX_EXPECTED_JUMPS:
-        raise ConfigError(
-            f"epsilon={eps:.3g} leaves {expected:.3g} expected jumps to draw, "
-            f"over the limit of {_MAX_EXPECTED_JUMPS:.0e}; choose a larger epsilon"
-        )
-    out = np.zeros(n)
-    if lam == 0.0:
-        if measure.tail_cutoff(1e-300) <= eps or measure.is_zero():
-            raise ConfigError(f"epsilon={eps} is at or above the jump support")
-    else:
-        counts = rng.poisson(lam * dt, n)
-        total = int(counts.sum())
-        if total:
-            jumps = measure.sample_tail(rng, eps, total)
-            bounds = np.concatenate(([0], np.cumsum(counts)))
-            out = np.add.reduceat(np.concatenate((jumps, [0.0])), bounds[:-1])
-            out[counts == 0] = 0.0
-    return out + measure.truncated_moment(1, eps) * dt
-
-
-def _levy_increments(t: LevyTriplet, dt: float, n: int, cfg: SimConfig, rng) -> np.ndarray:
-    """n independent increments over steps of length dt: exact where the
-    jump measure has an exact sampler, else the epsilon-truncation with the
-    dropped mean folded into the drift (so a clock's paths stay monotone)."""
-    nu = t.jumps
-    inc = t.drift * dt * np.ones(n)
-    if t.gaussian_var > 0:
-        inc += math.sqrt(t.gaussian_var * dt) * rng.standard_normal(n)
-    # With every jump kept, the triplet's compensator is a deterministic shift.
-    inc = inc - _truncation_shift(nu, t.convention) * dt
-    jumps = nu.sample_increments(dt, n, rng)
-    if jumps is None:
-        jumps = _epsilon_route(nu, dt, n, cfg.epsilon, rng)
-    return inc + jumps
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = t.drift * r
+        if t.gaussian_var > 0:
+            out = out + np.sqrt(t.gaussian_var * r) * rng.standard_normal(r.shape)
+        if not t.jumps.is_zero():
+            jumps = t.jumps.sample_increments(r, rng)
+            out = out - _truncation_shift(t.jumps, t.convention) * r + jumps
+    if not np.isfinite(out).all():
+        raise DomainError("a draw from a convolution power is past the float range")
+    return out
 
 
 def _clock_triplet(pair: SubordinatorPair) -> LevyTriplet:
@@ -214,7 +150,11 @@ def _clock_triplet(pair: SubordinatorPair) -> LevyTriplet:
 
 
 def _walk(inc: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0.0], np.cumsum(inc)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = np.concatenate(([0.0], np.cumsum(inc)))
+    if not math.isfinite(path[-1]):  # a partial sum past the float range stays there
+        raise DomainError("the path leaves the float range")
+    return path
 
 
 def _paths(values, grid: TimeGrid, cfg: SimConfig):
@@ -232,7 +172,7 @@ def sample_levy(t: LevyTriplet, grid: TimeGrid, cfg: SimConfig = SimConfig()):
 
     def values(stream):
         rng = make_rng(cfg.seed, stream, channel=0)
-        return _walk(_levy_increments(t, grid.dt, grid.n_steps, cfg, rng))
+        return _walk(conv_power_sample(t, np.full(grid.n_steps, grid.dt), rng))
 
     return _paths(values, grid, cfg)
 
@@ -246,13 +186,9 @@ def sample_subordinator(pair: SubordinatorPair, grid: TimeGrid, cfg: SimConfig =
 # Time-changed paths.
 
 
-def _power_samplable(mu: LevyTriplet) -> bool:
-    return mu.law is not None and mu.law.power_samplable
-
-
 def _clock_then_power(mu_L, clock, dt, n, cfg, stream):
     """n clock increments on channel 0, then one draw from mu_L to each one's power on channel 1."""
-    d_t = _levy_increments(clock, dt, n, cfg, make_rng(cfg.seed, stream, channel=0))
+    d_t = conv_power_sample(clock, np.full(n, dt), make_rng(cfg.seed, stream, channel=0))
     return conv_power_sample(mu_L, d_t, make_rng(cfg.seed, stream, channel=1))
 
 
@@ -265,33 +201,14 @@ def sample_subordinated(
     """Path(s) of the time-changed process: the base process run at the
     subordinator's clock.
 
-    Conditionally exact whenever the base law family supports convolution
-    power sampling: per step, draw the clock increment, then one exact draw
-    from the base law raised to that power. Otherwise the base path is
-    simulated 64 times finer over the clock's range and read off at the
-    clock times, on grids of at most 156,250 steps (1e7 fine steps).
+    Conditionally exact for every base triplet and clock: per step, draw
+    the clock increment, then one exact draw from the base law raised to
+    that power.
     """
-    conditional = _power_samplable(mu_L)
-    if not conditional and _REFINE * grid.n_steps > _MAX_FINE_STEPS:
-        raise ConfigError(
-            f"the refine fallback takes {_REFINE * grid.n_steps:.3g} fine steps per path, over the "
-            f"limit of {_MAX_FINE_STEPS:.0e}; at most {int(_MAX_FINE_STEPS // _REFINE)} steps fit"
-        )
     clock = _clock_triplet(pair)
 
     def values(stream):
-        if conditional:
-            return _walk(_clock_then_power(mu_L, clock, grid.dt, grid.n_steps, cfg, stream))
-        rng_t = make_rng(cfg.seed, stream, channel=0)
-        clock_path = _walk(_levy_increments(clock, grid.dt, grid.n_steps, cfg, rng_t))
-        t_end = float(clock_path[-1])
-        if t_end == 0.0:
-            return np.zeros(grid.n_steps + 1)
-        n_fine = _REFINE * grid.n_steps
-        dt_fine = t_end / n_fine
-        path = _walk(_levy_increments(mu_L, dt_fine, n_fine, cfg, make_rng(cfg.seed, stream, channel=1)))
-        idx = np.minimum((clock_path / dt_fine).astype(int), n_fine)
-        return _walk(np.diff(path[idx]))
+        return _walk(_clock_then_power(mu_L, clock, grid.dt, grid.n_steps, cfg, stream))
 
     return _paths(values, grid, cfg)
 
@@ -310,8 +227,6 @@ def sample_basis_grid(mu_L: LevyTriplet, fld: SeedField, cfg: SimConfig = SimCon
 
 def sample_basis_ensemble(mu_L: LevyTriplet, fld: SeedField, cfg: SimConfig, n_draws: int) -> np.ndarray:
     """n_draws independent copies of every cell value; shape (n_draws, n_cells)."""
-    if not _power_samplable(mu_L):
-        raise UnsupportedFamily("cell sampling needs a power-samplable base law")
     if n_draws < 1:
         raise ConfigError("n_draws must be >= 1")
     cols = [
@@ -366,12 +281,10 @@ def sample_lss(
     """
     if not (burn_in > 0):
         raise ConfigError("burn_in must be > 0")
-    if not burn_in / grid.dt <= _MAX_FINE_STEPS:
-        raise ConfigError(f"burn_in must span at most {_MAX_FINE_STEPS:.0e} steps of dt, got {burn_in / grid.dt:.3g}")
+    if not burn_in / grid.dt <= _MAX_STEPS:
+        raise ConfigError(f"burn_in must span at most {_MAX_STEPS:.0e} steps of dt, got {burn_in / grid.dt:.3g}")
     if float(kernel(np.array([burn_in]))[0]) > 1e-8:
         raise ConfigError("burn_in too small: kernel has not decayed to 1e-8")
-    if not _power_samplable(mu_L):
-        raise UnsupportedFamily("moving-average sampling needs a power-samplable base law")
     m = int(math.ceil(burn_in / grid.dt))
     ext = TimeGrid(grid.t0 - m * grid.dt, grid.dt, m + grid.n_steps)
     weights = kernel(grid.dt * np.arange(ext.n_steps + 1))

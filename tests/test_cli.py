@@ -366,12 +366,13 @@ def test_stable_tail_cut_overflow_exits_3(tmp_path, capsys):
 
 
 def test_stable_clock_next_to_index_one_exits_with_its_cause(tmp_path, capsys):
-    # simulate: no automatic epsilon keeps the dropped small jumps under
-    # 1e-6 * horizon within 1e7 expected jumps (it used to halve to 0.0);
-    # mix and subordinate: the density overflows at every floor that bounds
-    # the dropped mass, or no floor bounds it
+    # simulate: an index-1 clock has no finite variation and is refused at
+    # the spec (below 1 the sampler is exact and runs, see
+    # test_simulate_at_extreme_stable_indices); mix and subordinate: the
+    # density overflows at every floor that bounds the dropped mass, or no
+    # floor bounds it
     base = {"family": "gaussian", "params": {"mean": 0.5, "variance": 1.0}}
-    runs = [(index, ["simulate", "--dt", 0.1, "--horizon", 2], 2, "--epsilon") for index in (0.97, 0.99)]
+    runs = [(1.0, ["simulate", "--dt", 0.1, "--horizon", 2], 2, "must integrate (1 and x)")]
     runs += [(index, [command], 3, "lower cut") for index in (0.95, 0.99) for command in ("mix", "subordinate")]
     for index, argv, code, cause in runs:
         model = _model(tmp_path / f"s{index}.json", base, {"kind": "one_sided_stable", "index": index, "coeff": 1.0})
@@ -379,6 +380,34 @@ def test_stable_clock_next_to_index_one_exits_with_its_cause(tmp_path, capsys):
         err = capsys.readouterr().err
         assert cause in err and "Traceback" not in err and "RuntimeWarning" not in err
         assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("index", [0.01, 0.05, 0.97, 0.99])
+@pytest.mark.parametrize("base", [GAUSS, {"family": "poisson", "params": {"rate": 1.0, "jump_size": -2.0}}],
+                         ids=["gaussian", "poisson"])
+def test_simulate_at_extreme_stable_indices(tmp_path, capsys, base, index):
+    # the exact clock sampler runs at every index in (0, 1): a run ends in
+    # a finite path, or in exit 3 when a draw leaves the float range or
+    # passes the Poisson sampler's limit, never in a traceback or a warning
+    model = _model(tmp_path / "m.json", base, {"kind": "one_sided_stable", "index": index, "coeff": 1.0})
+    out = tmp_path / "x.csv"
+    for seed in range(3):
+        rc = _run(["simulate", "--model", model, "--dt", 0.1, "--horizon", 2, "--seed", seed, "--out", out])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        if rc == 0:
+            assert all(math.isfinite(float(v)) for line in out.read_text().split()[1:] for v in line.split(","))
+            out.unlink()
+        else:
+            assert rc == 3 and not out.exists()
+
+
+def test_epsilon_flag_is_gone(tmp_path, capsys):
+    # every clock draws exactly, so there is no truncation level to pass
+    with pytest.raises(SystemExit) as exc:
+        _run(["simulate", "--model", VG, "--dt", 0.1, "--horizon", 1, "--epsilon", 0.01, "--out", tmp_path / "x.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
 def test_poisson_mean_past_sampler_limit_exits_3(tmp_path, capsys):
@@ -432,15 +461,15 @@ def test_config_error_exits_2(tmp_path):
     rc = _run(["simulate", "--model", VG, "--dt", 0.1, "--horizon", 0.0,
                "--out", tmp_path / "x.csv"])
     assert rc == 2
-    # a 0.7-stable clock on the truncation route would need about 1.3e13
-    # jumps at the automatic epsilon; the budget check refuses it
+    # a 0.7-stable clock samples exactly at any size; the refusal that
+    # remains for it is a configuration one: no paths to draw
     model = tmp_path / "stable07.json"
     model.write_text(json.dumps({
         "schema": 1,
         "levy": {"family": "gaussian", "params": {"mean": 0.0, "variance": 1.0}},
         "subordinator": {"drift": 0.0, "jumps": {"kind": "one_sided_stable", "index": 0.7, "coeff": 1.0}},
     }))
-    rc = _run(["simulate", "--model", model, "--dt", 0.01, "--horizon", 100.0,
+    rc = _run(["simulate", "--model", model, "--dt", 0.01, "--horizon", 100.0, "--n-paths", 0,
                "--out", tmp_path / "y.csv"])
     assert rc == 2
     assert not (tmp_path / "y.csv").exists()

@@ -383,19 +383,6 @@ def test_scaled_measure_scales_functionals(factor):
         )
 
 
-@given(eps=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_sample_tail_respects_cutoff(eps, seed):
-    rng = np.random.default_rng(seed)
-    for m in (GammaMeasure(1.3, 2.1), OneSidedStableMeasure(0.5, 0.7),
-              CompoundExponentialMeasure(1.2, 2.5)):
-        if m.mass_above(eps) <= 0:
-            continue
-        x = m.sample_tail(rng, eps, 64)
-        assert x.shape == (64,)
-        assert np.all(x >= eps)
-
-
 def test_tail_cutoff_bounds_remaining_mass():
     for m in (GammaMeasure(2.0, 3.0), OneSidedStableMeasure(0.5, 0.7)):
         cut = m.tail_cutoff(1e-9)

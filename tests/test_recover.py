@@ -485,6 +485,20 @@ def test_best_value_beyond_the_searched_range_raises(family):
         fit_subordinator(curve, family)
 
 
+@pytest.mark.parametrize("family", ["gamma", "compound_exponential"])
+def test_curve_that_is_a_drift_to_rounding_raises_naming_drift(family):
+    # the unit basis at searched coordinate 31, past the range's upper end,
+    # is z / value to about 1e-12: h = 0.3 z + g / max|g| is a drift to the
+    # curve's rounding, and jumps that lower its summed squares fit only that
+    # rounding (a gamma fit returned shape 8.4e-13 at rate 20.4 here)
+    z = _vg_curve().z
+    name, basis = _unit_basis(family, z)
+    g = basis(_from_search_coordinate(name, 31.0))
+    curve = PsiCurve(z, 0.3 * z + g / np.max(np.abs(g)), default_theta_grid())
+    with pytest.raises(NonConvergence, match="fit --family drift instead"):
+        fit_subordinator(curve, family)
+
+
 # --- the separable fit against a direct three-parameter simplex ----------------------
 
 

@@ -19,19 +19,19 @@ from levymix.core import (
     LevyTriplet,
     OneSidedStableMeasure,
     SubordinatorPair,
+    SymmetricStableMeasure,
+    TabulatedMeasure,
     TruncationConvention,
     ZERO_MEASURE,
     convert_convention,
 )
-from levymix.errors import ConfigError
+from levymix.errors import ConfigError, DomainError, UnsupportedFamily
 from levymix.simulate import (
     GridField,
     LssKernel,
     PathSample,
     SimConfig,
     TimeGrid,
-    _auto_epsilon,
-    _epsilon_route,
     conv_power_sample,
     exp_kernel,
     gamma_kernel,
@@ -65,8 +65,6 @@ def test_time_grid_times_and_horizon():
 
 def test_sim_config_validation():
     with pytest.raises(ConfigError):
-        SimConfig(epsilon=0.0)
-    with pytest.raises(ConfigError):
         SimConfig(n_paths=0)
 
 
@@ -87,16 +85,19 @@ def test_conv_power_sample_families():
     assert gam.shape == (3,)
     assert gam[2] == 0.0  # zero time: the law degenerates at 0
     assert np.all(gam >= 0)
-    gau = conv_power_sample(lm.gaussian_law(0.3, 1.2), np.full(4, 2.0), make_rng(1))
-    assert gau.shape == (4,)
-    dl = conv_power_sample(lm.delta_law(0.7), np.array([2.0]), make_rng(2))
-    assert dl[0] == 0.7 * 2.0
-    ca = conv_power_sample(lm.cauchy_law(1.0), np.full(8, 1.0), make_rng(3))
-    assert np.all(np.isfinite(ca))
-    oss = conv_power_sample(lm.one_sided_stable_law(0.5, 0.4), np.full(8, 1.0), make_rng(4))
-    assert np.all(oss > 0)
-    po = conv_power_sample(lm.poisson_law(2.0, 0.5), np.full(8, 1.0), make_rng(5))
-    assert np.allclose(np.round(po / 0.5), po / 0.5)
+    # every power below ends in r = 0, which draws exactly 0
+    r = np.append(np.full(7, 1.0), 0.0)
+    gau = conv_power_sample(lm.gaussian_law(0.3, 1.2), 2.0 * r, make_rng(1))
+    assert gau.shape == (8,) and gau[-1] == 0.0
+    dl = conv_power_sample(lm.delta_law(0.7), np.array([2.0, 0.0]), make_rng(2))
+    assert dl[0] == 0.7 * 2.0 and dl[1] == 0.0
+    ca = conv_power_sample(lm.cauchy_law(1.0), r, make_rng(3))
+    assert np.all(np.isfinite(ca)) and ca[-1] == 0.0
+    for alpha in (0.5, 0.3):
+        oss = conv_power_sample(lm.one_sided_stable_law(alpha, 0.4), r, make_rng(4))
+        assert np.all(oss[:-1] > 0) and oss[-1] == 0.0
+    po = conv_power_sample(lm.poisson_law(2.0, 0.5), r, make_rng(5))
+    assert np.allclose(np.round(po / 0.5), po / 0.5) and po[-1] == 0.0
 
 
 def test_conv_power_sample_gamma_moments():
@@ -107,6 +108,103 @@ def test_conv_power_sample_gamma_moments():
     mean, var = 2.0 * r / 3.0, 2.0 * r / 9.0
     assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / x.size)
     assert abs(x.var() - var) <= 0.05 * var
+
+
+# --- exact increment samplers ------------------------------------------------------
+
+_N_LAW = 100_000
+_MEASURES = (
+    ZERO_MEASURE,
+    GammaMeasure(1.3, 2.0),
+    OneSidedStableMeasure(0.3, 1.0),
+    OneSidedStableMeasure(0.5, 0.5),
+    OneSidedStableMeasure(0.8, 0.2),
+    SymmetricStableMeasure(1.5, 0.4),
+    AtomicMeasure(((-0.5, 1.0), (2.0, 0.3))),
+    CompoundExponentialMeasure(1.2, 2.5),
+    TabulatedMeasure((0.1, 0.3, 0.5), (2.0, 0.5, 1.0)),
+)
+
+
+def _laplace_gap_sd(measure, r, draws, u):
+    """Distance of the mean of exp(-u X) over the draws from exp(r Psi(-u)),
+    Psi the Laplace exponent, in standard deviations of that mean."""
+    pair = SubordinatorPair(0.0, measure)
+    want = math.exp(r * lm.laplace_exponent(pair, -u).real)
+    second = math.exp(r * lm.laplace_exponent(pair, -2.0 * u).real)
+    return abs(np.exp(-u * draws).mean() - want) / math.sqrt((second - want * want) / draws.size)
+
+
+@pytest.mark.parametrize("index", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_one_sided_stable_increments_match_laplace_exponent(index):
+    # Kanter's representation (c / Z^2 at index 0.5) at N = 1e5: the
+    # empirical Laplace transform lies within 6 sd at three arguments
+    m = OneSidedStableMeasure(index, 0.8)
+    x = m.sample_increments(np.full(_N_LAW, 0.5), make_rng(40))
+    for u in (0.3, 1.0, 5.0):
+        assert _laplace_gap_sd(m, 0.5, x, u) <= 6.0
+
+
+def test_tabulated_increments_match_laplace_integral():
+    xs = np.linspace(0.2, 2.0, 181)
+    m = TabulatedMeasure(tuple(xs), tuple(3.0 * (xs - 0.2) * np.exp(-xs) + 0.5 * np.maximum(xs - 1.0, 0.0)))
+    x = m.sample_increments(np.full(_N_LAW, 0.5), make_rng(3))
+    for u in (0.3, 1.0, 5.0):
+        assert _laplace_gap_sd(m, 0.5, x, u) <= 6.0
+    # inside a cell a jump follows the linear density: on the one cell
+    # (1, 2), rising from 0 to 2, it has mean 5/3 and second moment 17/6,
+    # so a unit step has mean 5/3 (uniform placement would give 1.5, 31 sd off)
+    one = TabulatedMeasure((1.0, 2.0), (0.0, 2.0))
+    x = one.sample_increments(np.full(_N_LAW, 1.0), make_rng(4))
+    assert abs(x.mean() - 5.0 / 3.0) <= 6.0 * math.sqrt(17.0 / 6.0 / _N_LAW)
+
+
+@given(
+    r=st.lists(st.sampled_from([0.0, 1e-3, 0.1, 1.0]) | st.floats(0.0, 10.0), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_sample_increments_keep_shape_and_draw_zero_over_empty_steps(r, seed):
+    r = np.array(r, dtype=float)
+    for steps in (r, r.reshape(-1, 1)):
+        for m in _MEASURES:
+            x = m.sample_increments(steps, make_rng(seed))
+            assert x.shape == steps.shape
+            assert np.all(x[steps == 0.0] == 0.0)
+            assert np.all(np.isfinite(x))
+
+
+def test_one_sided_stable_sampler_refusals():
+    # index >= 1 has no sampler, even inside a triplet whose compensator
+    # would fail first; a draw past the float range is refused, never inf
+    with pytest.raises(UnsupportedFamily):
+        OneSidedStableMeasure(1.2, 1.0).sample_increments(np.ones(3), make_rng(0))
+    with pytest.raises(UnsupportedFamily):
+        conv_power_sample(LevyTriplet(0.0, 0.0, OneSidedStableMeasure(1.5, 1.0)), np.ones(3), make_rng(0))
+    # at index 0.01 a step of length 10 has scale e**691
+    with pytest.raises(DomainError, match="past the float range"):
+        OneSidedStableMeasure(0.01, 1.0).sample_increments(np.full(100, 10.0), make_rng(0))
+
+
+def test_draws_and_paths_past_the_float_range_are_refused():
+    # a 1/2-stable base at power 1e200 has scale 1e400, and two unit steps
+    # of a delta(1e308) law sum past the float range: refused, never inf
+    with pytest.raises(DomainError, match="past the float range"):
+        conv_power_sample(lm.symmetric_stable_law(0.5, 1.0), np.array([1.0, 1e200]), make_rng(0))
+    with pytest.raises(DomainError, match="leaves the float range"):
+        sample_levy(lm.delta_law(1e308), TimeGrid(0.0, 1.0, 2))
+
+
+def test_stable_clock_ecf_holds_at_high_frequency():
+    # an N(0, 1) base under a 0.3-stable clock at dt 0.01 over 1e5 steps:
+    # the increments' ECF at theta = 300 lies within 3 sd of exp(dt psi);
+    # the small-jump truncation this sampler replaced sat 4.6 sd off here
+    pair = SubordinatorPair(0.0, OneSidedStableMeasure(0.3, 1.0))
+    dt, n, theta = 0.01, 100_000, 300.0
+    inc = sample_subordinated(VG_BASE, pair, TimeGrid(0.0, dt, n), SimConfig(seed=0)).increments()
+    want = np.exp(dt * compose_cf(VG_BASE, pair, theta))
+    sd = math.sqrt((1.0 - abs(want) ** 2) / n)
+    assert abs(np.exp(1j * theta * inc).mean() - want) <= 3.0 * sd
 
 
 # --- subordinators -------------------------------------------------------------
@@ -160,62 +258,6 @@ def test_gamma_subordinator_t1_moments():
     mean, var = 2.0 / 3.0, 2.0 / 9.0
     assert abs(t1.mean() - mean) <= 4.0 * math.sqrt(var / t1.size)
     assert abs(t1.var() - var) <= 0.05 * var
-
-
-def test_epsilon_route_matches_exact_route_in_law():
-    # compound-exponential jumps sample exactly; the truncation route on
-    # the same clock must agree in distribution (Laplace transform at 1)
-    rho = CompoundExponentialMeasure(1.2, 2.5)
-    n = 40_000
-    exact = rho.sample_increments(1.0, n, make_rng(21))
-    trunc = _epsilon_route(rho, 1.0, n, 1e-4, make_rng(22))
-    want = math.exp(lm.laplace_exponent(SubordinatorPair(0.0, rho), -1.0).real)
-    assert abs(np.mean(np.exp(-exact)) - want) <= 8e-3
-    assert abs(np.mean(np.exp(-trunc)) - want) <= 8e-3
-
-
-def test_epsilon_halving_mean_shift_bound():
-    # halving epsilon moves the empirical mean of T_1 by less than twice
-    # the dropped-jump mean 2 * tm(1, eps)
-    rho = GammaMeasure(2.0, 3.0)
-    eps = 1e-2
-    bound = 2.0 * rho.truncated_moment(1, eps) + 4.0 * math.sqrt((2.0 / 9.0) / 20_000)
-    for seed in range(3):
-        a = _epsilon_route(rho, 1.0, 20_000, eps, make_rng(seed))
-        b = _epsilon_route(rho, 1.0, 20_000, eps / 2, make_rng(seed))
-        assert abs(a.mean() - b.mean()) <= bound
-
-
-def test_epsilon_route_checks_expected_jumps_before_drawing():
-    # the dropped-moment budget for a 0.7-stable clock at dt 0.01 over 1e4
-    # steps needs epsilon = 2.2e-16, i.e. about 1.3e13 expected jumps:
-    # refused before any draw
-    rho = OneSidedStableMeasure(0.7, 1.0)
-    with pytest.raises(ConfigError, match="expected jumps"):
-        _epsilon_route(rho, 0.01, 10_000, None, make_rng(0))
-    with pytest.raises(ConfigError, match="expected jumps"):
-        sample_subordinator(SubordinatorPair(0.0, rho), TimeGrid(0.0, 0.01, 10_000))
-
-
-def test_auto_epsilon_refuses_before_underflow():
-    # at index 0.99 the dropped mean falls like eps^0.01 while the jump count
-    # grows like eps^-0.99; the search stops at the jump limit, not at 0.0
-    with pytest.raises(ConfigError, match="expected jumps; pass --epsilon"):
-        _auto_epsilon(OneSidedStableMeasure(0.99, 1.0), 2.0)
-
-
-def test_epsilon_above_support_is_rejected():
-    # a bounded-support measure on the generic truncation route: cutting at
-    # eps = 2 above the support would silently drop every jump
-    xs = np.linspace(0.1, 0.5, 200)
-    rho = lm.TabulatedMeasure(tuple(xs), tuple(2.0 * np.exp(-xs)))
-    pair = SubordinatorPair(0.0, rho)
-    with pytest.raises(ConfigError):
-        sample_subordinator(pair, GRID01, SimConfig(seed=0, epsilon=2.0))
-    # atomic jumps sample exactly per atom; epsilon is simply unused there
-    exact = SubordinatorPair(0.0, AtomicMeasure(((0.5, 1.0),)))
-    path = sample_subordinator(exact, GRID01, SimConfig(seed=0, epsilon=2.0))
-    assert np.all(np.diff(path.values) >= 0.0)
 
 
 # --- levy paths -----------------------------------------------------------------
@@ -277,8 +319,8 @@ def test_subordinated_delta_base_equals_clock():
 
 
 def test_subordinated_composition_fallback_matches_law():
-    # an untagged base has no exact power sampler, so the sampler falls back
-    # to composing with a refined base path; check the law at one theta
+    # an untagged base draws its powers from the triplet like any other
+    # (the exact conditional route); check the law at one theta
     law = lm.symmetric_stable_law(1.5, 0.7)
     base = LevyTriplet(0.0, 0.0, law.jumps)
     pair = SubordinatorPair(0.0, GammaMeasure(1.0, 1.0))
@@ -289,15 +331,6 @@ def test_subordinated_composition_fallback_matches_law():
     ecf = np.exp(1j * theta * inc).mean()
     want = np.exp(compose_cf(law, pair, theta))
     assert abs(ecf - want) <= 6.0 / math.sqrt(n)
-
-
-def test_refine_fallback_checks_fine_steps_before_drawing():
-    # 64 * 200,000 = 1.28e7 fine steps per path exceeds the 1e7 budget and
-    # is refused before any draw; the message names the most steps that fit
-    base = LevyTriplet(0.0, 0.0, lm.symmetric_stable_law(1.5, 0.7).jumps)
-    pair = SubordinatorPair(0.0, GammaMeasure(1.0, 1.0))
-    with pytest.raises(ConfigError, match="at most 156250 steps fit"):
-        sample_subordinated(base, pair, TimeGrid(0.0, 1.0, 200_000), SimConfig(seed=0))
 
 
 def test_subordinated_reproducible():
@@ -449,7 +482,11 @@ def test_path_sample_increments_invert_cumsum():
 
 # Short seeded draws from every sampler route, pinned to the bit: the second
 # and the last entry of each (a path starts at 0.0), as float.hex. A refactor
-# of the samplers must leave every one of them unchanged.
+# of the samplers must leave every one of them unchanged. Three names are
+# kept from routes since removed: the 0.3-stable ("auto-eps") and tabulated
+# ("tabulated-eps") clocks and the untagged base ("subordinated-refine") draw
+# exactly, by Kanter's representation, a compound Poisson sum and the
+# triplet's power sampler.
 _TAB_XS = np.linspace(0.1, 0.5, 200)
 _STABLE_BASE = LevyTriplet(0.0, 0.0, lm.symmetric_stable_law(1.5, 0.7).jumps)
 _SHORT = TimeGrid(0.0, 0.05, 40)
@@ -466,7 +503,7 @@ _FROZEN_DRAWS = {
     **{
         f"subordinator-{name}": (
             lambda pair=pair, name=name: sample_subordinator(
-                pair, _SHORT, SimConfig(seed=7, n_paths=2, epsilon=0.2 if name == "tabulated-eps" else None)
+                pair, _SHORT, SimConfig(seed=7, n_paths=2)
             )[1].values
         )
         for name, pair in _CLOCKS.items()
@@ -494,14 +531,14 @@ _FROZEN_VALUES = {
     "lss-alpha-0": ("-0x1.2c0db7087a69ep-1", "0x1.b067f64f6e7b0p-2"),
     "lss-alpha-0.5": ("-0x1.fcf8467265594p-3", "0x1.f3244e9ab869fp-3"),
     "subordinated-conditional": ("0x1.7bf3bb50c42b3p-4", "0x1.797ccb9c8d7fcp-1"),
-    "subordinated-refine": ("0x1.adafec89d0d08p-11", "0x1.5663325107ebdp+0"),
+    "subordinated-refine": ("-0x1.140aceae4a694p-4", "-0x1.b2ed3e23fbbe8p-1"),
     "subordinator-atomic": ("0x0.0p+0", "0x1.c000000000000p+1"),
     "subordinator-compound-exponential": ("0x1.47ae147ae147cp-7", "0x1.4a75ebd3e806ap+1"),
     "subordinator-drift-only": ("0x1.3333333333334p-4", "0x1.8000000000004p+1"),
     "subordinator-gamma": ("0x1.4844cb6e91cc4p-8", "0x1.6eddf305666e3p+0"),
     "subordinator-half-stable": ("0x1.2285cf3b5a856p-8", "0x1.567d879a20606p+5"),
-    "subordinator-stable-0.3-auto-eps": ("0x1.b753ad156bbdbp-8", "0x1.3195b2a12979cp+15"),
-    "subordinator-tabulated-eps": ("0x1.f00812ba2a414p-9", "0x1.3ea0dfa28477ep-1"),
+    "subordinator-stable-0.3-auto-eps": ("0x1.f1a780bb47ec8p-2", "0x1.44d46213e0911p+13"),
+    "subordinator-tabulated-eps": ("0x1.47ae147ae147cp-9", "0x1.1d67529ec0cacp+0"),
 }
 
 
