@@ -25,12 +25,14 @@ from . import core
 from .core import LevyTriplet, SubordinatorPair
 from .errors import ConfigError, LevyMixError, SpecError
 from .mixing import IntervalSet, phi_mix_mass
-from .recover import FAMILIES, FitOptions, default_theta_grid, recover_from_path
+from .recover import FAMILIES, default_theta_grid, recover_from_path
 from .simulate import (
     _MAX_STEPS,
     LssKernel,
     SimConfig,
     TimeGrid,
+    exp_kernel,
+    gamma_kernel,
     sample_basis_grid,
     sample_lss,
     sample_subordinated,
@@ -106,26 +108,33 @@ def _csv(header: str, *columns) -> str:
 # Model-spec parsing with dotted-path errors.
 
 
+@dataclasses.dataclass(frozen=True)
 class ModelSpec:
-    def __init__(self, levy, subordinator, seed_field=None, kernel=None, partition=None, unions=None):
-        self.levy = levy
-        self.subordinator = subordinator
-        self.seed_field = seed_field
-        self.kernel = kernel
-        self.partition = partition
-        self.unions = unions
+    levy: LevyTriplet
+    subordinator: SubordinatorPair
+    seed_field: SeedField | None = None
+    kernel: LssKernel | None = None
+    partition: tuple | None = None
+    unions: list | None = None
 
 
-def _check_fields(obj: dict, allowed, path: str) -> None:
+def _dotted(path: str, key) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _section(obj, path: str, allowed=None) -> dict:
+    """obj, checked to be an object; given allowed, to hold no other field."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"{path}: expected an object" if path else "model spec must be a JSON object")
     for key in obj:
-        if key not in allowed:
-            raise SpecError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
+        if allowed is not None and key not in allowed:
+            raise SpecError(f"{_dotted(path, key)}: unknown field")
+    return obj
 
 
 def _need(obj: dict, key: str, path: str):
     if key not in obj:
-        dotted = f"{path}.{key}" if path else key
-        raise SpecError(f"{dotted}: missing required field")
+        raise SpecError(f"{_dotted(path, key)}: missing required field")
     return obj[key]
 
 
@@ -142,6 +151,29 @@ def _real(value, path: str) -> float:
     return x
 
 
+def _two_reals(item, path: str, shape: str) -> tuple:
+    if not isinstance(item, list) or len(item) != 2:
+        raise SpecError(f"{path}: expected {shape}")
+    return tuple(_real(x, f"{path}[{k}]") for k, x in enumerate(item))
+
+
+def _build(path: str, make, *args):
+    """make(*args), a library refusal reported as a SpecError at path."""
+    try:
+        return make(*args)
+    except SpecError:
+        raise
+    except LevyMixError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
+
+
+def _numbers(obj, path: str, make, tag=()) -> list:
+    """The numbers a section holds under the names of make's arguments."""
+    names = tuple(inspect.signature(make).parameters)
+    _section(obj, path, tag + names)
+    return [_real(_need(obj, n, path), f"{path}.{n}") for n in names]
+
+
 # The JSON parameter names are the constructors' argument names.
 _LEVY_MAKERS = {
     "gaussian": core.gaussian_law,
@@ -152,120 +184,59 @@ _LEVY_MAKERS = {
     "cauchy": core.cauchy_law,
     "one_sided_stable": core.one_sided_stable_law,
 }
+_JUMP_KINDS = {
+    "zero": lambda: core.ZERO_MEASURE,
+    "gamma": core.GammaMeasure,
+    "one_sided_stable": core.OneSidedStableMeasure,
+    "compound_exponential": core.CompoundExponentialMeasure,
+}
+_KERNEL_KINDS = {"exp": exp_kernel, "gamma_kernel": gamma_kernel}
 
 
 def _parse_levy(obj, path: str) -> LevyTriplet:
-    if not isinstance(obj, dict):
-        raise SpecError(f"{path}: expected an object")
-    _check_fields(obj, ("family", "params"), path)
-    family = _need(obj, "family", path)
-    if family not in _LEVY_MAKERS:
+    family = _need(_section(obj, path, ("family", "params")), "family", path)
+    if not isinstance(family, str) or family not in _LEVY_MAKERS:
         raise SpecError(f"{path}.family: unknown family {family!r}")
-    params = _need(obj, "params", path)
-    if not isinstance(params, dict):
-        raise SpecError(f"{path}.params: expected an object")
-    names = tuple(inspect.signature(_LEVY_MAKERS[family]).parameters)
-    _check_fields(params, names, f"{path}.params")
-    args = [_real(_need(params, n, f"{path}.params"), f"{path}.params.{n}") for n in names]
-    try:
-        return _LEVY_MAKERS[family](*args)
-    except LevyMixError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
+    make = _LEVY_MAKERS[family]
+    return _build(path, make, *_numbers(_need(obj, "params", path), f"{path}.params", make))
 
 
-def _parse_jumps(obj, path: str):
-    if not isinstance(obj, dict):
-        raise SpecError(f"{path}: expected an object")
-    kind = _need(obj, "kind", path)
-    try:
-        if kind == "zero":
-            _check_fields(obj, ("kind",), path)
-            return core.ZERO_MEASURE
-        measure_cls = FAMILIES.get(kind) if isinstance(kind, str) else None
-        if measure_cls is not None:
-            names = tuple(f.name for f in dataclasses.fields(measure_cls))
-            _check_fields(obj, ("kind",) + names, path)
-            return measure_cls(*(_real(_need(obj, n, path), f"{path}.{n}") for n in names))
-        if kind == "atomic":
-            _check_fields(obj, ("kind", "atoms"), path)
-            atoms = _need(obj, "atoms", path)
-            if not isinstance(atoms, list) or not atoms:
-                raise SpecError(f"{path}.atoms: expected a nonempty list")
-            pairs = []
-            for i, atom in enumerate(atoms):
-                if not isinstance(atom, list) or len(atom) != 2:
-                    raise SpecError(f"{path}.atoms[{i}]: expected [position, mass]")
-                pairs.append(
-                    (_real(atom[0], f"{path}.atoms[{i}][0]"), _real(atom[1], f"{path}.atoms[{i}][1]"))
-                )
-            return core.AtomicMeasure(tuple(pairs))
-    except LevyMixError as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(f"{path}: {exc}") from exc
-    raise SpecError(f"{path}.kind: unknown measure kind {kind!r}")
+def _parse_kind(obj, path: str, noun: str, makers: dict):
+    kind = _need(_section(obj, path), "kind", path)
+    if not isinstance(kind, str) or kind not in makers:
+        raise SpecError(f"{path}.kind: unknown {noun} kind {kind!r}")
+    return _build(path, makers[kind], *_numbers(obj, path, makers[kind], ("kind",)))
 
 
-def _parse_pair(obj, path: str) -> SubordinatorPair:
-    if not isinstance(obj, dict):
-        raise SpecError(f"{path}: expected an object")
-    _check_fields(obj, ("drift", "jumps"), path)
+def _parse_clock(obj: dict, path: str) -> SubordinatorPair:
+    """The drift and jumps of a checked section: a subordinator or a seed cell."""
     drift = _real(_need(obj, "drift", path), f"{path}.drift")
-    jumps = _parse_jumps(_need(obj, "jumps", path), f"{path}.jumps")
-    try:
-        return SubordinatorPair(drift, jumps)
-    except LevyMixError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
+    jumps, where = _need(obj, "jumps", path), f"{path}.jumps"
+    if isinstance(jumps, dict) and jumps.get("kind") == "atomic":
+        atoms = _need(_section(jumps, where, ("kind", "atoms")), "atoms", where)
+        if not isinstance(atoms, list) or not atoms:
+            raise SpecError(f"{where}.atoms: expected a nonempty list")
+        pairs = (_two_reals(a, f"{where}.atoms[{i}]", "[position, mass]") for i, a in enumerate(atoms))
+        measure = _build(where, core.AtomicMeasure, tuple(pairs))
+    else:
+        measure = _parse_kind(jumps, where, "measure", _JUMP_KINDS)
+    return _build(path, SubordinatorPair, drift, measure)
 
 
 def _parse_seed_field(obj, path: str) -> SeedField:
-    if not isinstance(obj, dict):
-        raise SpecError(f"{path}: expected an object")
-    _check_fields(obj, ("cells",), path)
-    cells_obj = _need(obj, "cells", path)
+    cells_obj = _need(_section(obj, path, ("cells",)), "cells", path)
     if not isinstance(cells_obj, list) or not cells_obj:
         raise SpecError(f"{path}.cells: expected a nonempty list")
     cells = []
     for i, cell in enumerate(cells_obj):
         where = f"{path}.cells[{i}]"
-        if not isinstance(cell, dict):
-            raise SpecError(f"{where}: expected an object")
-        _check_fields(cell, ("rect", "weight", "drift", "jumps"), where)
-        rect_obj = _need(cell, "rect", where)
-        if not isinstance(rect_obj, list) or len(rect_obj) not in (1, 2):
+        rect = _need(_section(cell, where, ("rect", "weight", "drift", "jumps")), "rect", where)
+        if not isinstance(rect, list) or len(rect) not in (1, 2):
             raise SpecError(f"{where}.rect: expected [[lo, hi]] or [[lo, hi], [lo, hi]]")
-        rect = []
-        for j, edge in enumerate(rect_obj):
-            if not isinstance(edge, list) or len(edge) != 2:
-                raise SpecError(f"{where}.rect[{j}]: expected [lo, hi]")
-            rect.append((_real(edge[0], f"{where}.rect[{j}][0]"), _real(edge[1], f"{where}.rect[{j}][1]")))
+        edges = tuple(_two_reals(edge, f"{where}.rect[{j}]", "[lo, hi]") for j, edge in enumerate(rect))
         weight = _real(cell.get("weight", 1.0), f"{where}.weight")
-        drift = _real(_need(cell, "drift", where), f"{where}.drift")
-        jumps = _parse_jumps(_need(cell, "jumps", where), f"{where}.jumps")
-        try:
-            cells.append(SeedCell(tuple(rect), SubordinatorPair(drift, jumps), weight))
-        except LevyMixError as exc:
-            raise SpecError(f"{where}: {exc}") from exc
-    try:
-        return SeedField(tuple(cells))
-    except LevyMixError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
-
-
-def _parse_kernel(obj, path: str) -> LssKernel:
-    if not isinstance(obj, dict):
-        raise SpecError(f"{path}: expected an object")
-    kind = _need(obj, "kind", path)
-    if kind == "exp":
-        _check_fields(obj, ("kind",), path)
-        return LssKernel(0.0)
-    if kind == "gamma_kernel":
-        _check_fields(obj, ("kind", "alpha"), path)
-        try:
-            return LssKernel(_real(_need(obj, "alpha", path), f"{path}.alpha"))
-        except LevyMixError as exc:
-            raise SpecError(f"{path}: {exc}") from exc
-    raise SpecError(f"{path}.kind: unknown kernel kind {kind!r}")
+        cells.append(_build(where, SeedCell, edges, _parse_clock(cell, where), weight))
+    return _build(path, SeedField, tuple(cells))
 
 
 def _parse_partition(obj, path: str):
@@ -277,35 +248,35 @@ def _parse_partition(obj, path: str):
     return tuple(edges)
 
 
+def _parse_unions(obj, path: str):
+    if not isinstance(obj, list):
+        raise SpecError(f"{path}: expected a list of index lists")
+    for i, u in enumerate(obj):
+        if not isinstance(u, list) or not u or not all(isinstance(k, int) and not isinstance(k, bool) for k in u):
+            raise SpecError(f"{path}[{i}]: expected a nonempty list of cell indices")
+    return [tuple(u) for u in obj]
+
+
 def load_model_spec(path: str) -> ModelSpec:
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
-        raise SpecError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise SpecError("model spec must be a JSON object")
-    _check_fields(
-        doc, ("schema", "levy", "subordinator", "seed_field", "kernel", "partition", "unions"), ""
-    )
+    with open(path, encoding="utf-8") as fh:
+        # refused: a JSONDecodeError, an integer past 4300 digits, a file that
+        # is not UTF-8 (RFC 8259), or nesting past the decoder's recursion limit
+        try:
+            doc = json.loads(fh.read())
+        except (ValueError, RecursionError) as exc:
+            raise SpecError(f"{path}: not valid JSON ({exc})") from exc
+    _section(doc, "", ("schema", "levy", "subordinator", "seed_field", "kernel", "partition", "unions"))
     if _need(doc, "schema", "") != _SCHEMA:
         raise SpecError(f"schema: expected {_SCHEMA}, got {doc.get('schema')!r}")
     levy = _parse_levy(_need(doc, "levy", ""), "levy")
-    pair = _parse_pair(_need(doc, "subordinator", ""), "subordinator")
-    fld = _parse_seed_field(doc["seed_field"], "seed_field") if "seed_field" in doc else None
-    kernel = _parse_kernel(doc["kernel"], "kernel") if "kernel" in doc else None
-    partition = _parse_partition(doc["partition"], "partition") if "partition" in doc else None
-    unions = None
-    if "unions" in doc:
-        if not isinstance(doc["unions"], list):
-            raise SpecError("unions: expected a list of index lists")
-        unions = []
-        for i, u in enumerate(doc["unions"]):
-            if not isinstance(u, list) or not u or not all(isinstance(k, int) and not isinstance(k, bool) for k in u):
-                raise SpecError(f"unions[{i}]: expected a nonempty list of cell indices")
-            unions.append(tuple(u))
-    return ModelSpec(levy, pair, fld, kernel, partition, unions)
+    pair = _parse_clock(_section(_need(doc, "subordinator", ""), "subordinator", ("drift", "jumps")), "subordinator")
+    optional = {
+        "seed_field": _parse_seed_field,
+        "kernel": lambda obj, path: _parse_kind(obj, path, "kernel", _KERNEL_KINDS),
+        "partition": _parse_partition,
+        "unions": _parse_unions,
+    }
+    return ModelSpec(levy, pair, **{key: parse(doc[key], key) for key, parse in optional.items() if key in doc})
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +306,14 @@ def _time_grid(args) -> TimeGrid:
     return TimeGrid(0.0, args.dt, n)
 
 
-def _partition_intervals(edges):
-    pairs = []
-    for lo, hi in zip(edges, edges[1:]):
-        if lo < 0.0 <= hi:
-            continue  # the mixed measure has no mass at 0; skip the straddling cell
-        pairs.append((lo, hi))
-    if not pairs:
+def _mass_table(spec: ModelSpec, mass) -> list:
+    """The mass of each partition cell; the mixed measure has none at 0, so a
+    cell that straddles it is skipped."""
+    edges = spec.partition if spec.partition is not None else _DEFAULT_PARTITION
+    cells = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if not lo < 0.0 <= hi]
+    if not cells:
         raise SpecError("partition: no usable intervals (every cell straddles 0)")
-    return pairs
+    return [{"lo": lo, "hi": hi, "mass": mass(IntervalSet(((lo, hi),))).value} for lo, hi in cells]
 
 
 def _write_paths(out: str, samples) -> None:
@@ -370,16 +340,11 @@ def cmd_cf(args) -> int:
 def cmd_subordinate(args) -> int:
     spec = load_model_spec(args.model)
     st = subordinate_triplet(spec.levy, spec.subordinator)
-    edges = spec.partition if spec.partition is not None else _DEFAULT_PARTITION
-    table = []
-    for lo, hi in _partition_intervals(edges):
-        res = st.jumps.mass(IntervalSet(((lo, hi),)))
-        table.append({"lo": lo, "hi": hi, "mass": res.value})
     report = {
         "schema": _SCHEMA,
         "gamma_bar": st.gamma_bar,
         "b_bar": st.b_bar,
-        "nu_bar": table,
+        "nu_bar": _mass_table(spec, st.jumps.mass),
     }
     _atomic_write(args.out, _to_json(report) + "\n")
     return 0
@@ -387,11 +352,7 @@ def cmd_subordinate(args) -> int:
 
 def cmd_mix(args) -> int:
     spec = load_model_spec(args.model)
-    edges = spec.partition if spec.partition is not None else _DEFAULT_PARTITION
-    table = []
-    for lo, hi in _partition_intervals(edges):
-        res = phi_mix_mass(spec.levy, spec.subordinator.jumps, IntervalSet(((lo, hi),)))
-        table.append({"lo": lo, "hi": hi, "mass": res.value})
+    table = _mass_table(spec, lambda cells: phi_mix_mass(spec.levy, spec.subordinator.jumps, cells))
     _atomic_write(args.out, _to_json({"schema": _SCHEMA, "mixed_mass": table}) + "\n")
     return 0
 
@@ -410,7 +371,7 @@ def cmd_recover(args) -> int:
     grid = _time_grid(args)
     cfg = SimConfig(seed=args.seed)
     path = sample_subordinated(spec.levy, spec.subordinator, grid, cfg)
-    fit = recover_from_path(path, spec.levy, args.family, FitOptions(weighted=True))
+    fit = recover_from_path(path, spec.levy, args.family)
     thetas = default_theta_grid()
     report = {
         "schema": _SCHEMA,
@@ -466,10 +427,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="levymix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_flags=False, paths=False):
+    def common(p, draws=False, grid_flags=False, paths=False):
         p.add_argument("--model", required=True, help="model spec JSON file")
         p.add_argument("--out", required=True, help="output file")
-        p.add_argument("--seed", type=int, default=0)
+        if draws:
+            p.add_argument("--seed", type=int, default=0)
         if grid_flags:
             p.add_argument("--dt", type=float, default=None)
             p.add_argument("--horizon", type=float, default=None)
@@ -492,20 +454,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mix)
 
     p = sub.add_parser("simulate", help="sample the time-changed process")
-    common(p, grid_flags=True, paths=True)
+    common(p, draws=True, grid_flags=True, paths=True)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("recover", help="simulate then recover the subordinator")
-    common(p, grid_flags=True)
+    common(p, draws=True, grid_flags=True)
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("basis-sim", help="sample a cell field")
-    common(p)
+    common(p, draws=True)
     p.set_defaults(fn=cmd_basis_sim)
 
     p = sub.add_parser("lss-sim", help="sample a kernel-smoothed moving average")
-    common(p, grid_flags=True, paths=True)
+    common(p, draws=True, grid_flags=True, paths=True)
     p.add_argument("--burn-in", type=float, default=25.0, dest="burn_in")
     p.set_defaults(fn=cmd_lss_sim)
 

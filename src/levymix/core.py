@@ -427,11 +427,35 @@ class SymmetricStableMeasure(LevyMeasure):
         )
 
     def sample_increments(self, dt, rng):
-        # Symmetric jumps compensate to zero shift regardless of index.
-        alpha = self.index
-        scale = (2.0 * self.coeff * stable_cos_integral(alpha)) ** (1.0 / alpha)
-        dt = np.asarray(dt, dtype=float)
-        return scale * dt ** (1.0 / alpha) * _standard_symmetric_stable(rng, alpha, dt.shape)
+        # Symmetric jumps compensate to zero shift regardless of index. Over a
+        # step r the sum has log-CF -r k |theta|**a, k = 2 coeff
+        # stable_cos_integral(a), and is (r k)**(1/a) times the
+        # Chambers-Mallows-Stuck (1976) draw sin(aV) cos(V)**(-1/a)
+        # (cos((1-a)V) / W)**((1-a)/a) for V uniform on (-pi/2, pi/2) and
+        # W ~ Exp(1), at index 1 tan(V). Off index 1 its modulus is taken in
+        # logs, as Kanter's draw is, so that no power under- or overflows; V
+        # lies above -pi/2 and below pi/2 and a W drawn as 0 is read as the
+        # smallest normal float, so every log but that of sin(aV) is finite.
+        a, dt = self.index, np.asarray(dt, dtype=float)
+        k = 2.0 * self.coeff * stable_cos_integral(a)
+        v = math.pi * (rng.random(dt.shape) - 0.5)
+        if a == 1.0:
+            return k * dt * np.tan(v)
+        w = np.maximum(rng.exponential(1.0, dt.shape), np.finfo(float).tiny)
+        s = np.where(dt > 0, np.sin(a * v), 0.0)
+        live = s != 0.0
+        log_x = (
+            (np.log(np.where(live, dt, 1.0)) + math.log(k) - np.log(np.cos(v))) / a
+            + np.log(np.abs(np.where(live, s, 1.0)))
+            + (1.0 - a) / a * (np.log(np.cos((1.0 - a) * v)) - np.log(w))
+        )
+        log_x = np.where(live, log_x, -INF)
+        if (log_x >= _LOG_FLOAT_MAX).any():
+            raise DomainError(
+                f"a symmetric stable increment of index {a} is past the float range "
+                f"(e**{np.max(log_x):.4g})"
+            )
+        return np.sign(s) * np.exp(log_x)
 
 
 @dataclass(frozen=True)
@@ -667,19 +691,6 @@ def stable_cos_integral(alpha: float) -> float:
     if alpha == 1.0:
         return math.pi / 2.0
     return -math.gamma(-alpha) * math.cos(math.pi * alpha / 2.0)
-
-
-def _standard_symmetric_stable(rng, alpha: float, size) -> np.ndarray:
-    # Chambers-Mallows-Stuck; log-CF -|theta|**alpha.
-    v = math.pi * (rng.random(size) - 0.5)
-    if alpha == 1.0:
-        return np.tan(v)
-    w = rng.exponential(1.0, size)
-    return (
-        np.sin(alpha * v)
-        / np.cos(v) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-    )
 
 
 def _levy_positive(rng, c, size) -> np.ndarray:

@@ -124,7 +124,6 @@ class PsiCurve:
 
 @dataclass(frozen=True)
 class FitOptions:
-    weighted: bool = False
     fixed_alpha: float | None = None
 
     def __post_init__(self):
@@ -291,8 +290,8 @@ def _param_dim(family: str, fixed_alpha) -> int:
     return 3
 
 
-def _curve_weights(curve: PsiCurve, weighted: bool) -> np.ndarray:
-    if not weighted or curve.n_obs == 0:
+def _curve_weights(curve: PsiCurve) -> np.ndarray:
+    if curve.n_obs == 0:
         return np.ones(len(curve))
     # Inverse variance of the tracked log: the ECF's asymptotic variance
     # (1 - |phi|^2) / N divided by |phi|^2 for the log transform. The anchor
@@ -476,7 +475,7 @@ def fit_subordinator(curve: PsiCurve, family: str, options: FitOptions = FitOpti
     if len(curve) < 3 * dim:
         raise InsufficientPoints(f"need at least {3 * dim} curve points, have {len(curve)}")
     z, h = curve.z, curve.psi_hat
-    w = _curve_weights(curve, options.weighted)
+    w = _curve_weights(curve)
     solve = _separable_solver(z, h, w)
     measure_cls = FAMILIES[family]
     n_evals = 0

@@ -31,7 +31,6 @@ from levymix.mixing import (
     small_s_ratio,
 )
 from levymix.recover import (
-    FitOptions,
     analytic_cf,
     default_theta_grid,
     fit_subordinator,
@@ -192,7 +191,7 @@ def test_noiseless_gamma_fit_is_exact(gate):
 def test_end_to_end_recovery_from_samples(gate):
     pair = SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))
     path = sample_subordinated(GAUSS, pair, TimeGrid(0.0, 1.0, 100_000), SimConfig(seed=13))
-    fit = recover_from_path(path, GAUSS, "gamma", FitOptions(weighted=True))
+    fit = recover_from_path(path, GAUSS, "gamma")
     a, lam = fit.params
     rel = max(abs(a - 2.0) / 2.0, abs(lam - 3.0) / 3.0)
     gate("end-to-end clock recovery", rel < 0.05,

@@ -402,6 +402,27 @@ def test_simulate_at_extreme_stable_indices(tmp_path, capsys, base, index):
             assert rc == 3 and not out.exists()
 
 
+def test_symmetric_stable_base_at_a_tiny_index_simulates(tmp_path, capsys):
+    # an index-0.01 base under a gamma(1, 1) clock: its draws are taken in
+    # logs, so the run ends in a finite path, not a warning and exit 3
+    model = _model(tmp_path / "m.json", {"family": "symmetric_stable", "params": {"alpha": 0.01, "scale": 1.0}},
+                   {"kind": "gamma", "shape": 1.0, "rate": 1.0})
+    out = tmp_path / "x.csv"
+    assert _run(["simulate", "--model", model, "--dt", 0.01, "--horizon", 100, "--seed", 0, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert all(math.isfinite(float(v)) for line in out.read_text().split()[1:] for v in line.split(","))
+
+
+@pytest.mark.parametrize("command", ["cf", "subordinate", "mix"])
+def test_seed_flag_only_on_commands_that_draw(tmp_path, capsys, command):
+    # cf, subordinate and mix draw nothing, so they take no --seed
+    with pytest.raises(SystemExit) as exc:
+        _run([command, "--model", VG, "--seed", 0, "--out", tmp_path / "x.out"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_epsilon_flag_is_gone(tmp_path, capsys):
     # every clock draws exactly, so there is no truncation level to pass
     with pytest.raises(SystemExit) as exc:

@@ -341,7 +341,7 @@ def test_fit_clips_a_negative_drift_to_zero():
 
 def test_fit_reports_evaluations_and_theta_window():
     path = _vg_path(20_000, seed=1)
-    fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(weighted=True))
+    fit = recover_from_path(path, VG_BASE, "gamma")
     cf = empirical_cf(path.increments(), default_theta_grid())
     cf = trim_cf(cf, _near_zero_floor(cf.n_obs))
     assert fit.theta_window == (cf.theta_grid[0], cf.theta_grid[-1])
@@ -450,8 +450,7 @@ def test_refined_objective_is_no_worse_than_the_best_scan_node(family, source):
         cf = empirical_cf(path.increments(), default_theta_grid())
         cf = trim_cf(cf, _near_zero_floor(cf.n_obs))
     curve = psi_curve(VG_BASE, cf)
-    options = FitOptions(weighted=source != "noiseless")
-    w = _curve_weights(curve, options.weighted)
+    w = _curve_weights(curve)
     solve = _separable_solver(curve.z, curve.psi_hat, w)
     name, basis = _unit_basis(family, curve.z)
     nodes, (beta0s, amps, objectives) = _profile_scan(basis, solve, name)
@@ -463,7 +462,7 @@ def test_refined_objective_is_no_worse_than_the_best_scan_node(family, source):
     k = int(np.argmin(objectives))
     assert 0 < k < nodes.size - 1
     at_node = solve(basis(_from_search_coordinate(name, nodes[k])))[2]
-    fit = fit_subordinator(curve, family, options)
+    fit = fit_subordinator(curve, family)
     assert fit.objective <= at_node
     assert fit.n_starts_converged == 1
     assert fit.n_evals > nodes.size
@@ -506,13 +505,13 @@ def _softplus(u):
     return math.log1p(math.exp(-abs(u))) + max(u, 0.0)
 
 
-def _reference_fit(curve, family, options, seed):
+def _reference_fit(curve, family, seed):
     """Nelder-Mead over all three parameters at once: beta0 through a
     softplus, the fields through log (an index through logit), from eight
     Philox starts drawn from seed. Returns (beta0, params, objective)."""
     measure_cls = FAMILIES[family]
     z, h = curve.z, curve.psi_hat
-    w = _curve_weights(curve, options.weighted)
+    w = _curve_weights(curve)
 
     def unpack(vec):
         beta0 = _softplus(vec[0])
@@ -559,15 +558,15 @@ def test_separable_fit_matches_three_parameter_simplex(key, source):
     grid = default_theta_grid()
     if source == "noiseless":
         cf = analytic_cf(lambda t: compose_cf(VG_BASE, pair, t), grid)
-        options, seed = FitOptions(), 0
+        seed = 0
     else:
         path = sample_subordinated(VG_BASE, pair, TimeGrid(0.0, 1.0, 200_000), SimConfig(seed=source))
         cf = empirical_cf(path.increments(), grid)
         cf = trim_cf(cf, _near_zero_floor(cf.n_obs))
-        options, seed = FitOptions(weighted=True), source
+        seed = source
     curve = psi_curve(VG_BASE, cf)
-    fit = fit_subordinator(curve, family, options)
-    beta0, params, objective = _reference_fit(curve, family, options, seed)
+    fit = fit_subordinator(curve, family)
+    beta0, params, objective = _reference_fit(curve, family, seed)
     assert fit.objective <= objective * (1.0 + 1e-9) + 1e-15
     assert abs(fit.beta0_hat - beta0) <= max(1e-5 * beta0, 1e-6)
     for got, want in zip(fit.params, params, strict=True):
@@ -620,7 +619,7 @@ def _vg_path(n, seed):
 
 def test_recover_from_path_vg_smoke():
     path = _vg_path(20_000, seed=1)
-    fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(weighted=True))
+    fit = recover_from_path(path, VG_BASE, "gamma")
     a, lam = fit.params
     assert abs(a - 1.0) < 0.25
     assert abs(lam - 1.0) < 0.25
@@ -631,7 +630,7 @@ def test_recover_from_path_rescales_time_spacing():
     # clock, and the result is reported per unit time
     pair = SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))
     path = sample_subordinated(VG_BASE, pair, TimeGrid(0.0, 0.5, 60_000), SimConfig(seed=4))
-    fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(weighted=True))
+    fit = recover_from_path(path, VG_BASE, "gamma")
     a, lam = fit.params
     assert abs(a - 2.0) / 2.0 < 0.15
     assert abs(lam - 3.0) / 3.0 < 0.15
@@ -644,7 +643,7 @@ def test_statistical_consistency_on_doubling():
     def rel_err(inc, n):
         grid = TimeGrid(0.0, 1.0, n)
         path = PathSample(grid, np.concatenate(([0.0], np.cumsum(inc[:n]))), 0, 0)
-        fit = recover_from_path(path, VG_BASE, "gamma", FitOptions(weighted=True))
+        fit = recover_from_path(path, VG_BASE, "gamma")
         a, lam = fit.params
         return max(abs(a - 1.0), abs(lam - 1.0))
 
