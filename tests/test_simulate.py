@@ -461,6 +461,42 @@ def test_lss_stationary_mean_exp_kernel():
     assert abs(y.values.mean() - m) <= 0.05 * m
 
 
+_LSS_DIRECT_CASES = {
+    "exp": (exp_kernel(), VG_BASE, SubordinatorPair(0.2, GammaMeasure(1.0, 1.0)), 1),
+    "gamma-kernel-0.5": (gamma_kernel(0.5), VG_BASE, SubordinatorPair(0.2, GammaMeasure(1.0, 1.0)), 1),
+    "gamma-kernel--0.5": (gamma_kernel(-0.5), VG_BASE, SubordinatorPair(0.2, GammaMeasure(1.0, 1.0)), 1),
+    "cauchy-half-stable": (exp_kernel(), lm.cauchy_law(1.0), SubordinatorPair(0.0, OneSidedStableMeasure(0.5, 0.5)), 1),
+    "two-paths": (gamma_kernel(0.5), VG_BASE, SubordinatorPair(0.1, CompoundExponentialMeasure(1.5, 2.0)), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LSS_DIRECT_CASES))
+def test_lss_matches_the_direct_riemann_sum(name):
+    # the moving average against the direct sum np.convolve(d_x, weights) on
+    # the same seeded increments, within the normwise bound of a convolution
+    # by FFT: eps * log2(FFT size) * sum|w| * max|d_x|. Under FFT a large
+    # jump's rounding reaches the outputs before it too, so the heavy-tailed
+    # Cauchy driver is held to the same bound, scaled by its own max|d_x|.
+    kernel, base, pair, n_paths = _LSS_DIRECT_CASES[name]
+    grid = TimeGrid(0.0, 0.01, 1500)
+    cfg = SimConfig(seed=21, n_paths=n_paths)
+    burn_in = 25.0
+    ys = sample_lss(kernel, base, pair, grid, burn_in, cfg)
+    ys = ys if n_paths > 1 else [ys]
+    m = int(math.ceil(burn_in / grid.dt))
+    n_ext = m + grid.n_steps
+    weights = kernel(grid.dt * np.arange(n_ext + 1))
+    clock = LevyTriplet(pair.drift, 0.0, pair.jumps, TruncationConvention.ZERO)
+    size = 1 << (2 * n_ext - 1).bit_length()
+    for stream, y in enumerate(ys):
+        d_t = conv_power_sample(clock, np.full(n_ext, grid.dt), make_rng(cfg.seed, stream, channel=0))
+        d_x = conv_power_sample(base, d_t, make_rng(cfg.seed, stream, channel=1))
+        direct = np.convolve(d_x, weights)[m : m + grid.n_steps + 1]
+        bound = np.finfo(float).eps * math.log2(size) * np.abs(weights).sum() * np.abs(d_x).max()
+        assert y.stream_id == stream
+        assert np.max(np.abs(y.values - direct)) <= bound
+
+
 # --- property tests -----------------------------------------------------------------
 
 
