@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -167,9 +168,14 @@ def _build(path: str, make, *args):
         raise SpecError(f"{path}: {exc}") from exc
 
 
+@functools.cache
+def _arg_names(make) -> tuple:
+    return tuple(inspect.signature(make).parameters)
+
+
 def _numbers(obj, path: str, make, tag=()) -> list:
     """The numbers a section holds under the names of make's arguments."""
-    names = tuple(inspect.signature(make).parameters)
+    names = _arg_names(make)
     _section(obj, path, tag + names)
     return [_real(_need(obj, n, path), f"{path}.{n}") for n in names]
 
@@ -266,8 +272,10 @@ def load_model_spec(path: str) -> ModelSpec:
         except (ValueError, RecursionError) as exc:
             raise SpecError(f"{path}: not valid JSON ({exc})") from exc
     _section(doc, "", ("schema", "levy", "subordinator", "seed_field", "kernel", "partition", "unions"))
-    if _need(doc, "schema", "") != _SCHEMA:
-        raise SpecError(f"schema: expected {_SCHEMA}, got {doc.get('schema')!r}")
+    schema = _need(doc, "schema", "")
+    # True == 1.0 == 1 in Python: only an int that is not a bool is schema 1
+    if type(schema) is not int or schema != _SCHEMA:
+        raise SpecError(f"schema: expected {_SCHEMA}, got {schema!r}")
     levy = _parse_levy(_need(doc, "levy", ""), "levy")
     pair = _parse_clock(_section(_need(doc, "subordinator", ""), "subordinator", ("drift", "jumps")), "subordinator")
     optional = {

@@ -468,6 +468,19 @@ def test_recover_run_loads_no_optimizer(tmp_path):
     assert json.loads(out.read_text())["family"] == "gamma"
 
 
+def test_lss_sim_run_loads_no_scipy_convolution(tmp_path):
+    # the moving average convolves with numpy.fft, which numpy already loads
+    out = tmp_path / "y.csv"
+    code = ("import sys; from levymix.cli import main; "
+            f"rc = main(['lss-sim', '--model', {VG!r}, '--dt', '0.05', '--horizon', '2', "
+            f"'--seed', '2', '--out', {str(out)!r}]); "
+            "print(rc, sorted(m for m in ('scipy.signal', 'scipy.fft') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert len(out.read_text().splitlines()) == 42
+
+
 def test_unwritable_out_exits_4(tmp_path, capsys):
     rc = _run(["cf", "--model", VG, "--out", tmp_path / "no_dir" / "x.csv"])
     assert rc == 4

@@ -59,6 +59,8 @@ _CASES = [
     ("unknown-top-field", _doc(extra=1), "extra: unknown field"),
     ("missing-schema", _doc(schema=DROP), "schema: missing required field"),
     ("wrong-schema", _doc(schema=2), "schema: expected 1, got 2"),
+    ("bool-schema", _doc(schema=True), "schema: expected 1, got True"),
+    ("float-schema", _doc(schema=1.0), "schema: expected 1, got 1.0"),
     ("missing-levy", _doc(levy=DROP), "levy: missing required field"),
     ("missing-subordinator", _doc(subordinator=DROP), "subordinator: missing required field"),
     # levy
