@@ -102,9 +102,14 @@ class LevyMeasure(ABC):
     def total_mass(self) -> float:
         """Total mass, possibly math.inf."""
 
-    @abstractmethod
     def interval_mass(self, lo: float, hi: float) -> float:
-        """Mass of the half-open interval (lo, hi]."""
+        """Mass of the half-open interval (lo, hi].  This default, from the
+        closed mass _above(x) of (x, inf), holds for a measure on (0, inf);
+        a measure with negative jumps or no such closed form overrides it."""
+        lo = max(lo, 0.0)
+        if hi <= lo:
+            return 0.0
+        return self._above(lo) - self._above(hi)
 
     @abstractmethod
     def truncated_moment(self, power: int, cutoff: float = 1.0) -> float:
@@ -167,49 +172,6 @@ class LevyMeasure(ABC):
         """True when the support lies in (0, inf)."""
         return False
 
-    def classify(self) -> MeasureClass:
-        if self.total_mass() < INF:
-            return MeasureClass.FINITE
-        if self.one_wedge(1) < INF:
-            return MeasureClass.FINITE_VARIATION
-        if self.one_wedge(2) < INF:
-            return MeasureClass.LEVY
-        return MeasureClass.NOT_LEVY
-
-
-@dataclass(frozen=True)
-class ZeroMeasure(LevyMeasure):
-    def total_mass(self):
-        return 0.0
-
-    def interval_mass(self, lo, hi):
-        return 0.0
-
-    def truncated_moment(self, power, cutoff=1.0):
-        return 0.0
-
-    def tail_cutoff(self, tol):
-        return 1.0
-
-    def scaled(self, factor):
-        return self
-
-    def laplace_integral(self, z):
-        return np.zeros(np.shape(z), dtype=complex)
-
-    def fixed_rule(self):
-        empty = np.array([])
-        return empty, empty, empty
-
-    def sample_increments(self, dt, rng):
-        return np.zeros(np.shape(dt))
-
-    def is_zero(self):
-        return True
-
-    def is_positive(self):
-        return True
-
 
 @dataclass(frozen=True)
 class GammaMeasure(LevyMeasure):
@@ -229,14 +191,8 @@ class GammaMeasure(LevyMeasure):
     def total_mass(self):
         return INF
 
-    def interval_mass(self, lo, hi):
-        lo = max(lo, 0.0)
-        if hi <= lo:
-            return 0.0
-        if lo == 0.0:
-            return INF
-        upper = 0.0 if math.isinf(hi) else special.exp1(self.rate * hi)
-        return self.shape * (special.exp1(self.rate * lo) - upper)
+    def _above(self, x):
+        return self.shape * special.exp1(self.rate * x)
 
     def truncated_moment(self, power, cutoff=1.0):
         t = self.rate * cutoff
@@ -248,7 +204,7 @@ class GammaMeasure(LevyMeasure):
 
     def tail_cutoff(self, tol):
         s = 1.0 / self.rate
-        while self.shape * special.exp1(self.rate * s) >= tol:
+        while self._above(s) >= tol:
             s *= 2.0
         return s
 
@@ -286,14 +242,8 @@ class OneSidedStableMeasure(LevyMeasure):
     def total_mass(self):
         return INF
 
-    def interval_mass(self, lo, hi):
-        lo = max(lo, 0.0)
-        if hi <= lo:
-            return 0.0
-        if lo == 0.0:
-            return INF
-        upper = 0.0 if math.isinf(hi) else hi ** (-self.index)
-        return self.coeff * (lo ** (-self.index) - upper) / self.index
+    def _above(self, x):
+        return self.coeff * x ** (-self.index) / self.index if x > 0.0 else INF
 
     def truncated_moment(self, power, cutoff=1.0):
         if power == 1:
@@ -343,27 +293,14 @@ class OneSidedStableMeasure(LevyMeasure):
         if a == 0.5:
             return _levy_positive(rng, levy_dist_scale(self.coeff * dt), dt.shape)
         # Kanter (1975): over a step r the sum has Laplace transform
-        # exp(-r k u**a), k = coeff Gamma(1 - a) / a, and is the product of
-        # (r k)**(1/a) and sin(aV) sin(V)**(-1/a) (sin((1-a)V) / W)**((1-a)/a)
-        # for V uniform on (0, pi) and W ~ Exp(1), taken here in logs so that
-        # no power overflows. V is at most math.pi, which lies below pi, and a
-        # W drawn as 0 is read as the smallest normal float: every log is finite.
+        # exp(-r k u**a), k = coeff Gamma(1 - a) / a; its angle terms are
+        # sin V, sin(aV) and sin((1-a)V) for V uniform on (0, pi).  V is at
+        # most math.pi, which lies below pi, so each sine is positive.
         v = math.pi * (1.0 - rng.random(dt.shape))
-        w = np.maximum(rng.standard_exponential(dt.shape), np.finfo(float).tiny)
-        pos = dt > 0
         log_k = math.log(self.coeff) + math.lgamma(1.0 - a) - math.log(a)
-        log_x = (
-            (np.log(np.where(pos, dt, 1.0)) + log_k - np.log(np.sin(v))) / a
-            + np.log(np.sin(a * v))
-            + (1.0 - a) / a * (np.log(np.sin((1.0 - a) * v)) - np.log(w))
+        return _stable_draw(
+            rng, dt, a, log_k, dt > 0, np.sin(v), np.sin(a * v), np.sin((1.0 - a) * v), "one-sided"
         )
-        log_x = np.where(pos, log_x, -INF)
-        if (log_x >= _LOG_FLOAT_MAX).any():
-            raise DomainError(
-                f"a one-sided stable increment of index {a} is past the float range "
-                f"(e**{np.max(log_x):.4g})"
-            )
-        return np.exp(log_x)
 
     def image_in_ml1(self, alpha):
         return self.index < 1.0 / alpha
@@ -429,38 +366,25 @@ class SymmetricStableMeasure(LevyMeasure):
     def sample_increments(self, dt, rng):
         # Symmetric jumps compensate to zero shift regardless of index. Over a
         # step r the sum has log-CF -r k |theta|**a, k = 2 coeff
-        # stable_cos_integral(a), and is (r k)**(1/a) times the
-        # Chambers-Mallows-Stuck (1976) draw sin(aV) cos(V)**(-1/a)
-        # (cos((1-a)V) / W)**((1-a)/a) for V uniform on (-pi/2, pi/2) and
-        # W ~ Exp(1), at index 1 tan(V). Off index 1 its modulus is taken in
-        # logs, as Kanter's draw is, so that no power under- or overflows; V
-        # lies above -pi/2 and below pi/2 and a W drawn as 0 is read as the
-        # smallest normal float, so every log but that of sin(aV) is finite.
+        # stable_cos_integral(a): the Chambers-Mallows-Stuck (1976) draw, at
+        # index 1 (r k) tan(V) for V uniform on (-pi/2, pi/2), else with the
+        # angle terms cos V, sin(aV) and cos((1-a)V), the sign that of sin(aV).
+        # V lies above -pi/2 and below pi/2, so both cosines are positive.
         a, dt = self.index, np.asarray(dt, dtype=float)
         k = 2.0 * self.coeff * stable_cos_integral(a)
         v = math.pi * (rng.random(dt.shape) - 0.5)
         if a == 1.0:
             return k * dt * np.tan(v)
-        w = np.maximum(rng.exponential(1.0, dt.shape), np.finfo(float).tiny)
         s = np.where(dt > 0, np.sin(a * v), 0.0)
-        live = s != 0.0
-        log_x = (
-            (np.log(np.where(live, dt, 1.0)) + math.log(k) - np.log(np.cos(v))) / a
-            + np.log(np.abs(np.where(live, s, 1.0)))
-            + (1.0 - a) / a * (np.log(np.cos((1.0 - a) * v)) - np.log(w))
+        return np.sign(s) * _stable_draw(
+            rng, dt, a, math.log(k), s != 0.0, np.cos(v), np.abs(s), np.cos((1.0 - a) * v), "symmetric"
         )
-        log_x = np.where(live, log_x, -INF)
-        if (log_x >= _LOG_FLOAT_MAX).any():
-            raise DomainError(
-                f"a symmetric stable increment of index {a} is past the float range "
-                f"(e**{np.max(log_x):.4g})"
-            )
-        return np.sign(s) * np.exp(log_x)
 
 
 @dataclass(frozen=True)
 class AtomicMeasure(LevyMeasure):
-    """Finitely many atoms (position, mass); positions nonzero, masses positive."""
+    """Finitely many atoms (position, mass); positions nonzero, masses
+    positive.  With no atoms it is the zero measure, ``ZERO_MEASURE``."""
 
     atoms: tuple
 
@@ -474,12 +398,6 @@ class AtomicMeasure(LevyMeasure):
         object.__setattr__(
             self, "atoms", tuple(sorted(merged.items()))
         )
-
-    def positions(self):
-        return np.array([p for p, _ in self.atoms])
-
-    def masses(self):
-        return np.array([m for _, m in self.atoms])
 
     def total_mass(self):
         return float(sum(m for _, m in self.atoms))
@@ -496,7 +414,7 @@ class AtomicMeasure(LevyMeasure):
         return float(sum(m * min(1.0, abs(p) ** power) for p, m in self.atoms))
 
     def tail_cutoff(self, tol):
-        return max(abs(p) for p, _ in self.atoms) * (1.0 + 1e-12)
+        return max(abs(p) for p, _ in self.atoms) * (1.0 + 1e-12) if self.atoms else 1.0
 
     def scaled(self, factor):
         return AtomicMeasure(tuple((p, m * factor) for p, m in self.atoms))
@@ -514,8 +432,11 @@ class AtomicMeasure(LevyMeasure):
         return total
 
     def fixed_rule(self):
-        masses = self.masses()
-        return self.positions(), masses, masses
+        masses = np.array([m for _, m in self.atoms])
+        return np.array([p for p, _ in self.atoms]), masses, masses
+
+    def is_zero(self):
+        return not self.atoms
 
     def is_positive(self):
         return all(p > 0 for p, _ in self.atoms)
@@ -542,12 +463,8 @@ class CompoundExponentialMeasure(LevyMeasure):
     def total_mass(self):
         return self.rate
 
-    def interval_mass(self, lo, hi):
-        lo = max(lo, 0.0)
-        if hi <= lo:
-            return 0.0
-        upper = 0.0 if math.isinf(hi) else math.exp(-self.jump_rate * hi)
-        return self.rate * (math.exp(-self.jump_rate * lo) - upper)
+    def _above(self, x):
+        return self.rate * math.exp(-self.jump_rate * x)
 
     def truncated_moment(self, power, cutoff=1.0):
         t = self.jump_rate * cutoff
@@ -681,7 +598,7 @@ class TabulatedMeasure(LevyMeasure):
         return self.xs[0] > 0
 
 
-ZERO_MEASURE = ZeroMeasure()
+ZERO_MEASURE = AtomicMeasure(())
 
 
 def stable_cos_integral(alpha: float) -> float:
@@ -691,6 +608,27 @@ def stable_cos_integral(alpha: float) -> float:
     if alpha == 1.0:
         return math.pi / 2.0
     return -math.gamma(-alpha) * math.cos(math.pi * alpha / 2.0)
+
+
+def _stable_draw(rng, dt, a, log_k, live, outer, inner, rest, side) -> np.ndarray:
+    """The modulus of Kanter's and Chambers-Mallows-Stuck's stable draws
+    over steps dt, of index a and scale k: (dt k)**(1/a) inner outer**(-1/a)
+    (rest / W)**((1-a)/a) for W ~ Exp(1), from the caller's angle terms.
+    Taken in logs, so that no power under- or overflows: a W drawn as 0 is
+    read as the smallest normal float, an entry not live draws exactly 0,
+    and a draw past the float range is refused."""
+    w = np.maximum(rng.standard_exponential(dt.shape), np.finfo(float).tiny)
+    log_x = (
+        (np.log(np.where(live, dt, 1.0)) + log_k - np.log(outer)) / a
+        + np.log(np.where(live, inner, 1.0))
+        + (1.0 - a) / a * (np.log(rest) - np.log(w))
+    )
+    log_x = np.where(live, log_x, -INF)
+    if (log_x >= _LOG_FLOAT_MAX).any():
+        raise DomainError(
+            f"a {side} stable increment of index {a} is past the float range (e**{np.max(log_x):.4g})"
+        )
+    return np.exp(log_x)
 
 
 def _levy_positive(rng, c, size) -> np.ndarray:
@@ -946,12 +884,17 @@ class PoissonLaw(TaggedLaw):
             return _poisson_count_cdf(np.floor(hi / h), mean) - _poisson_count_cdf(np.floor(lo / h), mean)
         return _poisson_count_cdf(np.ceil(lo / h) - 1.0, mean) - _poisson_count_cdf(np.ceil(hi / h) - 1.0, mean)
 
+    def pmf(self, s, ks):
+        """P(K = k) for K Poisson(rate s) and k in the array ks, one row per
+        entry of s."""
+        mean = self.rate * np.asarray(s, dtype=float)[..., None]
+        return np.exp(ks * np.log(mean) - mean - special.gammaln(ks + 1.0))
+
     def _inner_counts(self, s):
         """Counts k >= 1 with |h k| <= 1 and their probabilities under mu^s,
         one row of probabilities per entry of s."""
-        mean = self.rate * np.asarray(s, dtype=float)[..., None]
         ks = np.arange(1, math.floor(1.0 / abs(self.jump_size)) + 1, dtype=float)
-        return ks, np.exp(ks * np.log(mean) - mean - special.gammaln(ks + 1.0))
+        return ks, self.pmf(s, ks)
 
     def truncated_mean(self, s):
         ks, pmf = self._inner_counts(s)
@@ -1020,7 +963,7 @@ class SymmetricStableLaw(_StableLaw):
     def density_derivs(self, s, x):
         c = self._c(s)
         denom = x * x + c * c
-        p = c / (math.pi * denom)
+        p = self.density(s, x)
         p1 = -2.0 * x * c / (math.pi * denom**2)
         p2 = c * (6.0 * x * x - 2.0 * c * c) / (math.pi * denom**3)
         return p, p1, p2
@@ -1059,7 +1002,7 @@ class OneSidedStableLaw(_StableLaw):
 
     def density_derivs(self, s, x):
         c = self._c(s)
-        p = np.sqrt(c / (2.0 * math.pi)) * x**-1.5 * np.exp(-0.5 * c / x)
+        p = self.density(s, x)
         g = -1.5 / x + 0.5 * c / (x * x)
         p1 = p * g
         p2 = p * (g * g + 1.5 / (x * x) - c / x**3)
@@ -1148,7 +1091,13 @@ def convert_convention(
 
 def classify_measure(measure: LevyMeasure) -> MeasureClass:
     """Smallest of FINITE, FINITE_VARIATION, LEVY that applies, else NOT_LEVY."""
-    return measure.classify()
+    if measure.total_mass() < INF:
+        return MeasureClass.FINITE
+    if measure.one_wedge(1) < INF:
+        return MeasureClass.FINITE_VARIATION
+    if measure.one_wedge(2) < INF:
+        return MeasureClass.LEVY
+    return MeasureClass.NOT_LEVY
 
 
 def integral_one_wedge(measure: LevyMeasure, power: int) -> float:

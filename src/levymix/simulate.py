@@ -10,6 +10,7 @@ evaluation order or thread count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,12 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
+def _require_count(n, what: str) -> None:
+    """Refuse n unless it is an integer >= 1, before anything converts it."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ConfigError(f"{what} must be a positive integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t0 + k*dt, k = 0..n_steps."""
@@ -50,8 +57,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ConfigError("dt must be positive and finite")
-        if self.n_steps < 1 or self.n_steps != int(self.n_steps):
-            raise ConfigError("n_steps must be a positive integer")
+        _require_count(self.n_steps, "n_steps")
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
@@ -69,8 +75,7 @@ class SimConfig:
     n_paths: int = 1
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be >= 1")
+        _require_count(self.n_paths, "n_paths")
 
 
 @dataclass(frozen=True)
@@ -227,8 +232,7 @@ def sample_basis_grid(mu_L: LevyTriplet, fld: SeedField, cfg: SimConfig = SimCon
 
 def sample_basis_ensemble(mu_L: LevyTriplet, fld: SeedField, cfg: SimConfig, n_draws: int) -> np.ndarray:
     """n_draws independent copies of every cell value; shape (n_draws, n_cells)."""
-    if n_draws < 1:
-        raise ConfigError("n_draws must be >= 1")
+    _require_count(n_draws, "n_draws")
     cols = [
         _clock_then_power(mu_L, _clock_triplet(cell.pair), cell.control_mass, n_draws, cfg, idx)
         for idx, cell in enumerate(fld.cells)

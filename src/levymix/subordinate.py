@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import quadrature
 from .core import (
@@ -162,24 +161,18 @@ class JumpMixEvaluator:
     def _poisson_atoms(self):
         if self._atoms is not None:
             return self._atoms
-        rate, h, rho = self.base.law.rate, self.base.law.jump_size, self.pair.jumps
-        mean_cap = rate * rho.tail_cutoff(1e-16)
+        law, rho = self.base.law, self.pair.jumps
+        mean_cap = law.rate * rho.tail_cutoff(1e-16)
         need = mean_cap + 12.0 * math.sqrt(mean_cap) + 30.0
         if not need <= _MAX_COUNTS:
             raise QuadratureFailure(f"the Poisson mix needs {need:.3g} jump counts, over {_MAX_COUNTS}")
         ks = np.arange(1.0, max(20, math.ceil(need)) + 1.0)
-        masses = []
-        for block in np.split(ks, np.arange(_COUNT_BLOCK, ks.size, _COUNT_BLOCK)):
-            log_norm = special.gammaln(block + 1.0)
-
-            def pmf(s):
-                # P(K = k) under Poisson(rate s), one column per k; it is at
-                # most rate*s for rate*s <= 1, the floor-search region
-                mean = rate * s[:, None]
-                return np.exp(block * np.log(mean) - mean - log_norm)
-
-            masses.append(integrate_rho(rho, pmf, tol=1e-14, linear_bound=rate)[0])
-        self._atoms = (h * ks, np.concatenate(masses))
+        # each P(K = k), k >= 1, is at most rate s: the small-s bound
+        masses = [
+            integrate_rho(rho, lambda s: law.pmf(s, block), tol=1e-14, linear_bound=law.rate)[0]
+            for block in np.split(ks, np.arange(_COUNT_BLOCK, ks.size, _COUNT_BLOCK))
+        ]
+        self._atoms = (law.jump_size * ks, np.concatenate(masses))
         return self._atoms
 
     def _x_panels(self, theta_max: float, x_hi: float):

@@ -68,6 +68,16 @@ def test_sim_config_validation():
         SimConfig(n_paths=0)
 
 
+@pytest.mark.parametrize("count", [float("inf"), float("nan"), 1.5, 2.0, 0, -3])
+def test_step_and_path_counts_must_be_positive_integers(count):
+    # inf and nan reached int() and 1.5 reached range(): an OverflowError,
+    # a ValueError and a TypeError instead of the configuration error
+    with pytest.raises(ConfigError, match="must be a positive integer"):
+        TimeGrid(0.0, 0.1, count)
+    with pytest.raises(ConfigError, match="must be a positive integer"):
+        SimConfig(n_paths=count)
+
+
 def test_make_rng_streams_are_reproducible_and_disjoint():
     a = make_rng(42, stream_id=3, channel=1).random(8)
     b = make_rng(42, stream_id=3, channel=1).random(8)

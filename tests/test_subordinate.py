@@ -194,6 +194,17 @@ def test_subordinate_triplet_rejects_untagged_base_with_jumps():
         subordinate_triplet(plain, VG_PAIR)
 
 
+def test_empty_atomic_measure_is_the_zero_measure():
+    # an atomic measure with no atoms took the atom routes and asked max()
+    # of no positions for its tail cut
+    empty = AtomicMeasure(())
+    assert empty == ZERO_MEASURE and empty.is_zero() and empty.tail_cutoff(1e-12) == 1.0
+    mix = lm.phi_mix_mass(lm.delta_law(1.0), empty, IntervalSet.of(0.5, 1.5))
+    assert (mix.value, mix.abs_error_estimate) == (0.0, 0.0)
+    st = subordinate_triplet(lm.poisson_law(1.0), SubordinatorPair(0.0, empty))
+    assert (st.gamma_bar, st.jumps.char_integral(1.0)) == (0.0, 0j)
+
+
 def test_clock_distinguishes_equal_mean_subordinators():
     # gamma(1,1) and gamma(2,2) clocks share their mean but not the law of
     # the subordinated process
