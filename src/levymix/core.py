@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -40,18 +40,22 @@ class TruncationConvention(Enum):
     ZERO = "zero"
 
 
-class MeasureClass(Enum):
-    """Nested integrability classes; classification picks the smallest."""
-
-    FINITE = "finite"
-    FINITE_VARIATION = "finite_variation"
-    LEVY = "levy"
-    NOT_LEVY = "not_levy"
-
-
 def _require(cond, message):
     if not cond:
         raise DomainError(message)
+
+
+# The smallest stable index at which every closed form and draw stays finite
+# and silent for coefficients and steps in [1e-8, 1e8]: below it 1/index, the
+# size of Gamma(-index), and the logs a draw divides by the index overflow.
+_MIN_STABLE_INDEX = 1e-299
+
+
+def _require_stable_index(index):
+    _require(
+        index >= _MIN_STABLE_INDEX,
+        f"a stable index of {index:.3g} is below {_MIN_STABLE_INDEX:g}, the smallest with finite closed forms",
+    )
 
 
 def _where_positive(x, f, *params):
@@ -78,6 +82,9 @@ def _poisson(rng, mean, *size):
         )
     return rng.poisson(mean, *size)
 
+
+# The most Poisson counts a closed form or mix may sum over, one column each.
+_MAX_COUNTS = 10_000
 
 # The natural log of the largest float: a draw whose log reaches it overflows.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -214,7 +221,12 @@ class GammaMeasure(LevyMeasure):
         w = -np.asarray(z) / self.rate
         if not np.iscomplexobj(w):
             return -self.shape * np.log1p(w)
-        log_mod = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2)
+        with np.errstate(over="ignore"):
+            log_mod = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2)
+        # past |w| ~ 1e154 the squares overflow, and |1 + w|, a hypot, does not
+        big = ~np.isfinite(log_mod)
+        if big.any():
+            log_mod = np.where(big, np.log(np.abs(1.0 + w)), log_mod)
         return -self.shape * (log_mod + 1j * np.arctan2(w.imag, 1.0 + w.real))
 
     def sample_increments(self, dt, rng):
@@ -234,6 +246,7 @@ class OneSidedStableMeasure(LevyMeasure):
 
     def __post_init__(self):
         _require(0 < self.index < 2, "index must lie in (0, 2)")
+        _require_stable_index(self.index)
         _require(self.coeff > 0, "coeff must be > 0")
 
     def density(self, x):
@@ -257,13 +270,17 @@ class OneSidedStableMeasure(LevyMeasure):
         raise DomainError("power must be 1 or 2")
 
     def tail_cutoff(self, tol):
+        # a quotient past the float range is inf, a power past it raises
         try:
-            return (self.coeff / (self.index * tol)) ** (1.0 / self.index)
+            cut = (self.coeff / (self.index * tol)) ** (1.0 / self.index)
         except OverflowError:
+            cut = INF
+        if math.isinf(cut):
             raise QuadratureFailure(
                 f"the tail cut of a one-sided stable measure of index {self.index} "
                 f"at tol {tol} overflows a float"
-            ) from None
+            )
+        return cut
 
     def char_integral(self, theta, convention):
         a, c = self.index, self.coeff
@@ -320,6 +337,7 @@ class SymmetricStableMeasure(LevyMeasure):
 
     def __post_init__(self):
         _require(0 < self.index < 2, "index must lie in (0, 2)")
+        _require_stable_index(self.index)
         _require(self.coeff > 0, "coeff must be > 0")
 
     def _half(self):
@@ -605,6 +623,7 @@ def stable_cos_integral(alpha: float) -> float:
     """The constant integral of (1 - cos u) * u**-(1+alpha) over (0, inf)."""
     if not 0 < alpha < 2:
         raise DomainError("alpha must lie in (0, 2)")
+    _require_stable_index(alpha)
     if alpha == 1.0:
         return math.pi / 2.0
     return -math.gamma(-alpha) * math.cos(math.pi * alpha / 2.0)
@@ -893,7 +912,12 @@ class PoissonLaw(TaggedLaw):
     def _inner_counts(self, s):
         """Counts k >= 1 with |h k| <= 1 and their probabilities under mu^s,
         one row of probabilities per entry of s."""
-        ks = np.arange(1, math.floor(1.0 / abs(self.jump_size)) + 1, dtype=float)
+        top = 1.0 / abs(self.jump_size)
+        if top > _MAX_COUNTS:
+            raise QuadratureFailure(
+                f"the Poisson law's counts inside |x| <= 1 number {top:.3g}, over {_MAX_COUNTS}"
+            )
+        ks = np.arange(1, math.floor(top) + 1, dtype=float)
         return ks, self.pmf(s, ks)
 
     def truncated_mean(self, s):
@@ -1070,67 +1094,3 @@ def laplace_exponent(pair: SubordinatorPair, z):
     value = pair.drift * zz + pair.jumps.laplace_integral(zz)
     value = np.where(zz == 0.0, 0.0 + 0.0j, value)
     return complex(value[0]) if np.ndim(z) == 0 else value
-
-
-def truncated_mean(measure: LevyMeasure) -> float:
-    """Integral of x over |x| <= 1 against the measure."""
-    return measure.truncated_moment(1, 1.0)
-
-
-def convert_convention(
-    triplet: LevyTriplet, target: TruncationConvention
-) -> LevyTriplet:
-    """Re-express the triplet under the other truncation convention."""
-    if triplet.convention is target:
-        return triplet
-    shift = truncated_mean(triplet.jumps)
-    if target is TruncationConvention.ZERO:
-        return replace(triplet, drift=triplet.drift - shift, convention=target)
-    return replace(triplet, drift=triplet.drift + shift, convention=target)
-
-
-def classify_measure(measure: LevyMeasure) -> MeasureClass:
-    """Smallest of FINITE, FINITE_VARIATION, LEVY that applies, else NOT_LEVY."""
-    if measure.total_mass() < INF:
-        return MeasureClass.FINITE
-    if measure.one_wedge(1) < INF:
-        return MeasureClass.FINITE_VARIATION
-    if measure.one_wedge(2) < INF:
-        return MeasureClass.LEVY
-    return MeasureClass.NOT_LEVY
-
-
-def integral_one_wedge(measure: LevyMeasure, power: int) -> float:
-    """Integral of min(1, |x|**power) with infinity as an explicit value."""
-    if power not in (1, 2):
-        raise DomainError("power must be 1 or 2")
-    return measure.one_wedge(power)
-
-
-# ---------------------------------------------------------------------------
-# Composition helpers shared by tests and the convolution invariants.
-
-
-def _other_fields(m: LevyMeasure) -> tuple:
-    return tuple(getattr(m, f.name) for f in fields(m) if f.name != m.amplitude)
-
-
-def merge_measures(m1: LevyMeasure, m2: LevyMeasure) -> LevyMeasure:
-    """Sum of two jump measures where it stays in one family: atoms pool, and
-    two measures of one class whose fields other than the amplitude agree
-    add their amplitudes."""
-    if m1.is_zero():
-        return m2
-    if m2.is_zero():
-        return m1
-    if isinstance(m1, AtomicMeasure) and isinstance(m2, AtomicMeasure):
-        return AtomicMeasure(m1.atoms + m2.atoms)
-    amp = m1.amplitude
-    if amp is not None and type(m1) is type(m2) and _other_fields(m1) == _other_fields(m2):
-        return replace(m1, **{amp: getattr(m1, amp) + getattr(m2, amp)})
-    raise UnsupportedFamily(f"cannot merge {type(m1).__name__} with {type(m2).__name__}")
-
-
-def merge_pairs(p1: SubordinatorPair, p2: SubordinatorPair) -> SubordinatorPair:
-    """Convolution of two subordinator laws: drifts and jump measures add."""
-    return SubordinatorPair(p1.drift + p2.drift, merge_measures(p1.jumps, p2.jumps))

@@ -71,7 +71,8 @@ class MixResult:
 
 
 # ---------------------------------------------------------------------------
-# Convolution powers mu^s in closed form, from the law tag.
+# The base law: its tag, which owns the closed forms of mu^s, and its
+# small-s constant.
 
 
 def _require_tag(mu: LevyTriplet):
@@ -80,31 +81,6 @@ def _require_tag(mu: LevyTriplet):
             "convolution powers need a law-tagged triplet (use the law constructors)"
         )
     return mu.law
-
-
-def conv_power_cdf(mu: LevyTriplet, s: float, x: float) -> float:
-    """CDF of mu^s at x for s > 0 (broadcasting over arrays)."""
-    return _require_tag(mu).cdf(s, x)
-
-
-def conv_power_interval_mass(mu: LevyTriplet, s: float, lo: float, hi: float) -> float:
-    """Mass of mu^s on the half-open interval (lo, hi]."""
-    return _require_tag(mu).interval_mass(s, lo, hi)
-
-
-def conv_power_set_mass(mu: LevyTriplet, s: float, sets: IntervalSet) -> float:
-    return sum(conv_power_interval_mass(mu, s, lo, hi) for lo, hi in sets.intervals)
-
-
-def conv_power_density(mu: LevyTriplet, s, x):
-    """Density of mu^s, vectorized over x (and broadcastable s)."""
-    law = _require_tag(mu)
-    return law.density(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
-
-
-def conv_power_truncated_mean(mu: LevyTriplet, s: float) -> float:
-    """Integral of x over |x| <= 1 against mu^s."""
-    return _require_tag(mu).truncated_mean(s)
 
 
 def lemma_constant(mu: LevyTriplet) -> float:
@@ -200,15 +176,6 @@ def rho_quad_nodes(rho: LevyMeasure):
 # Public mixing operations.
 
 
-def check_domain(mu: LevyTriplet, rho: LevyMeasure) -> bool:
-    """Whether rho lies in the mixing domain for base law mu."""
-    if not rho.is_positive():
-        return False
-    if mu.is_degenerate():
-        return mu.drift != 0.0
-    return rho.one_wedge(1) < INF
-
-
 def _validate_mixing_measure(rho):
     if not rho.is_positive():
         raise DomainError("the mixing measure must live on (0, inf)")
@@ -248,14 +215,16 @@ def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, sets: IntervalSet) -> MixRes
     """Interval masses of the mixed measure integral mu^s(.) rho(ds)."""
     if not rho.is_positive():
         raise DomainError("the mixing measure must live on (0, inf)")
-    if mu.law is not None and mu.law.mix_route == "pushforward":
+    law = _require_tag(mu)
+    if law.mix_route == "pushforward":
         # Degenerate base: the mix is a pushforward, defined for any
         # positive jump measure as long as the point is not 0.
-        if mu.law.drift == 0.0:
+        if law.drift == 0.0:
             raise DomainError("a degenerate base at 0 is outside the mixing domain")
-        return _delta_pushforward_mass(mu.law.drift, rho, sets)
+        return _delta_pushforward_mass(law.drift, rho, sets)
     _validate_mixing_measure(rho)
-    return _mix_over_sets(mu, rho, sets, lambda s: conv_power_set_mass(mu, s, sets))
+    set_mass = lambda s: sum(law.interval_mass(s, lo, hi) for lo, hi in sets.intervals)
+    return _mix_over_sets(mu, rho, sets, set_mass)
 
 
 def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float) -> float:

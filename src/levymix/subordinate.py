@@ -17,12 +17,11 @@ import numpy as np
 
 from . import quadrature
 from .core import (
-    INF,
-    LevyMeasure,
     LevyTriplet,
     SubordinatorPair,
     TruncationConvention,
     ZERO_MEASURE,
+    _MAX_COUNTS,
     char_exponent,
     laplace_exponent,
 )
@@ -30,7 +29,6 @@ from .errors import DomainError, QuadratureFailure, UnsupportedFamily
 from .mixing import (
     IntervalSet,
     MixResult,
-    check_domain,
     integrate_rho,
     lemma_constant,
     phi_mix_mass,
@@ -39,8 +37,7 @@ from .mixing import (
 
 _X_FLOOR = 1e-9
 _X_HI_MAX = 1e6
-# Poisson counts the atoms route may integrate, in blocks of columns.
-_MAX_COUNTS = 10_000
+# The atoms route integrates its Poisson counts in blocks of columns.
 _COUNT_BLOCK = 64
 
 
@@ -112,13 +109,11 @@ class JumpMixEvaluator:
 
     # -- interval masses ---------------------------------------------------
 
-    def mix_mass(self, sets: IntervalSet) -> MixResult:
-        if self._mode == "zero":
-            return MixResult(0.0, 0.0, 0.0)
-        return phi_mix_mass(self.base, self.pair.jumps, sets)
-
     def mass(self, sets: IntervalSet) -> MixResult:
-        mix = self.mix_mass(sets)
+        if self._mode == "zero":
+            mix = MixResult(0.0, 0.0, 0.0)
+        else:
+            mix = phi_mix_mass(self.base, self.pair.jumps, sets)
         drift = sum(self.drift_part.interval_mass(lo, hi) for lo, hi in sets.intervals)
         return MixResult(drift + mix.value, mix.abs_error_estimate, mix.truncation_point)
 
@@ -286,8 +281,9 @@ def subordinate_triplet(base: LevyTriplet, pair: SubordinatorPair) -> Subordinat
             raise UnsupportedFamily(
                 "subordinating with jumps needs a law-tagged base triplet"
             )
-        if not check_domain(base, pair.jumps):
-            raise DomainError("the pair's jump measure is outside the mixing domain")
+        # the pair's jumps are positive and of finite variation by construction
+        if base.is_degenerate() and base.drift == 0.0:
+            raise DomainError("a degenerate base at 0 is outside the mixing domain")
         gamma_bar += _mixing_drift_term(base, pair)
     b_bar = base.gaussian_var * pair.drift
     return SubordinatedTriplet(gamma_bar, b_bar, JumpMixEvaluator(base, pair), base, pair)
@@ -363,11 +359,6 @@ class SeedField:
                 if a.overlaps(b):
                     raise DomainError("cell rectangles must be disjoint")
         object.__setattr__(self, "cells", cells)
-
-
-def basis_quadruplet(base: LevyTriplet, fld: SeedField):
-    """Per-cell subordinated triplets; the control weights pass through."""
-    return [subordinate_triplet(base, cell.pair) for cell in fld.cells]
 
 
 def cell_log_cf(base: LevyTriplet, cell: SeedCell, theta: float) -> complex:

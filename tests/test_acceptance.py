@@ -23,7 +23,6 @@ from levymix.core import (
 )
 from levymix.mixing import (
     IntervalSet,
-    conv_power_density,
     mixing_cf,
     phi_mix_density_gamma,
     phi_mix_mass,
@@ -141,7 +140,7 @@ def test_finite_mixing_cf_identity(gate):
         atoms = rho.atoms
 
         def dens(x):
-            return float(sum(w * conv_power_density(mu, s, x) for s, w in atoms))
+            return float(sum(w * mu.law.density(s, x) for s, w in atoms))
 
         for theta in range(-5, 6):
             re, _ = integrate.quad(lambda x: math.cos(theta * x) * dens(x), -30, 30, limit=400)

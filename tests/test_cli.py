@@ -382,6 +382,18 @@ def test_stable_clock_next_to_index_one_exits_with_its_cause(tmp_path, capsys):
         assert not (tmp_path / "x.out").exists()
 
 
+def test_cf_at_huge_theta_stays_finite(tmp_path, capsys):
+    # the gamma clock's log|1 + w| at |w| past 1e154, where w squared
+    # overflows: N(0, 1) under gamma(1, 1) has log-CF -log(1 + theta^2 / 2)
+    out = tmp_path / "cf.csv"
+    rc = _run(["cf", "--model", VG, "--theta-min", 1e77, "--theta-max", 1e78, "--theta-steps", 3, "--out", out])
+    assert rc == 0, capsys.readouterr().err
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().split()[1:]]
+    for theta, re_part, im_part in rows:
+        assert re_part == pytest.approx(-math.log(0.5 * theta * theta), rel=1e-14)
+        assert im_part == 0.0
+
+
 @pytest.mark.parametrize("index", [0.01, 0.05, 0.97, 0.99])
 @pytest.mark.parametrize("base", [GAUSS, {"family": "poisson", "params": {"rate": 1.0, "jump_size": -2.0}}],
                          ids=["gaussian", "poisson"])

@@ -22,7 +22,6 @@ from levymix.core import (
     GammaMeasure,
     GaussianLaw,
     LevyTriplet,
-    MeasureClass,
     OneSidedStableLaw,
     OneSidedStableMeasure,
     PoissonLaw,
@@ -32,13 +31,8 @@ from levymix.core import (
     TabulatedMeasure,
     TruncationConvention,
     ZERO_MEASURE,
-    classify_measure,
-    convert_convention,
-    integral_one_wedge,
-    merge_measures,
-    merge_pairs,
 )
-from levymix.errors import DomainError, NotFiniteVariation
+from levymix.errors import DomainError, NotFiniteVariation, QuadratureFailure
 
 INF = float("inf")
 
@@ -128,14 +122,15 @@ def test_measure_classification_nesting():
     finite = AtomicMeasure(((1.0, 0.5),))
     fv = GammaMeasure(2.0, 3.0)
     levy_only = SymmetricStableMeasure(1.5, 0.4)
-    assert classify_measure(finite) is MeasureClass.FINITE
-    assert classify_measure(fv) is MeasureClass.FINITE_VARIATION
-    assert classify_measure(levy_only) is MeasureClass.LEVY
+    # each is in the smallest class of finite mass, finite variation, Levy
+    assert finite.total_mass() < INF
+    assert fv.total_mass() == INF and fv.one_wedge(1) < INF
+    assert levy_only.one_wedge(1) == INF
     # nesting: the smaller class always has the larger classes' integrals finite
     for m in (finite, fv):
-        assert integral_one_wedge(m, 1) < INF
-        assert integral_one_wedge(m, 2) < INF
-    assert integral_one_wedge(levy_only, 2) < INF
+        assert m.one_wedge(1) < INF
+        assert m.one_wedge(2) < INF
+    assert levy_only.one_wedge(2) < INF
 
 
 def test_char_exponent_frozen_values():
@@ -234,39 +229,25 @@ def test_gamma_laplace_integral_keeps_its_digits_at_large_rates():
             assert np.max(np.abs(got - series) / np.abs(series)) < 1e-14
 
 
+def test_gamma_laplace_integral_stays_finite_past_the_square_range():
+    # the squares in log|1 + w| overflow past |w| ~ 1.3e154, where the
+    # modulus is taken as a hypot instead; there the plain log is exact
+    z = np.array([-5e153 + 0j, -1e200 + 1e200j, 3e300j])
+    got = GammaMeasure(2.0, 1.0).laplace_integral(z)
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - (-2.0 * np.log(1.0 - z))) / np.abs(got)) < 1e-15
+
+
 def test_laplace_exponent_additive_under_pair_convolution():
     rng = np.random.default_rng(7)
     p1 = SubordinatorPair(0.2, GammaMeasure(1.0, 2.0))
     p2 = SubordinatorPair(0.5, GammaMeasure(0.7, 2.0))
-    merged = merge_pairs(p1, p2)
+    merged = SubordinatorPair(0.7, GammaMeasure(1.7, 2.0))
     for _ in range(20):
         z = complex(-rng.uniform(0.0, 4.0), rng.uniform(-3.0, 3.0))
         lhs = lm.laplace_exponent(merged, z)
         rhs = lm.laplace_exponent(p1, z) + lm.laplace_exponent(p2, z)
         assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_merge_measures_families():
-    a = merge_measures(AtomicMeasure(((1.0, 0.5),)), AtomicMeasure(((2.0, 0.25),)))
-    assert a.total_mass() == 0.75
-    g = merge_measures(GammaMeasure(1.0, 2.0), GammaMeasure(0.5, 2.0))
-    assert isinstance(g, GammaMeasure) and g.shape == 1.5
-    assert merge_measures(ZERO_MEASURE, g) is g
-    with pytest.raises(lm.UnsupportedFamily):
-        merge_measures(GammaMeasure(1.0, 2.0), GammaMeasure(1.0, 3.0))
-    # equal parameters other than the amplitude: the amplitudes add
-    assert merge_measures(OneSidedStableMeasure(0.5, 0.25), OneSidedStableMeasure(0.5, 0.5)) == (
-        OneSidedStableMeasure(0.5, 0.75))
-    assert merge_measures(CompoundExponentialMeasure(1.0, 2.5), CompoundExponentialMeasure(0.5, 2.5)) == (
-        CompoundExponentialMeasure(1.5, 2.5))
-    assert merge_measures(SymmetricStableMeasure(1.2, 0.25), SymmetricStableMeasure(1.2, 0.5)) == (
-        SymmetricStableMeasure(1.2, 0.75))
-    for m1, m2 in ((OneSidedStableMeasure(0.5, 1.0), OneSidedStableMeasure(0.6, 1.0)),
-                   (SymmetricStableMeasure(1.2, 1.0), SymmetricStableMeasure(0.7, 1.0)),
-                   (OneSidedStableMeasure(0.5, 1.0), SymmetricStableMeasure(0.5, 1.0)),
-                   (CompoundExponentialMeasure(1.0, 2.5), CompoundExponentialMeasure(1.0, 3.0))):
-        with pytest.raises(lm.UnsupportedFamily):
-            merge_measures(m1, m2)
 
 
 def test_each_class_is_its_own_family_record():
@@ -285,13 +266,12 @@ def test_each_class_is_its_own_family_record():
         assert cls.amplitude in names or cls.scaled is not lm.LevyMeasure.scaled, cls.__name__
 
 
-def test_convert_convention_round_trip():
+def test_zero_convention_expresses_the_same_law():
     for law in (lm.gamma_law(2.0, 3.0), lm.poisson_law(0.8, 1.3), lm.one_sided_stable_law(0.5, 0.6)):
-        moved = convert_convention(law, TruncationConvention.ZERO)
-        assert moved.convention is TruncationConvention.ZERO
-        back = convert_convention(moved, TruncationConvention.STANDARD)
-        assert back.drift == pytest.approx(law.drift, abs=1e-12)
-        # both conventions express the same law
+        # the zero convention's drift is the standard one less the compensator
+        moved = dataclasses.replace(
+            law, drift=law.drift - law.jumps.truncated_moment(1, 1.0), convention=TruncationConvention.ZERO
+        )
         for th in (0.5, 2.0, -3.5):
             assert lm.char_exponent(moved, th) == pytest.approx(
                 lm.char_exponent(law, th), abs=1e-12
@@ -331,6 +311,39 @@ def test_stable_cos_integral_matches_quadrature():
         assert lm.stable_cos_integral(alpha) == pytest.approx(
             head + tail_one - tail_cos, rel=1e-9
         )
+
+
+@pytest.mark.parametrize("index", [5e-324, 1e-307])
+def test_stable_index_below_the_floor_is_refused(index):
+    # at 5e-324 Gamma(-index) overflowed in a bare OverflowError and at
+    # 1e-307 a one-sided draw warned; each constructor names the floor
+    for make in (lambda: OneSidedStableMeasure(index, 1.0), lambda: SymmetricStableMeasure(index, 1.0),
+                 lambda: lm.stable_cos_integral(index), lambda: lm.symmetric_stable_law(index, 1.0),
+                 lambda: lm.one_sided_stable_law(index, 1.0)):
+        with pytest.raises(DomainError, match="below 1e-299"):
+            make()
+
+
+@pytest.mark.parametrize("coeff", [1e-8, 1.0, 1e8])
+def test_stable_closed_forms_and_draws_are_finite_at_the_index_floor(coeff):
+    # every closed form is finite, the tail cut and each draw are finite or
+    # refused by name, and the suite turns any RuntimeWarning into an error
+    index, theta, dt = 1e-299, np.geomspace(1e-8, 1e8, 9), np.geomspace(1e-8, 1e8, 9)
+    for m in (OneSidedStableMeasure(index, coeff), SymmetricStableMeasure(index, coeff)):
+        for value in (m.one_wedge(1), m.one_wedge(2), m.char_integral(theta, TruncationConvention.STANDARD),
+                      m.char_integral(-theta, TruncationConvention.ZERO)):
+            assert np.isfinite(value).all()
+        with pytest.raises(QuadratureFailure, match="overflows a float"):
+            m.tail_cutoff(1e-12)
+        for seed in range(5):
+            try:
+                assert np.isfinite(m.sample_increments(dt, np.random.default_rng(seed))).all()
+            except DomainError as exc:
+                assert "past the float range" in str(exc)
+    pair = SubordinatorPair(0.0, OneSidedStableMeasure(index, coeff))
+    assert np.isfinite(lm.laplace_exponent(pair, -theta + 1j * theta)).all()
+    for law in (lm.symmetric_stable_law(index, coeff), lm.one_sided_stable_law(index, coeff)):
+        assert np.isfinite(lm.char_exponent(law, theta)).all()
 
 
 @pytest.mark.parametrize("theta", [0.5, 2.0, 9.0, -3.0])

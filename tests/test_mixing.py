@@ -20,16 +20,11 @@ from levymix.core import (
     GammaMeasure,
     OneSidedStableMeasure,
     SymmetricStableMeasure,
+    ZERO_MEASURE,
 )
 from levymix.errors import DomainError, UnsupportedFamily
 from levymix.mixing import (
     IntervalSet,
-    check_domain,
-    conv_power_cdf,
-    conv_power_density,
-    conv_power_interval_mass,
-    conv_power_set_mass,
-    conv_power_truncated_mean,
     integrate_rho,
     lemma_constant,
     mixing_cf,
@@ -101,90 +96,91 @@ def test_interval_set_sorts_any_disjoint_input(edges):
 # --- convolution powers ------------------------------------------------------
 
 
-def test_conv_power_cdf_gamma_frozen():
-    law = lm.gamma_law(2.0, 3.0)
-    assert conv_power_cdf(law, 0.7, 1.3) == pytest.approx(CONVP_GAMMA23_CDF, rel=1e-14)
-    assert conv_power_cdf(law, 0.7, 0.0) == 0.0
-    assert conv_power_cdf(law, 0.7, np.inf) == 1.0
+def test_gamma_law_cdf_frozen():
+    law = lm.gamma_law(2.0, 3.0).law
+    assert law.cdf(0.7, 1.3) == pytest.approx(CONVP_GAMMA23_CDF, rel=1e-14)
+    assert law.cdf(0.7, 0.0) == 0.0
+    assert law.cdf(0.7, np.inf) == 1.0
 
 
-def test_conv_power_interval_mass_gaussian_frozen():
-    law = lm.gaussian_law(0.5, 2.0)
-    assert conv_power_interval_mass(law, 1.3, -0.4, 1.1) == pytest.approx(
+def test_gaussian_law_interval_mass_frozen():
+    law = lm.gaussian_law(0.5, 2.0).law
+    assert law.interval_mass(1.3, -0.4, 1.1) == pytest.approx(
         CONVP_GAUSS_MASS, rel=1e-14
     )
 
 
 def test_conv_power_poisson_half_open_boundaries():
     # atoms at 0.5 k; (0.5, 1.0] holds exactly the k=2 atom
-    law = lm.poisson_law(2.0, 0.5)
-    assert conv_power_interval_mass(law, 1.0, 0.5, 1.0) == pytest.approx(
+    law = lm.poisson_law(2.0, 0.5).law
+    assert law.interval_mass(1.0, 0.5, 1.0) == pytest.approx(
         CONVP_POISSON_HALFOPEN, rel=1e-13
     )
     # (0.4, 0.5] holds the k=1 atom
-    assert conv_power_interval_mass(law, 1.0, 0.4, 0.5) == pytest.approx(
+    assert law.interval_mass(1.0, 0.4, 0.5) == pytest.approx(
         float(stats.poisson.pmf(1, 2.0)), rel=1e-13
     )
     # negative jumps mirror: atoms at -0.5 k; (-1.0, -0.4] excludes the
     # left endpoint, so only the k=1 atom at -0.5 is inside
-    neg = lm.poisson_law(2.0, -0.5)
-    assert conv_power_interval_mass(neg, 1.0, -1.0, -0.4) == pytest.approx(
+    neg = lm.poisson_law(2.0, -0.5).law
+    assert neg.interval_mass(1.0, -1.0, -0.4) == pytest.approx(
         float(stats.poisson.pmf(1, 2.0)), rel=1e-13
     )
-    assert conv_power_interval_mass(neg, 1.0, -1.01, -0.4) == pytest.approx(
+    assert neg.interval_mass(1.0, -1.01, -0.4) == pytest.approx(
         float(stats.poisson.pmf(1, 2.0) + stats.poisson.pmf(2, 2.0)), rel=1e-13
     )
 
 
 def test_conv_power_delta_indicator():
-    law = lm.delta_law(0.8)
-    assert conv_power_cdf(law, 2.0, 1.6) == 1.0
-    assert conv_power_cdf(law, 2.0, 1.5999) == 0.0
+    law = lm.delta_law(0.8).law
+    assert law.cdf(2.0, 1.6) == 1.0
+    assert law.cdf(2.0, 1.5999) == 0.0
 
 
-def test_conv_power_density_integrates_to_mass():
-    for law, s, lo, hi in (
+def test_tagged_law_density_integrates_to_mass():
+    for mu, s, lo, hi in (
         (lm.gamma_law(2.0, 3.0), 0.7, 0.2, 1.5),
         (lm.gaussian_law(0.5, 2.0), 1.3, -0.4, 1.1),
         (lm.cauchy_law(0.8), 0.6, -2.0, 1.0),
         (lm.one_sided_stable_law(0.5, 0.4), 1.1, 0.3, 4.0),
     ):
+        law = mu.law
         val, err = integrate.quad(
-            lambda x: float(conv_power_density(law, s, x)), lo, hi, limit=200
+            lambda x: float(law.density(s, x)), lo, hi, limit=200
         )
         assert val == pytest.approx(
-            conv_power_interval_mass(law, s, lo, hi), abs=max(1e-12, 10 * err)
+            law.interval_mass(s, lo, hi), abs=max(1e-12, 10 * err)
         )
 
 
-def test_conv_power_truncated_mean_frozen():
-    assert conv_power_truncated_mean(lm.gaussian_law(0.4, 1.2), 0.8) == pytest.approx(
+def test_tagged_law_truncated_mean_frozen():
+    assert lm.gaussian_law(0.4, 1.2).law.truncated_mean(0.8) == pytest.approx(
         CONVP_TMEAN_GAUSS, abs=1e-14
     )
-    assert conv_power_truncated_mean(lm.one_sided_stable_law(0.5, 0.3), 0.9) == pytest.approx(
+    assert lm.one_sided_stable_law(0.5, 0.3).law.truncated_mean(0.9) == pytest.approx(
         CONVP_TMEAN_LEVY, abs=1e-14
     )
     # symmetric laws: identically zero
-    assert conv_power_truncated_mean(lm.gaussian_law(0.0, 1.2), 0.8) == 0.0
-    assert conv_power_truncated_mean(lm.cauchy_law(1.0), 0.5) == 0.0
+    assert lm.gaussian_law(0.0, 1.2).law.truncated_mean(0.8) == 0.0
+    assert lm.cauchy_law(1.0).law.truncated_mean(0.5) == 0.0
 
 
-def test_conv_power_truncated_mean_gamma_vs_quadrature():
-    law = lm.gamma_law(2.0, 3.0)
+def test_gamma_law_truncated_mean_vs_quadrature():
+    law = lm.gamma_law(2.0, 3.0).law
     for s in (0.3, 1.0, 2.7):
         val, err = integrate.quad(
-            lambda x: x * float(conv_power_density(law, s, x)), 0.0, 1.0
+            lambda x: x * float(law.density(s, x)), 0.0, 1.0
         )
-        assert conv_power_truncated_mean(law, s) == pytest.approx(
+        assert law.truncated_mean(s) == pytest.approx(
             val, abs=max(1e-13, 10 * err)
         )
 
 
 def test_conv_power_unsupported_stable_indices():
     with pytest.raises(UnsupportedFamily):
-        conv_power_cdf(lm.symmetric_stable_law(1.5, 1.0), 1.0, 0.5)
+        lm.symmetric_stable_law(1.5, 1.0).law.cdf(1.0, 0.5)
     with pytest.raises(UnsupportedFamily):
-        conv_power_cdf(lm.one_sided_stable_law(0.7, 1.0), 1.0, 0.5)
+        lm.one_sided_stable_law(0.7, 1.0).law.cdf(1.0, 0.5)
 
 
 @given(
@@ -195,13 +191,11 @@ def test_conv_power_unsupported_stable_indices():
 )
 @settings(max_examples=60, deadline=None)
 def test_conv_power_mass_additive(s, lo, width, split):
-    law = lm.gaussian_law(0.3, 1.1)
+    law = lm.gaussian_law(0.3, 1.1).law
     hi = lo + width
     mid = lo + split * width
-    whole = conv_power_interval_mass(law, s, lo, hi)
-    parts = conv_power_interval_mass(law, s, lo, mid) + conv_power_interval_mass(
-        law, s, mid, hi
-    )
+    whole = law.interval_mass(s, lo, hi)
+    parts = law.interval_mass(s, lo, mid) + law.interval_mass(s, mid, hi)
     assert parts == pytest.approx(whole, abs=1e-13)
 
 
@@ -373,13 +367,25 @@ def test_phi_mix_mass_domain_errors():
     assert 0.0 < r.value < 1.2
 
 
-def test_check_domain():
-    assert check_domain(lm.gaussian_law(), GammaMeasure(1.0, 1.0))
-    assert not check_domain(lm.gaussian_law(), SymmetricStableMeasure(0.5, 1.0))
-    assert not check_domain(lm.gaussian_law(), OneSidedStableMeasure(1.5, 1.0))
-    # degenerate base: only nonzero drift admits mixing (as a pushforward)
-    assert check_domain(lm.delta_law(1.0), GammaMeasure(1.0, 1.0))
-    assert not check_domain(lm.delta_law(0.0), GammaMeasure(1.0, 1.0))
+def test_mixing_domain_is_refused_where_it_is_used():
+    # in the domain: a positive clock of finite variation, or a degenerate
+    # base at a nonzero point, whose mix is a pushforward
+    sets = IntervalSet.of(1.0, 2.0)
+    assert phi_mix_mass(lm.gaussian_law(), GammaMeasure(1.0, 1.0), sets).value > 0.0
+    assert phi_mix_mass(lm.delta_law(1.0), GammaMeasure(1.0, 1.0), sets).value > 0.0
+    for mu, rho in ((lm.gaussian_law(), SymmetricStableMeasure(0.5, 1.0)),
+                    (lm.gaussian_law(), OneSidedStableMeasure(1.5, 1.0)),
+                    (lm.delta_law(0.0), GammaMeasure(1.0, 1.0))):
+        with pytest.raises(DomainError):
+            phi_mix_mass(mu, rho, sets)
+
+
+def test_phi_mix_mass_refuses_an_untagged_base():
+    # the base's tag is asked for once, before any quadrature
+    plain = lm.LevyTriplet(0.0, 1.0, ZERO_MEASURE)
+    for rho in (GammaMeasure(1.0, 1.0), AtomicMeasure(((1.0, 0.5),))):
+        with pytest.raises(UnsupportedFamily, match="law-tagged"):
+            phi_mix_mass(plain, rho, IntervalSet.of(1.0, 2.0))
 
 
 def test_phi_mix_density_gamma_atomic_frozen():
@@ -465,8 +471,8 @@ def test_mixing_cf_equals_cf_of_mixed_measure():
     def mixed_cf(theta):
         def dens(x):
             return float(
-                0.8 * conv_power_density(mu, 0.4, x)
-                + 0.5 * conv_power_density(mu, 1.1, x)
+                0.8 * mu.law.density(0.4, x)
+                + 0.5 * mu.law.density(1.1, x)
             )
 
         re, _ = integrate.quad(lambda x: math.cos(theta * x) * dens(x), -30, 30, limit=400)

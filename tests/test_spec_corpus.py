@@ -100,6 +100,8 @@ _CASES = [
     ("gamma-domain", _jumps(kind="gamma", shape=-1.0, rate=1.0), "subordinator.jumps: shape must be > 0"),
     ("stable-domain", _jumps(kind="one_sided_stable", index=2.5, coeff=1.0),
      "subordinator.jumps: index must lie in (0, 2)"),
+    ("stable-index-floor", _jumps(kind="one_sided_stable", index=5e-324, coeff=1.0),
+     "subordinator.jumps: a stable index of 4.94e-324 is below 1e-299, the smallest with finite closed forms"),
     ("cpexp-domain", _jumps(kind="compound_exponential", rate=0.0, jump_rate=1.0),
      "subordinator.jumps: rate must be > 0"),
     ("cpexp-infinite", _jumps(kind="compound_exponential", rate=1.0, jump_rate=float("inf")),

@@ -5,6 +5,7 @@ computed triplet (drift and Gaussian terms plus the mixed jump integral).
 Frozen values come from closed forms evaluated with cmath/scipy only.
 """
 import cmath
+import dataclasses
 import math
 import time
 
@@ -28,8 +29,6 @@ from levymix.subordinate import (
     JumpMixEvaluator,
     SeedCell,
     SeedField,
-    SubordinatedTriplet,
-    basis_quadruplet,
     cell_log_cf,
     cf_from_triplet,
     compose_cf,
@@ -71,7 +70,7 @@ def test_compose_cf_additive_under_pair_convolution():
     rng = np.random.default_rng(11)
     p1 = SubordinatorPair(0.2, GammaMeasure(1.0, 2.0))
     p2 = SubordinatorPair(0.5, GammaMeasure(0.7, 2.0))
-    merged = lm.merge_pairs(p1, p2)
+    merged = SubordinatorPair(0.7, GammaMeasure(1.7, 2.0))
     base = lm.gaussian_law(0.3, 1.0)
     for th in rng.uniform(-8.0, 8.0, 20):
         lhs = compose_cf(base, merged, float(th))
@@ -182,7 +181,10 @@ def test_later_thetas_reuse_the_cached_grid(monkeypatch, base, pair):
 
 
 def test_subordinate_triplet_rejects_zero_convention_base():
-    moved = lm.convert_convention(lm.gamma_law(2.0, 3.0), lm.TruncationConvention.ZERO)
+    law = lm.gamma_law(2.0, 3.0)
+    moved = dataclasses.replace(
+        law, drift=law.drift - law.jumps.truncated_moment(1, 1.0), convention=lm.TruncationConvention.ZERO
+    )
     with pytest.raises(DomainError):
         subordinate_triplet(moved, VG_PAIR)
 
@@ -192,6 +194,26 @@ def test_subordinate_triplet_rejects_untagged_base_with_jumps():
     assert subordinate_triplet(plain, SubordinatorPair(0.5, ZERO_MEASURE)).b_bar == 0.5
     with pytest.raises(UnsupportedFamily):
         subordinate_triplet(plain, VG_PAIR)
+
+
+def test_subordinate_triplet_refuses_a_degenerate_base_at_zero():
+    with pytest.raises(DomainError, match="outside the mixing domain"):
+        subordinate_triplet(lm.delta_law(0.0), VG_PAIR)
+    # at a nonzero point the jumps are the pushforward of the clock's
+    st = subordinate_triplet(lm.delta_law(1.0), VG_PAIR)
+    assert st.gamma_bar == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
+
+
+def test_poisson_counts_inside_the_unit_interval_are_capped():
+    # jump size 1e-30 puts 1e30 counts in |x| <= 1: refused by name before
+    # any array of them is built
+    law = lm.poisson_law(1.0, 1e-30)
+    with pytest.raises(QuadratureFailure, match="1e\\+30, over 10000"):
+        subordinate_triplet(law, VG_PAIR)
+    with pytest.raises(QuadratureFailure, match="over 10000"):
+        lm.small_s_ratio(law, 0.5)
+    # 1e4 counts are still summed
+    assert lm.poisson_law(1.0, 1e-4).law.truncated_mean(0.5) == pytest.approx(0.5e-4, rel=1e-12)
 
 
 def test_empty_atomic_measure_is_the_zero_measure():
@@ -258,25 +280,6 @@ def test_cell_log_cf_scales_with_control_mass():
     for th in (0.7, 2.0, -3.0):
         want = 3.0 * compose_cf(VG_BASE, VG_PAIR, th)
         assert cell_log_cf(VG_BASE, cell, th) == pytest.approx(want, abs=1e-13)
-
-
-def test_basis_quadruplet_orders_by_cell():
-    pairs = [
-        SubordinatorPair(0.0, GammaMeasure(1.0, 1.0)),
-        SubordinatorPair(0.3, GammaMeasure(2.0, 3.0)),
-    ]
-    fld = SeedField(
-        (
-            SeedCell(((0.0, 1.0),), pairs[0]),
-            SeedCell(((1.0, 2.0),), pairs[1]),
-        )
-    )
-    triplets = basis_quadruplet(VG_BASE, fld)
-    assert len(triplets) == 2
-    assert all(isinstance(t, SubordinatedTriplet) for t in triplets)
-    assert triplets[0].pair is pairs[0]
-    assert triplets[1].pair is pairs[1]
-    assert triplets[1].b_bar == 1.0 * 0.3
 
 
 def test_fields_differing_in_one_cell_have_separated_cell_cfs():
