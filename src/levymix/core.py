@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy import special
+import scipy
 
 from . import quadrature
 from .errors import (
@@ -134,6 +134,12 @@ class LevyMeasure(ABC):
         except NotFiniteVariation:
             return INF
 
+    def finite_variation(self) -> bool:
+        """Whether the measure integrates (1 and |x|), read from the family's
+        parameters: a power law at 0 decides it, and a float overflow in
+        one_wedge(1) does not."""
+        return True
+
     @abstractmethod
     def sample_increments(self, dt, rng) -> np.ndarray:
         """Exact draws of the sum of all jumps over steps of the lengths in
@@ -199,7 +205,7 @@ class GammaMeasure(LevyMeasure):
         return INF
 
     def _above(self, x):
-        return self.shape * special.exp1(self.rate * x)
+        return self.shape * scipy.special.exp1(self.rate * x)
 
     def truncated_moment(self, power, cutoff=1.0):
         t = self.rate * cutoff
@@ -301,7 +307,18 @@ class OneSidedStableMeasure(LevyMeasure):
     def laplace_integral(self, z):
         if self.index >= 1:
             raise NotFiniteVariation("laplace exponent needs index < 1")
-        return self.coeff * math.gamma(-self.index) * (-z) ** self.index
+        # coeff * Gamma(-index) passes the float range at an index near the
+        # floor or a coeff near the largest float: refused where z != 0, and
+        # at z = 0, where it times 0**index is nan, the exponent is exactly 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self.coeff * math.gamma(-self.index) * (-z) ** self.index
+        zero = np.equal(z, 0)
+        if not np.all(np.isfinite(value) | zero):
+            raise DomainError(
+                f"the Laplace exponent of a one-sided stable measure of index {self.index:.3g} "
+                f"and coeff {self.coeff:.3g} is past the float range"
+            )
+        return np.where(zero, 0.0, value)[()]
 
     def sample_increments(self, dt, rng):
         a, dt = self.index, np.asarray(dt, dtype=float)
@@ -318,6 +335,9 @@ class OneSidedStableMeasure(LevyMeasure):
         return _stable_draw(
             rng, dt, a, log_k, dt > 0, np.sin(v), np.sin(a * v), np.sin((1.0 - a) * v), "one-sided"
         )
+
+    def finite_variation(self):
+        return self.index < 1
 
     def image_in_ml1(self, alpha):
         return self.index < 1.0 / alpha
@@ -368,6 +388,9 @@ class SymmetricStableMeasure(LevyMeasure):
     def one_wedge(self, power):
         half = self._half().one_wedge(power)
         return INF if math.isinf(half) else 2.0 * half
+
+    def finite_variation(self):
+        return self.index < 1
 
     def tail_cutoff(self, tol):
         return self._half().tail_cutoff(tol / 2.0)
@@ -679,7 +702,7 @@ class LevyTriplet:
     def __post_init__(self):
         _require(self.gaussian_var >= 0, "gaussian_var must be >= 0")
         if self.convention is TruncationConvention.ZERO:
-            if self.jumps.one_wedge(1) == INF:
+            if not self.jumps.finite_variation():
                 raise NotFiniteVariation(
                     "the zero-truncation convention needs finite variation jumps"
                 )
@@ -700,7 +723,7 @@ class SubordinatorPair:
         _require(self.drift >= 0, "subordinator drift must be >= 0")
         if not self.jumps.is_positive():
             raise DomainError("subordinator jumps must live on (0, inf)")
-        if self.jumps.one_wedge(1) == INF:
+        if not self.jumps.finite_variation():
             raise NotFiniteVariation("subordinator jumps must integrate (1 and x)")
 
     def is_zero(self) -> bool:
@@ -772,7 +795,7 @@ def _poisson_count_cdf(n, mean):
         return np.zeros(np.shape(mean))
     if math.isinf(n):
         return np.ones(np.shape(mean))
-    return special.gammaincc(math.floor(n) + 1.0, mean)
+    return scipy.special.gammaincc(math.floor(n) + 1.0, mean)
 
 
 def _npdf(t):
@@ -817,10 +840,10 @@ class GaussianLaw(TaggedLaw):
         return self.mean == 0.0
 
     def cdf(self, s, x):
-        return special.ndtr((x - self.mean * s) / np.sqrt(self.var * s))
+        return scipy.special.ndtr((x - self.mean * s) / np.sqrt(self.var * s))
 
     def sf(self, s, x):
-        return special.ndtr((self.mean * s - x) / np.sqrt(self.var * s))
+        return scipy.special.ndtr((self.mean * s - x) / np.sqrt(self.var * s))
 
     def density(self, s, x):
         sd = np.sqrt(self.var * s)
@@ -836,11 +859,11 @@ class GaussianLaw(TaggedLaw):
         if self.mean == 0.0:
             return 0.0 * np.asarray(s)  # symmetric law: exact cancellation
         m, sd, alpha, beta = self._unit_interval(np.asarray(s, dtype=float))
-        return m * (special.ndtr(beta) - special.ndtr(alpha)) - sd * (_npdf(beta) - _npdf(alpha))
+        return m * (scipy.special.ndtr(beta) - scipy.special.ndtr(alpha)) - sd * (_npdf(beta) - _npdf(alpha))
 
     def small_s_ratio(self, s):
         m, sd, alpha, beta = self._unit_interval(s)
-        gap = float(special.ndtr(beta) - special.ndtr(alpha))
+        gap = float(scipy.special.ndtr(beta) - scipy.special.ndtr(alpha))
         inside_sq = (
             (m * m + sd * sd) * gap
             + 2.0 * m * sd * (_npdf(alpha) - _npdf(beta))
@@ -863,27 +886,27 @@ class GammaLaw(TaggedLaw):
     sides = (1,)
 
     def cdf(self, s, x):
-        return special.gammainc(self.shape * np.asarray(s), self.rate * np.maximum(x, 0.0))
+        return scipy.special.gammainc(self.shape * np.asarray(s), self.rate * np.maximum(x, 0.0))
 
     def sf(self, s, x):
-        return special.gammaincc(self.shape * s, self.rate * x)
+        return scipy.special.gammaincc(self.shape * s, self.rate * x)
 
     def density(self, s, x):
         rate = self.rate
         return _where_positive(
             x,
-            lambda x, a: np.exp(a * math.log(rate) + (a - 1.0) * np.log(x) - rate * x - special.gammaln(a)),
+            lambda x, a: np.exp(a * math.log(rate) + (a - 1.0) * np.log(x) - rate * x - scipy.special.gammaln(a)),
             self.shape * s,
         )
 
     def truncated_mean(self, s):
         a = self.shape * np.asarray(s, dtype=float)
-        return a / self.rate * special.gammainc(a + 1.0, self.rate)
+        return a / self.rate * scipy.special.gammainc(a + 1.0, self.rate)
 
     def small_s_ratio(self, s):
         a = self.shape * s
-        inside = a * (a + 1.0) / self.rate**2 * float(special.gammainc(a + 2.0, self.rate))
-        tail = 1.0 - float(special.gammainc(a, self.rate))
+        inside = a * (a + 1.0) / self.rate**2 * float(scipy.special.gammainc(a + 2.0, self.rate))
+        tail = 1.0 - float(scipy.special.gammainc(a, self.rate))
         return (inside + tail) / s
 
 
@@ -907,7 +930,7 @@ class PoissonLaw(TaggedLaw):
         """P(K = k) for K Poisson(rate s) and k in the array ks, one row per
         entry of s."""
         mean = self.rate * np.asarray(s, dtype=float)[..., None]
-        return np.exp(ks * np.log(mean) - mean - special.gammaln(ks + 1.0))
+        return np.exp(ks * np.log(mean) - mean - scipy.special.gammaln(ks + 1.0))
 
     def _inner_counts(self, s):
         """Counts k >= 1 with |h k| <= 1 and their probabilities under mu^s,
@@ -986,10 +1009,22 @@ class SymmetricStableLaw(_StableLaw):
 
     def density_derivs(self, s, x):
         c = self._c(s)
-        denom = x * x + c * c
-        p = self.density(s, x)
-        p1 = -2.0 * x * c / (math.pi * denom**2)
-        p2 = c * (6.0 * x * x - 2.0 * c * c) / (math.pi * denom**3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = x * x + c * c
+            cube = denom**3
+            p = self.density(s, x)
+            p1 = -2.0 * x * c / (math.pi * denom**2)
+            p2 = c * (6.0 * x * x - 2.0 * c * c) / (math.pi * cube)
+        big = ~np.isfinite(cube)
+        # past denom ~ 1e102 the cube overflows: the same forms in x and c
+        # divided through by m = max(|x|, c), with m's powers divided out last
+        if np.any(big):
+            m = np.maximum(np.abs(x), c)
+            u, v = x / m, c / m
+            d = u * u + v * v
+            p = np.where(big, v / (math.pi * d) / m, p)
+            p1 = np.where(big, -2.0 * u * v / (math.pi * d**2) / m / m, p1)
+            p2 = np.where(big, v * (6.0 * u * u - 2.0 * v * v) / (math.pi * d**3) / m / m / m, p2)
         return p, p1, p2
 
     def truncated_mean(self, s):
@@ -1014,10 +1049,10 @@ class OneSidedStableLaw(_StableLaw):
         return levy_dist_scale(self.coeff) * s * s
 
     def cdf(self, s, x):
-        return _where_positive(x, lambda x, c: special.erfc(np.sqrt(0.5 * c / x)), self._c(np.asarray(s)))
+        return _where_positive(x, lambda x, c: scipy.special.erfc(np.sqrt(0.5 * c / x)), self._c(np.asarray(s)))
 
     def sf(self, s, x):
-        return special.erf(np.sqrt(0.5 * self._c(s) / x))
+        return scipy.special.erf(np.sqrt(0.5 * self._c(s) / x))
 
     def density(self, s, x):
         return _where_positive(
@@ -1035,7 +1070,7 @@ class OneSidedStableLaw(_StableLaw):
     def truncated_mean(self, s):
         # int_0^1 x p_c(x) dx = sqrt(2c/pi) e^{-c/2} - c erfc(sqrt(c/2))
         c = self._c(np.asarray(s, dtype=float))
-        return np.sqrt(2.0 * c / math.pi) * np.exp(-0.5 * c) - c * special.erfc(np.sqrt(0.5 * c))
+        return np.sqrt(2.0 * c / math.pi) * np.exp(-0.5 * c) - c * scipy.special.erfc(np.sqrt(0.5 * c))
 
     def small_s_ratio(self, s):
         # int_0^1 x^2 p_c(x) dx = sqrt(c/2pi) y^{3/2} Gamma(-3/2, y) with y = c/2,
@@ -1045,9 +1080,9 @@ class OneSidedStableLaw(_StableLaw):
         y = 0.5 * c
         inside = math.sqrt(c / (2.0 * math.pi)) * (
             (2.0 / 3.0 - 4.0 / 3.0 * y) * math.exp(-y)
-            + 4.0 / 3.0 * math.sqrt(math.pi) * y**1.5 * float(special.erfc(math.sqrt(y)))
+            + 4.0 / 3.0 * math.sqrt(math.pi) * y**1.5 * float(scipy.special.erfc(math.sqrt(y)))
         )
-        tail = float(special.erf(math.sqrt(y)))
+        tail = float(scipy.special.erf(math.sqrt(y)))
         return (inside + tail) / s
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from . import quadrature
 from .core import (
@@ -179,7 +179,7 @@ def rho_quad_nodes(rho: LevyMeasure):
 def _validate_mixing_measure(rho):
     if not rho.is_positive():
         raise DomainError("the mixing measure must live on (0, inf)")
-    if rho.one_wedge(1) == INF:
+    if not rho.finite_variation():
         raise DomainError("the mixing measure must integrate (1 and s)")
 
 
@@ -243,7 +243,7 @@ def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float) -> float:
     log_rx = math.log(rate * x)
 
     def fn(s):
-        return np.exp(s * log_rx - special.gammaln(s))
+        return np.exp(s * log_rx - scipy.special.gammaln(s))
 
     # 1/Gamma(s) ~ s near 0, so |fn| <= 1.2 s for floors below 1e-8.
     value, err, _ = integrate_rho(rho, fn, linear_bound=1.2)

@@ -460,37 +460,46 @@ def test_poisson_mean_past_sampler_limit_exits_3(tmp_path, capsys):
         assert not (tmp_path / "x.csv").exists()
 
 
-def test_cli_import_loads_neither_integrate_nor_optimize():
-    code = ("import sys, levymix.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+# Modules no command below may load: scipy.special (with the numpy.f2py and
+# numpy.testing it pulls in) loads on first use, for subordinate and mix only.
+LAZY_MODULES = ("scipy.special", "scipy.optimize", "scipy.integrate", "scipy.signal", "scipy.fft",
+                "numpy.f2py", "numpy.testing")
 
 
-def test_recover_run_loads_no_optimizer(tmp_path):
-    out = tmp_path / "r.json"
-    code = ("import sys; from levymix.cli import main; "
-            f"rc = main(['recover', '--model', {VG!r}, '--family', 'gamma', '--dt', '1.0', "
-            f"'--horizon', '2000', '--seed', '3', '--out', {str(out)!r}]); "
-            "print(rc, 'scipy.optimize' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 False"
-    assert json.loads(out.read_text())["family"] == "gamma"
-
-
-def test_lss_sim_run_loads_no_scipy_convolution(tmp_path):
-    # the moving average convolves with numpy.fft, which numpy already loads
-    out = tmp_path / "y.csv"
-    code = ("import sys; from levymix.cli import main; "
-            f"rc = main(['lss-sim', '--model', {VG!r}, '--dt', '0.05', '--horizon', '2', "
-            f"'--seed', '2', '--out', {str(out)!r}]); "
-            "print(rc, sorted(m for m in ('scipy.signal', 'scipy.fft') if m in sys.modules))")
+@pytest.mark.parametrize("argv", [
+    None,
+    ["cf", "--model", VG],
+    ["simulate", "--model", VG, "--dt", "0.1", "--horizon", "10"],
+    ["recover", "--model", VG, "--family", "gamma", "--dt", "1.0", "--horizon", "2000", "--seed", "3"],
+    ["lss-sim", "--model", VG, "--dt", "0.05", "--horizon", "2", "--seed", "2"],
+    ["basis-sim", "--model", BASIS],
+], ids=lambda argv: argv[0] if argv else "import")
+def test_import_budget(tmp_path, argv):
+    # one fresh interpreter per case: import levymix.cli, run the command,
+    # and list what it loaded of LAZY_MODULES
+    run = f"rc = main({argv + ['--out', str(tmp_path / 'x.out')]!r})" if argv else "rc = 0"
+    code = (f"import sys; from levymix.cli import main; {run}; "
+            f"print(rc, sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
-    assert len(out.read_text().splitlines()) == 42
+
+
+@pytest.mark.parametrize("command", ["cf", "simulate", "subordinate", "mix"])
+@pytest.mark.parametrize("index, coeff, causes", [
+    (1e-299, 1e10, {"cf": "Laplace exponent", "subordinate": "overflows a float", "mix": "overflows a float"}),
+    (0.1, 1e308, {"cf": "Laplace exponent", "subordinate": "lower cut", "mix": "lower cut"}),
+], ids=["tiny-index", "huge-coeff"])
+def test_stable_clock_past_the_float_range_exits_3_naming_its_cause(tmp_path, capsys, command, index, coeff, causes):
+    # one_wedge(1) overflows for these clocks, yet they have finite variation:
+    # each command gets past the clock's check and refuses by the true cause
+    model = _model(tmp_path / "m.json", GAUSS, {"kind": "one_sided_stable", "index": index, "coeff": coeff})
+    flags = ["--dt", 0.1, "--horizon", 1] if command == "simulate" else []
+    assert _run([command, "--model", model, "--out", tmp_path / "x.out"] + flags) == 3
+    err = capsys.readouterr().err
+    assert causes.get(command, "past the float range") in err
+    assert "must integrate" not in err and "Traceback" not in err
+    assert not (tmp_path / "x.out").exists()
 
 
 def test_unwritable_out_exits_4(tmp_path, capsys):

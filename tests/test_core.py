@@ -292,6 +292,54 @@ def test_subordinator_pair_validation():
         SubordinatorPair(0.0, OneSidedStableMeasure(1.2, 0.4))
 
 
+FINITE_VARIATION_CASES = {
+    "gamma": GammaMeasure(2.0, 3.0),
+    "compound-exponential": CompoundExponentialMeasure(1.5, 2.0),
+    "atomic-empty": ZERO_MEASURE,
+    "atomic": AtomicMeasure(((0.5, 1.0), (3.0, 0.2))),
+    "tabulated-positive": TabulatedMeasure((0.5, 1.0, 2.0), (1.0, 1.0, 1.0)),
+    "tabulated-negative": TabulatedMeasure((-2.0, -1.0, -0.5), (1.0, 1.0, 1.0)),
+    **{f"{side}-stable-{index}": make(index, 0.4)
+       for side, make in (("one-sided", OneSidedStableMeasure), ("symmetric", SymmetricStableMeasure))
+       for index in (0.3, 0.999, 1.0, 1.5)},
+}
+
+
+@pytest.mark.parametrize("measure", FINITE_VARIATION_CASES.values(), ids=list(FINITE_VARIATION_CASES))
+def test_finite_variation_agrees_with_the_one_wedge(measure):
+    # the predicate reads the parameters; the closed forms integrate
+    assert measure.finite_variation() == (measure.one_wedge(1) < INF)
+
+
+@pytest.mark.parametrize("index, coeff", [(1e-299, 1e10), (0.1, 1e308)])
+def test_stable_clock_whose_one_wedge_overflows_has_finite_variation(index, coeff):
+    # coeff / (1 - index) + coeff / index passes the float range: that is
+    # not a divergence, so the clock and its zero-convention triplet stand
+    nu = OneSidedStableMeasure(index, coeff)
+    assert nu.one_wedge(1) == INF
+    SubordinatorPair(0.0, nu)
+    LevyTriplet(0.0, 0.0, nu, TruncationConvention.ZERO)
+    with pytest.raises(DomainError, match="Laplace exponent .* past the float range"):
+        lm.laplace_exponent(SubordinatorPair(0.0, nu), np.array([0.0, -1.0]))
+
+
+def test_cauchy_density_derivs_stay_finite_past_the_cube_range():
+    # (x^2 + c^2)**3 overflows past 1e102; the suite turns the overflow
+    # warning into an error. References: the rational parts in exact
+    # arithmetic, then divided by pi.
+    from fractions import Fraction
+
+    law = SymmetricStableLaw(1.0, 1.0)
+    for s, xs in ((1e60, [1e6, 1e59, 1e61]), (1.0, [0.5, 3.0, 1e40, 1e120]), (1e120, [1e100, 1e130])):
+        p, p1, p2 = law.density_derivs(s, np.array(xs))
+        c = Fraction(s)
+        for k, x in enumerate(map(Fraction, xs)):
+            d = x * x + c * c
+            expected = (c / d, -2 * x * c / d**2, c * (6 * x * x - 2 * c * c) / d**3)
+            for got, want in zip((p[k], p1[k], p2[k]), expected):
+                assert got == pytest.approx(float(want) / math.pi, rel=1e-14, abs=0.0)
+
+
 def test_levy_dist_scale():
     assert lm.levy_dist_scale(0.5) == 2.0 * math.pi * 0.25
 
