@@ -5,7 +5,7 @@ set of functionals the rest of the library consumes: interval masses,
 truncated moments, (1 and |x|**p) integrals with an explicit infinity, its
 Laplace and characteristic integrals, an exact sampler of its jump sums over
 an array of step lengths, and the rule for integrating against it.  Closed
-forms are used wherever the family admits one; a grid rule only for
+forms are used wherever the family admits one; a cell rule only for
 tabulated densities.  Each class is its family:
 a parametric measure names its ``amplitude`` field, the one it is linear
 in, and a triplet built by a law constructor holds in ``LevyTriplet.law``
@@ -386,8 +386,7 @@ class SymmetricStableMeasure(LevyMeasure):
         return 2.0 * self._half().truncated_moment(power, cutoff)
 
     def one_wedge(self, power):
-        half = self._half().one_wedge(power)
-        return INF if math.isinf(half) else 2.0 * half
+        return 2.0 * self._half().one_wedge(power)
 
     def finite_variation(self):
         return self.index < 1
@@ -541,7 +540,10 @@ class CompoundExponentialMeasure(LevyMeasure):
 class TabulatedMeasure(LevyMeasure):
     """Piecewise-linear density on a strictly increasing grid; zero off-grid.
 
-    The grid must sit entirely on one side of zero.
+    The grid must sit entirely on one side of zero.  Every integral against
+    it is one rule: the K15 nodes of each cell of the grid cut at the limits,
+    checked by the embedded G7; both are exact on x**p times a linear density
+    for p <= 2, so masses and moments are exact up to roundoff.
     """
 
     xs: tuple
@@ -565,57 +567,49 @@ class TabulatedMeasure(LevyMeasure):
         xs, dens = self._grid()
         return np.interp(np.asarray(x, dtype=float), xs, dens, left=0.0, right=0.0)
 
-    def fixed_rule(self):
-        """Trapezoid weights on the grid with each cell cut in four (the
-        density interpolates linearly: it is the measure), checked against
-        the grid cut in two."""
-        xs, dens = self._grid()
-        nodes = np.append((xs[:-1, None] + np.diff(xs)[:, None] * np.arange(4) / 4.0).ravel(), xs[-1])
-        d = np.interp(nodes, xs, dens)
-        check = np.zeros(nodes.size)
-        check[::2] = np.convolve(np.diff(nodes[::2]), [0.5, 0.5])
-        return nodes, np.convolve(np.diff(nodes), [0.5, 0.5]) * d, check * d
+    def _rule(self, lo=-INF, hi=INF):
+        """Nodes and the K15 and G7 weights times the density on the grid cut to [lo, hi]."""
+        xs, _ = self._grid()
+        lo, hi = max(lo, xs[0]), min(hi, xs[-1])
+        edges = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi])) if hi > lo else xs[:1]
+        nodes, kronrod, gauss = quadrature.kronrod_nodes(edges)
+        d = self.density(nodes)
+        return nodes, kronrod * d, gauss * d
 
-    def _integral(self, f, tol=1e-6):
-        """f integrated against the measure by its grid rule, error checked."""
-        value, err = quadrature.rule_sum(f, *self.fixed_rule())
-        if np.any(err > np.maximum(tol, 1e-6 * np.abs(value))):
+    def fixed_rule(self):
+        return self._rule()
+
+    def _integral(self, f, lo=-INF, hi=INF):
+        """f integrated against the measure over [lo, hi] by its rule, error checked."""
+        value, err = quadrature.rule_sum(f, *self._rule(lo, hi))
+        if np.any(err > np.maximum(1e-6, 1e-6 * np.abs(value))):
             raise QuadratureFailure(f"tabulated grid too coarse: error estimate {np.max(err):.3e}")
         return value
 
     def total_mass(self):
-        xs, dens = self._grid()
-        return float(np.trapezoid(dens, xs))
-
-    def _trapezoid(self, lo, hi, power=0):
-        """Trapezoid integral of x**power times the density over [lo, hi] cut to the grid."""
-        xs, _ = self._grid()
-        lo, hi = max(lo, xs[0]), min(hi, xs[-1])
-        if hi <= lo:
-            return 0.0
-        grid = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi]))
-        return float(np.trapezoid(grid**power * self.density(grid), grid))
+        return self.interval_mass(-INF, INF)
 
     def interval_mass(self, lo, hi):
-        return self._trapezoid(lo, hi)
+        return float(self._integral(np.ones_like, lo, hi))
 
     def truncated_moment(self, power, cutoff=1.0):
-        return self._trapezoid(-cutoff, cutoff, power)
+        return float(self._integral(lambda x: x**power, -cutoff, cutoff))
 
     def one_wedge(self, power):
-        return float(self._integral(lambda x: np.minimum(1.0, np.abs(x) ** power)))
+        # the grid is one-sided: |x|**power integrates to the moment's modulus
+        return abs(self.truncated_moment(power, 1.0)) + self.mass_above(1.0)
 
     def sample_increments(self, dt, rng):
-        # Compound Poisson: per step a Poisson count at total_mass() * dt,
-        # then each jump's trapezoid cell by its mass and its place in the
-        # cell from the linear density d0 (1 - t) + d1 t on t in [0, 1],
+        # Compound Poisson: per step a Poisson count at the total mass times
+        # dt, then each jump's cell by its closed-form mass and its place in
+        # the cell from the linear density d0 (1 - t) + d1 t on t in [0, 1],
         # the mixture of the triangles 2 (1 - t) and 2 t weighted d0 and d1.
         xs, dens = self._grid()
-        counts = _poisson(rng, self.total_mass() * _one_length(dt), np.shape(dt))
+        cells = 0.5 * (dens[:-1] + dens[1:]) * np.diff(xs)
+        counts = _poisson(rng, cells.sum() * _one_length(dt), np.shape(dt))
         n = int(counts.sum())
         if n == 0:
             return np.zeros(counts.shape)
-        cells = 0.5 * (dens[:-1] + dens[1:]) * np.diff(xs)
         idx = rng.choice(cells.size, size=n, p=cells / cells.sum())
         d0, d1 = dens[idx], dens[idx + 1]
         pick, u = rng.random((2, n))
@@ -1003,28 +997,29 @@ class SymmetricStableLaw(_StableLaw):
     def sf(self, s, x):
         return 0.5 - np.arctan(x / self._c(s)) / math.pi
 
-    def density(self, s, x):
+    def _scaled(self, s, x):
+        """(p, u, v, u**2 + v**2, m) for u and v, x and c divided through by
+        m = max(|x|, c): no square leaves the float range, and each form
+        divides out m's powers last."""
         c = self._c(s)
-        return c / (math.pi * (x * x + c * c))
+        m = np.maximum(np.abs(x), c)
+        u, v = x / m, c / m
+        d = u * u + v * v
+        return v / (math.pi * d) / m, u, v, d, m
+
+    def density(self, s, x):
+        c = self._c(np.asarray(s))
+        # the plain form unless x**2 + c**2 could leave the normal floats,
+        # decided for the whole call from the extremes of c and |x|: this
+        # runs once per block of the x-grid's mixed density
+        if c.min() >= 1e-150 and max(c.max(), np.abs(x).max()) <= 1e150:
+            return c / math.pi / (x * x + c * c)
+        return self._scaled(s, x)[0]
 
     def density_derivs(self, s, x):
-        c = self._c(s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            denom = x * x + c * c
-            cube = denom**3
-            p = self.density(s, x)
-            p1 = -2.0 * x * c / (math.pi * denom**2)
-            p2 = c * (6.0 * x * x - 2.0 * c * c) / (math.pi * cube)
-        big = ~np.isfinite(cube)
-        # past denom ~ 1e102 the cube overflows: the same forms in x and c
-        # divided through by m = max(|x|, c), with m's powers divided out last
-        if np.any(big):
-            m = np.maximum(np.abs(x), c)
-            u, v = x / m, c / m
-            d = u * u + v * v
-            p = np.where(big, v / (math.pi * d) / m, p)
-            p1 = np.where(big, -2.0 * u * v / (math.pi * d**2) / m / m, p1)
-            p2 = np.where(big, v * (6.0 * u * u - 2.0 * v * v) / (math.pi * d**3) / m / m / m, p2)
+        p, u, v, d, m = self._scaled(s, x)
+        p1 = -2.0 * u * v / (math.pi * d**2) / m / m
+        p2 = v * (6.0 * u * u - 2.0 * v * v) / (math.pi * d**3) / m / m / m
         return p, p1, p2
 
     def truncated_mean(self, s):

@@ -3,9 +3,9 @@
 One adaptive rule for integrals against a jump-measure density: QUADPACK's
 Gauss-Kronrod 7/15 pair (Piessens et al. 1983) on every panel and every
 target of a block at once, bisecting only the panels that still need it.
-Beside it, fixed rules: composite Gauss-Legendre nodes for the vectorized
-density integrations, and an ordered weighted sum for measures with nodes of
-their own (atoms, tabulated grids).
+Beside it, fixed rules on given panels, 16-point Gauss-Legendre for the
+vectorized density integrations and the same K15/G7 pair for tabulated
+cells, and an ordered weighted sum for measures with nodes of their own.
 """
 
 from __future__ import annotations
@@ -98,29 +98,37 @@ def integrate_adaptive(f, lo, hi, *, tol):
 def rule_sum(f, nodes, weights, check_weights):
     """(value, abs_error_estimate) of a fixed rule: the sum of weights *
     f(nodes) in node order, so that an atom sum is exact to the last bit, for
-    f mapping the (n,) nodes to an (n,) or (n, k) block.  The error is a third
-    of the gap to the check rule on the same nodes (Richardson for a trapezoid
-    on a halved grid; atoms check against themselves) plus 1e-15 sum |w f|."""
+    f mapping the (n,) nodes to an (n,) or (n, k) block.  The error is the
+    gap to the check rule on the same nodes (the embedded Gauss rule of a
+    Kronrod rule; atoms check against themselves) plus 1e-15 sum |w f|."""
     fx = np.asarray(f(nodes))
     terms = (fx.T * weights).T
     value = np.zeros(fx.shape[1:], dtype=terms.dtype)
     for row in terms:
         value = value + row
-    return value, np.abs(value - check_weights @ fx) / 3.0 + 1e-15 * np.abs(terms).sum(axis=0)
+    return value, np.abs(value - check_weights @ fx) + 1e-15 * np.abs(terms).sum(axis=0)
 
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
-def panel_nodes(edges):
-    """Composite 16-point Gauss-Legendre nodes/weights over consecutive [e_i, e_{i+1}]."""
+def _on_panels(edges, base_x, *base_w):
+    """A rule on [-1, 1], nodes and weight sets, mapped onto consecutive [e_i, e_{i+1}]."""
     edges = np.asarray(edges, dtype=float)
-    base_x, base_w = _GL16
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    w = (half[:, None] * base_w[None, :]).ravel()
-    return x, w
+    return (x, *((half[:, None] * w[None, :]).ravel() for w in base_w))
+
+
+def panel_nodes(edges):
+    """Composite 16-point Gauss-Legendre nodes/weights over consecutive [e_i, e_{i+1}]."""
+    return _on_panels(edges, *_GL16)
+
+
+def kronrod_nodes(edges):
+    """Composite K15 nodes, K15 weights and embedded G7 weights over consecutive [e_i, e_{i+1}]."""
+    return _on_panels(edges, _XK, *_W)
 
 
 def log_panel_edges(lo, hi, max_width=1.0):

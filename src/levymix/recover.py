@@ -220,12 +220,9 @@ def trim_cf(cf: CFSample, threshold: float) -> CFSample:
     j0 = cf.zero_index()
     if not good[j0]:
         raise NearZeroCF("the characteristic function is below threshold at 0")
-    lo = j0
-    while lo > 0 and good[lo - 1]:
-        lo -= 1
-    hi = j0
-    while hi + 1 < good.size and good[hi + 1]:
-        hi += 1
+    bad = np.flatnonzero(~good)
+    lo = bad[bad < j0].max(initial=-1) + 1
+    hi = bad[bad > j0].min(initial=good.size) - 1
     return CFSample(cf.theta_grid[lo : hi + 1], cf.values[lo : hi + 1], cf.n_obs)
 
 
@@ -258,10 +255,10 @@ def unwrap_log_cf(cf: CFSample) -> np.ndarray:
     steps = np.log(vals[1:] / vals[:-1])
     if np.any(np.abs(steps.imag) >= math.pi):
         raise BranchAmbiguity("phase step of at least pi between grid points")
-    for j in range(j0 + 1, vals.size):
-        h[j] = h[j - 1] + steps[j - 1]
-    for j in range(j0 - 1, -1, -1):
-        h[j] = h[j + 1] - steps[j]
+    # sums outward from the anchor, accumulated in order (-(a + b) is (-a) - b
+    # in IEEE arithmetic); adding them to 0 keeps a zero sum +0
+    h[j0 + 1:] = 0.0 + np.cumsum(steps[j0:])
+    h[:j0] = (0.0 - np.cumsum(steps[:j0][::-1]))[::-1]
     return h
 
 

@@ -257,8 +257,6 @@ class SubordinatedTriplet:
     gamma_bar: float
     b_bar: float
     jumps: JumpMixEvaluator
-    base: LevyTriplet
-    pair: SubordinatorPair
 
 
 def _mixing_drift_term(base: LevyTriplet, pair: SubordinatorPair) -> float:
@@ -286,7 +284,7 @@ def subordinate_triplet(base: LevyTriplet, pair: SubordinatorPair) -> Subordinat
             raise DomainError("a degenerate base at 0 is outside the mixing domain")
         gamma_bar += _mixing_drift_term(base, pair)
     b_bar = base.gaussian_var * pair.drift
-    return SubordinatedTriplet(gamma_bar, b_bar, JumpMixEvaluator(base, pair), base, pair)
+    return SubordinatedTriplet(gamma_bar, b_bar, JumpMixEvaluator(base, pair))
 
 
 def cf_from_triplet(st: SubordinatedTriplet, theta: float) -> complex:

@@ -113,9 +113,69 @@ def test_tabulated_measure_matches_gamma():
     g = GammaMeasure(2.0, 3.0)
     xs = np.geomspace(1e-6, 40.0, 4000)
     t = TabulatedMeasure(tuple(xs), tuple(g.density(xs)))
-    # trapezoid on the tabulation grid: discretization error ~ 2e-5 relative
+    # the interpolant of the gamma density on the grid, integrated exactly
+    # by the measure's cell rule: interpolation error ~ 2e-5 relative
     assert t.interval_mass(0.5, 2.0) == pytest.approx(GAMMA_MEASURE_MASS_05_2, rel=1e-4)
     assert t.truncated_moment(1, 1.0) == pytest.approx(GAMMA_MEASURE_TM1, rel=1e-4)
+
+
+# e^{-x} at 61 points on [0.5, 2], and its mirror image on [-2, -0.5]
+_TAB_XS = np.linspace(0.5, 2.0, 61)
+TABULATED_EXP = {
+    "positive": TabulatedMeasure(tuple(_TAB_XS), tuple(np.exp(-_TAB_XS))),
+    "negative": TabulatedMeasure(tuple(-_TAB_XS[::-1]), tuple(np.exp(-_TAB_XS[::-1]))),
+}
+
+
+def _interpolant_integral(measure, power, lo, hi):
+    """Integral of x**power times the measure's piecewise-linear density over
+    [lo, hi], in exact arithmetic."""
+    from fractions import Fraction
+
+    xs, ds = [list(map(Fraction, v)) for v in (measure.xs, measure.dens)]
+    lo, hi, total = Fraction(lo), Fraction(hi), Fraction(0)
+    for a, b, da, db in zip(xs, xs[1:], ds, ds[1:]):
+        left, right = max(a, lo), min(b, hi)
+        if left < right:
+            slope = (db - da) / (b - a)
+            for coeff, k in ((da - slope * a, power + 1), (slope, power + 2)):
+                total += coeff * (right**k - left**k) / k
+    return float(total)
+
+
+@pytest.mark.parametrize("side", TABULATED_EXP)
+def test_tabulated_integrals_are_the_interpolants(side):
+    # x**power times a linear density is a cubic at most on each cell, which
+    # the cell rule and its check integrate exactly: no "grid too coarse"
+    m, sign = TABULATED_EXP[side], (1.0 if side == "positive" else -1.0)
+    lo, hi = sorted((sign * 0.71, sign * 1.337))
+    cases = [
+        (m.total_mass(), _interpolant_integral(m, 0, -2.0, 2.0)),
+        (m.interval_mass(lo, hi), _interpolant_integral(m, 0, lo, hi)),
+        (m.mass_above(1.0), _interpolant_integral(m, 0, -2.0, -1.0) + _interpolant_integral(m, 0, 1.0, 2.0)),
+    ]
+    for power in (1, 2):
+        moment = _interpolant_integral(m, power, -1.0, 1.0)
+        cases.append((m.truncated_moment(power, 1.0), moment))
+        cases.append((m.one_wedge(power), abs(moment) + cases[2][1]))
+    for got, want in cases:
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("side", TABULATED_EXP)
+def test_tabulated_laplace_integral_matches_the_cell_closed_form(side):
+    # on a cell [a, b] with density d0 + k (x - a): the integral of
+    # e^{zx} (d0 - k a + k x) is (d0 - k a) E / z + k [e^{zx} (x / z - 1 / z**2)]
+    # for E = e^{zb} - e^{za}, less the cell's mass
+    m = TABULATED_EXP[side]
+    xs, ds = np.array(m.xs), np.array(m.dens)
+    a, b, da, db = xs[:-1], xs[1:], ds[:-1], ds[1:]
+    slope = (db - da) / (b - a)
+    for z in (-1.0, 3j, 30j):
+        ea, eb = np.exp(z * a), np.exp(z * b)
+        cell = (da - slope * a) * (eb - ea) / z + slope * (eb * (b / z - 1 / z**2) - ea * (a / z - 1 / z**2))
+        want = np.sum(cell - 0.5 * (da + db) * (b - a))
+        assert abs(m.laplace_integral(np.array([z]))[0] - want) <= 1e-12
 
 
 def test_measure_classification_nesting():
@@ -324,19 +384,24 @@ def test_stable_clock_whose_one_wedge_overflows_has_finite_variation(index, coef
 
 
 def test_cauchy_density_derivs_stay_finite_past_the_cube_range():
-    # (x^2 + c^2)**3 overflows past 1e102; the suite turns the overflow
-    # warning into an error. References: the rational parts in exact
-    # arithmetic, then divided by pi.
+    # (x^2 + c^2)**3 overflows past 1e102 and x^2 + c^2 past 1e154, or
+    # underflows below 1e-154; the suite turns the warning into an error.
+    # References: the rational parts in exact arithmetic, then divided by
+    # pi. Past the square range only the density is a normal float: at
+    # c = 1e-170 its derivatives pass the float range, at s = 1e160 they
+    # underflow.
     from fractions import Fraction
 
     law = SymmetricStableLaw(1.0, 1.0)
-    for s, xs in ((1e60, [1e6, 1e59, 1e61]), (1.0, [0.5, 3.0, 1e40, 1e120]), (1e120, [1e100, 1e130])):
-        p, p1, p2 = law.density_derivs(s, np.array(xs))
+    for s, xs in ((1e60, [1e6, 1e59, 1e61]), (1.0, [0.5, 3.0, 1e40, 1e120]), (1e120, [1e100, 1e130]),
+                  (1e160, [1e3, 1e159, 1e161]), (1e-170, [1e-170])):
+        xs = np.array(xs)
+        derivs = zip(*law.density_derivs(s, xs)) if 1.0 <= s <= 1e120 else [()] * xs.size
         c = Fraction(s)
-        for k, x in enumerate(map(Fraction, xs)):
+        for x, density, got_derivs in zip(map(Fraction, xs), law.density(s, xs), derivs):
             d = x * x + c * c
             expected = (c / d, -2 * x * c / d**2, c * (6 * x * x - 2 * c * c) / d**3)
-            for got, want in zip((p[k], p1[k], p2[k]), expected):
+            for got, want in zip((density, *got_derivs), (expected[0], *expected)):
                 assert got == pytest.approx(float(want) / math.pi, rel=1e-14, abs=0.0)
 
 

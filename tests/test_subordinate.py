@@ -21,6 +21,7 @@ from levymix.core import (
     GammaMeasure,
     OneSidedStableMeasure,
     SubordinatorPair,
+    TabulatedMeasure,
     ZERO_MEASURE,
 )
 from levymix.errors import DomainError, QuadratureFailure, UnsupportedFamily
@@ -138,6 +139,9 @@ TWO_ROUTE_FIXTURES = [
     ("neg-mean-gauss", lm.gaussian_law(-3.0, 1.0), SubordinatorPair(0.0, GammaMeasure(1.0, 1.0)), 1e-8),
     ("delta-neg-gamma", lm.delta_law(-0.7), SubordinatorPair(0.0, GammaMeasure(1.0, 0.5)), 1e-11),
     ("delta-cexp", lm.delta_law(1.5), SubordinatorPair(0.0, CompoundExponentialMeasure(2.0, 1.5)), 1e-11),
+    # a tabulated clock: its cell rule gives the x-grid's s-nodes
+    ("gauss-tabulated", lm.gaussian_law(1.0, 1.0), SubordinatorPair(0.0, TabulatedMeasure(
+        tuple(np.linspace(0.5, 2.0, 61)), tuple(np.exp(-np.linspace(0.5, 2.0, 61))))), 1e-8),
     # rule clocks keep the rule sum of their nodes' images
     ("delta-atoms", lm.delta_law(1.5), SubordinatorPair(0.0, AtomicMeasure(((0.5, 0.6), (2.0, 0.3)))), 1e-11),
 ]
@@ -151,6 +155,15 @@ def test_two_route_cf_agreement(name, base, pair, tol):
         gap = abs(cf_from_triplet(st, float(th)) - compose_cf(base, pair, float(th)))
         worst = max(worst, gap)
     assert worst <= tol, f"{name}: two-route gap {worst:.3e}"
+
+
+def test_cauchy_base_under_a_small_index_stable_clock_is_silent():
+    # the tail cut of a 0.08-stable clock puts s-nodes near 1e164, where
+    # c * c overflows: the density takes its scaled form on that block (the
+    # suite turns the overflow warning into an error)
+    base, pair = lm.cauchy_law(1.0), SubordinatorPair(0.0, OneSidedStableMeasure(0.08, 1.0))
+    gap = abs(cf_from_triplet(subordinate_triplet(base, pair), 0.5) - compose_cf(base, pair, 0.5))
+    assert gap <= 1e-9
 
 
 @pytest.mark.parametrize("base", [lm.gaussian_law(), lm.gaussian_law(0.0, 2.5), lm.cauchy_law(0.7)],
