@@ -164,9 +164,11 @@ class LevyMeasure(ABC):
         """Integral of exp(z x) - 1, elementwise over a z array."""
         raise UnsupportedFamily(f"no laplace exponent for {type(self).__name__}")
 
-    def fixed_rule(self):
+    def fixed_rule(self, cuts=()):
         """(nodes, weights, check_weights) of the measure's own rule for
-        quadrature.rule_sum, or None for a density integrated adaptively."""
+        quadrature.rule_sum, or None for a density integrated adaptively.
+        cuts are points where the integrand may jump: a rule on cells
+        splits its cells there."""
         return None
 
     def image_in_ml1(self, alpha: float) -> bool:
@@ -471,7 +473,7 @@ class AtomicMeasure(LevyMeasure):
             total = total + pos * _poisson(rng, mass * length, total.shape)
         return total
 
-    def fixed_rule(self):
+    def fixed_rule(self, cuts=()):
         masses = np.array([m for _, m in self.atoms])
         return np.array([p for p, _ in self.atoms]), masses, masses
 
@@ -567,17 +569,19 @@ class TabulatedMeasure(LevyMeasure):
         xs, dens = self._grid()
         return np.interp(np.asarray(x, dtype=float), xs, dens, left=0.0, right=0.0)
 
-    def _rule(self, lo=-INF, hi=INF):
-        """Nodes and the K15 and G7 weights times the density on the grid cut to [lo, hi]."""
+    def _rule(self, lo=-INF, hi=INF, cuts=()):
+        """Nodes and the K15 and G7 weights times the density on the grid cut
+        to [lo, hi], its cells split at the cuts."""
         xs, _ = self._grid()
         lo, hi = max(lo, xs[0]), min(hi, xs[-1])
-        edges = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi])) if hi > lo else xs[:1]
+        inner = np.union1d(xs, cuts)
+        edges = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi])) if hi > lo else xs[:1]
         nodes, kronrod, gauss = quadrature.kronrod_nodes(edges)
         d = self.density(nodes)
         return nodes, kronrod * d, gauss * d
 
-    def fixed_rule(self):
-        return self._rule()
+    def fixed_rule(self, cuts=()):
+        return self._rule(cuts=cuts)
 
     def _integral(self, f, lo=-INF, hi=INF):
         """f integrated against the measure over [lo, hi] by its rule, error checked."""

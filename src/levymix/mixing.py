@@ -92,7 +92,7 @@ def lemma_constant(mu: LevyTriplet) -> float:
 # Integration of a function against a jump measure on (0, inf).
 
 
-def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None):
+def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None, cuts=()):
     """Integral of fn over (0, inf) against rho.
 
     fn is vectorized over s: it maps an (n,) array of s to an (n,) block, or
@@ -101,13 +101,14 @@ def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None):
     linear small-s bound |fn(s)| <= linear_bound * s is supplied; the bound
     picks the lower truncation for infinite-mass measures.
 
-    Measures with their own rule (atoms, tabulated grids) are summed by it;
+    Measures with their own rule (atoms, tabulated grids) are summed by it,
+    a tabulated grid's cells split at the cuts, the points where fn jumps;
     densities are integrated by adaptive Gauss-Kronrod in u = log s between
     a certified floor and a tail cut, whose bounds are added to the
     quadrature's error estimate.  Returns (value, err, upper), value and err
     with the block's trailing shape.
     """
-    rule = rho.fixed_rule()
+    rule = rho.fixed_rule(cuts)
     if rule is not None:
         value, err = quadrature.rule_sum(fn, *rule)
         if np.any(err > np.maximum(tol * 1e4, 1e-4 * np.abs(value))):

@@ -154,12 +154,19 @@ class FitResult:
 def empirical_cf(increments, theta_grid) -> CFSample:
     """Mean of exp(i theta x) over the sample, exactly 1 at theta=0.
 
-    On a grid j*h, j = -K..K (the default grid), this costs one complex exp
-    per observation; any other grid takes the blocked route.
+    Non-finite increments are refused before any work.  On a grid j*h,
+    j = -K..K (the default grid), the sums come from a table of split
+    powers of exp(i h x), one complex exp per observation and one small
+    matrix product per block of the sample; any other grid takes the
+    blocked route.  Both work through the sample in blocks, so their
+    scratch memory does not grow with it.
     """
     x = np.asarray(increments, dtype=float).ravel()
     if x.size == 0:
         raise EmptyInput("need at least one increment")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"increment {float(x[bad[0]])} at index {bad[0]} is not finite")
     theta = np.asarray(theta_grid, dtype=float)
     if _is_symmetric_uniform(theta):
         sums = _ecf_sums_power(x, theta)
@@ -178,28 +185,53 @@ def _is_symmetric_uniform(theta: np.ndarray) -> bool:
     return bool(np.array_equal(theta, np.arange(-k, k + 1) * theta[k + 1]))
 
 
+# Observations per block of the power route: its two power tables, about
+# 1 MiB at K = 50, stay in cache.
+_ECF_BLOCK = 4096
+# Entries (theta points x observations) per block of the blocked route,
+# 512 KiB per complex temporary.
+_ECF_BLOCK_ENTRIES = 32_000
+
+
 def _ecf_sums_power(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Sums of exp(i j h x) for theta = j*h, j = -K..K.
 
-    The positive half comes from the powers of exp(i h x), the negative
-    half by conjugation (the summands are Hermitian in theta). The powers
-    carry a phase error of order ulp * j * h * |x|, the same order as the
-    rounding of theta * x on the blocked route.
+    Split powers: with s = exp(i h x), r = ceil(sqrt(K)) and M = ceil(K/r),
+    each j = r*m + q (q = 1..r, m = 0..M-1) has s^j = (s^r)^m * s^q.  Per
+    block of the sample, an r-row table of s^q and an M-row table of
+    (s^r)^m are filled by repeated products, and their (M x r) product sums
+    every s^j over the block at once; the first K entries of the running
+    table are the positive half.  The negative half comes by conjugation
+    (the summands are Hermitian in theta).  Each power takes at most
+    r + M - 1 products of powers of s, so it carries a phase error of order
+    ulp * j * h * |x|, the same order as the rounding of theta * x on the
+    blocked route.
     """
     k = theta.size // 2
-    step = np.exp(1j * theta[k + 1] * x)
-    power = np.ones_like(step)
-    half = np.empty(k, dtype=complex)
-    for j in range(k):
-        power *= step
-        half[j] = power.sum()
+    r = math.isqrt(k - 1) + 1
+    m = -(-k // r)
+    table = np.zeros((m, r), dtype=complex)
+    small = np.empty((r, _ECF_BLOCK), dtype=complex)
+    big = np.empty((m, _ECF_BLOCK), dtype=complex)
+    big[0] = 1.0
+    ih = 1j * theta[k + 1]
+    for lo in range(0, x.size, _ECF_BLOCK):
+        blk = x[lo : lo + _ECF_BLOCK]
+        n = blk.size
+        np.exp(ih * blk, out=small[0, :n])
+        for q in range(1, r):
+            np.multiply(small[q - 1, :n], small[0, :n], out=small[q, :n])
+        for i in range(1, m):
+            np.multiply(big[i - 1, :n], small[r - 1, :n], out=big[i, :n])
+        table += big[:, :n] @ small[:, :n].T
+    half = table.ravel()[:k]
     return np.concatenate([np.conj(half[::-1]), [complex(x.size)], half])
 
 
 def _ecf_sums_blocked(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Sums of exp(i theta x) on an arbitrary grid, in blocks of the sample."""
     sums = np.zeros(theta.size, dtype=complex)
-    step = max(1, int(4_000_000 // max(theta.size, 1)))
+    step = max(1, _ECF_BLOCK_ENTRIES // max(theta.size, 1))
     for lo in range(0, x.size, step):
         blk = x[lo : lo + step]
         sums += np.exp(1j * np.outer(theta, blk)).sum(axis=1)

@@ -148,10 +148,10 @@ class JumpMixEvaluator:
 
     def _pushforward_integral(self, theta: float) -> complex:
         # A clock with its own rule (atoms, tabulated) sums the image of its
-        # nodes under s -> speed * s by that rule.
+        # nodes under s -> speed * s by that rule, cut where the weights jump.
         speed = self.base.law.drift
         fn = lambda s: _char_weights(theta, speed * s)
-        return complex(integrate_rho(self.pair.jumps, fn, tol=1e-12)[0])
+        return complex(integrate_rho(self.pair.jumps, fn, tol=1e-12, cuts=_unit_crossing(self.base))[0])
 
     def _poisson_atoms(self):
         if self._atoms is not None:
@@ -259,11 +259,17 @@ class SubordinatedTriplet:
     jumps: JumpMixEvaluator
 
 
+def _unit_crossing(base: LevyTriplet) -> tuple:
+    """The clock time s = 1/|v| at which a delta(v) base crosses |x| = 1, where
+    its truncated mean and the compensator jump; no other law jumps in s."""
+    return (1.0 / abs(base.law.drift),) if base.law.mix_route == "pushforward" else ()
+
+
 def _mixing_drift_term(base: LevyTriplet, pair: SubordinatorPair) -> float:
     """Integral over rho of the truncated mean of mu^s."""
     fn = base.law.truncated_mean
     bound = 1.0 + 2.0 * (abs(base.drift) + lemma_constant(base))
-    value, err, _ = integrate_rho(pair.jumps, fn, tol=1e-12, linear_bound=bound)
+    value, err, _ = integrate_rho(pair.jumps, fn, tol=1e-12, linear_bound=bound, cuts=_unit_crossing(base))
     if err > 1e-6 * max(1.0, abs(value)):
         raise QuadratureFailure(f"drift mixing integral error estimate {err:.3e}")
     return value

@@ -7,6 +7,7 @@ routes are held to statistical bounds.
 """
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,44 @@ def test_ecf_route_follows_the_grid_shape():
         expected[grid == 0.0] = 1.0
         assert np.array_equal(cf.values, expected)
         assert cf.values[cf.zero_index()] == 1.0
+
+
+@pytest.mark.parametrize("route", [_ecf_sums_power, _ecf_sums_blocked])
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 20_000])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 49, 50, 64])
+def test_ecf_routes_match_direct_mean_on_split_power_shapes(route, n, k):
+    # K = 3, 7, 50: the split-power table has r*M > K entries; K = 1, 4,
+    # 49, 64 are squares.  n = 4095, 4096, 4097 end on a partial block, an
+    # exact block and one observation past it.
+    x = np.random.default_rng(k * 100_003 + n).standard_normal(n) * 2.0 + 0.5
+    grid = np.arange(-k, k + 1) * 0.2
+    means = route(x, grid) / x.size
+    direct = np.exp(1j * np.outer(grid, x)).mean(axis=1)
+    tol = 64 * np.finfo(float).eps * (1.0 + np.max(np.abs(grid)) * np.max(np.abs(x)))
+    assert np.max(np.abs(means - direct)) <= tol
+
+
+@pytest.mark.parametrize("grid", [default_theta_grid(), np.linspace(-10.0, 10.0, 101)], ids=["default", "linspace"])
+def test_empirical_cf_scratch_memory_is_bounded(grid):
+    # both routes work through the sample in blocks: 2e5 observations (1.6
+    # MB) take at most 4 MiB of scratch, on the power route and the blocked one
+    x = np.random.default_rng(5).standard_normal(200_000)
+    tracemalloc.start()
+    try:
+        empirical_cf(x, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_empirical_cf_refuses_non_finite_increments(bad):
+    x = np.random.default_rng(2).standard_normal(1000)
+    x[617] = bad
+    for grid in (default_theta_grid(), np.array([-1.0, 0.0, 2.0])):
+        with pytest.raises(lm.DomainError, match=rf"increment {bad} at index 617 is not finite"):
+            empirical_cf(x, grid)
 
 
 def test_cf_sample_validation():

@@ -327,6 +327,17 @@ def test_pushforward_resolves_the_compensator_jump(theta):
     assert abs(value - want) <= 1e-12
 
 
+@pytest.mark.parametrize("speed", [1.5, -1.5])
+def test_delta_base_under_a_tabulated_clock_spanning_the_unit_crossing(speed):
+    # the grid [0.5, 2] spans s = 1/|v|, where the truncated mean and the
+    # compensator jump; the cell rule cuts its cells there for both integrals
+    xs = np.linspace(0.5, 2.0, 61)
+    base, pair = lm.delta_law(speed), SubordinatorPair(0.0, TabulatedMeasure(tuple(xs), tuple(np.exp(-xs))))
+    st = subordinate_triplet(base, pair)
+    for th in (0.5, -0.5, 3.0, -3.0):
+        assert abs(cf_from_triplet(st, th) - compose_cf(base, pair, th)) <= 1e-9
+
+
 def test_pushforward_beyond_resolution_fails_fast_or_agrees():
     # a 0.3-stable clock puts the tail cut at s ~ 1e43, where e^{i theta 1.5 s}
     # oscillates past any panel count; the result is refused quickly or right
