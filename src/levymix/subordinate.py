@@ -39,6 +39,33 @@ _X_FLOOR = 1e-9
 _X_HI_MAX = 1e6
 # The atoms route integrates its Poisson counts in blocks of columns.
 _COUNT_BLOCK = 64
+# Entries of one temporary of the x-grid build: 256 KiB of floats.
+_BLOCK_ENTRIES = 32000
+
+# On (1, x_hi] the x-nodes are spaced for e^{i theta x}, while the mixed
+# density is smooth on the scale of x: it is interpolated there from panels
+# [1, 1.5, 1.5^2, ..., x_hi] through 24 Chebyshev points each, and each panel
+# is checked against the kernel at 4 points between them.  The interpolant
+# is summed as a Chebyshev series by Clenshaw's recurrence, 7x faster on
+# numpy vectors than the barycentric form of Berrut & Trefethen (2004).
+_PANEL_RATIO = 1.5
+_CHEB = -np.cos(np.pi * np.arange(24) / 23)
+# values at _CHEB -> coefficients of the series through them: T_k are
+# discretely orthogonal on these points with the end terms halved
+_TO_SERIES = np.polynomial.chebyshev.chebvander(_CHEB, 23).T * (2.0 / 23.0)
+_TO_SERIES[:, [0, -1]] *= 0.5
+_TO_SERIES[[0, -1], :] *= 0.5
+_CHECK = -np.cos(np.pi * (np.array([0, 7, 15, 22]) + 0.5) / 23)
+_PANEL_POINTS = np.concatenate([_CHEB, _CHECK])
+# A panel is accepted when its interpolant misses every check point by at
+# most _PANEL_TOL of the panel's max |f|.  A missing panel is bisected if its
+# miss is at most _MIN_GAIN of its parent's (a first panel's parent misses by
+# 1): a bisection that gains less is not converging, as where the s-rule
+# leaves the density wiggly, and the panel is evaluated at its own nodes.
+_PANEL_TOL = 1e-14
+_MIN_GAIN = 1e-3
+# (box, start) pairs one step of the seed-field disjointness sweep holds.
+_SWEEP_BLOCK = 1 << 16
 
 
 def compose_cf(base: LevyTriplet, pair: SubordinatorPair, theta):
@@ -65,6 +92,63 @@ def _tail_correction(theta: float, x_hi: float, mass: float, f0: float,
     it = 1j * theta
     osc = cmath.exp(it * x_hi) * (-f0 / it + f1 / it**2 - f2 / it**3)
     return -mass + osc
+
+
+def _chebyshev_sum(x, lo, hi, coeffs) -> np.ndarray:
+    """At each x in [lo, hi], the Chebyshev series coeffs of [lo, hi].  The
+    recurrence holds about 6 vectors of its block at once: blocks of 1/8 of
+    _BLOCK_ENTRIES keep them within one block of the kernel."""
+    out = np.empty(x.size)
+    rows = _BLOCK_ENTRIES // 8
+    for k in range(0, x.size, rows):
+        t = (2.0 * x[k:k + rows] - (lo + hi)) / (hi - lo)
+        out[k:k + rows] = np.polynomial.chebyshev.chebval(t, coeffs)
+    return out
+
+
+def _on_checked_panels(f, xs, x_hi) -> np.ndarray:
+    """f at the sorted nodes xs in (0, x_hi]: evaluated at each node of (0, 1],
+    interpolated from checked Chebyshev panels on (1, x_hi].
+
+    A panel holding no more nodes than its Chebyshev and check points, or
+    one that the check refuses and bisection does not mend, takes f at its
+    own nodes.  f is called once per level of bisection and once for all the
+    nodes it is evaluated at."""
+    edges = [1.0]
+    while edges[-1] * _PANEL_RATIO < x_hi:
+        edges.append(edges[-1] * _PANEL_RATIO)
+    lo, hi = np.array(edges), np.array(edges[1:] + [x_hi])
+    parent_miss = np.ones(lo.size)
+    kept = []  # (lo, hi, Chebyshev coefficients) of the accepted panels
+    direct = [(0.0, 1.0)]  # the panels [lo, hi) evaluated at their nodes
+    while lo.size:
+        small = np.searchsorted(xs, hi) - np.searchsorted(xs, lo) <= _PANEL_POINTS.size
+        direct += zip(lo[small], hi[small])
+        lo, hi, parent_miss = lo[~small], hi[~small], parent_miss[~small]
+        if not lo.size:
+            break
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        values = f((mid[:, None] + half[:, None] * _PANEL_POINTS).ravel()).reshape(lo.size, -1)
+        coeffs = np.einsum("kj,pj->pk", _TO_SERIES, values[:, :_CHEB.size])
+        checked = values[:, _CHEB.size:]
+        miss = np.abs(np.polynomial.chebyshev.chebval(_CHECK, coeffs.T) - checked).max(axis=1)
+        scale = np.abs(values).max(axis=1)
+        miss /= np.where(scale > 0.0, scale, 1.0)
+        ok = miss <= _PANEL_TOL
+        split = ~ok & (miss <= _MIN_GAIN * parent_miss)
+        kept += zip(lo[ok], hi[ok], coeffs[ok])
+        direct += zip(lo[~ok & ~split], hi[~ok & ~split])
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
+        parent_miss = np.tile(miss[split], 2)
+    at_nodes = np.zeros(xs.size, dtype=bool)
+    for a, b in direct:
+        at_nodes[slice(*np.searchsorted(xs, (a, b)))] = True
+    out = np.empty(xs.size)
+    out[at_nodes] = f(xs[at_nodes])
+    for a, b, coeffs in kept:
+        first, end = np.searchsorted(xs, (a, b))
+        out[first:end] = _chebyshev_sum(xs[first:end], a, b, coeffs)
+    return out
 
 
 def _light_cut(tail_mass) -> float:
@@ -134,11 +218,13 @@ class JumpMixEvaluator:
             return base_part + self._pushforward_integral(theta)
         # On x > 0 the even weights carry cos(theta x) - 1 and the odd ones
         # sin(theta x) - theta x 1{x <= 1}: the two sides of 0 in one sum.
+        # numpy's pairwise sums: a BLAS dot splits a long sum between its
+        # threads, and its last bits move with their number
         xs, even, odd, even_sum, inner_odd_moment, tail = self._grid(abs(theta))
         tx = theta * xs
-        value = base_part + (np.dot(even, np.cos(tx)) - even_sum)
+        value = base_part + ((even * np.cos(tx)).sum() - even_sum)
         if odd is not None:
-            value += 1j * (np.dot(odd, np.sin(tx)) - theta * inner_odd_moment)
+            value += 1j * ((odd * np.sin(tx)).sum() - theta * inner_odd_moment)
         if tail is not None:
             x_hi, mass, f0, f1, f2, sides = tail
             value += _tail_correction(theta, x_hi, mass, f0, f1, f2)
@@ -182,16 +268,24 @@ class JumpMixEvaluator:
         return np.concatenate([xs_log, xs_lin]), np.concatenate([w_log, w_lin])
 
     def _mixed_density(self, xs: np.ndarray, s_nodes, s_weights) -> np.ndarray:
-        # blocks of x rows against every s-node, about 3.2e4 entries (256 KiB
-        # per temporary): 1e5-entry blocks ran 3x slower where the allocator
-        # handed each one fresh pages
-        rows = max(1, int(3.2e4 // s_nodes.size))
+        """The s-rule sum of mu^s densities at each x: the only place the x-grid
+        evaluates the kernel.  Blocks of x rows against every s-node hold
+        _BLOCK_ENTRIES entries; 1e5-entry blocks ran 3x slower where the
+        allocator handed each one fresh pages."""
+        rows = max(1, _BLOCK_ENTRIES // s_nodes.size)
         density = self.base.law.density
         return np.concatenate(
             [density(s_nodes, xs[k:k + rows, None]) @ s_weights for k in range(0, xs.size, rows)]
         )
 
     def _grid(self, theta_abs: float):
+        """(xs, even, odd, sum of even, odd moment on |x| <= 1, tail) for the
+        jump integral at |theta| up to theta_abs, cached for later thetas.
+
+        A base with a density has its mixed density evaluated at each node of
+        the log region (0, 1] and interpolated from checked Chebyshev panels
+        onto the nodes of (1, x_hi], which are spaced for the oscillation at
+        theta_max."""
         theta_min = max(theta_abs, 1e-12)
         if self._grid_cache is not None:
             t_max, t_min = self._grid_cache[0], self._grid_cache[1]
@@ -234,11 +328,14 @@ class JumpMixEvaluator:
                 x_hi = _light_cut(lambda x: max(np.dot(s_weights, law.sf(s_nodes, x)),
                                                 np.dot(s_weights, law.cdf(s_nodes, -x))))
             xs, wx = self._x_panels(theta_max, x_hi)
-            plus = wx * self._mixed_density(xs, s_nodes, s_weights)
+            weights = lambda sign: wx * _on_checked_panels(
+                lambda x: self._mixed_density(sign * x, s_nodes, s_weights), xs, x_hi
+            )
+            plus = weights(1.0)
             if law.even:
                 minus = plus
             elif -1 in law.sides:
-                minus = wx * self._mixed_density(-xs, s_nodes, s_weights)
+                minus = weights(-1.0)
             else:
                 minus = 0.0
         even = plus + minus
@@ -333,14 +430,6 @@ class SeedCell:
     def control_mass(self) -> float:
         return self.weight * self.volume
 
-    def overlaps(self, other: "SeedCell") -> bool:
-        if len(self.rect) != len(other.rect):
-            return False
-        return all(
-            lo1 < hi2 and lo2 < hi1
-            for (lo1, hi1), (lo2, hi2) in zip(self.rect, other.rect)
-        )
-
 
 @dataclass(frozen=True)
 class SeedField:
@@ -353,16 +442,46 @@ class SeedField:
         dims = {len(c.rect) for c in cells}
         if len(dims) != 1:
             raise DomainError("all cells must share one dimension")
-        # Sorted by first-axis start, a cell can only overlap the ones that
-        # start before its first edge ends.
-        by_start = sorted(cells, key=lambda c: c.rect[0][0])
-        for i, a in enumerate(by_start):
-            for b in by_start[i + 1:]:
-                if b.rect[0][0] >= a.rect[0][1]:
-                    break
-                if a.overlaps(b):
-                    raise DomainError("cell rectangles must be disjoint")
+        rects = np.array([c.rect for c in cells])  # (cell, axis, lo/hi)
+        if rects.shape[1] == 1:
+            # on a line every cell is alive at the one start of a dummy first axis
+            rects = np.concatenate([np.broadcast_to([[0.0, 1.0]], rects.shape), rects], axis=1)
+        if not _boxes_disjoint(rects):
+            raise DomainError("cell rectangles must be disjoint")
         object.__setattr__(self, "cells", cells)
+
+
+def _boxes_disjoint(rects: np.ndarray) -> bool:
+    """Whether the half-open boxes rects[i] = ((lo, hi), (lo, hi)) are pairwise disjoint.
+
+    Two boxes that meet are both alive (lo <= x < hi on the first axis) at
+    the larger of their first-axis starts.  So at each distinct start, the
+    alive boxes sorted by second-axis start must each end by the next one's
+    start.  The sweep takes the starts in blocks of about _SWEEP_BLOCK
+    (box, start) pairs."""
+    # the distinct starts; np.unique would import numpy.ma (1.3 MiB) here
+    starts = np.sort(rects[:, 0, 0])
+    starts = starts[np.concatenate([[True], starts[1:] > starts[:-1]])]
+    first = np.searchsorted(starts, rects[:, 0, 0])
+    stop = np.searchsorted(starts, rects[:, 0, 1])  # alive at starts[first:stop]
+    n = starts.size
+    alive = np.cumsum(np.bincount(first, minlength=n) - np.bincount(stop, minlength=n + 1)[:n])
+    before = np.concatenate([[0], np.cumsum(alive)])  # pairs at the starts before each
+    y_lo, y_hi = rects[:, 1, 0], rects[:, 1, 1]
+    g0 = 0
+    while g0 < n:
+        g1 = max(g0 + 1, int(np.searchsorted(before, before[g0] + _SWEEP_BLOCK, side="right")) - 1)
+        box = np.nonzero((first < g1) & (stop > g0))[0]
+        lo = np.maximum(first[box], g0)
+        count = np.minimum(stop[box], g1) - lo
+        box = np.repeat(box, count)
+        at = np.arange(box.size) - np.repeat(np.cumsum(count) - count - lo, count)
+        order = np.lexsort((y_lo[box], at))
+        box, at = box[order], at[order]
+        if np.any((at[1:] == at[:-1]) & (y_hi[box[:-1]] > y_lo[box[1:]])):
+            return False
+        g0 = g1
+    return True
 
 
 def cell_log_cf(base: LevyTriplet, cell: SeedCell, theta: float) -> complex:

@@ -14,7 +14,7 @@ import pytest
 from scipy import special
 
 import levymix as lm
-from levymix import quadrature
+from levymix import mixing, quadrature, subordinate
 from levymix.core import (
     AtomicMeasure,
     CompoundExponentialMeasure,
@@ -193,6 +193,57 @@ def test_later_thetas_reuse_the_cached_grid(monkeypatch, base, pair):
     assert calls == []
 
 
+GAMMA_23 = SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))
+GAMMA_11 = SubordinatorPair(0.0, GammaMeasure(1.0, 1.0))
+INTERPOLATED_DENSITY_MODELS = [
+    ("cauchy-gamma", lm.cauchy_law(1.0), GAMMA_23),
+    ("cauchy-stable008", lm.cauchy_law(1.0), SubordinatorPair(0.0, OneSidedStableMeasure(0.08, 1.0))),
+    ("one-sided-stable", lm.one_sided_stable_law(0.5, 1.0), GAMMA_23),
+    ("neg-mean-gauss", lm.gaussian_law(-3.0, 1.0), GAMMA_11),
+    ("vg", VG_BASE, VG_PAIR),
+    # the coarse s-rule leaves these densities wiggly: most panels are refused
+    ("gauss-3-narrow", lm.gaussian_law(3.0, 0.01), GAMMA_11),
+    ("gauss-10-narrow", lm.gaussian_law(10.0, 0.01), GAMMA_11),
+]
+
+
+def _dense_grid(monkeypatch, base, pair, theta):
+    # the same build with the kernel evaluated at every x-node
+    with monkeypatch.context() as m:
+        m.setattr(subordinate, "_on_checked_panels", lambda f, xs, x_hi: f(xs))
+        return JumpMixEvaluator(base, pair)._grid(theta)
+
+
+@pytest.mark.parametrize("name,base,pair", INTERPOLATED_DENSITY_MODELS,
+                         ids=[m[0] for m in INTERPOLATED_DENSITY_MODELS])
+def test_interpolated_density_matches_the_dense_build(monkeypatch, name, base, pair):
+    xs, even, odd, *_ = JumpMixEvaluator(base, pair)._grid(0.5)
+    dense_xs, dense_even, dense_odd, *_ = _dense_grid(monkeypatch, base, pair, 0.5)
+    assert np.array_equal(xs, dense_xs)
+    for got, want in ((even, dense_even), (odd, dense_odd)):
+        if want is None:
+            assert got is None
+            continue
+        tol = 1e-14 * np.abs(want).max()
+        assert np.abs(got - want).max() <= tol, f"{name}: {np.abs(got - want).max():.3e} > {tol:.3e}"
+
+
+def test_cauchy_gamma_density_needs_a_twentieth_of_the_dense_kernel(monkeypatch):
+    entries = []
+    real = JumpMixEvaluator._mixed_density
+
+    def counted(self, xs, s_nodes, s_weights):
+        entries.append(xs.size * s_nodes.size)
+        return real(self, xs, s_nodes, s_weights)
+
+    monkeypatch.setattr(JumpMixEvaluator, "_mixed_density", counted)
+    pair = GAMMA_23
+    xs = JumpMixEvaluator(lm.cauchy_law(1.0), pair)._grid(10.0)[0]
+    # a dense build of an even law: one side, every x-node against every s-node
+    dense = xs.size * mixing.rho_quad_nodes(pair.jumps)[0].size
+    assert sum(entries) <= dense / 20, f"{sum(entries)} of {dense} dense entries"
+
+
 def test_subordinate_triplet_rejects_zero_convention_base():
     law = lm.gamma_law(2.0, 3.0)
     moved = dataclasses.replace(
@@ -286,6 +337,19 @@ def test_seed_field_rejects_overlap_and_mixed_dims():
         SeedField((c1, SeedCell(((0.0, 1.0),), VG_PAIR)))
     with pytest.raises(DomainError):
         SeedField(())
+
+
+def test_seed_field_sweeps_thousands_of_stacked_stripes():
+    # 4,096 cells share one x-range: every two of them meet on the first axis
+    stripes = [SeedCell(((0.0, 1.0), (float(k), k + 1.0)), VG_PAIR) for k in range(4096)]
+    assert len(SeedField(tuple(stripes)).cells) == 4096
+    overlapping = SeedCell(((0.5, 1.5), (4094.5, 4095.5)), VG_PAIR)
+    with pytest.raises(DomainError, match="cell rectangles must be disjoint"):
+        SeedField(tuple(stripes[:-1] + [overlapping]))
+    line = [SeedCell(((float(k), k + 1.0),), VG_PAIR) for k in range(4096)]
+    assert len(SeedField(tuple(line)).cells) == 4096
+    with pytest.raises(DomainError, match="cell rectangles must be disjoint"):
+        SeedField(tuple(line[:-1] + [SeedCell(((4094.5, 4095.5),), VG_PAIR)]))
 
 
 def test_cell_log_cf_scales_with_control_mass():
