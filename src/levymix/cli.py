@@ -315,13 +315,15 @@ def _time_grid(args) -> TimeGrid:
 
 
 def _mass_table(spec: ModelSpec, mass) -> list:
-    """The mass of each partition cell; the mixed measure has none at 0, so a
-    cell that straddles it is skipped."""
+    """The mass of each partition cell, from one call of mass for the whole
+    table; the mixed measure has none at 0, so a cell that straddles it is
+    skipped."""
     edges = spec.partition if spec.partition is not None else _DEFAULT_PARTITION
     cells = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if not lo < 0.0 <= hi]
     if not cells:
         raise SpecError("partition: no usable intervals (every cell straddles 0)")
-    return [{"lo": lo, "hi": hi, "mass": mass(IntervalSet(((lo, hi),))).value} for lo, hi in cells]
+    masses = mass([IntervalSet.of(lo, hi) for lo, hi in cells])
+    return [{"lo": lo, "hi": hi, "mass": r.value} for (lo, hi), r in zip(cells, masses)]
 
 
 def _write_paths(out: str, samples) -> None:

@@ -226,16 +226,25 @@ class GammaMeasure(LevyMeasure):
     def laplace_integral(self, z):
         # -shape * log(1 + w) for w = -z / rate, through log1p: at a rate far
         # above |z| the plain log of 1 + w keeps none of the digits in w
-        w = -np.asarray(z) / self.rate
-        if not np.iscomplexobj(w):
-            return -self.shape * np.log1p(w)
+        z = np.asarray(z)
         with np.errstate(over="ignore"):
-            log_mod = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2)
-        # past |w| ~ 1e154 the squares overflow, and |1 + w|, a hypot, does not
-        big = ~np.isfinite(log_mod)
-        if big.any():
-            log_mod = np.where(big, np.log(np.abs(1.0 + w)), log_mod)
-        return -self.shape * (log_mod + 1j * np.arctan2(w.imag, 1.0 + w.real))
+            w = -z / self.rate
+            if np.iscomplexobj(w):
+                log_mod = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2)
+                # past |w| ~ 1e154 the squares overflow, and |1 + w|, a hypot, does not
+                big = ~np.isfinite(log_mod)
+                if big.any():
+                    log_mod = np.where(big, np.log(np.abs(1.0 + w)), log_mod)
+                log_1w = log_mod + 1j * np.arctan2(w.imag, 1.0 + w.real)
+            else:
+                log_1w = np.log1p(w)
+        # past the float range w itself overflows: there 1 + w is w to every
+        # digit, with log|w| = log|z| - log rate and the angle of -z
+        far = ~np.isfinite(w)
+        if far.any():
+            with np.errstate(divide="ignore"):
+                log_1w = np.where(far, np.log(-z) - math.log(self.rate), log_1w)
+        return -self.shape * log_1w
 
     def sample_increments(self, dt, rng):
         return rng.gamma(self.shape * _one_length(dt), 1.0 / self.rate, np.shape(dt))
@@ -524,7 +533,15 @@ class CompoundExponentialMeasure(LevyMeasure):
         return max(1.0, math.log(max(self.rate / tol, 2.0)) / self.jump_rate)
 
     def laplace_integral(self, z):
-        return self.rate * z / (self.jump_rate - z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self.rate * z / (self.jump_rate - z)
+        # rate z overflows past the float range over rate, where the value
+        # tends to -rate; -rate / (1 - jump_rate / z) cannot overflow there
+        far = ~np.isfinite(value)
+        if np.any(far):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value = np.where(far, -self.rate / (1.0 - self.jump_rate / z), value)
+        return value
 
     def sample_increments(self, dt, rng):
         counts = _poisson(rng, self.rate * _one_length(dt), np.shape(dt))
@@ -788,12 +805,12 @@ def levy_dist_scale(coeff: float) -> float:
 
 
 def _poisson_count_cdf(n, mean):
-    """P(K <= n) for K Poisson(mean), over a mean array; n may be any float (floored)."""
-    if n < 0:
-        return np.zeros(np.shape(mean))
-    if math.isinf(n):
-        return np.ones(np.shape(mean))
-    return scipy.special.gammaincc(math.floor(n) + 1.0, mean)
+    """P(K <= n) for K Poisson(mean), broadcast over arrays of counts n (any
+    floats, floored) and means: 0 where n < 0 and 1 where n = inf."""
+    n = np.asarray(n, dtype=float)
+    counted = (n >= 0.0) & (n < INF)
+    cdf = scipy.special.gammaincc(np.floor(np.where(counted, n, 0.0)) + 1.0, mean)
+    return np.where(counted, cdf, 1.0 * (n > 0.0))
 
 
 def _npdf(t):

@@ -102,10 +102,13 @@ def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None, cuts=()
     picks the lower truncation for infinite-mass measures.
 
     Measures with their own rule (atoms, tabulated grids) are summed by it,
-    a tabulated grid's cells split at the cuts, the points where fn jumps;
-    densities are integrated by adaptive Gauss-Kronrod in u = log s between
-    a certified floor and a tail cut, whose bounds are added to the
-    quadrature's error estimate.  Returns (value, err, upper), value and err
+    column by column, a tabulated grid's cells split at the cuts, the points
+    where fn jumps.  Densities are integrated by adaptive Gauss-Kronrod in
+    u = log s between a certified floor and a tail cut, whose bounds are
+    added to the quadrature's error estimate; cuts split only fixed rules,
+    so fn must not jump inside a density's range, where the adaptive rule
+    bisects the jump down to machine width.  Each column keeps its own
+    value and error estimate.  Returns (value, err, upper), value and err
     with the block's trailing shape.
     """
     rule = rho.fixed_rule(cuts)
@@ -199,33 +202,47 @@ def _delta_pushforward_mass(drift, rho, sets):
     return MixResult(total, 1e-15 * total, rho.tail_cutoff(1e-15))
 
 
-def _mix_over_sets(mu, rho, sets, fn):
-    """Integral of fn, the mu^s mass of the sets, against rho.  Sets away
-    from 0 give the linear small-s bound that certifies the lower cut."""
-    d = sets.distance_from_zero
+def _mix_over_sets(mu, rho, cells, interval_mass):
+    """One MixResult per interval set of cells: the mu^s masses of all the
+    sets, interval_mass(s, lo, hi) summed over each set's intervals, as one
+    (n, k) block integrated against rho.  The set nearest 0 gives the
+    linear small-s bound that certifies the lower cut for every column."""
+    if not cells:
+        return []
+    d = min(sets.distance_from_zero for sets in cells)
     if d <= 0.0 and math.isinf(rho.total_mass()):
         raise DomainError("interval sets touching 0 need a finite mixing measure")
     bound = None
     if d > 0.0:
         bound = 2.0 * lemma_constant(mu) / min(1.0, d * d)
+    lo, hi = np.array([interval for sets in cells for interval in sets.intervals]).T
+    starts = np.cumsum([0] + [len(sets.intervals) for sets in cells[:-1]])
+    fn = lambda s: np.add.reduceat(interval_mass(s[:, None], lo, hi), starts, axis=1)
     value, err, upper = integrate_rho(rho, fn, linear_bound=bound)
-    return MixResult(max(value, 0.0), err, upper)
+    return [MixResult(max(float(v), 0.0), float(e), upper) for v, e in zip(value, err)]
 
 
-def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, sets: IntervalSet) -> MixResult:
-    """Interval masses of the mixed measure integral mu^s(.) rho(ds)."""
+def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, cells) -> list:
+    """Masses of the mixed measure integral mu^s(.) rho(ds) on a sequence of
+    interval sets, one MixResult per set, each with its own value, error
+    estimate and truncation point.
+
+    A base with a density integrates all the sets as one block of targets
+    on shared panels (see _mix_over_sets); an atom or tabulated clock sums
+    each column by its own rule, the same bits as a one-set call; a delta
+    base's pushforward is exact per set."""
     if not rho.is_positive():
         raise DomainError("the mixing measure must live on (0, inf)")
     law = _require_tag(mu)
+    cells = tuple(cells)
     if law.mix_route == "pushforward":
         # Degenerate base: the mix is a pushforward, defined for any
         # positive jump measure as long as the point is not 0.
         if law.drift == 0.0:
             raise DomainError("a degenerate base at 0 is outside the mixing domain")
-        return _delta_pushforward_mass(law.drift, rho, sets)
+        return [_delta_pushforward_mass(law.drift, rho, sets) for sets in cells]
     _validate_mixing_measure(rho)
-    set_mass = lambda s: sum(law.interval_mass(s, lo, hi) for lo, hi in sets.intervals)
-    return _mix_over_sets(mu, rho, sets, set_mass)
+    return _mix_over_sets(mu, rho, cells, law.interval_mass)
 
 
 def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float) -> float:
@@ -273,15 +290,16 @@ class StableMixEvaluator:
     alpha: float
     rho: LevyMeasure
 
-    def mass(self, sets: IntervalSet) -> MixResult:
+    def mass(self, cells) -> list:
+        """One MixResult per interval set of cells, integrated as one block."""
         cdf = _stable_reference_cdf(self.mu, self.alpha)
         inv = 1.0 / self.alpha
 
-        def fn(s):
+        def interval_mass(s, lo, hi):
             scale = s**-inv
-            return sum(np.maximum(cdf(hi * scale) - cdf(lo * scale), 0.0) for lo, hi in sets.intervals)
+            return np.maximum(cdf(hi * scale) - cdf(lo * scale), 0.0)
 
-        return _mix_over_sets(self.mu, self.rho, sets, fn)
+        return _mix_over_sets(self.mu, self.rho, tuple(cells), interval_mass)
 
 
 def phi_mix_stable(mu: LevyTriplet, alpha: float, rho: LevyMeasure) -> StableMixEvaluator:

@@ -27,7 +27,6 @@ from .core import (
 )
 from .errors import DomainError, QuadratureFailure, UnsupportedFamily
 from .mixing import (
-    IntervalSet,
     MixResult,
     integrate_rho,
     lemma_constant,
@@ -193,13 +192,19 @@ class JumpMixEvaluator:
 
     # -- interval masses ---------------------------------------------------
 
-    def mass(self, sets: IntervalSet) -> MixResult:
+    def mass(self, cells) -> list:
+        """One MixResult per interval set of cells: the mixed part from one
+        phi_mix_mass call for all of them, plus the drift part's mass."""
+        cells = tuple(cells)
         if self._mode == "zero":
-            mix = MixResult(0.0, 0.0, 0.0)
+            mixes = [MixResult(0.0, 0.0, 0.0)] * len(cells)
         else:
-            mix = phi_mix_mass(self.base, self.pair.jumps, sets)
-        drift = sum(self.drift_part.interval_mass(lo, hi) for lo, hi in sets.intervals)
-        return MixResult(drift + mix.value, mix.abs_error_estimate, mix.truncation_point)
+            mixes = phi_mix_mass(self.base, self.pair.jumps, cells)
+        out = []
+        for sets, mix in zip(cells, mixes):
+            drift = sum(self.drift_part.interval_mass(lo, hi) for lo, hi in sets.intervals)
+            out.append(MixResult(drift + mix.value, mix.abs_error_estimate, mix.truncation_point))
+        return out
 
     # -- Levy-Khintchine jump integral -------------------------------------
 
@@ -234,10 +239,11 @@ class JumpMixEvaluator:
 
     def _pushforward_integral(self, theta: float) -> complex:
         # A clock with its own rule (atoms, tabulated) sums the image of its
-        # nodes under s -> speed * s by that rule, cut where the weights jump.
+        # nodes under s -> speed * s by that rule, cut where the compensator
+        # jumps.
         speed = self.base.law.drift
         fn = lambda s: _char_weights(theta, speed * s)
-        return complex(integrate_rho(self.pair.jumps, fn, tol=1e-12, cuts=_unit_crossing(self.base))[0])
+        return complex(integrate_rho(self.pair.jumps, fn, tol=1e-12, cuts=(_unit_crossing(speed),))[0])
 
     def _poisson_atoms(self):
         if self._atoms is not None:
@@ -356,17 +362,33 @@ class SubordinatedTriplet:
     jumps: JumpMixEvaluator
 
 
-def _unit_crossing(base: LevyTriplet) -> tuple:
-    """The clock time s = 1/|v| at which a delta(v) base crosses |x| = 1, where
-    its truncated mean and the compensator jump; no other law jumps in s."""
-    return (1.0 / abs(base.law.drift),) if base.law.mix_route == "pushforward" else ()
+def _unit_crossing(speed: float) -> float:
+    """The largest float s with |speed * s| <= 1 in float arithmetic, about
+    1/|speed|: the clock times at which a delta(speed) base stays inside
+    |x| <= 1, where its truncated mean and the compensator count x, are
+    exactly the s <= it, an atom one ulp past 1/|speed| included."""
+    v = abs(speed)
+    s = 1.0 / v
+    while v * s > 1.0:
+        s = math.nextafter(s, 0.0)
+    while v * math.nextafter(s, math.inf) <= 1.0:
+        s = math.nextafter(s, math.inf)
+    return s
 
 
 def _mixing_drift_term(base: LevyTriplet, pair: SubordinatorPair) -> float:
-    """Integral over rho of the truncated mean of mu^s."""
+    """Integral over rho of the truncated mean of mu^s.
+
+    A delta(v) base's truncated mean v s 1{|v s| <= 1} jumps at s = 1/|v|;
+    its integral is v times the clock's truncated first moment up to there,
+    which every clock family has in closed form.  Other laws' truncated
+    means are continuous in s and integrated by integrate_rho."""
+    if base.law.mix_route == "pushforward":
+        v = base.law.drift
+        return v * pair.jumps.truncated_moment(1, _unit_crossing(v))
     fn = base.law.truncated_mean
     bound = 1.0 + 2.0 * (abs(base.drift) + lemma_constant(base))
-    value, err, _ = integrate_rho(pair.jumps, fn, tol=1e-12, linear_bound=bound, cuts=_unit_crossing(base))
+    value, err, _ = integrate_rho(pair.jumps, fn, tol=1e-12, linear_bound=bound)
     if err > 1e-6 * max(1.0, abs(value)):
         raise QuadratureFailure(f"drift mixing integral error estimate {err:.3e}")
     return value

@@ -105,7 +105,7 @@ def test_gamma_mix_density_integrates_to_mass(gate):
     worst = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, _ = integrate.quad(lambda x: phi_mix_density_gamma(1.0, rho, x), lo, hi, limit=200)
-        r = phi_mix_mass(lm.gamma_law(1.0, 1.0), rho, IntervalSet.of(float(lo), float(hi)))
+        r = phi_mix_mass(lm.gamma_law(1.0, 1.0), rho, [IntervalSet.of(float(lo), float(hi))])[0]
         worst = max(worst, abs(val - r.value))
     gate("gamma-kernel mix density vs mass", worst <= 1e-8,
          f"worst interval diff {worst:.2e} over 50 intervals (tol 1e-08)", 10.0)
@@ -123,7 +123,7 @@ def test_stable_mix_evaluator_matches_generic(gate):
         ev = phi_mix_stable(mu, alpha, rho)
         for lo, hi in intervals:
             sets = IntervalSet.of(lo, hi)
-            worst = max(worst, abs(ev.mass(sets).value - phi_mix_mass(mu, rho, sets).value))
+            worst = max(worst, abs(ev.mass([sets])[0].value - phi_mix_mass(mu, rho, [sets])[0].value))
     gate("stable scaling shortcut vs generic", worst <= 1e-8,
          f"worst diff {worst:.2e} on 20 intervals x 2 bases (tol 1e-08)", 5.0)
 

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,21 @@ def test_recover_reports_are_reproducible(tmp_path):
     assert len(ra["params"]) == 2
     assert abs(ra["params"][0] - 1.0) < 0.3
     assert ra["theta_grid"][50] == 0
+
+
+@pytest.mark.parametrize("command", ["mix", "subordinate"])
+def test_mass_tables_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    # each table is one block of quadrature targets, whose K15 and G7 sums
+    # are matrix products; fresh processes, since the pool is sized at import
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{command}.{threads}.json"
+        env = {**_src_env(), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "levymix.cli", command, "--model", VG, "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # --- model-spec validation ----------------------------------------------------------
@@ -392,6 +408,30 @@ def test_cf_at_huge_theta_stays_finite(tmp_path, capsys):
     for theta, re_part, im_part in rows:
         assert re_part == pytest.approx(-math.log(0.5 * theta * theta), rel=1e-14)
         assert im_part == 0.0
+
+
+@pytest.mark.parametrize("clock, want", [
+    # rate 100: the compound exponential's exponent tends to -rate
+    ({"kind": "compound_exponential", "rate": 100.0, "jump_rate": 1.0}, -100.0),
+    # shape 1, rate 0.01: -log|1 - z / rate| with |z| = 1e307
+    ({"kind": "gamma", "shape": 1.0, "rate": 0.01}, -(math.log(1e307) - math.log(0.01))),
+], ids=["compound-exponential", "gamma"])
+def test_clock_exponent_of_a_base_exponent_near_the_float_limit_is_finite(tmp_path, capsys, clock, want):
+    # a one-sided stable base of index 1e-299 and coeff 1e8 has a log-CF of
+    # about -1e307 at every theta != 0; the clock's Laplace integral there is
+    # finite, though rate * z and z / rate overflow
+    base = {"family": "one_sided_stable", "params": {"alpha": 1e-299, "coeff": 1e8}}
+    model = _model(tmp_path / "m.json", base, clock)
+    out = tmp_path / "cf.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = _run(["cf", "--model", model, "--theta-steps", 5, "--out", out])
+    assert rc == 0, capsys.readouterr().err
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().split()[1:]]
+    assert [row[0] for row in rows] == [-10.0, -5.0, 0.0, 5.0, 10.0]
+    for theta, re_part, im_part in rows:
+        assert re_part == (0.0 if theta == 0.0 else pytest.approx(want, rel=1e-14))
+        assert abs(im_part) <= 1e-290
 
 
 @pytest.mark.parametrize("index", [0.01, 0.05, 0.97, 0.99])

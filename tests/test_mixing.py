@@ -5,6 +5,7 @@ the defining formulas; two-route checks compare the generic quadrature
 path against closed forms computed in the test itself.
 """
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import levymix as lm
-from levymix import quadrature
+from levymix import mixing, quadrature
+from levymix.cli import main
 from levymix.core import (
     AtomicMeasure,
     CompoundExponentialMeasure,
     GammaMeasure,
     OneSidedStableMeasure,
     SymmetricStableMeasure,
+    TabulatedMeasure,
     ZERO_MEASURE,
+    _poisson_count_cdf,
 )
 from levymix.errors import DomainError, UnsupportedFamily
 from levymix.mixing import (
@@ -129,6 +133,30 @@ def test_conv_power_poisson_half_open_boundaries():
     assert neg.interval_mass(1.0, -1.01, -0.4) == pytest.approx(
         float(stats.poisson.pmf(1, 2.0) + stats.poisson.pmf(2, 2.0)), rel=1e-13
     )
+
+
+@pytest.mark.parametrize("jump_size", [1.0, -0.5])
+def test_poisson_interval_mass_broadcasts_over_s_and_cells(jump_size):
+    # cells whose ends sit on lattice points k * jump_size and between them,
+    # and cells reaching -inf and inf: each entry of the (s, cell) block is
+    # its scalar call, bit for bit
+    law = lm.poisson_law(2.0, jump_size).law
+    h = jump_size
+    lo = np.array([-np.inf, h, 2.0 * h, -3.0, 0.4 * h, 0.0, -np.inf, 3.0 * h])
+    hi = np.array([-0.5, 3.0 * h, 2.5 * h, 3.0, h, 5.0, np.inf, np.inf])
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    s = np.array([1e-6, 0.3, 1.0, 4.5])
+    block = law.interval_mass(s[:, None], lo, hi)
+    assert block.shape == (s.size, lo.size)
+    for i, si in enumerate(s):
+        for j in range(lo.size):
+            assert block[i, j] == law.interval_mass(si, lo[j], hi[j])
+    # counts below 0 have probability 0, an infinite count probability 1
+    counts = np.array([-np.inf, -1.0, -0.5, 0.0, 2.7, np.inf])
+    cdf = _poisson_count_cdf(counts[:, None], np.array([0.5, 3.0]))
+    assert cdf.shape == (6, 2)
+    assert (cdf[:3] == 0.0).all() and (cdf[-1] == 1.0).all()
+    assert cdf[4, 1] == pytest.approx(float(stats.poisson.cdf(2, 3.0)), rel=1e-14)
 
 
 def test_conv_power_delta_indicator():
@@ -307,28 +335,28 @@ def test_phi_mix_mass_standard_normal_gamma_rho():
     # exp(-sqrt(2)|x|)/|x|; masses via exponential integrals
     mu = lm.gaussian_law()
     rho = GammaMeasure(1.0, 1.0)
-    r = phi_mix_mass(mu, rho, IntervalSet.of(1.0, 2.0))
+    r = phi_mix_mass(mu, rho, [IntervalSet.of(1.0, 2.0)])[0]
     assert r.value == pytest.approx(VG_MIX_MASS_1_2, abs=1e-10)
     assert r.value == pytest.approx(VG_MIX_MASS_1_2, abs=10 * r.abs_error_estimate + 1e-14)
-    neg = phi_mix_mass(mu, rho, IntervalSet.of(-2.0, -1.0))
+    neg = phi_mix_mass(mu, rho, [IntervalSet.of(-2.0, -1.0)])[0]
     assert neg.value == pytest.approx(VG_MIX_MASS_1_2, abs=1e-10)
 
 
 def test_phi_mix_mass_atomic_rho_frozen():
     rho = AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))
-    r = phi_mix_mass(lm.gamma_law(2.0, 3.0), rho, IntervalSet.of(0.2, 0.9))
+    r = phi_mix_mass(lm.gamma_law(2.0, 3.0), rho, [IntervalSet.of(0.2, 0.9)])[0]
     assert r.value == pytest.approx(ATOM_MIX_MASS, rel=1e-13)
 
 
 def test_phi_mix_mass_delta_base_pushforward():
     # degenerate base with drift d: the mix is rho(x/d), exactly
     rho = AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))
-    r = phi_mix_mass(lm.delta_law(2.0), rho, IntervalSet.of(0.9, 1.1))
+    r = phi_mix_mass(lm.delta_law(2.0), rho, [IntervalSet.of(0.9, 1.1)])[0]
     assert r.value == 0.7
-    rneg = phi_mix_mass(lm.delta_law(-2.0), rho, IntervalSet.of(-1.1, -0.9))
+    rneg = phi_mix_mass(lm.delta_law(-2.0), rho, [IntervalSet.of(-1.1, -0.9)])[0]
     assert rneg.value == 0.7
     with pytest.raises(DomainError):
-        phi_mix_mass(lm.delta_law(0.0), rho, IntervalSet.of(0.9, 1.1))
+        phi_mix_mass(lm.delta_law(0.0), rho, [IntervalSet.of(0.9, 1.1)])
 
 
 def test_phi_mix_mass_preserves_total_mass_of_finite_rho():
@@ -338,19 +366,19 @@ def test_phi_mix_mass_preserves_total_mass_of_finite_rho():
     mu = lm.gaussian_law()
     rho = AtomicMeasure(((1.0, 0.7), (2.0, 0.5)))
     sets = IntervalSet(((-1e6, -1e-6), (1e-6, 1e6)))
-    r = phi_mix_mass(mu, rho, sets)
+    r = phi_mix_mass(mu, rho, [sets])[0]
     assert r.value == pytest.approx(rho.total_mass(), abs=1e-6)
     # widening the exhaustion only closes the gap
-    wider = phi_mix_mass(mu, rho, IntervalSet(((-1e6, -1e-8), (1e-8, 1e6))))
+    wider = phi_mix_mass(mu, rho, [IntervalSet(((-1e6, -1e-8), (1e-8, 1e6)))])[0]
     assert abs(wider.value - rho.total_mass()) <= abs(r.value - rho.total_mass())
 
 
 def test_phi_mix_mass_additive_over_disjoint_sets():
     mu = lm.gaussian_law()
     rho = GammaMeasure(1.0, 1.0)
-    a = phi_mix_mass(mu, rho, IntervalSet.of(0.5, 1.0))
-    b = phi_mix_mass(mu, rho, IntervalSet.of(1.0, 2.5))
-    both = phi_mix_mass(mu, rho, IntervalSet(((0.5, 1.0), (1.0, 2.5))))
+    a = phi_mix_mass(mu, rho, [IntervalSet.of(0.5, 1.0)])[0]
+    b = phi_mix_mass(mu, rho, [IntervalSet.of(1.0, 2.5)])[0]
+    both = phi_mix_mass(mu, rho, [IntervalSet(((0.5, 1.0), (1.0, 2.5)))])[0]
     slack = a.abs_error_estimate + b.abs_error_estimate + both.abs_error_estimate
     assert a.value + b.value == pytest.approx(both.value, abs=slack + 1e-12)
 
@@ -358,12 +386,12 @@ def test_phi_mix_mass_additive_over_disjoint_sets():
 def test_phi_mix_mass_domain_errors():
     mu = lm.gaussian_law()
     with pytest.raises(DomainError):
-        phi_mix_mass(mu, SymmetricStableMeasure(0.5, 1.0), IntervalSet.of(1.0, 2.0))
+        phi_mix_mass(mu, SymmetricStableMeasure(0.5, 1.0), [IntervalSet.of(1.0, 2.0)])
     # sets touching 0 need a finite mixing measure
     with pytest.raises(DomainError):
-        phi_mix_mass(mu, GammaMeasure(1.0, 1.0), IntervalSet.of(0.0, 1.0))
+        phi_mix_mass(mu, GammaMeasure(1.0, 1.0), [IntervalSet.of(0.0, 1.0)])
     # finite rho is fine there
-    r = phi_mix_mass(mu, CompoundExponentialMeasure(1.2, 2.5), IntervalSet.of(0.0, 1.0))
+    r = phi_mix_mass(mu, CompoundExponentialMeasure(1.2, 2.5), [IntervalSet.of(0.0, 1.0)])[0]
     assert 0.0 < r.value < 1.2
 
 
@@ -371,13 +399,13 @@ def test_mixing_domain_is_refused_where_it_is_used():
     # in the domain: a positive clock of finite variation, or a degenerate
     # base at a nonzero point, whose mix is a pushforward
     sets = IntervalSet.of(1.0, 2.0)
-    assert phi_mix_mass(lm.gaussian_law(), GammaMeasure(1.0, 1.0), sets).value > 0.0
-    assert phi_mix_mass(lm.delta_law(1.0), GammaMeasure(1.0, 1.0), sets).value > 0.0
+    assert phi_mix_mass(lm.gaussian_law(), GammaMeasure(1.0, 1.0), [sets])[0].value > 0.0
+    assert phi_mix_mass(lm.delta_law(1.0), GammaMeasure(1.0, 1.0), [sets])[0].value > 0.0
     for mu, rho in ((lm.gaussian_law(), SymmetricStableMeasure(0.5, 1.0)),
                     (lm.gaussian_law(), OneSidedStableMeasure(1.5, 1.0)),
                     (lm.delta_law(0.0), GammaMeasure(1.0, 1.0))):
         with pytest.raises(DomainError):
-            phi_mix_mass(mu, rho, sets)
+            phi_mix_mass(mu, rho, [sets])
 
 
 def test_phi_mix_mass_refuses_an_untagged_base():
@@ -385,7 +413,64 @@ def test_phi_mix_mass_refuses_an_untagged_base():
     plain = lm.LevyTriplet(0.0, 1.0, ZERO_MEASURE)
     for rho in (GammaMeasure(1.0, 1.0), AtomicMeasure(((1.0, 0.5),))):
         with pytest.raises(UnsupportedFamily, match="law-tagged"):
-            phi_mix_mass(plain, rho, IntervalSet.of(1.0, 2.0))
+            phi_mix_mass(plain, rho, [IntervalSet.of(1.0, 2.0)])
+
+
+# --- one block per mass table --------------------------------------------------
+
+# a table's cells on both sides of 0, and one set of two intervals
+BLOCK_CELLS = [IntervalSet.of(lo, hi) for lo, hi in (
+    (-4.0, -2.0), (-2.0, -1.0), (-1.0, -0.5), (-0.5, -0.1), (0.1, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 4.0))
+] + [IntervalSet(((-3.0, -1.0), (0.2, 0.7)))]
+TABULATED_CLOCK = TabulatedMeasure(tuple(np.linspace(0.5, 2.0, 61)), tuple(np.exp(-np.linspace(0.5, 2.0, 61))))
+ATOM_CLOCK = AtomicMeasure(((0.5, 0.7), (1.5, 0.4), (3.0, 0.2)))
+BLOCK_CASES = {
+    "vg": (lm.gaussian_law(), GammaMeasure(1.0, 1.0)),
+    "cauchy-gamma": (lm.cauchy_law(1.0), GammaMeasure(2.0, 3.0)),
+    "poisson-atoms": (lm.poisson_law(2.0, 0.5), ATOM_CLOCK),
+    "delta-pushforward": (lm.delta_law(1.5), GammaMeasure(2.0, 3.0)),
+    "gauss-tabulated": (lm.gaussian_law(0.3, 1.2), TABULATED_CLOCK),
+    "gauss-atoms": (lm.gaussian_law(0.3, 1.2), ATOM_CLOCK),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_mass_block_agrees_with_one_cell_calls(case):
+    mu, rho = BLOCK_CASES[case]
+    block = phi_mix_mass(mu, rho, BLOCK_CELLS)
+    ones = [phi_mix_mass(mu, rho, [sets])[0] for sets in BLOCK_CELLS]
+    assert len(block) == len(BLOCK_CELLS)
+    for sets, b, one in zip(BLOCK_CELLS, block, ones):
+        gap = abs(b.value - one.value)
+        assert gap <= 1e-12 * one.value and gap <= b.abs_error_estimate, (sets, b, one)
+    if rho.fixed_rule() is not None or mu.law.mix_route == "pushforward":
+        # the rules sum each column on its own, and the pushforward is exact
+        assert [(b.value, b.truncation_point) for b in block] == [(o.value, o.truncation_point) for o in ones]
+
+
+def test_stable_mix_block_agrees_with_one_cell_calls():
+    ev = phi_mix_stable(lm.cauchy_law(1.0), 1.0, GammaMeasure(1.2, 0.9))
+    block = ev.mass(BLOCK_CELLS)
+    for sets, b in zip(BLOCK_CELLS, block):
+        one = ev.mass([sets])[0]
+        assert abs(b.value - one.value) <= min(1e-12 * one.value, b.abs_error_estimate)
+    assert ev.mass([]) == []
+
+
+@pytest.mark.parametrize("command", ["mix", "subordinate"])
+def test_cli_mass_table_is_one_integration(monkeypatch, tmp_path, command):
+    # the eight cells of the default partition off 0, as one (n, 8) block
+    widths = []
+
+    def counted(rho, fn, **kwargs):
+        value, err, upper = integrate_rho(rho, fn, **kwargs)
+        widths.append(np.shape(value))
+        return value, err, upper
+
+    monkeypatch.setattr(mixing, "integrate_rho", counted)
+    model = str(Path(__file__).parent / "models" / "vg.json")
+    assert main([command, "--model", model, "--out", str(tmp_path / "out.json")]) == 0
+    assert widths == [(8,)]
 
 
 def test_phi_mix_density_gamma_atomic_frozen():
@@ -409,13 +494,13 @@ def test_phi_mix_density_gamma_integrates_to_mix_mass():
     val, err = integrate.quad(
         lambda x: phi_mix_density_gamma(1.0, rho, x), lo, hi, limit=200
     )
-    r = phi_mix_mass(lm.gamma_law(1.0, 1.0), rho, IntervalSet.of(lo, hi))
+    r = phi_mix_mass(lm.gamma_law(1.0, 1.0), rho, [IntervalSet.of(lo, hi)])[0]
     assert val == pytest.approx(r.value, abs=1e-8)
 
 
 def test_stable_mix_atoms_frozen():
     ev = phi_mix_stable(lm.cauchy_law(1.0), 1.0, AtomicMeasure(((0.5, 0.9), (2.0, 0.3))))
-    r = ev.mass(IntervalSet.of(0.3, 1.4))
+    r = ev.mass([IntervalSet.of(0.3, 1.4)])[0]
     assert r.value == pytest.approx(STABLE_MIX_CAUCHY_ATOMS, rel=1e-12)
 
 
@@ -428,8 +513,8 @@ def test_stable_mix_agrees_with_generic_path():
     ]
     sets = IntervalSet.of(0.7, 2.2)
     for mu, alpha in cases:
-        fast = phi_mix_stable(mu, alpha, rho).mass(sets)
-        slow = phi_mix_mass(mu, rho, sets)
+        fast = phi_mix_stable(mu, alpha, rho).mass([sets])[0]
+        slow = phi_mix_mass(mu, rho, [sets])[0]
         assert fast.value == pytest.approx(slow.value, abs=1e-9)
 
 

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 import levymix as lm
 from levymix import mixing, quadrature, subordinate
@@ -101,20 +101,103 @@ def test_subordinate_triplet_symmetric_base_has_zero_mixing_drift():
 
 def test_subordinate_triplet_jump_mass_frozen():
     st = subordinate_triplet(VG_BASE, VG_PAIR)
-    r = st.jumps.mass(IntervalSet.of(1.0, 2.0))
+    r = st.jumps.mass([IntervalSet.of(1.0, 2.0)])[0]
     assert r.value == pytest.approx(VG_MIX_MASS_1_2, abs=1e-10)
-    neg = st.jumps.mass(IntervalSet.of(-2.0, -1.0))
+    neg = st.jumps.mass([IntervalSet.of(-2.0, -1.0)])[0]
     assert neg.value == pytest.approx(VG_MIX_MASS_1_2, abs=1e-10)
 
 
 def test_subordinate_triplet_jump_mass_additive():
     st = subordinate_triplet(VG_BASE, VG_PAIR)
-    a = st.jumps.mass(IntervalSet.of(0.5, 1.2))
-    b = st.jumps.mass(IntervalSet.of(1.2, 3.0))
-    both = st.jumps.mass(IntervalSet(((0.5, 1.2), (1.2, 3.0))))
+    a = st.jumps.mass([IntervalSet.of(0.5, 1.2)])[0]
+    b = st.jumps.mass([IntervalSet.of(1.2, 3.0)])[0]
+    both = st.jumps.mass([IntervalSet(((0.5, 1.2), (1.2, 3.0)))])[0]
     slack = a.abs_error_estimate + b.abs_error_estimate + both.abs_error_estimate
     assert a.value >= 0 and b.value >= 0
     assert a.value + b.value == pytest.approx(both.value, abs=slack + 1e-12)
+
+
+@pytest.mark.parametrize("base, pair", [
+    (lm.gamma_law(2.0, 3.0), SubordinatorPair(0.4, GammaMeasure(1.0, 1.5))),
+    (lm.poisson_law(0.8, 1.3), SubordinatorPair(0.5, AtomicMeasure(((0.7, 0.6), (1.9, 0.2))))),
+    (lm.delta_law(-0.7), SubordinatorPair(0.3, GammaMeasure(1.0, 0.5))),
+], ids=["gamma-gamma", "poisson-atoms", "delta-gamma"])
+def test_jump_mass_block_agrees_with_one_cell_calls(base, pair):
+    # the drift part beta0 * nu is added to each cell of the block
+    cells = [IntervalSet.of(lo, hi) for lo, hi in ((-2.0, -0.5), (0.05, 0.3), (0.3, 1.0), (1.0, 2.5))]
+    cells.append(IntervalSet(((0.1, 0.2), (1.5, 3.0))))
+    jumps = subordinate_triplet(base, pair).jumps
+    block = jumps.mass(cells)
+    for sets, b in zip(cells, block):
+        one = jumps.mass([sets])[0]
+        if pair.jumps.fixed_rule() is not None or base.law.mix_route == "pushforward":
+            assert b == one
+        gap = abs(b.value - one.value)
+        assert gap <= 1e-12 * one.value and gap <= b.abs_error_estimate
+    drifted = JumpMixEvaluator(base, SubordinatorPair(0.4, ZERO_MEASURE)).mass(cells)
+    want = [sum(base.jumps.scaled(0.4).interval_mass(lo, hi) for lo, hi in c.intervals) for c in cells]
+    assert [r.value for r in drifted] == want
+
+
+def test_delta_drift_term_is_the_clocks_truncated_moment(monkeypatch):
+    # 1.5 * integral of s * 2 e^{-3 s} / s over s <= 2/3 is 1 - e^{-2}
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the delta base's drift term needs no quadrature")
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", no_quadrature)
+    pair = SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))
+    value = subordinate._mixing_drift_term(lm.delta_law(1.5), pair)
+    assert abs(value - (1.0 - math.exp(-2.0))) <= 1e-15
+
+
+@pytest.mark.parametrize("speed", [1.5, -1.5, 9.0])
+def test_delta_drift_term_counts_the_atoms_the_compensator_counts(speed):
+    # an atom one ulp past 1/|v| whose image v * s still rounds to |x| = 1:
+    # the truncated mean and the compensator both count it, or the routes
+    # part by theta * v * s * mass
+    past = math.nextafter(1.0 / abs(speed), math.inf)
+    assert abs(speed * past) == 1.0
+    base, pair = lm.delta_law(speed), SubordinatorPair(0.0, AtomicMeasure(((past, 0.5), (2.0, 0.3))))
+    st = subordinate_triplet(base, pair)
+    assert st.gamma_bar == speed * past * 0.5
+    for th in (-3.0, 0.5, 5.0):
+        assert abs(cf_from_triplet(st, th) - compose_cf(base, pair, th)) <= 1e-15
+
+
+# Two-route gaps, the sup over theta in [-10, 10] of |triplet route - composed
+# route|, of delta bases at the parent revision, whose drift term was a
+# quadrature; a 1/2-stable clock's jump integral is out of the x-grid's
+# reach, so its gap is that of the drift term to a scipy quad of it.
+DELTA_CLOCKS = {
+    "gamma": GammaMeasure(2.0, 3.0),
+    "cexp": CompoundExponentialMeasure(2.0, 1.5),
+    "stable": OneSidedStableMeasure(0.5, 0.4),
+    # an atom at s = 1/1.5, where delta(1.5) reaches x = 1
+    "atoms": AtomicMeasure(((0.5, 0.6), (2.0, 0.3), (1.0 / 1.5, 0.2))),
+    "tabulated": TabulatedMeasure(tuple(np.linspace(0.5, 2.0, 61)), tuple(np.exp(-np.linspace(0.5, 2.0, 61)))),
+}
+PARENT_DELTA_GAPS = {
+    ("gamma", 1.5): 3.56e-14, ("gamma", -1.5): 3.56e-14, ("gamma", 0.3): 1.94e-14,
+    ("cexp", 1.5): 5.27e-15, ("cexp", -1.5): 5.27e-15, ("cexp", 0.3): 7.56e-15,
+    ("stable", 1.5): 3.67e-15, ("stable", -1.5): 3.67e-15, ("stable", 0.3): 1.56e-15,
+    ("atoms", 1.5): 1.78e-15, ("atoms", -1.5): 1.78e-15, ("atoms", 0.3): 8.89e-16,
+    ("tabulated", 1.5): 1.79e-15, ("tabulated", -1.5): 1.79e-15, ("tabulated", 0.3): 1.67e-15,
+}
+
+
+@pytest.mark.parametrize("clock, speed", list(PARENT_DELTA_GAPS), ids=lambda v: str(v))
+def test_delta_drift_term_keeps_the_two_routes_together(clock, speed):
+    base, pair = lm.delta_law(speed), SubordinatorPair(0.2, DELTA_CLOCKS[clock])
+    if clock == "stable":
+        rho = pair.jumps
+        want, _ = integrate.quad(lambda s: speed * s * float(rho.density(s)), 0.0, 1.0 / abs(speed),
+                                 epsabs=1e-14, epsrel=1e-14, limit=200)
+        gap = abs(subordinate._mixing_drift_term(base, pair) - want)
+    else:
+        st = subordinate_triplet(base, pair)
+        gap = max(abs(cf_from_triplet(st, float(th)) - compose_cf(base, pair, float(th)))
+                  for th in np.linspace(-10.0, 10.0, 21))
+    assert gap <= PARENT_DELTA_GAPS[clock, speed] + 1e-14
 
 
 def test_drift_pair_scales_the_base():
@@ -285,7 +368,7 @@ def test_empty_atomic_measure_is_the_zero_measure():
     # of no positions for its tail cut
     empty = AtomicMeasure(())
     assert empty == ZERO_MEASURE and empty.is_zero() and empty.tail_cutoff(1e-12) == 1.0
-    mix = lm.phi_mix_mass(lm.delta_law(1.0), empty, IntervalSet.of(0.5, 1.5))
+    mix = lm.phi_mix_mass(lm.delta_law(1.0), empty, [IntervalSet.of(0.5, 1.5)])[0]
     assert (mix.value, mix.abs_error_estimate) == (0.0, 0.0)
     st = subordinate_triplet(lm.poisson_law(1.0), SubordinatorPair(0.0, empty))
     assert (st.gamma_bar, st.jumps.char_integral(1.0)) == (0.0, 0j)
