@@ -823,15 +823,15 @@ class TaggedLaw:
     Broadcasting over s (and x): ``cdf(s, x)``, ``interval_mass(s, lo, hi)``
     and ``truncated_mean(s)`` (the integral of x over |x| <= 1), on arrays
     entry for entry the values of scalar calls;
-    ``density(s, x)``, the upper tail ``sf(s, x)`` for x > 0 and, for heavy
-    tails, ``density_derivs`` (p, p', p'').  Scalar: ``small_s_ratio(s)``.
+    ``density(s, x)``, the upper tail ``sf(s, x)`` for x > 0 and, where
+    mu^s has finite moments, its ``mean_sd(s)``.  Scalar: ``small_s_ratio(s)``.
     Draws from mu^r need no closed form here: ``simulate.conv_power_sample``
     takes them from the triplet, for a tagged law or any other.
     """
 
     sides = (-1, 1)  # sides of 0 on which mu^s has a density
     even = False  # mu^s is symmetric about 0: the x-grid evaluates one side
-    heavy_tail = False  # power-law tails: the x-grid gets a tail expansion
+    heavy_tail = False  # power-law tails: the x-grid's cut search runs to 1e12
     mix_route = "grid"  # mixed jump measure: "grid", "atomic" or "pushforward"
 
     def interval_mass(self, s, lo, hi):
@@ -839,6 +839,10 @@ class TaggedLaw:
 
     def density(self, s, x):
         raise UnsupportedFamily(f"no closed density for {type(self).__name__}")
+
+    def mean_sd(self, s):
+        """(mean, sd) of mu^s; None for a law without finite moments."""
+        return None
 
     def require_stable(self, alpha: float) -> None:
         """Raise unless the law is strictly alpha-stable with a closed cdf."""
@@ -864,6 +868,9 @@ class GaussianLaw(TaggedLaw):
         sd = np.sqrt(self.var * s)
         z = (x - self.mean * s) / sd
         return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+
+    def mean_sd(self, s):
+        return self.mean * s, np.sqrt(self.var * s)
 
     def _unit_interval(self, s):
         """Mean and sd of mu^s, and -1 and 1 in its standard units."""
@@ -913,6 +920,9 @@ class GammaLaw(TaggedLaw):
             lambda x, a: np.exp(a * math.log(rate) + (a - 1.0) * np.log(x) - rate * x - scipy.special.gammaln(a)),
             self.shape * s,
         )
+
+    def mean_sd(self, s):
+        return self.shape * s / self.rate, np.sqrt(self.shape * s) / self.rate
 
     def truncated_mean(self, s):
         a = self.shape * np.asarray(s, dtype=float)
@@ -1016,17 +1026,8 @@ class SymmetricStableLaw(_StableLaw):
         return 0.5 + np.arctan(x / self._c(np.asarray(s))) / math.pi
 
     def sf(self, s, x):
-        return 0.5 - np.arctan(x / self._c(s)) / math.pi
-
-    def _scaled(self, s, x):
-        """(p, u, v, u**2 + v**2, m) for u and v, x and c divided through by
-        m = max(|x|, c): no square leaves the float range, and each form
-        divides out m's powers last."""
-        c = self._c(s)
-        m = np.maximum(np.abs(x), c)
-        u, v = x / m, c / m
-        d = u * u + v * v
-        return v / (math.pi * d) / m, u, v, d, m
+        # arctan(c / x) / pi, not 1/2 - arctan(x / c) / pi, which cancels far out
+        return np.arctan(self._c(s) / x) / math.pi
 
     def density(self, s, x):
         c = self._c(np.asarray(s))
@@ -1035,13 +1036,10 @@ class SymmetricStableLaw(_StableLaw):
         # runs once per block of the x-grid's mixed density
         if c.min() >= 1e-150 and max(c.max(), np.abs(x).max()) <= 1e150:
             return c / math.pi / (x * x + c * c)
-        return self._scaled(s, x)[0]
-
-    def density_derivs(self, s, x):
-        p, u, v, d, m = self._scaled(s, x)
-        p1 = -2.0 * u * v / (math.pi * d**2) / m / m
-        p2 = v * (6.0 * u * u - 2.0 * v * v) / (math.pi * d**3) / m / m / m
-        return p, p1, p2
+        # x and c divided through by m = max(|x|, c): no square leaves the float range
+        m = np.maximum(np.abs(x), c)
+        u, v = x / m, c / m
+        return v / (math.pi * (u * u + v * v)) / m
 
     def truncated_mean(self, s):
         return 0.0 * np.asarray(s)
@@ -1074,14 +1072,6 @@ class OneSidedStableLaw(_StableLaw):
         return _where_positive(
             x, lambda x, c: np.sqrt(c / (2.0 * math.pi)) * x**-1.5 * np.exp(-0.5 * c / x), self._c(s)
         )
-
-    def density_derivs(self, s, x):
-        c = self._c(s)
-        p = self.density(s, x)
-        g = -1.5 / x + 0.5 * c / (x * x)
-        p1 = p * g
-        p2 = p * (g * g + 1.5 / (x * x) - c / x**3)
-        return p, p1, p2
 
     def truncated_mean(self, s):
         # int_0^1 x p_c(x) dx = sqrt(2c/pi) e^{-c/2} - c erfc(sqrt(c/2))

@@ -100,13 +100,16 @@ def rule_sum(f, nodes, weights, check_weights):
     f(nodes) in node order, so that an atom sum is exact to the last bit, for
     f mapping the (n,) nodes to an (n,) or (n, k) block.  The error is the
     gap to the check rule on the same nodes (the embedded Gauss rule of a
-    Kronrod rule; atoms check against themselves) plus 1e-15 sum |w f|."""
+    Kronrod rule; atoms check against themselves) plus 1e-15 sum |w f|,
+    both summed in node order beside the value: each column's result is
+    the same whatever the width of its block."""
     fx = np.asarray(f(nodes))
-    terms = (fx.T * weights).T
+    terms, checks = (fx.T * weights).T, (fx.T * check_weights).T
     value = np.zeros(fx.shape[1:], dtype=terms.dtype)
-    for row in terms:
-        value = value + row
-    return value, np.abs(value - check_weights @ fx) + 1e-15 * np.abs(terms).sum(axis=0)
+    check, size = value, np.zeros(fx.shape[1:])
+    for row, check_row in zip(terms, checks):
+        value, check, size = value + row, check + check_row, size + np.abs(row)
+    return value, np.abs(value - check) + 1e-15 * size
 
 
 _GL16 = np.polynomial.legendre.leggauss(16)

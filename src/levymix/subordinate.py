@@ -9,7 +9,7 @@ results between them.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import quadrature
 from .core import (
+    AtomicMeasure,
     LevyTriplet,
     SubordinatorPair,
     TruncationConvention,
@@ -35,18 +36,20 @@ from .mixing import (
 )
 
 _X_FLOOR = 1e-9
+# The tail search refuses a light-tailed law past _X_HI_MAX and stops a
+# heavy-tailed one below _X_HI_HEAVY, about 70 panels out.
 _X_HI_MAX = 1e6
+_X_HI_HEAVY = 1e12
+# The two routes' release tolerance, for the bound on a heavy tail.
+_RELEASE_TOL = 1e-6
 # The atoms route integrates its Poisson counts in blocks of columns.
 _COUNT_BLOCK = 64
 # Entries of one temporary of the x-grid build: 256 KiB of floats.
 _BLOCK_ENTRIES = 32000
 
-# On (1, x_hi] the x-nodes are spaced for e^{i theta x}, while the mixed
-# density is smooth on the scale of x: it is interpolated there from panels
-# [1, 1.5, 1.5^2, ..., x_hi] through 24 Chebyshev points each, and each panel
-# is checked against the kernel at 4 points between them.  The interpolant
-# is summed as a Chebyshev series by Clenshaw's recurrence, 7x faster on
-# numpy vectors than the barycentric form of Berrut & Trefethen (2004).
+# On (1, x_hi] the mixed density is carried by Chebyshev panels [1, 1.5,
+# 1.5^2, ..., x_hi], each the series through 24 Chebyshev points, checked
+# against the kernel at 4 points between them.
 _PANEL_RATIO = 1.5
 _CHEB = -np.cos(np.pi * np.arange(24) / 23)
 # values at _CHEB -> coefficients of the series through them: T_k are
@@ -60,9 +63,18 @@ _PANEL_POINTS = np.concatenate([_CHEB, _CHECK])
 # most _PANEL_TOL of the panel's max |f|.  A missing panel is bisected if its
 # miss is at most _MIN_GAIN of its parent's (a first panel's parent misses by
 # 1): a bisection that gains less is not converging, as where the s-rule
-# leaves the density wiggly, and the panel is evaluated at its own nodes.
+# leaves the density wiggly, and the panel falls back to at most _MAX_PIECES
+# unchecked pieces of width up to _FALLBACK_WIDTH (_on_checked_panels).
 _PANEL_TOL = 1e-14
 _MIN_GAIN = 1e-3
+_FALLBACK_WIDTH = 0.5
+_MAX_PIECES = 100_000
+# Each panel's series q is integrated exactly against e^{i theta x}: where
+# omega = |theta| * half-width is below _OMEGA_SWITCH by a _GAUSS_POINTS-point
+# Gauss-Legendre sum, whose remainder on q(t) e^{i omega t} is below 1e-20 at
+# degree 23, and above it by parts (_by_parts), which does not cancel there.
+_OMEGA_SWITCH = 24.0
+_GAUSS_POINTS = 64
 # (box, start) pairs one step of the seed-field disjointness sweep holds.
 _SWEEP_BLOCK = 1 << 16
 
@@ -76,56 +88,42 @@ def compose_cf(base: LevyTriplet, pair: SubordinatorPair, theta):
 
 
 def _char_weights(theta: float, xs: np.ndarray) -> np.ndarray:
-    """exp(i theta x) - 1 - i theta tau(x) with the standard truncation."""
-    out = np.exp(1j * theta * xs) - 1.0
-    inside = np.abs(xs) <= 1.0
-    out[inside] -= 1j * theta * xs[inside]
-    return out
+    """exp(i theta x) - 1 - i theta tau(x) with the standard truncation; the
+    real part as -2 sin^2(theta x / 2), which does not cancel near x = 0."""
+    tx = theta * xs
+    half = np.sin(0.5 * tx)
+    return -2.0 * half * half + 1j * (np.sin(tx) - np.where(np.abs(xs) <= 1.0, tx, 0.0))
 
 
-def _tail_correction(theta: float, x_hi: float, mass: float, f0: float,
-                     f1: float, f2: float) -> complex:
-    """Integral of (e^{i theta x} - 1) over (x_hi, inf) by parts, 3 terms."""
-    if theta == 0.0:
-        return 0.0 + 0.0j
-    it = 1j * theta
-    osc = cmath.exp(it * x_hi) * (-f0 / it + f1 / it**2 - f2 / it**3)
-    return -mass + osc
+@functools.cache
+def _panel_rules():
+    """Built on first use: the _GAUSS_POINTS-point Gauss-Legendre rule and
+    T_0..T_23 at its nodes; (n, k) matrices of T_k^(n)(1) = prod_{j < n}
+    (k^2 - j^2) / (2j + 1) and T_k^(n)(-1) = (-1)^(k + n) T_k^(n)(1); the 16
+    Gauss points and the map from values there to the series through them."""
+    t, w = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+    k, j = np.arange(24.0), np.arange(23.0)[:, None]
+    at_one = np.vstack([np.ones(24), np.cumprod((k * k - j * j) / (2.0 * j + 1.0), axis=0)])
+    at_minus_one = at_one * (-1.0) ** (k + np.arange(24.0)[:, None])
+    gauss16 = quadrature.panel_nodes(np.array([-1.0, 1.0]))[0]
+    to_series16 = np.linalg.inv(np.polynomial.chebyshev.chebvander(gauss16, 15))
+    return t, w, np.polynomial.chebyshev.chebvander(t, 23), at_one, at_minus_one, gauss16, to_series16
 
 
-def _chebyshev_sum(x, lo, hi, coeffs) -> np.ndarray:
-    """At each x in [lo, hi], the Chebyshev series coeffs of [lo, hi].  The
-    recurrence holds about 6 vectors of its block at once: blocks of 1/8 of
-    _BLOCK_ENTRIES keep them within one block of the kernel."""
-    out = np.empty(x.size)
-    rows = _BLOCK_ENTRIES // 8
-    for k in range(0, x.size, rows):
-        t = (2.0 * x[k:k + rows] - (lo + hi)) / (hi - lo)
-        out[k:k + rows] = np.polynomial.chebyshev.chebval(t, coeffs)
-    return out
+def _on_checked_panels(f, edges):
+    """(lo, hi, series): the panels that carry f on [edges[0], edges[-1]],
+    with the 24 Chebyshev coefficients of f on each.
 
-
-def _on_checked_panels(f, xs, x_hi) -> np.ndarray:
-    """f at the sorted nodes xs in (0, x_hi]: evaluated at each node of (0, 1],
-    interpolated from checked Chebyshev panels on (1, x_hi].
-
-    A panel holding no more nodes than its Chebyshev and check points, or
-    one that the check refuses and bisection does not mend, takes f at its
-    own nodes.  f is called once per level of bisection and once for all the
-    nodes it is evaluated at."""
-    edges = [1.0]
-    while edges[-1] * _PANEL_RATIO < x_hi:
-        edges.append(edges[-1] * _PANEL_RATIO)
-    lo, hi = np.array(edges), np.array(edges[1:] + [x_hi])
+    Each panel between two edges takes the series through f at its 24
+    Chebyshev points and is accepted where it meets f at 4 check points.  A
+    refused panel is bisected; one that bisection does not mend falls back
+    to pieces at most _FALLBACK_WIDTH wide, each with the unchecked degree-15
+    series through f at its 16 Gauss points.  f is called once per level of
+    bisection and once for all the pieces."""
+    lo, hi = edges[:-1], edges[1:]
     parent_miss = np.ones(lo.size)
-    kept = []  # (lo, hi, Chebyshev coefficients) of the accepted panels
-    direct = [(0.0, 1.0)]  # the panels [lo, hi) evaluated at their nodes
+    kept, refused = [], []
     while lo.size:
-        small = np.searchsorted(xs, hi) - np.searchsorted(xs, lo) <= _PANEL_POINTS.size
-        direct += zip(lo[small], hi[small])
-        lo, hi, parent_miss = lo[~small], hi[~small], parent_miss[~small]
-        if not lo.size:
-            break
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         values = f((mid[:, None] + half[:, None] * _PANEL_POINTS).ravel()).reshape(lo.size, -1)
         coeffs = np.einsum("kj,pj->pk", _TO_SERIES, values[:, :_CHEB.size])
@@ -135,42 +133,56 @@ def _on_checked_panels(f, xs, x_hi) -> np.ndarray:
         miss /= np.where(scale > 0.0, scale, 1.0)
         ok = miss <= _PANEL_TOL
         split = ~ok & (miss <= _MIN_GAIN * parent_miss)
-        kept += zip(lo[ok], hi[ok], coeffs[ok])
-        direct += zip(lo[~ok & ~split], hi[~ok & ~split])
+        kept.append((lo[ok], hi[ok], coeffs[ok]))
+        refused += zip(lo[~ok & ~split], hi[~ok & ~split])
         lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
         parent_miss = np.tile(miss[split], 2)
-    at_nodes = np.zeros(xs.size, dtype=bool)
-    for a, b in direct:
-        at_nodes[slice(*np.searchsorted(xs, (a, b)))] = True
-    out = np.empty(xs.size)
-    out[at_nodes] = f(xs[at_nodes])
-    for a, b, coeffs in kept:
-        first, end = np.searchsorted(xs, (a, b))
-        out[first:end] = _chebyshev_sum(xs[first:end], a, b, coeffs)
-    return out
+    counts = [math.ceil((b - a) / _FALLBACK_WIDTH) for a, b in refused]
+    if sum(counts) > _MAX_PIECES:
+        raise QuadratureFailure(f"the x-grid's refused panels need {sum(counts)} pieces, over {_MAX_PIECES}")
+    if refused:
+        cuts = [np.linspace(a, b, n + 1) for (a, b), n in zip(refused, counts)]
+        lo, hi = np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts])
+        *_, gauss16, to_series16 = _panel_rules()
+        values = f((0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * gauss16).ravel())
+        coeffs = np.zeros((lo.size, 24))
+        coeffs[:, :16] = np.einsum("kj,pj->pk", to_series16, values.reshape(lo.size, 16))
+        kept.append((lo, hi, coeffs))
+    return tuple(np.concatenate(part) for part in zip(*kept))
 
 
-def _light_cut(tail_mass) -> float:
-    """First x_hi = 2 * 1.5^k whose tail mass is below 1e-14, checked before
-    any grid exists: the panel count grows linearly with x_hi."""
-    x_hi = 2.0
-    while x_hi <= _X_HI_MAX:
-        if tail_mass(x_hi) < 1e-14:
-            return x_hi
+def _light_cut(tail_masses, heavy: bool):
+    """(x_hi, masses): the first x_hi = 2 * 1.5^k at which every side's
+    mixed tail mass, listed by tail_masses(x), is below 1e-14, found before
+    any grid exists.  A light tail is refused past 1e6; a heavy one stops at
+    the last x_hi below 1e12 and returns the masses left out there."""
+    x_hi, cap = 2.0, _X_HI_HEAVY if heavy else _X_HI_MAX
+    while max(masses := tail_masses(x_hi)) >= 1e-14 and x_hi * 1.5 <= cap:
         x_hi *= 1.5
-    raise QuadratureFailure(
-        f"mixed density tail still above 1e-14 beyond x = {_X_HI_MAX:g}"
-    )
+    if max(masses) >= 1e-14 and not heavy:
+        raise QuadratureFailure(f"mixed density tail still above 1e-14 beyond x = {_X_HI_MAX:g}")
+    return x_hi, masses
+
+
+def _by_parts(phi, lo, hi, d_hi, d_lo):
+    """The integral of q e^{i phi x} over each panel [lo, hi] of half-width h,
+    q its series with derivatives d_hi and d_lo (n = 0..23) at its ends:
+    h sum_n (-1)^n [q^(n) e^{i phi x}]_lo^hi / (i phi h)^(n+1), exact."""
+    half = 0.5 * (hi - lo)
+    r = 1.0 / (1j * phi * half)
+    powers = np.cumprod(np.repeat(-r[:, None], 23, axis=1), axis=1)
+    at = lambda d: r * (d[:, 0] + (d[:, 1:] * powers).sum(axis=1))
+    return half * (np.exp(1j * phi * hi) * at(d_hi) - np.exp(1j * phi * lo) * at(d_lo))
 
 
 class JumpMixEvaluator:
     """Jump measure of a subordinated law: beta0 * nu plus the mixed part.
 
     Interval masses are evaluated on demand; the Levy-Khintchine jump
-    integral is evaluated on a cached x-grid of the mixed measure (the mixed
-    density, or the image of rho under s -> v s for a delta base), or by an
-    exact sum where the mix is discrete, entirely independent of exponent
-    composition.
+    integral is evaluated on a cached theta-free grid of the mixed measure
+    (the mixed density, or the image of rho under s -> v s for a delta
+    base), or by an exact sum where the mix is discrete, entirely
+    independent of exponent composition.
     """
 
     def __init__(self, base: LevyTriplet, pair: SubordinatorPair):
@@ -209,6 +221,17 @@ class JumpMixEvaluator:
     # -- Levy-Khintchine jump integral -------------------------------------
 
     def char_integral(self, theta: float) -> complex:
+        """The jump integral at theta: the drift part's closed form plus the
+        mixed part, summed over its atoms, by a rule clock's own rule, or on
+        the grid, whose one build serves every theta.
+
+        On the grid, the nodes of |x| <= 1 and the Gauss points of the panels
+        with |theta| * half-width below _OMEGA_SWITCH make one sum, its real
+        part -2 sum w sin^2(theta x / 2), which does not cancel near x = 0, in
+        numpy's pairwise order, which no BLAS thread count moves.  The other
+        panels sum by parts.  A heavy tail's masses past x_hi are subtracted;
+        the rest is at most the mass and, for a density decreasing past x_hi,
+        2 sqrt 2 f(x_hi) / |theta|, refused above the release tolerance."""
         base_part = 0.0 + 0.0j
         if not self.drift_part.is_zero():
             carrier = LevyTriplet(0.0, 0.0, self.drift_part)
@@ -217,25 +240,23 @@ class JumpMixEvaluator:
             return base_part
         if self._mode == "atomic":
             positions, masses = self._poisson_atoms()
-            g = _char_weights(theta, positions)
-            return base_part + complex(np.dot(masses, g))
+            return base_part + complex((masses * _char_weights(theta, positions)).sum())
         if self._mode == "pushforward" and self.pair.jumps.fixed_rule() is not None:
             return base_part + self._pushforward_integral(theta)
-        # On x > 0 the even weights carry cos(theta x) - 1 and the odd ones
-        # sin(theta x) - theta x 1{x <= 1}: the two sides of 0 in one sum.
-        # numpy's pairwise sums: a BLAS dot splits a long sum between its
-        # threads, and its last bits move with their number
-        xs, even, odd, even_sum, inner_odd_moment, tail = self._grid(abs(theta))
-        tx = theta * xs
-        value = base_part + ((even * np.cos(tx)).sum() - even_sum)
-        if odd is not None:
-            value += 1j * ((odd * np.sin(tx)).sum() - theta * inner_odd_moment)
-        if tail is not None:
-            x_hi, mass, f0, f1, f2, sides = tail
-            value += _tail_correction(theta, x_hi, mass, f0, f1, f2)
-            if sides == 2:
-                value += _tail_correction(-theta, x_hi, mass, f0, f1, f2)
-        return complex(value)
+        xs, w, n_log, inner_moment, real, (lo, hi, mass, d_hi, d_lo), (x_hi, tail_mass, tail_f) = self._grid()
+        n = int(np.searchsorted(0.5 * (hi - lo), _OMEGA_SWITCH / abs(theta)))
+        end = n_log + n * _GAUSS_POINTS
+        tx = theta * xs[:end]
+        half_sin = np.sin(0.5 * tx)
+        far = (_by_parts(theta, lo[n:], hi[n:], d_hi[n:], d_lo[n:]) - mass[n:]).sum()
+        value = -2.0 * (w[:end] * half_sin * half_sin).sum() + far.real - tail_mass.sum()
+        if not real:
+            value += 1j * ((w[:end] * np.sin(tx)).sum() - theta * inner_moment + far.imag)
+        bound = np.minimum(tail_mass, 2.0 * math.sqrt(2.0) * tail_f / abs(theta)).sum()
+        if bound > _RELEASE_TOL * max(1.0, abs(value)):
+            raise QuadratureFailure(f"the tail past x = {x_hi:.3g} is bounded only by {bound:.3g} "
+                                    f"at theta = {theta:.3g}")
+        return base_part + complex(value)
 
     def _pushforward_integral(self, theta: float) -> complex:
         # A clock with its own rule (atoms, tabulated) sums the image of its
@@ -262,21 +283,10 @@ class JumpMixEvaluator:
         self._atoms = (law.jump_size * ks, np.concatenate(masses))
         return self._atoms
 
-    def _x_panels(self, theta_max: float, x_hi: float):
-        # (0, 1]: panels in log x; integrating in u = log x adds a factor x.
-        u_nodes, u_w = quadrature.panel_nodes(quadrature.log_panel_edges(_X_FLOOR, 1.0, max_width=0.7))
-        xs_log = np.exp(u_nodes)
-        w_log = u_w * xs_log
-        # (1, x_hi]: linear panels narrow enough for the target oscillation.
-        width = min(0.5, 8.0 / max(theta_max, 1e-9))
-        n_lin = int(math.ceil((x_hi - 1.0) / width))
-        xs_lin, w_lin = quadrature.panel_nodes(np.linspace(1.0, x_hi, n_lin + 1))
-        return np.concatenate([xs_log, xs_lin]), np.concatenate([w_log, w_lin])
-
     def _mixed_density(self, xs: np.ndarray, s_nodes, s_weights) -> np.ndarray:
-        """The s-rule sum of mu^s densities at each x: the only place the x-grid
-        evaluates the kernel.  Blocks of x rows against every s-node hold
-        _BLOCK_ENTRIES entries; 1e5-entry blocks ran 3x slower where the
+        """The s-rule sum of mu^s densities at each x: the only place the grid
+        evaluates the law's kernel.  Blocks of x rows against every s-node
+        hold _BLOCK_ENTRIES entries; 1e5-entry blocks ran 3x slower where the
         allocator handed each one fresh pages."""
         rows = max(1, _BLOCK_ENTRIES // s_nodes.size)
         density = self.base.law.density
@@ -284,73 +294,68 @@ class JumpMixEvaluator:
             [density(s_nodes, xs[k:k + rows, None]) @ s_weights for k in range(0, xs.size, rows)]
         )
 
-    def _grid(self, theta_abs: float):
-        """(xs, even, odd, sum of even, odd moment on |x| <= 1, tail) for the
-        jump integral at |theta| up to theta_abs, cached for later thetas.
+    def _grid(self):
+        """(xs, w, n_log, inner_moment, real, panels, tail), built on the first
+        call and kept in _grid_cache: one build serves every theta.
 
-        A base with a density has its mixed density evaluated at each node of
-        the log region (0, 1] and interpolated from checked Chebyshev panels
-        onto the nodes of (1, x_hi], which are spaced for the oscillation at
-        theta_max."""
-        theta_min = max(theta_abs, 1e-12)
+        The mixed density (rho(x / |v|) / |v| for a delta(v) base; x > 0 only,
+        counted twice, for an even law, which sets real) is evaluated at the
+        n_log log-spaced nodes xs of 0 < |x| <= 1, weights w, and carried by
+        checked Chebyshev panels on 1 < |x| <= x_hi (_on_checked_panels), so
+        that the compensator's jump at |x| = 1 falls on an edge.  x_hi is the
+        cut of _light_cut; an atom clock's panels are also cut at each atom's
+        mean and mean +- 8 sd of mu^s.  xs and w go on with each panel's Gauss
+        points, in order of half-width; panels are (lo, hi, mass, d_hi, d_lo),
+        the last two each series' derivatives at its ends; tail is x_hi, the
+        heavy tail masses past it and the density there, per side."""
         if self._grid_cache is not None:
-            t_max, t_min = self._grid_cache[0], self._grid_cache[1]
-            if theta_abs <= t_max and theta_min >= t_min:
-                return self._grid_cache[2:]
-        theta_max = max(12.0, 2.0 * theta_abs)
-        theta_min = min(theta_min, 0.05)
+            return self._grid_cache
         law, rho = self.base.law, self.pair.jumps
-        tail = None
+        cuts, weight = np.empty(0), 2.0 if law.even else 1.0
         if self._mode == "pushforward":
-            # A delta base at v: the image of rho under s -> v s, which lies
-            # on the side of sign v.  |x| = 1 is a panel edge, so the
-            # compensator's jump falls between panels.
-            speed = abs(law.drift)
-            x_hi = _light_cut(lambda x: rho.mass_above(x / speed))
-            xs, wx = self._x_panels(theta_max, x_hi)
-            plus, minus = wx * rho.density(xs / speed) / speed, 0.0
-            if law.drift < 0.0:
-                plus, minus = minus, plus
+            v = law.drift
+            kernel = lambda x: rho.density(x / v) / abs(v)
+            sides = (math.copysign(1.0, v),)
+            tail_mass = lambda side, x: rho.mass_above(x / abs(v))
         else:
             s_nodes, s_weights = rho_quad_nodes(rho)
-            if law.heavy_tail:
-                # resolved out to where a 3-term integration-by-parts
-                # expansion of the remaining oscillatory tail is certified
-                x_hi = max(1200.0, 40.0 / theta_min)
-                if x_hi > _X_HI_MAX:
-                    raise QuadratureFailure(f"theta = {theta_min:.3e} too close to 0 for a heavy-tailed base")
-                mass = float(np.dot(s_weights, law.sf(s_nodes, x_hi)))
-                p, p1, p2 = law.density_derivs(s_nodes, x_hi)
-                tail = (
-                    x_hi,
-                    mass,
-                    float(np.dot(s_weights, p)),
-                    float(np.dot(s_weights, p1)),
-                    float(np.dot(s_weights, p2)),
-                    len(law.sides),
-                )
-            else:
-                # the heavier of the two tails; for a law on x > 0, cdf(s, -x) is 0
-                x_hi = _light_cut(lambda x: max(np.dot(s_weights, law.sf(s_nodes, x)),
-                                                np.dot(s_weights, law.cdf(s_nodes, -x))))
-            xs, wx = self._x_panels(theta_max, x_hi)
-            weights = lambda sign: wx * _on_checked_panels(
-                lambda x: self._mixed_density(sign * x, s_nodes, s_weights), xs, x_hi
-            )
-            plus = weights(1.0)
-            if law.even:
-                minus = plus
-            elif -1 in law.sides:
-                minus = weights(-1.0)
-            else:
-                minus = 0.0
-        even = plus + minus
-        odd = None if law.even else plus - minus
-        inner = xs <= 1.0
-        inner_odd_moment = 0.0 if odd is None else float(np.dot(odd[inner], xs[inner]))
-        grid = (xs, even, odd, float(even.sum()), inner_odd_moment, tail)
-        self._grid_cache = (theta_max, theta_min if law.heavy_tail else 0.0, *grid)
-        return grid
+            kernel = lambda x: self._mixed_density(x, s_nodes, s_weights)
+            sides = (1,) if law.even else law.sides
+            # for a law on x > 0, cdf(s, -x) is 0
+            tail_mass = lambda side, x: (s_weights * (law.sf(s_nodes, x) if side > 0 else law.cdf(s_nodes, -x))).sum()
+            spread = law.mean_sd(s_nodes) if isinstance(rho, AtomicMeasure) else None
+            if spread is not None:
+                cuts = (spread[0] + np.outer([-8.0, 0.0, 8.0], spread[1])).ravel()
+        x_hi, masses = _light_cut(lambda x: [tail_mass(side, x) for side in sides], law.heavy_tail)
+        edges = [1.0]
+        while edges[-1] * _PANEL_RATIO < x_hi:
+            edges.append(edges[-1] * _PANEL_RATIO)
+        u_nodes, u_w = quadrature.panel_nodes(quadrature.log_panel_edges(_X_FLOOR, 1.0, max_width=0.7))
+        f = lambda x: weight * kernel(x)
+        nodes, panels = [], []
+        for side in sides:
+            xs = side * np.exp(u_nodes)
+            nodes.append((xs, u_w * np.abs(xs) * f(xs)))
+            bounds = np.concatenate([edges, [x_hi], side * cuts])
+            bounds = np.sort(side * bounds[(bounds >= 1.0) & (bounds <= x_hi)])
+            panels.append(_on_checked_panels(f, bounds[np.diff(bounds, prepend=-np.inf) > 0]))
+        xs, w = (np.concatenate(part) for part in zip(*nodes))
+        lo, hi, coeffs = (np.concatenate(part) for part in zip(*panels))
+        # a panel whose series is 0 adds nothing
+        keep = np.flatnonzero(coeffs.any(axis=1))
+        keep = keep[np.argsort((hi - lo)[keep], kind="stable")]
+        lo, hi, coeffs = lo[keep], hi[keep], coeffs[keep]
+        t, w_gauss, cheb_at_gauss, at_one, at_minus_one, *_ = _panel_rules()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        gauss = half[:, None] * w_gauss * np.einsum("pk,gk->pg", coeffs, cheb_at_gauss)
+        derivs = (np.einsum("pk,nk->pn", coeffs, at) for at in (at_one, at_minus_one))
+        tail_mass = weight * np.array(masses) if law.heavy_tail else np.zeros(len(sides))
+        self._grid_cache = (
+            np.concatenate([xs, (mid[:, None] + half[:, None] * t).ravel()]), np.concatenate([w, gauss.ravel()]),
+            xs.size, (w * xs).sum(), law.even, (lo, hi, gauss.sum(axis=1), *derivs),
+            (x_hi, tail_mass, f(x_hi * np.array(sides))),
+        )
+        return self._grid_cache
 
 
 @dataclass(frozen=True)

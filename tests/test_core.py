@@ -383,26 +383,20 @@ def test_stable_clock_whose_one_wedge_overflows_has_finite_variation(index, coef
         lm.laplace_exponent(SubordinatorPair(0.0, nu), np.array([0.0, -1.0]))
 
 
-def test_cauchy_density_derivs_stay_finite_past_the_cube_range():
-    # (x^2 + c^2)**3 overflows past 1e102 and x^2 + c^2 past 1e154, or
-    # underflows below 1e-154; the suite turns the warning into an error.
-    # References: the rational parts in exact arithmetic, then divided by
-    # pi. Past the square range only the density is a normal float: at
-    # c = 1e-170 its derivatives pass the float range, at s = 1e160 they
-    # underflow.
+def test_cauchy_density_stays_finite_past_the_square_range():
+    # x^2 + c^2 overflows past 1e154, or underflows below 1e-154; the suite
+    # turns the warning into an error.  References: c / (x^2 + c^2) in exact
+    # arithmetic, then divided by pi.
     from fractions import Fraction
 
     law = SymmetricStableLaw(1.0, 1.0)
     for s, xs in ((1e60, [1e6, 1e59, 1e61]), (1.0, [0.5, 3.0, 1e40, 1e120]), (1e120, [1e100, 1e130]),
                   (1e160, [1e3, 1e159, 1e161]), (1e-170, [1e-170])):
         xs = np.array(xs)
-        derivs = zip(*law.density_derivs(s, xs)) if 1.0 <= s <= 1e120 else [()] * xs.size
         c = Fraction(s)
-        for x, density, got_derivs in zip(map(Fraction, xs), law.density(s, xs), derivs):
-            d = x * x + c * c
-            expected = (c / d, -2 * x * c / d**2, c * (6 * x * x - 2 * c * c) / d**3)
-            for got, want in zip((density, *got_derivs), (expected[0], *expected)):
-                assert got == pytest.approx(float(want) / math.pi, rel=1e-14, abs=0.0)
+        for x, density in zip(map(Fraction, xs), law.density(s, xs)):
+            want = c / (x * x + c * c)
+            assert density == pytest.approx(float(want) / math.pi, rel=1e-14, abs=0.0)
 
 
 def test_levy_dist_scale():

@@ -6,8 +6,13 @@ Frozen values come from closed forms evaluated with cmath/scipy only.
 """
 import cmath
 import dataclasses
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,7 +126,10 @@ def test_subordinate_triplet_jump_mass_additive():
     (lm.gamma_law(2.0, 3.0), SubordinatorPair(0.4, GammaMeasure(1.0, 1.5))),
     (lm.poisson_law(0.8, 1.3), SubordinatorPair(0.5, AtomicMeasure(((0.7, 0.6), (1.9, 0.2))))),
     (lm.delta_law(-0.7), SubordinatorPair(0.3, GammaMeasure(1.0, 0.5))),
-], ids=["gamma-gamma", "poisson-atoms", "delta-gamma"])
+    (lm.gaussian_law(0.3, 1.2), SubordinatorPair(0.2, AtomicMeasure(((0.5, 0.7), (1.5, 0.4), (3.0, 0.2))))),
+    (lm.gaussian_law(0.3, 1.2), SubordinatorPair(0.2, TabulatedMeasure(
+        tuple(np.linspace(0.5, 2.0, 61)), tuple(np.exp(-np.linspace(0.5, 2.0, 61)))))),
+], ids=["gamma-gamma", "poisson-atoms", "delta-gamma", "gauss-atoms", "gauss-tabulated"])
 def test_jump_mass_block_agrees_with_one_cell_calls(base, pair):
     # the drift part beta0 * nu is added to each cell of the block
     cells = [IntervalSet.of(lo, hi) for lo, hi in ((-2.0, -0.5), (0.05, 0.3), (0.3, 1.0), (1.0, 2.5))]
@@ -249,6 +257,86 @@ def test_cauchy_base_under_a_small_index_stable_clock_is_silent():
     assert gap <= 1e-9
 
 
+@pytest.mark.parametrize("base, pair, theta, tol", [
+    # the grid ends at x_hi = 8.6e11 and subtracts the mass past it
+    (lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0)), 1e-6, 1e-9),
+    # relative to |psi|: the even part sums -2 w sin^2(theta x / 2)
+    (lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0)), 1e-2, 1e-9),
+    (lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0)), -1e-4, 1e-9),
+    (VG_BASE, SubordinatorPair(0.0, GammaMeasure(2.0, 3.0)), 1e-3, 1e-9),
+    (VG_BASE, SubordinatorPair(0.0, GammaMeasure(2.0, 3.0)), 1e-5, 1e-9),
+], ids=["cauchy-gamma-1e-6-abs", "cauchy-gamma-1e-2", "cauchy-gamma-1e-4", "vg-1e-3", "vg-1e-5"])
+def test_triplet_route_holds_near_theta_zero(base, pair, theta, tol):
+    want = compose_cf(base, pair, theta)
+    gap = abs(cf_from_triplet(subordinate_triplet(base, pair), theta) - want)
+    assert gap <= tol * (1.0 if theta == 1e-6 else abs(want)), f"{gap:.3e} against {abs(want):.3e}"
+
+
+def test_atom_clock_with_narrow_components_keeps_the_two_routes_together():
+    # mu^0.01 sits at x = 4.148 with sd 5.3e-3: the panels are cut at each
+    # atom's mean and mean +- 8 sd, so that no checked panel steps over one
+    base = lm.gaussian_law(414.8, 0.00278)
+    pair = SubordinatorPair(0.045, AtomicMeasure(((0.010, 1.0), (0.060, 1.0), (20.5, 1.0))))
+    st = subordinate_triplet(base, pair)
+    for th in (0.5, 3.0, -7.0):
+        want = compose_cf(base, pair, th)
+        assert abs(cf_from_triplet(st, th) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_triplet_route_does_not_depend_on_the_blas_thread_count():
+    # fresh processes, since the BLAS thread pool is sized at import
+    script = """
+import numpy as np, levymix as lm
+from levymix.core import GammaMeasure, OneSidedStableMeasure, SubordinatorPair
+from levymix.subordinate import cf_from_triplet, subordinate_triplet
+models = [
+    (lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))),
+    (lm.gaussian_law(), SubordinatorPair(0.0, GammaMeasure(1.0, 1.0))),
+    (lm.gaussian_law(10.0, 0.01), SubordinatorPair(0.0, GammaMeasure(1.0, 1.0))),
+    (lm.cauchy_law(1.0), SubordinatorPair(0.0, OneSidedStableMeasure(0.08, 1.0))),
+]
+for base, pair in models:
+    st = subordinate_triplet(base, pair)
+    for th in np.linspace(-10.0, 10.0, 21):
+        z = cf_from_triplet(st, float(th))
+        print(z.real.hex(), z.imag.hex())
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split("\n")) == 4 * 21 + 1
+    assert outputs[0] == outputs[1]
+
+
+def test_bench_tracer_still_fits_the_triplet_route():
+    # bench/spans.py wraps JumpMixEvaluator._grid, reads _grid_cache and
+    # counts char_integral calls: a rename here would stop its metrics
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import levymix.cli  # noqa: F401  (the tracer wraps every layer)
+
+    tracer = spans.Tracer(lm)
+    tracer.install()
+    try:
+        tracer.begin_round()
+        st = subordinate.subordinate_triplet(lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0)))
+        for th in (0.5, -3.0, 7.0):
+            subordinate.cf_from_triplet(st, th)
+        tracer.end_round()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.round_metrics()[-1]
+    assert metrics["subordinate.grid_build_s"] > 0
+    assert metrics["subordinate.char_integral_calls"] == 3
+
+
 @pytest.mark.parametrize("base", [lm.gaussian_law(), lm.gaussian_law(0.0, 2.5), lm.cauchy_law(0.7)],
                          ids=["std-gauss", "gauss-var", "cauchy"])
 def test_even_laws_have_mirror_image_densities(base):
@@ -271,7 +359,8 @@ def test_later_thetas_reuse_the_cached_grid(monkeypatch, base, pair):
     real_adaptive, real_density = quadrature.integrate_adaptive, JumpMixEvaluator._mixed_density
     monkeypatch.setattr(quadrature, "integrate_adaptive", lambda *a, **k: calls.append("adaptive") or real_adaptive(*a, **k))
     monkeypatch.setattr(JumpMixEvaluator, "_mixed_density", lambda *a: calls.append("density") or real_density(*a))
-    for th in np.linspace(-10.0, 10.0, 30):
+    # one build serves every theta, near 0 and far out as well
+    for th in [*np.linspace(-10.0, 10.0, 30), 1e-6, -1e-6, 100.0]:
         cf_from_triplet(st, float(th))
     assert calls == []
 
@@ -290,28 +379,63 @@ INTERPOLATED_DENSITY_MODELS = [
 ]
 
 
-def _dense_grid(monkeypatch, base, pair, theta):
-    # the same build with the kernel evaluated at every x-node
-    with monkeypatch.context() as m:
-        m.setattr(subordinate, "_on_checked_panels", lambda f, xs, x_hi: f(xs))
-        return JumpMixEvaluator(base, pair)._grid(theta)
-
-
 @pytest.mark.parametrize("name,base,pair", INTERPOLATED_DENSITY_MODELS,
                          ids=[m[0] for m in INTERPOLATED_DENSITY_MODELS])
 def test_interpolated_density_matches_the_dense_build(monkeypatch, name, base, pair):
-    xs, even, odd, *_ = JumpMixEvaluator(base, pair)._grid(0.5)
-    dense_xs, dense_even, dense_odd, *_ = _dense_grid(monkeypatch, base, pair, 0.5)
-    assert np.array_equal(xs, dense_xs)
-    for got, want in ((even, dense_even), (odd, dense_odd)):
-        if want is None:
-            assert got is None
-            continue
-        tol = 1e-14 * np.abs(want).max()
-        assert np.abs(got - want).max() <= tol, f"{name}: {np.abs(got - want).max():.3e} > {tol:.3e}"
+    # each panel's series against the kernel itself at the panel's own
+    # points: a checked panel's 24 Chebyshev and 4 check points, an
+    # unchecked fallback piece's 16 Gauss points, which its degree-15
+    # series goes through
+    built = []
+    real = subordinate._on_checked_panels
+
+    def recorded(f, edges):
+        lo, hi, coeffs = real(f, edges)
+        built.append((f, lo, hi, coeffs))
+        return lo, hi, coeffs
+
+    monkeypatch.setattr(subordinate, "_on_checked_panels", recorded)
+    JumpMixEvaluator(base, pair)._grid()
+    assert built
+    gauss16 = quadrature.panel_nodes(np.array([-1.0, 1.0]))[0]
+    for f, lo, hi, coeffs in built:
+        checked = coeffs[:, 16:].any(axis=1)
+        gaps, scale = [], 0.0
+        for rows, t in ((checked, subordinate._PANEL_POINTS), (~checked, gauss16)):
+            if not rows.any():
+                continue
+            x = 0.5 * (lo + hi)[rows, None] + 0.5 * (hi - lo)[rows, None] * t
+            want = f(x.ravel()).reshape(x.shape)
+            got = np.einsum("tk,pk->pt", np.polynomial.chebyshev.chebvander(t, 23), coeffs[rows])
+            gaps.append(np.abs(got - want).max())
+            scale = max(scale, np.abs(want).max())
+        tol = 1e-14 * scale
+        assert max(gaps) <= tol, f"{name}: {max(gaps):.3e} > {tol:.3e}"
 
 
-def test_cauchy_gamma_density_needs_a_twentieth_of_the_dense_kernel(monkeypatch):
+@pytest.mark.parametrize("omega", [1e-3, 2.0, 23.9, 24.0, 61.0, 1e3])
+def test_panel_integral_is_exact_for_the_series(omega):
+    # a degree-23 series q on a panel of half-width 2 against e^{i phi x}, at
+    # omega = 2 phi: the rule the jump integral takes there (the 64-point
+    # Gauss sum below omega = 24, by parts above) against 16-point Gauss on
+    # 1,000 sub-panels, on each of which e^{i phi x} turns by at most 2 radians
+    t, w, cheb_at_gauss, at_one, at_minus_one, *_ = subordinate._panel_rules()
+    coeffs = np.random.default_rng(3).standard_normal(24) * 0.6 ** np.arange(24)
+    lo, hi, phi = 3.0, 7.0, omega / 2.0
+    x, wx = quadrature.panel_nodes(np.linspace(lo, hi, 1001))
+    want = (wx * np.polynomial.chebyshev.chebval((x - 5.0) / 2.0, coeffs) * np.exp(1j * phi * x)).sum()
+    if omega < subordinate._OMEGA_SWITCH:
+        got = (2.0 * w * (cheb_at_gauss @ coeffs) * np.exp(1j * phi * (5.0 + 2.0 * t))).sum()
+    else:
+        got = subordinate._by_parts(np.array([phi]), np.array([lo]), np.array([hi]),
+                                    (at_one @ coeffs)[None, :], (at_minus_one @ coeffs)[None, :])[0]
+    assert abs(got - want) <= 1e-14 * np.abs(coeffs).sum()
+
+
+def test_cauchy_gamma_grid_keeps_its_kernel_budget(monkeypatch):
+    # (x, s) kernel entries of the whole theta-free build, 1,335,600: the
+    # log nodes of (0, 1], 28 points per checked panel out to x_hi = 8.6e11,
+    # and the density at x_hi
     entries = []
     real = JumpMixEvaluator._mixed_density
 
@@ -320,11 +444,8 @@ def test_cauchy_gamma_density_needs_a_twentieth_of_the_dense_kernel(monkeypatch)
         return real(self, xs, s_nodes, s_weights)
 
     monkeypatch.setattr(JumpMixEvaluator, "_mixed_density", counted)
-    pair = GAMMA_23
-    xs = JumpMixEvaluator(lm.cauchy_law(1.0), pair)._grid(10.0)[0]
-    # a dense build of an even law: one side, every x-node against every s-node
-    dense = xs.size * mixing.rho_quad_nodes(pair.jumps)[0].size
-    assert sum(entries) <= dense / 20, f"{sum(entries)} of {dense} dense entries"
+    JumpMixEvaluator(lm.cauchy_law(1.0), GAMMA_23)._grid()
+    assert sum(entries) <= 1_400_000, f"{sum(entries)} kernel entries"
 
 
 def test_subordinate_triplet_rejects_zero_convention_base():
