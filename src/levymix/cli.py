@@ -433,7 +433,9 @@ def cmd_lss_sim(args) -> int:
 # Entry point.
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first main() call."""
     parser = argparse.ArgumentParser(prog="levymix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -453,42 +455,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=-10.0, dest="theta_min")
     p.add_argument("--theta-max", type=float, default=10.0, dest="theta_max")
     p.add_argument("--theta-steps", type=int, default=201, dest="theta_steps")
-    p.set_defaults(fn=cmd_cf)
 
     p = sub.add_parser("subordinate", help="triplet summary with interval masses")
     common(p)
-    p.set_defaults(fn=cmd_subordinate)
 
     p = sub.add_parser("mix", help="mixed-measure interval masses")
     common(p)
-    p.set_defaults(fn=cmd_mix)
 
     p = sub.add_parser("simulate", help="sample the time-changed process")
     common(p, draws=True, grid_flags=True, paths=True)
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("recover", help="simulate then recover the subordinator")
     common(p, draws=True, grid_flags=True)
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("basis-sim", help="sample a cell field")
     common(p, draws=True)
-    p.set_defaults(fn=cmd_basis_sim)
 
     p = sub.add_parser("lss-sim", help="sample a kernel-smoothed moving average")
     common(p, draws=True, grid_flags=True, paths=True)
     p.add_argument("--burn-in", type=float, default=25.0, dest="burn_in")
-    p.set_defaults(fn=cmd_lss_sim)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call, not bound into the once-built parser, so that a
+    # wrapper later installed on cli.cmd_* (bench/spans.py's tracer) sees it
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (SpecError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -817,14 +817,27 @@ def _npdf(t):
     return np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
+# Entries of one temporary of the x-grid build: 256 KiB of floats.
+_BLOCK_ENTRIES = 32000
+
+
+def _row_blocks(xs, width, rows_fn):
+    """rows_fn on blocks of xs as columns against width s-nodes, joined; each
+    block holds _BLOCK_ENTRIES entries: 1e5-entry blocks ran 3x slower where
+    the allocator handed each one fresh pages."""
+    rows = max(1, _BLOCK_ENTRIES // width)
+    return np.concatenate([rows_fn(xs[k:k + rows, None]) for k in range(0, xs.size, rows)])
+
+
 class TaggedLaw:
     """Closed forms of the convolution powers mu^s of one tagged law family.
 
     Broadcasting over s (and x): ``cdf(s, x)``, ``interval_mass(s, lo, hi)``
     and ``truncated_mean(s)`` (the integral of x over |x| <= 1), on arrays
     entry for entry the values of scalar calls;
-    ``density(s, x)``, the upper tail ``sf(s, x)`` for x > 0 and, where
-    mu^s has finite moments, its ``mean_sd(s)``.  Scalar: ``small_s_ratio(s)``.
+    ``density(s, x)`` and its s-rule sum ``mixed_density``, the upper tail
+    ``sf(s, x)`` for x > 0 and, where mu^s has finite moments, its
+    ``mean_sd(s)``.  Scalar: ``small_s_ratio(s)``.
     Draws from mu^r need no closed form here: ``simulate.conv_power_sample``
     takes them from the triplet, for a tagged law or any other.
     """
@@ -843,6 +856,11 @@ class TaggedLaw:
     def mean_sd(self, s):
         """(mean, sd) of mu^s; None for a law without finite moments."""
         return None
+
+    def mixed_density(self, xs, s_nodes, s_weights):
+        """The s-rule sum of mu^s densities at each x, density(s, x) @ w: the
+        only place the x-grid evaluates the law's kernel."""
+        return _row_blocks(xs, s_nodes.size, lambda x: self.density(s_nodes, x) @ s_weights)
 
     def require_stable(self, alpha: float) -> None:
         """Raise unless the law is strictly alpha-stable with a closed cdf."""
@@ -871,6 +889,18 @@ class GaussianLaw(TaggedLaw):
 
     def mean_sd(self, s):
         return self.mean * s, np.sqrt(self.var * s)
+
+    def mixed_density(self, xs, s_nodes, s_weights):
+        """exp(k_s (x - m s)^2) @ (w_s / sqrt(2 pi var s)), k_s = -1 / (2 var s),
+        in one temporary per block: the normalisation folds into the s-weights."""
+        k, ms = -0.5 / (self.var * s_nodes), self.mean * s_nodes
+        w = s_weights / np.sqrt(2.0 * math.pi * self.var * s_nodes)
+
+        def rows(x):
+            d = x - ms
+            return np.exp(np.multiply(np.square(d, out=d), k, out=d), out=d) @ w
+
+        return _row_blocks(xs, s_nodes.size, rows)
 
     def _unit_interval(self, s):
         """Mean and sd of mu^s, and -1 and 1 in its standard units."""

@@ -44,8 +44,6 @@ _X_HI_HEAVY = 1e12
 _RELEASE_TOL = 1e-6
 # The atoms route integrates its Poisson counts in blocks of columns.
 _COUNT_BLOCK = 64
-# Entries of one temporary of the x-grid build: 256 KiB of floats.
-_BLOCK_ENTRIES = 32000
 
 # On (1, x_hi] the mixed density is carried by Chebyshev panels [1, 1.5,
 # 1.5^2, ..., x_hi], each the series through 24 Chebyshev points, checked
@@ -283,17 +281,6 @@ class JumpMixEvaluator:
         self._atoms = (law.jump_size * ks, np.concatenate(masses))
         return self._atoms
 
-    def _mixed_density(self, xs: np.ndarray, s_nodes, s_weights) -> np.ndarray:
-        """The s-rule sum of mu^s densities at each x: the only place the grid
-        evaluates the law's kernel.  Blocks of x rows against every s-node
-        hold _BLOCK_ENTRIES entries; 1e5-entry blocks ran 3x slower where the
-        allocator handed each one fresh pages."""
-        rows = max(1, _BLOCK_ENTRIES // s_nodes.size)
-        density = self.base.law.density
-        return np.concatenate(
-            [density(s_nodes, xs[k:k + rows, None]) @ s_weights for k in range(0, xs.size, rows)]
-        )
-
     def _grid(self):
         """(xs, w, n_log, inner_moment, real, panels, tail), built on the first
         call and kept in _grid_cache: one build serves every theta.
@@ -319,7 +306,7 @@ class JumpMixEvaluator:
             tail_mass = lambda side, x: rho.mass_above(x / abs(v))
         else:
             s_nodes, s_weights = rho_quad_nodes(rho)
-            kernel = lambda x: self._mixed_density(x, s_nodes, s_weights)
+            kernel = lambda x: law.mixed_density(x, s_nodes, s_weights)
             sides = (1,) if law.even else law.sides
             # for a law on x > 0, cdf(s, -x) is 0
             tail_mass = lambda side, x: (s_weights * (law.sf(s_nodes, x) if side > 0 else law.cdf(s_nodes, -x))).sum()

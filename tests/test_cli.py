@@ -4,6 +4,7 @@ The golden files under tests/golden/ pin byte-exact output for three
 commands; correctness of the numbers themselves is covered by the library
 tests, so these catch any drift in serialization, seeding, or defaults.
 """
+import importlib.util
 import json
 import math
 import os
@@ -62,6 +63,55 @@ def test_golden_basis_grid(tmp_path):
     rc = _run(["basis-sim", "--model", BASIS, "--seed", 7, "--out", out])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / "basis_grid.csv").read_bytes()
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path):
+    # cf, mix, then cf again through the process's one parser: the cf tables
+    # are the golden's bytes, and mix writes what a fresh process writes
+    cf_argv = ["cf", "--model", VG, "--theta-min", -2, "--theta-max", 2, "--theta-steps", 5]
+    outs = [tmp_path / "cf1.csv", tmp_path / "mix.json", tmp_path / "cf2.csv"]
+    assert _run([*cf_argv, "--out", outs[0]]) == 0
+    assert _run(["mix", "--model", VG, "--out", outs[1]]) == 0
+    assert _run([*cf_argv, "--out", outs[2]]) == 0
+    fresh = tmp_path / "fresh.json"
+    proc = subprocess.run([sys.executable, "-m", "levymix.cli", "mix", "--model", VG, "--out", str(fresh)],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert outs[0].read_bytes() == outs[2].read_bytes() == (GOLDEN / "cf_table.csv").read_bytes()
+    assert outs[1].read_bytes() == fresh.read_bytes()
+
+
+def test_a_refused_call_leaves_the_parser_usable(tmp_path, capsys):
+    with pytest.raises(SystemExit) as refused:
+        _run(["cf", "--model", VG])  # no --out
+    assert refused.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    out = tmp_path / "cf.csv"
+    assert _run(["cf", "--model", VG, "--theta-min", -2, "--theta-max", 2, "--theta-steps", 5, "--out", out]) == 0
+    assert out.read_bytes() == (GOLDEN / "cf_table.csv").read_bytes()
+
+
+def test_bench_tracer_times_each_command_after_the_parser_is_built(tmp_path):
+    # bench/spans.py wraps cli.cmd_* once the first, untraced round has
+    # built the parser: main must reach the commands through those names
+    path = HERE.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import levymix
+
+    assert _run(["mix", "--model", VG, "--out", tmp_path / "warm.json"]) == 0
+    tracer = spans.Tracer(levymix)
+    tracer.install()
+    try:
+        tracer.begin_round()
+        for command in ("cf", "subordinate", "mix"):
+            assert _run([command, "--model", VG, "--out", tmp_path / command]) == 0
+        tracer.end_round()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.round_metrics()[-1]
+    assert min(metrics[f"cli.{command}_s"] for command in ("cf", "subordinate", "mix")) > 0
 
 
 def test_subordinate_report_fields_and_precision(tmp_path):
@@ -515,14 +565,15 @@ LAZY_MODULES = ("scipy.special", "scipy.optimize", "scipy.integrate", "scipy.sig
     ["basis-sim", "--model", BASIS],
 ], ids=lambda argv: argv[0] if argv else "import")
 def test_import_budget(tmp_path, argv):
-    # one fresh interpreter per case: import levymix.cli, run the command,
-    # and list what it loaded of LAZY_MODULES
+    # one fresh interpreter per case: import levymix.cli, count the parsers
+    # the import built, run the command, and list what it loaded of LAZY_MODULES
     run = f"rc = main({argv + ['--out', str(tmp_path / 'x.out')]!r})" if argv else "rc = 0"
-    code = (f"import sys; from levymix.cli import main; {run}; "
-            f"print(rc, sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))")
+    code = (f"import sys; from levymix.cli import _build_parser, main; "
+            f"built = _build_parser.cache_info().currsize; {run}; "
+            f"print(rc, built, sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.strip() == "0 0 []"
 
 
 @pytest.mark.parametrize("command", ["cf", "simulate", "subordinate", "mix"])

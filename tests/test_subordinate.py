@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from levymix.core import (
     OneSidedStableMeasure,
     SubordinatorPair,
     TabulatedMeasure,
+    TaggedLaw,
     ZERO_MEASURE,
 )
 from levymix.errors import DomainError, QuadratureFailure, UnsupportedFamily
@@ -345,6 +347,31 @@ def test_even_laws_have_mirror_image_densities(base):
     s = np.geomspace(1e-6, 50.0, 40)[:, None]
     x = np.geomspace(1e-9, 1e3, 60)
     assert np.array_equal(base.law.density(s, -x), base.law.density(s, x))
+    s_nodes, s_weights = mixing.rho_quad_nodes(GammaMeasure(2.0, 3.0))
+    assert np.array_equal(base.law.mixed_density(-x, s_nodes, s_weights),
+                          base.law.mixed_density(x, s_nodes, s_weights))
+
+
+@pytest.mark.parametrize("rho", [GammaMeasure(1.0, 1.0), GammaMeasure(2.0, 3.0)], ids=["gamma11", "gamma23"])
+@pytest.mark.parametrize("mean, var", [(0.0, 1.0), (-3.0, 1.0), (10.0, 0.01), (414.8, 0.00278)])
+def test_gaussian_mixed_density_matches_the_generic_blocked_sum(mean, var, rho):
+    # the Gaussian kernel, its normalisation folded into the s-weights, against
+    # density(s, x) @ w; x runs over the grid's range and through each
+    # node's peak at mean * s, where a narrow law's mass sits
+    law = lm.gaussian_law(mean, var).law
+    s_nodes, s_weights = mixing.rho_quad_nodes(rho)
+    m, sd = law.mean_sd(s_nodes)
+    x = np.geomspace(1e-9, 1e6, 2001)
+    x = np.concatenate([-x, x, (m + np.outer([-3.0, -1.0, 0.0, 1.0, 3.0], sd)).ravel()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = law.mixed_density(x, s_nodes, s_weights)
+    want = TaggedLaw.mixed_density(law, x, s_nodes, s_weights)
+    live = want > 1e-300
+    assert live.sum() > 1000
+    gap = np.abs(got[live] - want[live]) / want[live]
+    assert gap.max() <= 1e-12, f"{gap.max():.3e} at x = {x[live][gap.argmax()]:.6g}"
+    assert np.all(got[~live] <= 1e-300)
 
 
 @pytest.mark.parametrize("base, pair", [
@@ -356,9 +383,10 @@ def test_later_thetas_reuse_the_cached_grid(monkeypatch, base, pair):
     st = subordinate_triplet(base, pair)
     cf_from_triplet(st, 10.0)
     calls = []
-    real_adaptive, real_density = quadrature.integrate_adaptive, JumpMixEvaluator._mixed_density
+    law_type = type(base.law)
+    real_adaptive, real_density = quadrature.integrate_adaptive, law_type.mixed_density
     monkeypatch.setattr(quadrature, "integrate_adaptive", lambda *a, **k: calls.append("adaptive") or real_adaptive(*a, **k))
-    monkeypatch.setattr(JumpMixEvaluator, "_mixed_density", lambda *a: calls.append("density") or real_density(*a))
+    monkeypatch.setattr(law_type, "mixed_density", lambda *a: calls.append("density") or real_density(*a))
     # one build serves every theta, near 0 and far out as well
     for th in [*np.linspace(-10.0, 10.0, 30), 1e-6, -1e-6, 100.0]:
         cf_from_triplet(st, float(th))
@@ -437,14 +465,15 @@ def test_cauchy_gamma_grid_keeps_its_kernel_budget(monkeypatch):
     # log nodes of (0, 1], 28 points per checked panel out to x_hi = 8.6e11,
     # and the density at x_hi
     entries = []
-    real = JumpMixEvaluator._mixed_density
+    base = lm.cauchy_law(1.0)
+    real = type(base.law).mixed_density
 
     def counted(self, xs, s_nodes, s_weights):
         entries.append(xs.size * s_nodes.size)
         return real(self, xs, s_nodes, s_weights)
 
-    monkeypatch.setattr(JumpMixEvaluator, "_mixed_density", counted)
-    JumpMixEvaluator(lm.cauchy_law(1.0), GAMMA_23)._grid()
+    monkeypatch.setattr(type(base.law), "mixed_density", counted)
+    JumpMixEvaluator(base, GAMMA_23)._grid()
     assert sum(entries) <= 1_400_000, f"{sum(entries)} kernel entries"
 
 
