@@ -188,7 +188,8 @@ def _validate_mixing_measure(rho):
 
 
 def _delta_pushforward_mass(drift, rho, sets):
-    """Mass of rho(drift^-1 dx) over the interval set; exact."""
+    """Mass of rho(drift^-1 dx) over the interval set, exact, truncated at
+    the clock time of the set's farthest end: no tail search."""
     total = 0.0
     for lo, hi in sets.intervals:
         a, b = lo / drift, hi / drift
@@ -199,7 +200,8 @@ def _delta_pushforward_mass(drift, rho, sets):
                 total += sum(m for p, m in rho.atoms if b <= p < a)
         else:
             total += rho.interval_mass(min(a, b), max(a, b))
-    return MixResult(total, 1e-15 * total, rho.tail_cutoff(1e-15))
+    far = max((max(-lo, hi) for lo, hi in sets.intervals), default=0.0)
+    return MixResult(total, 1e-15 * total, far / abs(drift))
 
 
 def _mix_over_sets(mu, rho, cells, interval_mass):

@@ -134,8 +134,8 @@ def kronrod_nodes(edges):
     return _on_panels(edges, _XK, *_W)
 
 
-def log_panel_edges(lo, hi, max_width=1.0):
-    """Edges in u = log s covering [log lo, log hi] with bounded panel width."""
+def log_panel_edges(lo, hi):
+    """Edges in u = log s covering [log lo, log hi] with panels at most 1 wide."""
     ulo, uhi = math.log(lo), math.log(hi)
-    n = max(1, int(math.ceil((uhi - ulo) / max_width)))
+    n = max(1, int(math.ceil(uhi - ulo)))
     return np.linspace(ulo, uhi, n + 1)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .core import (
     AtomicMeasure,
     LevyTriplet,
@@ -45,9 +44,11 @@ _RELEASE_TOL = 1e-6
 # The atoms route integrates its Poisson counts in blocks of columns.
 _COUNT_BLOCK = 64
 
-# On (1, x_hi] the mixed density is carried by Chebyshev panels [1, 1.5,
-# 1.5^2, ..., x_hi], each the series through 24 Chebyshev points, checked
-# against the kernel at 4 points between them.
+# Every piece of the x-grid is the series through the mixed density at its
+# 24 Chebyshev points: _INNER_PIECES unchecked ones per side on geometric
+# edges from _X_FLOOR to 1, and on (1, x_hi] panels [1, 1.5, 1.5^2, ...,
+# x_hi], each checked against the kernel at 4 points between them.
+_INNER_PIECES = 20
 _PANEL_RATIO = 1.5
 _CHEB = -np.cos(np.pi * np.arange(24) / 23)
 # values at _CHEB -> coefficients of the series through them: T_k are
@@ -65,7 +66,7 @@ _PANEL_POINTS = np.concatenate([_CHEB, _CHECK])
 # unchecked pieces of width up to _FALLBACK_WIDTH (_on_checked_panels).
 _PANEL_TOL = 1e-14
 _MIN_GAIN = 1e-3
-_FALLBACK_WIDTH = 0.5
+_FALLBACK_WIDTH = 0.75
 _MAX_PIECES = 100_000
 # Each panel's series q is integrated exactly against e^{i theta x}: where
 # omega = |theta| * half-width is below _OMEGA_SWITCH by a _GAUSS_POINTS-point
@@ -97,15 +98,19 @@ def _char_weights(theta: float, xs: np.ndarray) -> np.ndarray:
 def _panel_rules():
     """Built on first use: the _GAUSS_POINTS-point Gauss-Legendre rule and
     T_0..T_23 at its nodes; (n, k) matrices of T_k^(n)(1) = prod_{j < n}
-    (k^2 - j^2) / (2j + 1) and T_k^(n)(-1) = (-1)^(k + n) T_k^(n)(1); the 16
-    Gauss points and the map from values there to the series through them."""
+    (k^2 - j^2) / (2j + 1) and T_k^(n)(-1) = (-1)^(k + n) T_k^(n)(1)."""
     t, w = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
     k, j = np.arange(24.0), np.arange(23.0)[:, None]
     at_one = np.vstack([np.ones(24), np.cumprod((k * k - j * j) / (2.0 * j + 1.0), axis=0)])
     at_minus_one = at_one * (-1.0) ** (k + np.arange(24.0)[:, None])
-    gauss16 = quadrature.panel_nodes(np.array([-1.0, 1.0]))[0]
-    to_series16 = np.linalg.inv(np.polynomial.chebyshev.chebvander(gauss16, 15))
-    return t, w, np.polynomial.chebyshev.chebvander(t, 23), at_one, at_minus_one, gauss16, to_series16
+    return t, w, np.polynomial.chebyshev.chebvander(t, 23), at_one, at_minus_one
+
+
+def _series(f, lo, hi, points=_CHEB):
+    """(coeffs, values): f at points mapped onto each piece [lo, hi], and the
+    series through the values at the first 24, the Chebyshev points _CHEB."""
+    values = f((0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * points).ravel()).reshape(lo.size, -1)
+    return np.einsum("kj,pj->pk", _TO_SERIES, values[:, :_CHEB.size]), values
 
 
 def _on_checked_panels(f, edges):
@@ -115,18 +120,16 @@ def _on_checked_panels(f, edges):
     Each panel between two edges takes the series through f at its 24
     Chebyshev points and is accepted where it meets f at 4 check points.  A
     refused panel is bisected; one that bisection does not mend falls back
-    to pieces at most _FALLBACK_WIDTH wide, each with the unchecked degree-15
-    series through f at its 16 Gauss points.  f is called once per level of
+    to unchecked pieces at most _FALLBACK_WIDTH wide, each the same series
+    through f at its own 24 Chebyshev points.  f is called once per level of
     bisection and once for all the pieces."""
     lo, hi = edges[:-1], edges[1:]
     parent_miss = np.ones(lo.size)
     kept, refused = [], []
     while lo.size:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        values = f((mid[:, None] + half[:, None] * _PANEL_POINTS).ravel()).reshape(lo.size, -1)
-        coeffs = np.einsum("kj,pj->pk", _TO_SERIES, values[:, :_CHEB.size])
-        checked = values[:, _CHEB.size:]
-        miss = np.abs(np.polynomial.chebyshev.chebval(_CHECK, coeffs.T) - checked).max(axis=1)
+        coeffs, values = _series(f, lo, hi, _PANEL_POINTS)
+        mid = 0.5 * (lo + hi)
+        miss = np.abs(np.polynomial.chebyshev.chebval(_CHECK, coeffs.T) - values[:, _CHEB.size:]).max(axis=1)
         scale = np.abs(values).max(axis=1)
         miss /= np.where(scale > 0.0, scale, 1.0)
         ok = miss <= _PANEL_TOL
@@ -141,11 +144,7 @@ def _on_checked_panels(f, edges):
     if refused:
         cuts = [np.linspace(a, b, n + 1) for (a, b), n in zip(refused, counts)]
         lo, hi = np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts])
-        *_, gauss16, to_series16 = _panel_rules()
-        values = f((0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * gauss16).ravel())
-        coeffs = np.zeros((lo.size, 24))
-        coeffs[:, :16] = np.einsum("kj,pj->pk", to_series16, values.reshape(lo.size, 16))
-        kept.append((lo, hi, coeffs))
+        kept.append((lo, hi, _series(f, lo, hi)[0]))
     return tuple(np.concatenate(part) for part in zip(*kept))
 
 
@@ -223,17 +222,15 @@ class JumpMixEvaluator:
         mixed part, summed over its atoms, by a rule clock's own rule, or on
         the grid, whose one build serves every theta.
 
-        On the grid, the nodes of |x| <= 1 and the Gauss points of the panels
-        with |theta| * half-width below _OMEGA_SWITCH make one sum, its real
-        part -2 sum w sin^2(theta x / 2), which does not cancel near x = 0, in
-        numpy's pairwise order, which no BLAS thread count moves.  The other
-        panels sum by parts.  A heavy tail's masses past x_hi are subtracted;
-        the rest is at most the mass and, for a density decreasing past x_hi,
-        2 sqrt 2 f(x_hi) / |theta|, refused above the release tolerance."""
-        base_part = 0.0 + 0.0j
-        if not self.drift_part.is_zero():
-            carrier = LevyTriplet(0.0, 0.0, self.drift_part)
-            base_part = char_exponent(carrier, theta)
+        On the grid, the Gauss points of the pieces with |theta| * half-width
+        below _OMEGA_SWITCH make one sum, its real part -2 sum w sin^2(theta x
+        / 2), which does not cancel near x = 0, in numpy's pairwise order,
+        which no BLAS thread count moves; the other pieces sum by parts, and
+        the compensator is -i theta inner_moment.  A heavy tail's masses past
+        x_hi are subtracted; the rest is at most the mass and, for a density
+        decreasing past x_hi, 2 sqrt 2 f(x_hi) / |theta|, refused above the
+        release tolerance."""
+        base_part = complex(self.drift_part.char_integral(theta, TruncationConvention.STANDARD))
         if self._mode == "zero" or theta == 0.0:
             return base_part
         if self._mode == "atomic":
@@ -241,12 +238,13 @@ class JumpMixEvaluator:
             return base_part + complex((masses * _char_weights(theta, positions)).sum())
         if self._mode == "pushforward" and self.pair.jumps.fixed_rule() is not None:
             return base_part + self._pushforward_integral(theta)
-        xs, w, n_log, inner_moment, real, (lo, hi, mass, d_hi, d_lo), (x_hi, tail_mass, tail_f) = self._grid()
+        xs, w, inner_moment, real, (lo, hi, mass, d_hi, d_lo), (x_hi, tail_mass, tail_f) = self._grid()
         n = int(np.searchsorted(0.5 * (hi - lo), _OMEGA_SWITCH / abs(theta)))
-        end = n_log + n * _GAUSS_POINTS
+        end = n * _GAUSS_POINTS
         tx = theta * xs[:end]
         half_sin = np.sin(0.5 * tx)
-        far = (_by_parts(theta, lo[n:], hi[n:], d_hi[n:], d_lo[n:]) - mass[n:]).sum()
+        # on no pieces _by_parts would still cost about 13 us per theta
+        far = (_by_parts(theta, lo[n:], hi[n:], d_hi[n:], d_lo[n:]) - mass[n:]).sum() if n < lo.size else 0j
         value = -2.0 * (w[:end] * half_sin * half_sin).sum() + far.real - tail_mass.sum()
         if not real:
             value += 1j * ((w[:end] * np.sin(tx)).sum() - theta * inner_moment + far.imag)
@@ -282,19 +280,20 @@ class JumpMixEvaluator:
         return self._atoms
 
     def _grid(self):
-        """(xs, w, n_log, inner_moment, real, panels, tail), built on the first
-        call and kept in _grid_cache: one build serves every theta.
+        """(xs, w, inner_moment, real, pieces, tail), built on the first call
+        and kept in _grid_cache: one build serves every theta.
 
         The mixed density (rho(x / |v|) / |v| for a delta(v) base; x > 0 only,
-        counted twice, for an even law, which sets real) is evaluated at the
-        n_log log-spaced nodes xs of 0 < |x| <= 1, weights w, and carried by
-        checked Chebyshev panels on 1 < |x| <= x_hi (_on_checked_panels), so
-        that the compensator's jump at |x| = 1 falls on an edge.  x_hi is the
-        cut of _light_cut; an atom clock's panels are also cut at each atom's
-        mean and mean +- 8 sd of mu^s.  xs and w go on with each panel's Gauss
-        points, in order of half-width; panels are (lo, hi, mass, d_hi, d_lo),
-        the last two each series' derivatives at its ends; tail is x_hi, the
-        heavy tail masses past it and the density there, per side."""
+        counted twice, for an even law, which sets real) is carried by pieces:
+        the unchecked ones of 0 < |x| <= 1 and the checked panels of 1 < |x|
+        <= x_hi (_on_checked_panels), so that the compensator's jump at |x| =
+        1 falls on an edge.  x_hi is the cut of _light_cut; an atom clock's
+        panels are also cut at each atom's mean and mean +- 8 sd of mu^s.  xs
+        and w are each piece's Gauss points and series times Gauss weights,
+        in order of half-width, inner_moment sum w x over |x| <= 1; pieces are
+        (lo, hi, mass, d_hi, d_lo), the last two each series' derivatives at
+        its ends; tail is x_hi, the heavy tail masses past it and the density
+        there, per side."""
         if self._grid_cache is not None:
             return self._grid_cache
         law, rho = self.base.law, self.pair.jumps
@@ -317,30 +316,29 @@ class JumpMixEvaluator:
         edges = [1.0]
         while edges[-1] * _PANEL_RATIO < x_hi:
             edges.append(edges[-1] * _PANEL_RATIO)
-        u_nodes, u_w = quadrature.panel_nodes(quadrature.log_panel_edges(_X_FLOOR, 1.0, max_width=0.7))
+        inner = np.geomspace(_X_FLOOR, 1.0, _INNER_PIECES + 1)
         f = lambda x: weight * kernel(x)
-        nodes, panels = [], []
+        pieces = []
         for side in sides:
-            xs = side * np.exp(u_nodes)
-            nodes.append((xs, u_w * np.abs(xs) * f(xs)))
+            near = np.sort(side * inner)
+            pieces.append((near[:-1], near[1:], _series(f, near[:-1], near[1:])[0]))
             bounds = np.concatenate([edges, [x_hi], side * cuts])
             bounds = np.sort(side * bounds[(bounds >= 1.0) & (bounds <= x_hi)])
-            panels.append(_on_checked_panels(f, bounds[np.diff(bounds, prepend=-np.inf) > 0]))
-        xs, w = (np.concatenate(part) for part in zip(*nodes))
-        lo, hi, coeffs = (np.concatenate(part) for part in zip(*panels))
-        # a panel whose series is 0 adds nothing
+            pieces.append(_on_checked_panels(f, bounds[np.diff(bounds, prepend=-np.inf) > 0]))
+        lo, hi, coeffs = (np.concatenate(part) for part in zip(*pieces))
+        # a piece whose series is 0 adds nothing
         keep = np.flatnonzero(coeffs.any(axis=1))
         keep = keep[np.argsort((hi - lo)[keep], kind="stable")]
         lo, hi, coeffs = lo[keep], hi[keep], coeffs[keep]
-        t, w_gauss, cheb_at_gauss, at_one, at_minus_one, *_ = _panel_rules()
+        t, w_gauss, cheb_at_gauss, at_one, at_minus_one = _panel_rules()
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        xs = mid[:, None] + half[:, None] * t
         gauss = half[:, None] * w_gauss * np.einsum("pk,gk->pg", coeffs, cheb_at_gauss)
         derivs = (np.einsum("pk,nk->pn", coeffs, at) for at in (at_one, at_minus_one))
         tail_mass = weight * np.array(masses) if law.heavy_tail else np.zeros(len(sides))
         self._grid_cache = (
-            np.concatenate([xs, (mid[:, None] + half[:, None] * t).ravel()]), np.concatenate([w, gauss.ravel()]),
-            xs.size, (w * xs).sum(), law.even, (lo, hi, gauss.sum(axis=1), *derivs),
-            (x_hi, tail_mass, f(x_hi * np.array(sides))),
+            xs.ravel(), gauss.ravel(), (gauss * xs)[np.maximum(np.abs(lo), np.abs(hi)) <= 1.0].sum(), law.even,
+            (lo, hi, gauss.sum(axis=1), *derivs), (x_hi, tail_mass, f(x_hi * np.array(sides))),
         )
         return self._grid_cache
 

@@ -422,13 +422,25 @@ GAUSS = {"family": "gaussian", "params": {"mean": 0.0, "variance": 1.0}}
 def test_stable_tail_cut_overflow_exits_3(tmp_path, capsys):
     # (coeff / (index tol))**(1/index) overflows a float at small indices
     gauss = _model(tmp_path / "g.json", GAUSS, {"kind": "one_sided_stable", "index": 0.01, "coeff": 1.0})
-    delta = _model(tmp_path / "d.json", {"family": "delta", "params": {"drift": -1.0}},
-                   {"kind": "one_sided_stable", "index": 0.05, "coeff": 1.0})
-    for command, model in (("mix", gauss), ("subordinate", gauss), ("mix", delta)):
-        assert _run([command, "--model", model, "--out", tmp_path / "x.json"]) == 3
+    for command in ("mix", "subordinate"):
+        assert _run([command, "--model", gauss, "--out", tmp_path / "x.json"]) == 3
         err = capsys.readouterr().err
         assert "overflows" in err and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()
+
+
+def test_delta_base_masses_need_no_tail_cut(tmp_path, capsys):
+    # a delta(-1) base's masses are the clock's closed-form interval masses:
+    # the 0.05-stable clock's tail cut, which overflows, is never asked for
+    delta = _model(tmp_path / "d.json", {"family": "delta", "params": {"drift": -1.0}},
+                   {"kind": "one_sided_stable", "index": 0.05, "coeff": 1.0})
+    want = [0.6356505785195452, 0.6580667477607633, 0.6812734215030893, 0.7052984768275508, 0.0, 0.0, 0.0, 0.0]
+    for command, key in (("mix", "mixed_mass"), ("subordinate", "nu_bar")):
+        assert _run([command, "--model", delta, "--out", tmp_path / "x.json"]) == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "x.json").read_text())
+        assert [(row["lo"], row["hi"]) for row in report[key][:4]] == [(-8, -4), (-4, -2), (-2, -1), (-1, -0.5)]
+        assert [row["mass"] for row in report[key]] == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert report["gamma_bar"] == pytest.approx(-1.0526315789473684, rel=1e-14)
 
 
 def test_stable_clock_next_to_index_one_exits_with_its_cause(tmp_path, capsys):

@@ -244,7 +244,8 @@ TWO_ROUTE_FIXTURES = [
 def test_two_route_cf_agreement(name, base, pair, tol):
     st = subordinate_triplet(base, pair)
     worst = 0.0
-    for th in np.linspace(-10.0, 10.0, 21):
+    # at theta = -100 and 300 the outer pieces of |x| <= 1 sum by parts
+    for th in [*np.linspace(-10.0, 10.0, 21), 50.0, -100.0, 300.0]:
         gap = abs(cf_from_triplet(st, float(th)) - compose_cf(base, pair, float(th)))
         worst = max(worst, gap)
     assert worst <= tol, f"{name}: two-route gap {worst:.3e}"
@@ -391,6 +392,8 @@ def test_later_thetas_reuse_the_cached_grid(monkeypatch, base, pair):
     for th in [*np.linspace(-10.0, 10.0, 30), 1e-6, -1e-6, 100.0]:
         cf_from_triplet(st, float(th))
     assert calls == []
+    want = compose_cf(base, pair, 100.0)
+    assert abs(cf_from_triplet(st, 100.0) - want) <= 1e-9 * max(1.0, abs(want))
 
 
 GAMMA_23 = SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))
@@ -410,35 +413,41 @@ INTERPOLATED_DENSITY_MODELS = [
 @pytest.mark.parametrize("name,base,pair", INTERPOLATED_DENSITY_MODELS,
                          ids=[m[0] for m in INTERPOLATED_DENSITY_MODELS])
 def test_interpolated_density_matches_the_dense_build(monkeypatch, name, base, pair):
-    # each panel's series against the kernel itself at the panel's own
-    # points: a checked panel's 24 Chebyshev and 4 check points, an
-    # unchecked fallback piece's 16 Gauss points, which its degree-15
-    # series goes through
-    built = []
-    real = subordinate._on_checked_panels
+    # every piece's series against the kernel itself at the piece's own
+    # points: its 24 Chebyshev points, which the series goes through, and a
+    # checked panel's 4 check points as well; the unchecked pieces are those
+    # of |x| <= 1 and the fallback pieces of refused panels
+    unchecked, built = [], []
+    real_series, real_panels = subordinate._series, subordinate._on_checked_panels
 
-    def recorded(f, edges):
-        lo, hi, coeffs = real(f, edges)
+    def series(f, lo, hi, points=subordinate._CHEB):
+        coeffs, values = real_series(f, lo, hi, points)
+        if values.shape[1] == subordinate._CHEB.size:
+            unchecked.append((f, lo, hi, coeffs, subordinate._CHEB))
+        return coeffs, values
+
+    def panels(f, edges):
+        lo, hi, coeffs = real_panels(f, edges)
         built.append((f, lo, hi, coeffs))
         return lo, hi, coeffs
 
-    monkeypatch.setattr(subordinate, "_on_checked_panels", recorded)
+    monkeypatch.setattr(subordinate, "_series", series)
+    monkeypatch.setattr(subordinate, "_on_checked_panels", panels)
     JumpMixEvaluator(base, pair)._grid()
-    assert built
-    gauss16 = quadrature.panel_nodes(np.array([-1.0, 1.0]))[0]
+    assert built and unchecked
+    fallback = {(a, b) for _, lo, hi, *_ in unchecked for a, b in zip(lo, hi)}
+    checked = []
     for f, lo, hi, coeffs in built:
-        checked = coeffs[:, 16:].any(axis=1)
-        gaps, scale = [], 0.0
-        for rows, t in ((checked, subordinate._PANEL_POINTS), (~checked, gauss16)):
-            if not rows.any():
-                continue
-            x = 0.5 * (lo + hi)[rows, None] + 0.5 * (hi - lo)[rows, None] * t
-            want = f(x.ravel()).reshape(x.shape)
-            got = np.einsum("tk,pk->pt", np.polynomial.chebyshev.chebvander(t, 23), coeffs[rows])
-            gaps.append(np.abs(got - want).max())
-            scale = max(scale, np.abs(want).max())
-        tol = 1e-14 * scale
-        assert max(gaps) <= tol, f"{name}: {max(gaps):.3e} > {tol:.3e}"
+        rows = np.array([(a, b) not in fallback for a, b in zip(lo, hi)], dtype=bool)
+        checked.append((f, lo[rows], hi[rows], coeffs[rows], subordinate._PANEL_POINTS))
+    for f, lo, hi, coeffs, t in unchecked + checked:
+        if not lo.size:
+            continue
+        x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t
+        want = f(x.ravel()).reshape(x.shape)
+        got = np.einsum("tk,pk->pt", np.polynomial.chebyshev.chebvander(t, 23), coeffs)
+        tol = 1e-14 * np.abs(want).max()
+        assert np.abs(got - want).max() <= tol, f"{name}: {np.abs(got - want).max():.3e} > {tol:.3e}"
 
 
 @pytest.mark.parametrize("omega", [1e-3, 2.0, 23.9, 24.0, 61.0, 1e3])
@@ -461,9 +470,9 @@ def test_panel_integral_is_exact_for_the_series(omega):
 
 
 def test_cauchy_gamma_grid_keeps_its_kernel_budget(monkeypatch):
-    # (x, s) kernel entries of the whole theta-free build, 1,335,600: the
-    # log nodes of (0, 1], 28 points per checked panel out to x_hi = 8.6e11,
-    # and the density at x_hi
+    # (x, s) kernel entries of the whole theta-free build, 1,335,600: 24
+    # Chebyshev points per piece of (0, 1], 28 points per checked panel out
+    # to x_hi = 8.6e11, and the density at x_hi
     entries = []
     base = lm.cauchy_law(1.0)
     real = type(base.law).mixed_density
