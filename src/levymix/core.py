@@ -69,6 +69,20 @@ def _where_positive(x, f, *params):
     return out[()]
 
 
+def _gamma_p(n, t):
+    """P(n, t), the regularized lower incomplete gamma function at an integer
+    n >= 1, by math alone: 1 - e^{-t} sum_{k < n} t^k / k! from t = 1 on, and
+    below, where that cancels, the series e^{-t} sum_{k >= n} t^k / k!."""
+    if t >= 1.0:
+        return 1.0 - math.exp(-t) * sum(t**k / math.factorial(k) for k in range(n))
+    term = total = math.exp(-t) * t**n / math.factorial(n)
+    while term > 1e-17 * total:
+        n += 1
+        term *= t / n
+        total += term
+    return total
+
+
 # numpy's Generator.poisson refuses a mean above this (its POISSON_LAM_MAX).
 _POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -210,11 +224,8 @@ class GammaMeasure(LevyMeasure):
         return self.shape * scipy.special.exp1(self.rate * x)
 
     def truncated_moment(self, power, cutoff=1.0):
-        t = self.rate * cutoff
-        if power == 1:
-            return self.shape * (1.0 - math.exp(-t)) / self.rate
-        if power == 2:
-            return self.shape * (1.0 - math.exp(-t) * (1.0 + t)) / self.rate**2
+        if power in (1, 2):
+            return self.shape * _gamma_p(power, self.rate * cutoff) / self.rate**power
         raise DomainError("power must be 1 or 2")
 
     def tail_cutoff(self, tol):
@@ -518,15 +529,10 @@ class CompoundExponentialMeasure(LevyMeasure):
         return self.rate * math.exp(-self.jump_rate * x)
 
     def truncated_moment(self, power, cutoff=1.0):
-        t = self.jump_rate * cutoff
-        if power == 1:
-            return self.rate * (1.0 - math.exp(-t) * (1.0 + t)) / self.jump_rate
-        if power == 2:
-            return (
-                self.rate
-                * (2.0 - math.exp(-t) * (t * t + 2.0 * t + 2.0))
-                / self.jump_rate**2
-            )
+        if power in (1, 2):
+            # rate power! P(power + 1, t) / jump_rate^power at t = jump_rate cutoff
+            t = self.jump_rate * cutoff
+            return self.rate * math.factorial(power) * _gamma_p(power + 1, t) / self.jump_rate**power
         raise DomainError("power must be 1 or 2")
 
     def tail_cutoff(self, tol):

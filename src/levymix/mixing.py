@@ -93,7 +93,7 @@ def lemma_constant(mu: LevyTriplet) -> float:
 
 
 def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None, cuts=()):
-    """Integral of fn over (0, inf) against rho.
+    """Integral of fn over (0, inf) against rho, and the rule that gave it.
 
     fn is vectorized over s: it maps an (n,) array of s to an (n,) block, or
     to an (n, k) block of k targets integrated together; the block's dtype
@@ -108,15 +108,18 @@ def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None, cuts=()
     added to the quadrature's error estimate; cuts split only fixed rules,
     so fn must not jump inside a density's range, where the adaptive rule
     bisects the jump down to machine width.  Each column keeps its own
-    value and error estimate.  Returns (value, err, upper), value and err
-    with the block's trailing shape.
+    value and error estimate.  Returns (value, err, (nodes, weights)),
+    value and err with the block's trailing shape, and sum weights * g(nodes)
+    the rule's integral of any g against rho: the measure's own rule, or the
+    K15 nodes in s of the final panels, weighted w s rho(s), which met tol
+    on every column of fn.
     """
     rule = rho.fixed_rule(cuts)
     if rule is not None:
         value, err = quadrature.rule_sum(fn, *rule)
         if np.any(err > np.maximum(tol * 1e4, 1e-4 * np.abs(value))):
             raise QuadratureFailure(f"mixing grid too coarse: {np.max(err):.3e}")
-        return value[()], err[()], float(np.max(rule[0], initial=0.0))
+        return value[()], err[()], rule[:2]
 
     # Density families: truncate both ends with certified bounds, then
     # integrate in u = log s so origin singularities flatten out.
@@ -157,23 +160,12 @@ def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None, cuts=()
         s = np.exp(u)
         return (np.asarray(fn(s)).T * (rho.density(s) * s)).T
 
-    value, qerr = quadrature.integrate_adaptive(
+    value, qerr, edges = quadrature.integrate_adaptive(
         integrand, math.log(floor), math.log(upper), tol=tol
     )
-    return value[()], (qerr + floor_err + tail_err)[()], upper
-
-
-def rho_quad_nodes(rho: LevyMeasure):
-    """Fixed nodes and weights with integral f d rho ~ sum w_i f(s_i) for the
-    x-grid: the measure's own rule, else 16-point Gauss-Legendre panels of
-    width 1 in log s from 1e-14 to the 1e-12 tail cut."""
-    rule = rho.fixed_rule()
-    if rule is not None:
-        return rule[0], rule[1]
-    edges = quadrature.log_panel_edges(1e-14, rho.tail_cutoff(1e-12))
-    u, wu = quadrature.panel_nodes(edges)
+    u, weights, _ = quadrature.kronrod_nodes(edges)
     s = np.exp(u)
-    return s, wu * s * rho.density(s)
+    return value[()], (qerr + floor_err + tail_err)[()], (s, weights * s * rho.density(s))
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +197,30 @@ def _delta_pushforward_mass(drift, rho, sets):
 
 
 def _mix_over_sets(mu, rho, cells, interval_mass):
-    """One MixResult per interval set of cells: the mu^s masses of all the
-    sets, interval_mass(s, lo, hi) summed over each set's intervals, as one
-    (n, k) block integrated against rho.  The set nearest 0 gives the
-    linear small-s bound that certifies the lower cut for every column."""
-    if not cells:
-        return []
-    d = min(sets.distance_from_zero for sets in cells)
+    """One MixResult per interval set of cells: the mu^s masses of the
+    non-empty sets, interval_mass(s, lo, hi) summed over each set's
+    intervals, as one (n, k) block integrated against rho; an empty set's
+    mass is 0.  The set nearest 0 gives the linear small-s bound that
+    certifies the lower cut for every column, and the truncation point is
+    the last node of the rule."""
+    out = [MixResult(0.0, 0.0, 0.0)] * len(cells)
+    live = [k for k, sets in enumerate(cells) if sets.intervals]
+    if not live:
+        return out
+    d = min(cells[k].distance_from_zero for k in live)
     if d <= 0.0 and math.isinf(rho.total_mass()):
         raise DomainError("interval sets touching 0 need a finite mixing measure")
     bound = None
     if d > 0.0:
         bound = 2.0 * lemma_constant(mu) / min(1.0, d * d)
-    lo, hi = np.array([interval for sets in cells for interval in sets.intervals]).T
-    starts = np.cumsum([0] + [len(sets.intervals) for sets in cells[:-1]])
+    lo, hi = np.array([interval for k in live for interval in cells[k].intervals]).T
+    starts = np.cumsum([0] + [len(cells[k].intervals) for k in live[:-1]])
     fn = lambda s: np.add.reduceat(interval_mass(s[:, None], lo, hi), starts, axis=1)
-    value, err, upper = integrate_rho(rho, fn, linear_bound=bound)
-    return [MixResult(max(float(v), 0.0), float(e), upper) for v, e in zip(value, err)]
+    value, err, (nodes, _) = integrate_rho(rho, fn, linear_bound=bound)
+    upper = float(np.max(nodes, initial=0.0))
+    for k, v, e in zip(live, value, err):
+        out[k] = MixResult(max(float(v), 0.0), float(e), upper)
+    return out
 
 
 def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, cells) -> list:

@@ -3,9 +3,9 @@
 One adaptive rule for integrals against a jump-measure density: QUADPACK's
 Gauss-Kronrod 7/15 pair (Piessens et al. 1983) on every panel and every
 target of a block at once, bisecting only the panels that still need it.
-Beside it, fixed rules on given panels, 16-point Gauss-Legendre for the
-vectorized density integrations and the same K15/G7 pair for tabulated
-cells, and an ordered weighted sum for measures with nodes of their own.
+Beside it, the same K15/G7 pair as a fixed rule on given panels (tabulated
+cells, and the rule an adaptive integral certified), and an ordered
+weighted sum for measures with nodes of their own.
 """
 
 from __future__ import annotations
@@ -66,8 +66,10 @@ def integrate_adaptive(f, lo, hi, *, tol):
     complex; the k columns are targets integrated together on shared panels.
     Every panel whose error on some target exceeds the panel's share (its
     fraction of the width) of max(tol, 1e-9 |value|) is bisected, until none
-    does.  Returns (value, abs_error_estimate) with the block's trailing
-    shape.  At the panel cap, raises QuadratureFailure unless the error is
+    does.  Returns (value, abs_error_estimate, edges): the first two with the
+    block's trailing shape, edges the final panels' edges in increasing
+    order, on which kronrod_nodes gives the rule that reached tol.  At the
+    panel cap, raises QuadratureFailure unless the error is
     within max(100 tol, 1e-6 |value|).
     """
     edges = np.linspace(lo, hi, _START_PANELS + 1)
@@ -92,7 +94,7 @@ def integrate_adaptive(f, lo, hi, *, tol):
         val, err = np.concatenate([val[~split], new_val]), np.concatenate([err[~split], new_err])
     if not np.isfinite(total_err).all():
         raise QuadratureFailure(f"non-finite integrand on [{lo:.4g}, {hi:.4g}]")
-    return value.reshape(shape), total_err.reshape(shape)
+    return value.reshape(shape), total_err.reshape(shape), np.append(np.sort(a), hi)
 
 
 def rule_sum(f, nodes, weights, check_weights):
@@ -112,30 +114,9 @@ def rule_sum(f, nodes, weights, check_weights):
     return value, np.abs(value - check) + 1e-15 * size
 
 
-_GL16 = np.polynomial.legendre.leggauss(16)
-
-
-def _on_panels(edges, base_x, *base_w):
-    """A rule on [-1, 1], nodes and weight sets, mapped onto consecutive [e_i, e_{i+1}]."""
-    edges = np.asarray(edges, dtype=float)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    return (x, *((half[:, None] * w[None, :]).ravel() for w in base_w))
-
-
-def panel_nodes(edges):
-    """Composite 16-point Gauss-Legendre nodes/weights over consecutive [e_i, e_{i+1}]."""
-    return _on_panels(edges, *_GL16)
-
-
 def kronrod_nodes(edges):
     """Composite K15 nodes, K15 weights and embedded G7 weights over consecutive [e_i, e_{i+1}]."""
-    return _on_panels(edges, _XK, *_W)
-
-
-def log_panel_edges(lo, hi):
-    """Edges in u = log s covering [log lo, log hi] with panels at most 1 wide."""
-    ulo, uhi = math.log(lo), math.log(hi)
-    n = max(1, int(math.ceil(uhi - ulo)))
-    return np.linspace(ulo, uhi, n + 1)
+    edges = np.asarray(edges, dtype=float)[:, None]
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi) + half * _XK).ravel(), (half * _W[0]).ravel(), (half * _W[1]).ravel()

@@ -31,7 +31,6 @@ from .mixing import (
     integrate_rho,
     lemma_constant,
     phi_mix_mass,
-    rho_quad_nodes,
 )
 
 _X_FLOOR = 1e-9
@@ -50,6 +49,8 @@ _COUNT_BLOCK = 64
 # x_hi], each checked against the kernel at 4 points between them.
 _INNER_PIECES = 20
 _PANEL_RATIO = 1.5
+# Points of [_X_FLOOR, 1] whose mixed tail masses certify the s-rule (_grid).
+_MASS_EDGES = 7
 _CHEB = -np.cos(np.pi * np.arange(24) / 23)
 # values at _CHEB -> coefficients of the series through them: T_k are
 # discretely orthogonal on these points with the end terms halved
@@ -148,17 +149,16 @@ def _on_checked_panels(f, edges):
     return tuple(np.concatenate(part) for part in zip(*kept))
 
 
-def _light_cut(tail_masses, heavy: bool):
-    """(x_hi, masses): the first x_hi = 2 * 1.5^k at which every side's
-    mixed tail mass, listed by tail_masses(x), is below 1e-14, found before
-    any grid exists.  A light tail is refused past 1e6; a heavy one stops at
-    the last x_hi below 1e12 and returns the masses left out there."""
-    x_hi, cap = 2.0, _X_HI_HEAVY if heavy else _X_HI_MAX
-    while max(masses := tail_masses(x_hi)) >= 1e-14 and x_hi * 1.5 <= cap:
-        x_hi *= 1.5
-    if max(masses) >= 1e-14 and not heavy:
+def _light_cut(candidates, masses, heavy: bool):
+    """(x_hi, masses[k]): the first x_hi = candidates[k] at which every
+    side's mixed tail mass, listed in masses[k], is below 1e-14.  A light
+    tail is refused past the last candidate; a heavy one stops there and
+    returns the masses left out past it."""
+    below = np.flatnonzero(masses.max(axis=1) < 1e-14)
+    if below.size == 0 and not heavy:
         raise QuadratureFailure(f"mixed density tail still above 1e-14 beyond x = {_X_HI_MAX:g}")
-    return x_hi, masses
+    k = below[0] if below.size else -1
+    return candidates[k], masses[k]
 
 
 def _by_parts(phi, lo, hi, d_hi, d_lo):
@@ -287,32 +287,43 @@ class JumpMixEvaluator:
         counted twice, for an even law, which sets real) is carried by pieces:
         the unchecked ones of 0 < |x| <= 1 and the checked panels of 1 < |x|
         <= x_hi (_on_checked_panels), so that the compensator's jump at |x| =
-        1 falls on an edge.  x_hi is the cut of _light_cut; an atom clock's
-        panels are also cut at each atom's mean and mean +- 8 sd of mu^s.  xs
-        and w are each piece's Gauss points and series times Gauss weights,
-        in order of half-width, inner_moment sum w x over |x| <= 1; pieces are
-        (lo, hi, mass, d_hi, d_lo), the last two each series' derivatives at
-        its ends; tail is x_hi, the heavy tail masses past it and the density
-        there, per side."""
+        1 falls on an edge.  Other bases sum density(s, x) over the s-rule
+        that one integrate_rho call certifies for the mixed tail masses per
+        side at _MASS_EDGES points of [_X_FLOOR, 1] and at each candidate
+        x_hi = 2, 3, 4.5, ... up to 1e6, or 1e12 for a heavy tail; _light_cut
+        reads x_hi off those masses (for a delta base, rho.mass_above).  An
+        atom clock's panels are also cut at each atom's mean and mean +- 8 sd
+        of mu^s.  xs and w are each piece's Gauss points and series times
+        Gauss weights, in order of half-width, inner_moment sum w x over |x|
+        <= 1; pieces are (lo, hi, mass, d_hi, d_lo), the last two each
+        series' derivatives at its ends; tail is x_hi, the heavy tail masses
+        past it and the density there, per side."""
         if self._grid_cache is not None:
             return self._grid_cache
         law, rho = self.base.law, self.pair.jumps
         cuts, weight = np.empty(0), 2.0 if law.even else 1.0
+        candidates = [2.0]
+        while candidates[-1] * 1.5 <= (_X_HI_HEAVY if law.heavy_tail else _X_HI_MAX):
+            candidates.append(candidates[-1] * 1.5)
         if self._mode == "pushforward":
             v = law.drift
             kernel = lambda x: rho.density(x / v) / abs(v)
             sides = (math.copysign(1.0, v),)
-            tail_mass = lambda side, x: rho.mass_above(x / abs(v))
+            masses = np.array([[rho.mass_above(x / abs(v))] for x in candidates])
         else:
-            s_nodes, s_weights = rho_quad_nodes(rho)
-            kernel = lambda x: law.mixed_density(x, s_nodes, s_weights)
             sides = (1,) if law.even else law.sides
-            # for a law on x > 0, cdf(s, -x) is 0
-            tail_mass = lambda side, x: (s_weights * (law.sf(s_nodes, x) if side > 0 else law.cdf(s_nodes, -x))).sum()
+            xs = np.concatenate([np.geomspace(_X_FLOOR, 1.0, _MASS_EDGES), candidates])
+            tails = lambda s: np.hstack([law.sf(s[:, None], xs) if side > 0 else law.cdf(s[:, None], -xs)
+                                         for side in sides])
+            # the lemma's bound on mu^s(|x| > d) at d = _X_FLOOR, as in _mix_over_sets
+            bound = 2.0 * lemma_constant(self.base) / (_X_FLOOR * _X_FLOOR)
+            value, _, (s_nodes, s_weights) = integrate_rho(rho, tails, tol=1e-14, linear_bound=bound)
+            masses = value.reshape(len(sides), xs.size)[:, _MASS_EDGES:].T
+            kernel = lambda x: law.mixed_density(x, s_nodes, s_weights)
             spread = law.mean_sd(s_nodes) if isinstance(rho, AtomicMeasure) else None
             if spread is not None:
                 cuts = (spread[0] + np.outer([-8.0, 0.0, 8.0], spread[1])).ravel()
-        x_hi, masses = _light_cut(lambda x: [tail_mass(side, x) for side in sides], law.heavy_tail)
+        x_hi, masses = _light_cut(candidates, masses, law.heavy_tail)
         edges = [1.0]
         while edges[-1] * _PANEL_RATIO < x_hi:
             edges.append(edges[-1] * _PANEL_RATIO)

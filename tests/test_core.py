@@ -473,6 +473,45 @@ def test_index_one_stable_char_integral_matches_fourier_quadrature(theta):
     assert abs(value - (0.1j * theta + expected)) < 1e-9
 
 
+@pytest.mark.parametrize("theta", [0.5, 2.0, 9.0, -3.0])
+def test_index_above_one_stable_char_integral_matches_fourier_quadrature(theta):
+    from scipy import integrate
+
+    # as at index 1, against c x**-(a + 1): the closed form compensates on x <= 1
+    a, c, w = 1.5, 0.3, abs(theta)
+    re_head, _ = integrate.quad(lambda x: -2.0 * math.sin(0.5 * w * x) ** 2 * x ** (-a - 1.0), 0.0, 1.0,
+                                epsabs=1e-13, epsrel=1e-13)
+    im_head, _ = integrate.quad(lambda x: (math.sin(w * x) - w * x) * x ** (-a - 1.0), 0.0, 1.0,
+                                epsabs=1e-13, epsrel=1e-13)
+    re_tail, _ = integrate.quad(lambda x: x ** (-a - 1.0), 1.0, np.inf, weight="cos", wvar=w)
+    im_tail, _ = integrate.quad(lambda x: x ** (-a - 1.0), 1.0, np.inf, weight="sin", wvar=w)
+    expected = c * complex(re_head + re_tail - 1.0 / a, math.copysign(1.0, theta) * (im_head + im_tail))
+    got = OneSidedStableMeasure(a, c).char_integral(theta, TruncationConvention.STANDARD)
+    assert abs(got - expected) < 1e-9
+
+
+@pytest.mark.parametrize("measure, power, n, scale", [
+    (GammaMeasure(2.0, 3.0), 1, 1, 2.0 / 3.0),
+    (GammaMeasure(2.0, 3.0), 2, 2, 2.0 / 9.0),
+    (CompoundExponentialMeasure(1.2, 2.5), 1, 2, 1.2 / 2.5),
+    (CompoundExponentialMeasure(1.2, 2.5), 2, 3, 2.4 / 6.25),
+], ids=["gamma-1", "gamma-2", "cexp-1", "cexp-2"])
+def test_truncated_moments_do_not_cancel_near_zero(measure, power, n, scale):
+    # scale * P(n, rate * cutoff), P the regularized lower incomplete gamma;
+    # the plain closed forms were 0.0 at cutoff 1e-17 (gamma-1), 1e-9
+    # (gamma-2, cexp-1) and off by up to 1e15 relative below those
+    from scipy import special
+
+    rate = measure.rate if isinstance(measure, GammaMeasure) else measure.jump_rate
+    # scipy's gammainc(n, t) at n = 2 and 3 is itself off by up to 1.2e-14
+    # and 2.2e-14 relative near t = 1e-14 (against 40-digit mpmath, where
+    # these closed forms are within 1e-16)
+    rel = 1e-14 if n == 1 else 3e-14
+    for cutoff in np.geomspace(1e-18, 1e2, 81):
+        want = scale * special.gammainc(n, rate * cutoff)
+        assert measure.truncated_moment(power, cutoff) == pytest.approx(want, rel=rel, abs=0.0)
+
+
 @given(
     lo=st.floats(0.01, 5.0),
     width=st.floats(0.01, 5.0),

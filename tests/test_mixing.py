@@ -253,6 +253,15 @@ def test_one_sided_stable_small_s_ratio_closed_form():
     )
 
 
+def test_cauchy_small_s_ratio_closed_form():
+    # scipy quadrature of (1/s) int (1 and x^2) against the Cauchy(0.7 s) law
+    s, c = 0.1, 0.07
+    density = lambda x: c / (math.pi * (x * x + c * c))
+    inside, _ = integrate.quad(lambda x: x * x * density(x), 0.0, 1.0, epsabs=1e-15, epsrel=1e-14)
+    tail, _ = integrate.quad(density, 1.0, np.inf, epsabs=1e-15, epsrel=1e-14)
+    assert small_s_ratio(lm.cauchy_law(0.7), s) == pytest.approx(2.0 * (inside + tail) / s, rel=1e-12)
+
+
 def test_lemma_constant_frozen():
     assert lemma_constant(lm.gamma_law(2.0, 3.0)) == pytest.approx(
         LEMMA_GAMMA23, rel=1e-13
@@ -309,7 +318,7 @@ def test_adaptive_quadrature_sees_a_jump_next_to_a_panel_edge():
         s = np.exp(u)
         return np.where(s < 0.667, s, 0.0)
 
-    value, err = quadrature.integrate_adaptive(step, -5.0, 3.0, tol=1e-12)
+    value, err, _ = quadrature.integrate_adaptive(step, -5.0, 3.0, tol=1e-12)
     assert abs(value - (0.667 - math.exp(-5.0))) <= 1e-14
     assert err <= 1e-12
 
@@ -346,6 +355,21 @@ def test_phi_mix_mass_atomic_rho_frozen():
     rho = AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))
     r = phi_mix_mass(lm.gamma_law(2.0, 3.0), rho, [IntervalSet.of(0.2, 0.9)])[0]
     assert r.value == pytest.approx(ATOM_MIX_MASS, rel=1e-13)
+
+
+@pytest.mark.parametrize("rho", [GammaMeasure(1.0, 1.0), AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))],
+                         ids=["gamma", "atoms"])
+def test_an_empty_interval_set_has_mass_zero(rho):
+    # among other sets an empty one takes none of its neighbour's mass, and
+    # alone it is 0, as under a delta base's pushforward
+    mu, empty = lm.gaussian_law(), IntervalSet(())
+    cells = [IntervalSet.of(1.0, 2.0), empty, IntervalSet.of(2.0, 3.0)]
+    block = phi_mix_mass(mu, rho, cells)
+    assert (block[1].value, block[1].abs_error_estimate) == (0.0, 0.0)
+    for got, sets in zip(block[::2], cells[::2]):
+        assert got.value == pytest.approx(phi_mix_mass(mu, rho, [sets])[0].value, rel=1e-12)
+    assert block[0].value > 3.0 * block[2].value
+    assert [r.value for r in phi_mix_mass(mu, rho, [empty])] == [0.0]
 
 
 def test_phi_mix_mass_delta_base_pushforward():

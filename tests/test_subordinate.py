@@ -260,6 +260,52 @@ def test_cauchy_base_under_a_small_index_stable_clock_is_silent():
     assert gap <= 1e-9
 
 
+# The grid's s-rule is the one integrate_rho certifies, from a floor that
+# drops less than its tolerance of every tail mass; a rule that starts at
+# s = 1e-14 misses these stable clocks by up to 4e-4 and N(3, 0.01) by
+# 1.2e-3.  At index 0.8 and 0.9 no such floor has a finite clock density,
+# and the route refuses.
+STABLE_THETAS = (0.5, -0.5, 10.0, -10.0)
+RELEASE_OR_REFUSE = [
+    *[(f"cauchy-stable{index}", lm.cauchy_law(1.0), SubordinatorPair(0.0, OneSidedStableMeasure(index, 1.0)),
+       STABLE_THETAS) for index in (0.3, 0.5, 0.7)],
+    ("cauchy541-stable0769", lm.cauchy_law(5.41), SubordinatorPair(0.0, OneSidedStableMeasure(0.769, 0.0584)),
+     STABLE_THETAS),
+    ("gauss-3-narrow", lm.gaussian_law(3.0, 0.01), SubordinatorPair(0.0, GammaMeasure(1.0, 1.0)), (0.5, 3.0, -7.0)),
+    *[(f"cauchy-stable{index}", lm.cauchy_law(1.0), SubordinatorPair(0.0, OneSidedStableMeasure(index, 1.0)), ())
+      for index in (0.8, 0.9)],
+]
+
+
+@pytest.mark.parametrize("name,base,pair,thetas", RELEASE_OR_REFUSE, ids=[case[0] for case in RELEASE_OR_REFUSE])
+def test_triplet_route_releases_within_1e9_or_refuses(name, base, pair, thetas):
+    if not thetas:
+        with pytest.raises(QuadratureFailure, match="no lower cut"):
+            cf_from_triplet(subordinate_triplet(base, pair), 0.5)
+        return
+    st = subordinate_triplet(base, pair)
+    for th in thetas:
+        want = compose_cf(base, pair, th)
+        gap = abs(cf_from_triplet(st, th) - want)
+        assert gap <= 1e-9 * max(1.0, abs(want)), f"{name} at {th}: {gap:.3e}"
+
+
+def test_gamma_base_under_an_atom_clock_cuts_at_its_components():
+    # GammaLaw.mean_sd gives the cuts: mu^s is gamma(shape s, rate)
+    from scipy import stats
+
+    base = lm.gamma_law(2.0, 3.0)
+    s = np.array([0.01, 0.5, 2.0])
+    mean, sd = base.law.mean_sd(s)
+    assert mean == pytest.approx(stats.gamma.mean(2.0 * s, scale=1.0 / 3.0), rel=1e-15)
+    assert sd == pytest.approx(stats.gamma.std(2.0 * s, scale=1.0 / 3.0), rel=1e-15)
+    pair = SubordinatorPair(0.0, AtomicMeasure(((0.01, 1.0), (0.5, 0.7), (2.0, 0.4))))
+    st = subordinate_triplet(base, pair)
+    for th in np.linspace(-10.0, 10.0, 21):
+        want = compose_cf(base, pair, float(th))
+        assert abs(cf_from_triplet(st, float(th)) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("base, pair, theta, tol", [
     # the grid ends at x_hi = 8.6e11 and subtracts the mass past it
     (lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0)), 1e-6, 1e-9),
@@ -348,7 +394,7 @@ def test_even_laws_have_mirror_image_densities(base):
     s = np.geomspace(1e-6, 50.0, 40)[:, None]
     x = np.geomspace(1e-9, 1e3, 60)
     assert np.array_equal(base.law.density(s, -x), base.law.density(s, x))
-    s_nodes, s_weights = mixing.rho_quad_nodes(GammaMeasure(2.0, 3.0))
+    _, _, (s_nodes, s_weights) = mixing.integrate_rho(GammaMeasure(2.0, 3.0), lambda s: s, linear_bound=1.0)
     assert np.array_equal(base.law.mixed_density(-x, s_nodes, s_weights),
                           base.law.mixed_density(x, s_nodes, s_weights))
 
@@ -360,7 +406,7 @@ def test_gaussian_mixed_density_matches_the_generic_blocked_sum(mean, var, rho):
     # density(s, x) @ w; x runs over the grid's range and through each
     # node's peak at mean * s, where a narrow law's mass sits
     law = lm.gaussian_law(mean, var).law
-    s_nodes, s_weights = mixing.rho_quad_nodes(rho)
+    _, _, (s_nodes, s_weights) = mixing.integrate_rho(rho, lambda s: s, linear_bound=1.0)
     m, sd = law.mean_sd(s_nodes)
     x = np.geomspace(1e-9, 1e6, 2001)
     x = np.concatenate([-x, x, (m + np.outer([-3.0, -1.0, 0.0, 1.0, 3.0], sd)).ravel()])
@@ -459,7 +505,10 @@ def test_panel_integral_is_exact_for_the_series(omega):
     t, w, cheb_at_gauss, at_one, at_minus_one, *_ = subordinate._panel_rules()
     coeffs = np.random.default_rng(3).standard_normal(24) * 0.6 ** np.arange(24)
     lo, hi, phi = 3.0, 7.0, omega / 2.0
-    x, wx = quadrature.panel_nodes(np.linspace(lo, hi, 1001))
+    edges = np.linspace(lo, hi, 1001)
+    t16, w16 = np.polynomial.legendre.leggauss(16)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    x, wx = (mid + half * t16).ravel(), (half * w16).ravel()
     want = (wx * np.polynomial.chebyshev.chebval((x - 5.0) / 2.0, coeffs) * np.exp(1j * phi * x)).sum()
     if omega < subordinate._OMEGA_SWITCH:
         got = (2.0 * w * (cheb_at_gauss @ coeffs) * np.exp(1j * phi * (5.0 + 2.0 * t))).sum()
