@@ -95,14 +95,160 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+# The CSV writer formats a block of rows at a time in numpy and gives the
+# bytes of f"{x:.17g}" for every value. CPython's %.17g is Gay's correctly
+# rounded dtoa (Gay 1990); the block formatter reaches the same digits:
+#  - X = floor(log10 |x|), corrected so that y = |x|·10^(16−X) lies in
+#    [1e16, 1e17). y is one long-double product or quotient against the
+#    exact powers 10^0 … 10^27, so it is off by at most eps/2 relative;
+#  - the digits are y rounded to the integer D, and a carry to 1e17 moves X;
+#  - Python formats a value whose y lies within 4·(eps/2)·y of a half
+#    integer, where that rounding could go either way, or whose 16 − X is
+#    past the table. Where np.longdouble is float64 the band is wider than
+#    1/2 and every value falls back;
+#  - D becomes text through a table of 4-digit groups. Each layout of %.17g
+#    (the point after digit X for −4 ≤ X ≤ 16, else the exponent form) is
+#    written with plain slices into a NUL-padded byte matrix whose rows are
+#    sorted by layout, and the NULs are deleted.
+
+_BLOCK_ROWS = 2048
+_POW10 = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10  # 10^0 … 10^27, exact
+_HALF_BAND = 2 * float(np.finfo(np.longdouble).eps)  # 4·(eps/2)
+_QUADS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T) + np.uint8(ord("0"))
+_QUAD_TEXT = _QUADS.view(np.uint32).ravel()  # "0000" … "9999", a word each
+_LEAD_TEXT = (_QUADS[:10] * np.uint8([0, 0, 0, 1])).view(np.uint32).ravel()  # "\0\0\0d"
+# the trailing zeros of each group: the run of "0" columns that ends the row
+_QUAD_ZEROS = functools.reduce(lambda run, col: (col == ord("0")) * (run + 1), _QUADS.T, np.int8(0))
+# row k keeps the first k digits of a 20-byte row "\0\0\0" + 17 digits
+_KEEP_DIGITS = (np.tri(18, 20, 2, dtype=np.uint8) * np.uint8(255)).view(np.uint32)
+_WIDTH = 25  # the longest %.17g text, -1.7976931348623157e+308, and a separator
+_FIXED_LO, _FIXED_HI = -4, 16  # the exponents %.17g writes without an e
+_EXP_FORM = _FIXED_HI - _FIXED_LO + 1
+_FALLBACK = _EXP_FORM + 1
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a·10^k in one long-double rounding, k clipped to the table's range."""
+    k = np.clip(k, -27, 27)
+    y = _POW10[np.maximum(k, 0)]
+    y *= a
+    down = k < 0
+    if down.any():
+        y[down] = a[down] / _POW10[-k[down]]
+    return y
+
+
+def _decimal(v: np.ndarray) -> tuple:
+    """(X, D, fallback): D = |v|·10^(16−X) rounded, 1e16 ≤ D < 1e17 or D = 0
+    for v = 0; fallback marks the values that Python must format."""
+    a = np.abs(v)
+    zero = a == 0
+    with np.errstate(divide="ignore"):
+        x = np.floor(np.log10(a))
+    x[zero] = 0
+    x = x.astype(np.int16)
+    a = a.astype(np.longdouble)
+    a[zero] = 1.0
+    y = _scaled(a, 16 - x)
+    low, high = y < 1e16, y >= 1e17
+    x += high
+    x -= low
+    far = np.abs(16 - x) > 27
+    redo = (low | high) & ~far
+    if redo.any():
+        y[redo] = _scaled(a[redo], 16 - x[redo])
+    y[far] = 1e16  # masked before the cast, which would warn on them
+    d = y.astype(np.uint64)
+    band = _HALF_BAND * y.astype(float)
+    y -= d
+    frac = y.astype(float)
+    fallback = far | (np.abs(frac - 0.5) <= band)
+    d += frac > 0.5
+    carry = d == 10**17
+    d[carry] = 10**16
+    x[carry] += 1
+    d[zero] = 0
+    return x, d, fallback
+
+
+def _digit_text(x: np.ndarray, d: np.ndarray) -> tuple:
+    """(digits, point): per value the row "\0\0\0" + the 17 digits of D, the
+    zeros that %.17g drops set to NUL, and its "." or NUL."""
+    # D = lead·10^16 + four 4-digit groups, the most significant first
+    top, bottom = (q.astype(np.uint32) for q in np.divmod(d, 10**8))
+    lead, mid = np.divmod(top, 10**8)
+    groups = (*np.divmod(mid, 10**4), *np.divmod(bottom, 10**4))
+    digits = np.empty((d.size, 5), np.uint32)
+    digits[:, 0] = _LEAD_TEXT[lead]
+    trailing = np.zeros(d.size, np.int8)
+    for j, g in enumerate(groups, 1):
+        digits[:, j] = _QUAD_TEXT[g]
+        trailing = np.where(g == 0, trailing + 4, _QUAD_ZEROS[g])
+    nsig = 17 - trailing
+    whole = np.where((x > 0) & (x <= _FIXED_HI), x, 0) + 1  # digits before the point
+    digits &= np.take(_KEEP_DIGITS, np.maximum(nsig, whole), axis=0)
+    return digits.view(np.uint8), (nsig > whole) * np.uint8(ord("."))
+
+
+def _block_text(v: np.ndarray, seps: np.ndarray) -> str:
+    """f"{x:.17g}" of each finite value, each followed by its separator:
+    one byte row per value, its sign in column 0, its text from column 1
+    and its separator last."""
+    m = v.size
+    x, d, fallback = _decimal(v)
+    digits, point = _digit_text(x, d)
+    del d
+    layout = np.where((x >= _FIXED_LO) & (x <= _FIXED_HI), x - _FIXED_LO, _EXP_FORM).astype(np.uint8)
+    layout[fallback] = _FALLBACK
+    order = np.argsort(layout, kind="stable")
+    counts = np.bincount(layout, minlength=_FALLBACK + 1)
+    ends = np.cumsum(counts)
+    ds, points, xs = np.take(digits, order, axis=0)[:, 3:], point[order], x[order]
+    del digits, point, x  # freed before the byte matrix is built
+    out = np.zeros((m, _WIDTH), np.uint8)
+    for c in np.flatnonzero(counts):
+        r = slice(ends[c] - counts[c], ends[c])
+        if c == _FALLBACK:
+            text = "".join([f"{z:.17g}".ljust(_WIDTH - 1, "\0") for z in v[order[r]].tolist()])
+            out[r, :-1] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _WIDTH - 1)
+        elif c == _EXP_FORM:  # d.ddd…e±XX: |X| < 100 here
+            out[r, 1] = ds[r, 0]
+            out[r, 2] = points[r]
+            out[r, 3:19] = ds[r, 1:]
+            out[r, 19] = ord("e")
+            out[r, 20] = np.where(xs[r] < 0, ord("-"), ord("+"))
+            out[r, 21:23] = _QUADS[np.abs(xs[r]), 2:]
+        elif c >= -_FIXED_LO:  # X ≥ 0: ddd.ddd
+            e = c + _FIXED_LO
+            out[r, 1:e + 2] = ds[r, :e + 1]
+            out[r, e + 2] = points[r]
+            out[r, e + 3:19] = ds[r, e + 1:]
+        else:  # X < 0: 0.000ddd
+            e = c + _FIXED_LO
+            out[r, 1:3] = np.frombuffer(b"0.", np.uint8)
+            out[r, 3:2 - e] = ord("0")
+            out[r, 2 - e:19 - e] = ds[r]
+    del ds, points, xs
+    unsort = np.empty_like(order)
+    unsort[order] = np.arange(m)
+    out = np.take(out, unsort, axis=0)
+    out[:, 0] |= (np.signbit(v) & ~fallback) * np.uint8(ord("-"))
+    out[:, -1] = seps
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv(header: str, *columns) -> str:
-    """The columns side by side, formatted whole: the bytes _fmt gives each value."""
+    """The columns side by side, formatted a block of rows at a time: the
+    bytes _fmt gives each value."""
     table = np.column_stack(columns).astype(float, copy=False)
     finite = np.isfinite(table)
     if not finite.all():
         _fmt(float(table[~finite][0]))  # raises, naming the first in row order
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
+    seps = np.full(table.shape[1], ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    seps = np.tile(seps, min(len(table), _BLOCK_ROWS))
+    blocks = (table[r:r + _BLOCK_ROWS].ravel() for r in range(0, len(table), _BLOCK_ROWS))
+    return "".join([header + "\n", *(_block_text(v, seps[:v.size]) for v in blocks)])
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +473,22 @@ def _mass_table(spec: ModelSpec, mass) -> list:
 
 
 def _write_paths(out: str, samples) -> None:
-    """A single path goes to out, path k of several to <stem>.p<k><ext>."""
-    stem, ext = os.path.splitext(out)
+    """A single path goes to out, path k of several to <stem>.p<k><ext>.
+    The paths are formatted as one table, so a non-finite value in any of
+    them is refused before the first file is written."""
     paths = samples if isinstance(samples, list) else [samples]
-    for k, sample in enumerate(paths):
-        name = f"{stem}.p{k}{ext}" if len(paths) > 1 else out
-        _atomic_write(name, _csv("t,value", sample.grid.times(), sample.values))
+    times = np.concatenate([p.grid.times() for p in paths])
+    text = _csv("t,value", times, np.concatenate([p.values for p in paths]))
+    if len(paths) == 1:
+        _atomic_write(out, text)
+        return
+    header, body = text.split("\n", 1)
+    # path k's rows end at the newline closing its last row
+    row_ends = np.flatnonzero(np.frombuffer(body.encode("ascii"), np.uint8) == ord("\n")) + 1
+    cuts = [0, *row_ends[np.cumsum([len(p.values) for p in paths]) - 1].tolist()]
+    stem, ext = os.path.splitext(out)
+    for k, (start, end) in enumerate(zip(cuts, cuts[1:])):
+        _atomic_write(f"{stem}.p{k}{ext}", f"{header}\n{body[start:end]}")
 
 
 # ---------------------------------------------------------------------------

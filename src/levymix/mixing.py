@@ -231,11 +231,14 @@ def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, cells) -> list:
     A base with a density integrates all the sets as one block of targets
     on shared panels (see _mix_over_sets); an atom or tabulated clock sums
     each column by its own rule, the same bits as a one-set call; a delta
-    base's pushforward is exact per set."""
+    base's pushforward is exact per set.  A zero clock mixes nothing, for
+    any base: every set has mass exactly 0."""
     if not rho.is_positive():
         raise DomainError("the mixing measure must live on (0, inf)")
-    law = _require_tag(mu)
     cells = tuple(cells)
+    if rho.is_zero():
+        return [MixResult(0.0, 0.0, 0.0)] * len(cells)
+    law = _require_tag(mu)
     if law.mix_route == "pushforward":
         # Degenerate base: the mix is a pushforward, defined for any
         # positive jump measure as long as the point is not 0.

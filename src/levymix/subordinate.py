@@ -205,10 +205,7 @@ class JumpMixEvaluator:
         """One MixResult per interval set of cells: the mixed part from one
         phi_mix_mass call for all of them, plus the drift part's mass."""
         cells = tuple(cells)
-        if self._mode == "zero":
-            mixes = [MixResult(0.0, 0.0, 0.0)] * len(cells)
-        else:
-            mixes = phi_mix_mass(self.base, self.pair.jumps, cells)
+        mixes = phi_mix_mass(self.base, self.pair.jumps, cells)
         out = []
         for sets, mix in zip(cells, mixes):
             drift = sum(self.drift_part.interval_mass(lo, hi) for lo, hi in sets.intervals)

@@ -14,12 +14,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levymix import cli
 from levymix.cli import _csv, load_model_spec, main
 from levymix.errors import SpecError
+from levymix.simulate import PathSample, SimConfig, TimeGrid, sample_subordinated
 
 HERE = Path(__file__).parent
 MODELS = HERE / "models"
@@ -171,6 +174,54 @@ def test_csv_edge_values_match_per_value_formatting(k):
     assert _csv("t,tie", [0.0], [1234567890123456.25]) == "t,tie\n0,1234567890123456.2\n"
 
 
+def _reference_columns(header, *columns):
+    return _csv_reference(header, zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def test_csv_matches_per_value_formatting_at_scale():
+    # a million random bit patterns: mostly exponents past the long-double
+    # power table, formatted by Python; then values of every decade the
+    # block formatter writes itself, in every fixed-point layout and the
+    # exponent form; both tables span many row blocks
+    rng = np.random.default_rng(20261020)
+    bits = rng.integers(0, 2**64, 1_100_000, dtype=np.uint64).view(np.float64)
+    columns = bits[np.isfinite(bits)][:1_000_002].reshape(-1, 3).T
+    assert columns.shape == (3, 333_334)
+    assert _csv("a,b,c", *columns) == _reference_columns("a,b,c", *columns)
+    decades = rng.standard_normal(300_000) * 10.0 ** rng.integers(-14, 46, 300_000)
+    assert _csv("a,b", decades[::2], decades[1::2]) == _reference_columns("a,b", decades[::2], decades[1::2])
+
+
+def test_csv_matches_per_value_formatting_next_to_every_power_of_ten():
+    # 10^k and its neighbours 1 and 2 ulp away on either side, where the
+    # decimal exponent of the 17 digits and that of the double can differ
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [powers]
+    for direction in (0.0, np.inf):
+        step = powers
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    values = np.concatenate(near)
+    assert _csv("x,y", values, -values) == _reference_columns("x,y", values, -values)
+
+
+def test_csv_matches_per_value_formatting_at_the_ends_of_the_float_range():
+    big = np.finfo(float).max
+    subnormal = np.arange(1, 2001) * 5e-324
+    ends = np.array([0.0, -0.0, 2.2250738585072009e-308, 2.2250738585072014e-308, big, np.nextafter(big, 0)])
+    values = np.concatenate([ends, subnormal, np.nextafter(2.2250738585072014e-308, 0) - subnormal])
+    assert _csv("x,y", values, -values) == _reference_columns("x,y", values, -values)
+
+
+def test_csv_rounds_exact_17_digit_ties_to_even():
+    # 1234567890123456.25 + j/4 is exact, and every .25 and .75 is a tie
+    # at the 17th digit
+    ties = 1234567890123456.25 + np.arange(-400, 400) / 4
+    assert _csv("x,y", ties, -ties) == _reference_columns("x,y", ties, -ties)
+    assert _csv("x", [1234567890123456.75]) == "x\n1234567890123456.8\n"
+
+
 @pytest.mark.parametrize("first", range(3))
 def test_csv_names_the_first_non_finite_value_in_row_order(first):
     bad = [math.nan, math.inf, -math.inf]
@@ -223,6 +274,29 @@ def test_simulate_multi_path_naming_and_streams(tmp_path):
     p0, p1 = tmp_path / "mp.p0.csv", tmp_path / "mp.p1.csv"
     assert p0.exists() and p1.exists()
     assert p0.read_bytes() != p1.read_bytes()
+
+
+def test_simulate_paths_each_match_their_per_value_reference(tmp_path):
+    out = tmp_path / "mp.csv"
+    assert _run(["simulate", "--model", VG, "--dt", 0.01, "--horizon", 5.0, "--seed", 9,
+                 "--n-paths", 3, "--out", out]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["mp.p0.csv", "mp.p1.csv", "mp.p2.csv"]
+    spec = load_model_spec(VG)
+    paths = sample_subordinated(spec.levy, spec.subordinator, TimeGrid(0.0, 0.01, 500), SimConfig(9, 3))
+    for k, path in enumerate(paths):
+        want = _reference_columns("t,value", path.grid.times(), path.values)
+        assert (tmp_path / f"mp.p{k}.csv").read_text() == want
+
+
+def test_a_non_finite_value_in_any_path_writes_no_path(tmp_path, monkeypatch, capsys):
+    grid = TimeGrid(0.0, 0.1, 3)
+    bad = [PathSample(grid, np.array([0.0, 1.0, 2.0, v]), 0, k) for k, v in enumerate((3.0, 4.0, math.nan))]
+    monkeypatch.setattr(cli, "sample_subordinated", lambda *args: bad)
+    rc = _run(["simulate", "--model", VG, "--dt", 0.1, "--horizon", 0.3, "--n-paths", 3,
+               "--out", tmp_path / "mp.csv"])
+    assert rc == 2
+    assert "non-finite number nan cannot be serialized" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_recover_reports_are_reproducible(tmp_path):
@@ -441,6 +515,24 @@ def test_delta_base_masses_need_no_tail_cut(tmp_path, capsys):
         assert [(row["lo"], row["hi"]) for row in report[key][:4]] == [(-8, -4), (-4, -2), (-2, -1), (-1, -0.5)]
         assert [row["mass"] for row in report[key]] == pytest.approx(want, rel=1e-14, abs=0.0)
     assert report["gamma_bar"] == pytest.approx(-1.0526315789473684, rel=1e-14)
+
+
+@pytest.mark.parametrize("levy", [
+    {"family": "delta", "params": {"drift": 0.0}},
+    {"family": "symmetric_stable", "params": {"alpha": 0.7, "scale": 1.0}},
+    {"family": "one_sided_stable", "params": {"alpha": 0.3, "coeff": 1.0}},
+], ids=["delta0", "symmetric-stable0.7", "one-sided-stable0.3"])
+def test_zero_clock_mixes_to_zero_in_mix_and_subordinate(tmp_path, capsys, levy):
+    # no jumps and no drift: the subordinated process never moves, whatever
+    # the base, so both commands give the same all-zero table
+    model = _model(tmp_path / "z.json", levy, {"kind": "zero"})
+    tables = {}
+    for command, key in (("mix", "mixed_mass"), ("subordinate", "nu_bar")):
+        out = tmp_path / f"{command}.json"
+        assert _run([command, "--model", model, "--out", out]) == 0, capsys.readouterr().err
+        tables[command] = json.loads(out.read_text())[key]
+    assert tables["mix"] == tables["subordinate"]
+    assert len(tables["mix"]) == 8 and all(row["mass"] == 0.0 for row in tables["mix"])
 
 
 def test_stable_clock_next_to_index_one_exits_with_its_cause(tmp_path, capsys):

@@ -92,6 +92,22 @@ def test_symmetric_stable_functionals():
     assert light.truncated_moment(1, 1.0) == 0.0
 
 
+def test_symmetric_stable_measure_mirrors_the_one_sided_density():
+    # coeff |x|^-(index+1) on both half-lines: the one-sided measure at |x|
+    s, half = SymmetricStableMeasure(0.7, 0.4), OneSidedStableMeasure(0.7, 0.4)
+    x = np.array([-3.0, -0.25, 0.25, 3.0])
+    assert np.array_equal(s.density(x), half.density(np.abs(x)))
+    assert s.density(-2.0) == pytest.approx(0.4 * 2.0**-1.7, rel=1e-15, abs=0.0)
+    assert s.total_mass() == INF
+    assert s.interval_mass(1.0, 1.0) == 0.0
+    assert s.interval_mass(2.0, -2.0) == 0.0
+    # each half-line holds coeff/index (a^-index - b^-index) on [a, b]
+    assert s.interval_mass(-3.0, -1.0) == half.interval_mass(1.0, 3.0)
+    assert s.interval_mass(1.0, 3.0) == pytest.approx(0.4 / 0.7 * (1.0 - 3.0**-0.7), rel=1e-14, abs=0.0)
+    # an interval straddling 0 is the sum of its halves, infinite at 0
+    assert s.interval_mass(-2.0, 3.0) == s.interval_mass(-2.0, 0.0) + s.interval_mass(0.0, 3.0) == INF
+
+
 def test_compound_exponential_functionals():
     c = CompoundExponentialMeasure(1.2, 2.5)
     assert c.total_mass() == pytest.approx(1.2, rel=1e-15)
@@ -176,6 +192,31 @@ def test_tabulated_laplace_integral_matches_the_cell_closed_form(side):
         cell = (da - slope * a) * (eb - ea) / z + slope * (eb * (b / z - 1 / z**2) - ea * (a / z - 1 / z**2))
         want = np.sum(cell - 0.5 * (da + db) * (b - a))
         assert abs(m.laplace_integral(np.array([z]))[0] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("side", TABULATED_EXP)
+def test_tabulated_tail_cutoff_bounds_the_grid(side):
+    # a point S with mass_above(S) < tol: the grid's far end, |x| = 2, on
+    # either side of 0, and no mass is left past it at any tol
+    m = TABULATED_EXP[side]
+    cut = m.tail_cutoff(1e-12)
+    assert cut == (2.0 if side == "negative" else 2.0 * (1.0 + 1e-12))
+    assert m.mass_above(cut) == 0.0
+    inner = 0.99 * cut
+    want = _interpolant_integral(m, 0, -2.0, -inner) + _interpolant_integral(m, 0, inner, 2.0)
+    assert m.mass_above(inner) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("side", TABULATED_EXP)
+def test_tabulated_scaled_multiplies_density_and_masses(side):
+    m = TABULATED_EXP[side]
+    big = m.scaled(2.5)
+    assert big.xs == m.xs
+    assert big.dens == tuple(2.5 * d for d in m.dens)
+    lo, hi = sorted((np.sign(m.xs[0]) * 0.71, np.sign(m.xs[0]) * 1.337))
+    for got, want in ((big.total_mass(), m.total_mass()), (big.interval_mass(lo, hi), m.interval_mass(lo, hi)),
+                      (big.truncated_moment(2, 1.0), m.truncated_moment(2, 1.0))):
+        assert got == pytest.approx(2.5 * want, rel=1e-14, abs=0.0)
 
 
 def test_measure_classification_nesting():

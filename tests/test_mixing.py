@@ -26,7 +26,7 @@ from levymix.core import (
     ZERO_MEASURE,
     _poisson_count_cdf,
 )
-from levymix.errors import DomainError, UnsupportedFamily
+from levymix.errors import DomainError, QuadratureFailure, UnsupportedFamily
 from levymix.mixing import (
     IntervalSet,
     integrate_rho,
@@ -321,6 +321,34 @@ def test_adaptive_quadrature_sees_a_jump_next_to_a_panel_edge():
     value, err, _ = quadrature.integrate_adaptive(step, -5.0, 3.0, tol=1e-12)
     assert abs(value - (0.667 - math.exp(-5.0))) <= 1e-14
     assert err <= 1e-12
+
+
+def _square_wave(step):
+    """1 and 2 in turn between jumps at step, 2 step, ... below 100, and
+    its exact integral over [0, 100]."""
+    jumps = step * np.arange(1, int(100 / step) + 1)
+    ends = np.concatenate([[0.0], jumps, [100.0]])
+    exact = math.fsum(np.diff(ends) * (1 + np.arange(jumps.size + 1) % 2))
+    return (lambda x: 1.0 + np.searchsorted(jumps, x) % 2), exact
+
+
+def test_adaptive_quadrature_at_its_panel_cap_returns_within_the_slack():
+    # 84 jumps off every bisection point: each takes about 50 bisections to
+    # meet its share of tol, more than the panel cap holds, so the loop
+    # stops at the cap with the error above the normal exit's
+    # max(tol, 1e-9 |value|) and within the cap's max(100 tol, 1e-6 |value|)
+    f, exact = _square_wave(math.sqrt(2) / 1.2)
+    value, err, edges = quadrature.integrate_adaptive(f, 0.0, 100.0, tol=1e-12)
+    assert max(1e-12, 1e-9 * abs(value)) < err <= max(100 * 1e-12, 1e-6 * abs(value))
+    assert abs(value - exact) <= err
+    assert edges.size - 1 <= quadrature._MAX_PANELS
+
+
+def test_adaptive_quadrature_past_its_panel_cap_slack_raises():
+    # 141 jumps: at the cap the error is past max(100 tol, 1e-6 |value|)
+    f, _ = _square_wave(math.sqrt(2) / 2)
+    with pytest.raises(QuadratureFailure, match=r"reached error .* at \d+ panels$"):
+        quadrature.integrate_adaptive(f, 0.0, 100.0, tol=1e-12)
 
 
 @pytest.mark.parametrize("rho", [GammaMeasure(2.0, 3.0), CompoundExponentialMeasure(1.2, 2.5),
