@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +86,6 @@ def compose_cf(base: LevyTriplet, pair: SubordinatorPair, theta):
     theta may be a scalar or an array, as for char_exponent.
     """
     return laplace_exponent(pair, char_exponent(base, theta))
-
-
-def _char_weights(theta: float, xs: np.ndarray) -> np.ndarray:
-    """exp(i theta x) - 1 - i theta tau(x) with the standard truncation; the
-    real part as -2 sin^2(theta x / 2), which does not cancel near x = 0."""
-    tx = theta * xs
-    half = np.sin(0.5 * tx)
-    return -2.0 * half * half + 1j * (np.sin(tx) - np.where(np.abs(xs) <= 1.0, tx, 0.0))
 
 
 @functools.cache
@@ -172,34 +165,30 @@ def _by_parts(phi, lo, hi, d_hi, d_lo):
     return half * (np.exp(1j * phi * hi) * at(d_hi) - np.exp(1j * phi * lo) * at(d_lo))
 
 
+# The theta-free mixed jump measure of JumpMixEvaluator._grid: its n_atoms
+# atoms ahead of its pieces' Gauss points in xs and w, check = w - c on the
+# first check.size atoms (c a rule's check weights), inner_moment = sum w x
+# over |x| <= 1, real for an even law; the pieces' lo, hi, masses and series
+# derivatives at hi and lo; x_hi, the heavy tail masses past it and f there.
+MixedJumps = namedtuple("MixedJumps", "xs w n_atoms check inner_moment real lo hi mass d_hi d_lo x_hi tail_mass tail_f")
+
+
 class JumpMixEvaluator:
     """Jump measure of a subordinated law: beta0 * nu plus the mixed part.
 
     Interval masses are evaluated on demand; the Levy-Khintchine jump
-    integral is evaluated on a cached theta-free grid of the mixed measure
-    (the mixed density, or the image of rho under s -> v s for a delta
-    base), or by an exact sum where the mix is discrete, entirely
-    independent of exponent composition.
+    integral is evaluated on a cached theta-free record of the mixed
+    measure, its atoms and the pieces of its density, entirely independent
+    of exponent composition.
     """
 
     def __init__(self, base: LevyTriplet, pair: SubordinatorPair):
         self.base = base
         self.pair = pair
-        self.drift_part = (
-            base.jumps.scaled(pair.drift) if pair.drift != 0.0 else ZERO_MEASURE
-        )
-        self._atoms = None
+        self.drift_part = base.jumps.scaled(pair.drift) if pair.drift != 0.0 else ZERO_MEASURE
         self._grid_cache = None
-        if pair.jumps.is_zero():
-            self._mode = "zero"
-        elif base.law is None:
-            raise UnsupportedFamily(
-                "mixing the jump measure needs a law-tagged base triplet"
-            )
-        else:
-            self._mode = base.law.mix_route
-
-    # -- interval masses ---------------------------------------------------
+        if base.law is None and not pair.jumps.is_zero():
+            raise UnsupportedFamily("mixing the jump measure needs a law-tagged base triplet")
 
     def mass(self, cells) -> list:
         """One MixResult per interval set of cells: the mixed part from one
@@ -212,56 +201,85 @@ class JumpMixEvaluator:
             out.append(MixResult(drift + mix.value, mix.abs_error_estimate, mix.truncation_point))
         return out
 
-    # -- Levy-Khintchine jump integral -------------------------------------
-
     def char_integral(self, theta: float) -> complex:
         """The jump integral at theta: the drift part's closed form plus the
-        mixed part, summed over its atoms, by a rule clock's own rule, or on
-        the grid, whose one build serves every theta.
+        mixed part on the record _grid builds once for every theta.
 
-        On the grid, the Gauss points of the pieces with |theta| * half-width
+        The atoms and the Gauss points of the pieces with |theta| * half-width
         below _OMEGA_SWITCH make one sum, its real part -2 sum w sin^2(theta x
         / 2), which does not cancel near x = 0, in numpy's pairwise order,
         which no BLAS thread count moves; the other pieces sum by parts, and
-        the compensator is -i theta inner_moment.  A heavy tail's masses past
-        x_hi are subtracted; the rest is at most the mass and, for a density
+        the compensator is -i theta inner_moment.  The checked atoms are
+        refused where the check misses by more than max(1e-8, 1e-4 |value|),
+        as integrate_rho at tol 1e-12.  A heavy tail's masses past x_hi are
+        subtracted; the rest is at most the mass and, for a density
         decreasing past x_hi, 2 sqrt 2 f(x_hi) / |theta|, refused above the
         release tolerance."""
         base_part = complex(self.drift_part.char_integral(theta, TruncationConvention.STANDARD))
-        if self._mode == "zero" or theta == 0.0:
+        if self.pair.jumps.is_zero() or theta == 0.0:
             return base_part
-        if self._mode == "atomic":
-            positions, masses = self._poisson_atoms()
-            return base_part + complex((masses * _char_weights(theta, positions)).sum())
-        if self._mode == "pushforward" and self.pair.jumps.fixed_rule() is not None:
-            return base_part + self._pushforward_integral(theta)
-        xs, w, inner_moment, real, (lo, hi, mass, d_hi, d_lo), (x_hi, tail_mass, tail_f) = self._grid()
-        n = int(np.searchsorted(0.5 * (hi - lo), _OMEGA_SWITCH / abs(theta)))
-        end = n * _GAUSS_POINTS
-        tx = theta * xs[:end]
+        g = self._grid()
+        n = int(np.searchsorted(0.5 * (g.hi - g.lo), _OMEGA_SWITCH / abs(theta)))
+        end = g.n_atoms + n * _GAUSS_POINTS
+        tx = theta * g.xs[:end]
         half_sin = np.sin(0.5 * tx)
         # on no pieces _by_parts would still cost about 13 us per theta
-        far = (_by_parts(theta, lo[n:], hi[n:], d_hi[n:], d_lo[n:]) - mass[n:]).sum() if n < lo.size else 0j
-        value = -2.0 * (w[:end] * half_sin * half_sin).sum() + far.real - tail_mass.sum()
-        if not real:
-            value += 1j * ((w[:end] * np.sin(tx)).sum() - theta * inner_moment + far.imag)
-        bound = np.minimum(tail_mass, 2.0 * math.sqrt(2.0) * tail_f / abs(theta)).sum()
+        far = (_by_parts(theta, g.lo[n:], g.hi[n:], g.d_hi[n:], g.d_lo[n:]) - g.mass[n:]).sum() if n < g.lo.size else 0j
+        value = -2.0 * (g.w[:end] * half_sin * half_sin).sum() + far.real - g.tail_mass.sum()
+        if not g.real:
+            value += 1j * ((g.w[:end] * np.sin(tx)).sum() - theta * g.inner_moment + far.imag)
+        # exp(i theta x) - 1 - i theta x 1{|x| <= 1} at the checked atoms; with
+        # none, the check would still cost about 15 us per theta
+        if k := g.check.size:
+            tk = tx[:k]
+            at_atoms = -2.0 * half_sin[:k] ** 2 + 1j * (np.sin(tk) - np.where(np.abs(g.xs[:k]) <= 1.0, tk, 0.0))
+            miss = abs((g.check * at_atoms).sum()) + 1e-15 * np.abs(g.w[:k] * at_atoms).sum()
+            if miss > max(1e-8, 1e-4 * abs(value)):
+                raise QuadratureFailure(f"mixing grid too coarse: {miss:.3e}")
+        bound = np.minimum(g.tail_mass, 2.0 * math.sqrt(2.0) * g.tail_f / abs(theta)).sum()
         if bound > _RELEASE_TOL * max(1.0, abs(value)):
-            raise QuadratureFailure(f"the tail past x = {x_hi:.3g} is bounded only by {bound:.3g} "
+            raise QuadratureFailure(f"the tail past x = {g.x_hi:.3g} is bounded only by {bound:.3g} "
                                     f"at theta = {theta:.3g}")
         return base_part + complex(value)
 
-    def _pushforward_integral(self, theta: float) -> complex:
-        # A clock with its own rule (atoms, tabulated) sums the image of its
-        # nodes under s -> speed * s by that rule, cut where the compensator
-        # jumps.
+    def _grid(self):
+        """The MixedJumps record, built on the first call and kept in
+        _grid_cache for every theta: a Poisson base's counts, a delta base's
+        image of a clock's own rule, or else the mixed density's pieces."""
+        if self._grid_cache is not None:
+            return self._grid_cache
+        law, empty = self.base.law, np.empty(0)
+        atoms, pieces = (empty, empty, empty), (empty, empty, np.empty((0, _CHEB.size)), math.inf, empty, empty)
+        if law.mix_route == "atomic":
+            atoms = self._poisson_atoms()
+        elif law.mix_route == "pushforward" and self.pair.jumps.fixed_rule() is not None:
+            atoms = self._pushforward_integral()
+        else:
+            pieces = self._pieces()
+        (x_atoms, w_atoms, check), (lo, hi, coeffs, x_hi, tail_mass, tail_f) = atoms, pieces
+        t, w_gauss, cheb_at_gauss, at_one, at_minus_one = _panel_rules()
+        half = 0.5 * (hi - lo)
+        gauss = half[:, None] * w_gauss * np.einsum("pk,gk->pg", coeffs, cheb_at_gauss)
+        xs = np.concatenate([x_atoms, (0.5 * (lo + hi)[:, None] + half[:, None] * t).ravel()])
+        w = np.concatenate([w_atoms, gauss.ravel()])
+        derivs = (np.einsum("pk,nk->pn", coeffs, at) for at in (at_one, at_minus_one))
+        self._grid_cache = MixedJumps(xs, w, x_atoms.size, check, (w * xs)[np.abs(xs) <= 1.0].sum(), law.even,
+                                      lo, hi, gauss.sum(axis=1), *derivs, x_hi, tail_mass, tail_f)
+        return self._grid_cache
+
+    def _pushforward_integral(self):
+        """(x, w, w - c) of a clock's own rule (atoms, tabulated) under a
+        delta(v) base: its nodes carried to x = v s, its cells cut where the
+        compensator jumps.  The name is kept for bench/spans.py, which times
+        the pushforward under it."""
         speed = self.base.law.drift
-        fn = lambda s: _char_weights(theta, speed * s)
-        return complex(integrate_rho(self.pair.jumps, fn, tol=1e-12, cuts=(_unit_crossing(speed),))[0])
+        nodes, w, c = self.pair.jumps.fixed_rule((_unit_crossing(speed),))
+        return speed * nodes, w, w - c
 
     def _poisson_atoms(self):
-        if self._atoms is not None:
-            return self._atoms
+        """(x, w, check) of a Poisson base: the positions k h of its counts k
+        >= 1, their probabilities integrated against rho, and no check: the
+        atoms check against themselves."""
         law, rho = self.base.law, self.pair.jumps
         mean_cap = law.rate * rho.tail_cutoff(1e-16)
         need = mean_cap + 12.0 * math.sqrt(mean_cap) + 30.0
@@ -273,36 +291,29 @@ class JumpMixEvaluator:
             integrate_rho(rho, lambda s: law.pmf(s, block), tol=1e-14, linear_bound=law.rate)[0]
             for block in np.split(ks, np.arange(_COUNT_BLOCK, ks.size, _COUNT_BLOCK))
         ]
-        self._atoms = (law.jump_size * ks, np.concatenate(masses))
-        return self._atoms
+        return law.jump_size * ks, np.concatenate(masses), np.empty(0)
 
-    def _grid(self):
-        """(xs, w, inner_moment, real, pieces, tail), built on the first call
-        and kept in _grid_cache: one build serves every theta.
+    def _pieces(self):
+        """(lo, hi, coeffs, x_hi, tail_mass, tail_f): the pieces of the mixed
+        density, in order of half-width, with their series, and the tail.
 
         The mixed density (rho(x / |v|) / |v| for a delta(v) base; x > 0 only,
-        counted twice, for an even law, which sets real) is carried by pieces:
-        the unchecked ones of 0 < |x| <= 1 and the checked panels of 1 < |x|
-        <= x_hi (_on_checked_panels), so that the compensator's jump at |x| =
-        1 falls on an edge.  Other bases sum density(s, x) over the s-rule
-        that one integrate_rho call certifies for the mixed tail masses per
-        side at _MASS_EDGES points of [_X_FLOOR, 1] and at each candidate
-        x_hi = 2, 3, 4.5, ... up to 1e6, or 1e12 for a heavy tail; _light_cut
-        reads x_hi off those masses (for a delta base, rho.mass_above).  An
-        atom clock's panels are also cut at each atom's mean and mean +- 8 sd
-        of mu^s.  xs and w are each piece's Gauss points and series times
-        Gauss weights, in order of half-width, inner_moment sum w x over |x|
-        <= 1; pieces are (lo, hi, mass, d_hi, d_lo), the last two each
-        series' derivatives at its ends; tail is x_hi, the heavy tail masses
-        past it and the density there, per side."""
-        if self._grid_cache is not None:
-            return self._grid_cache
+        counted twice, for an even law) is carried by the unchecked pieces of
+        0 < |x| <= 1 and the checked panels of 1 < |x| <= x_hi
+        (_on_checked_panels), so that the compensator's jump at |x| = 1 falls
+        on an edge.  Other bases sum density(s, x) over the s-rule that one
+        integrate_rho call certifies for the mixed tail masses per side at
+        _MASS_EDGES points of [_X_FLOOR, 1] and at each candidate x_hi = 2,
+        3, 4.5, ... up to 1e6, or 1e12 for a heavy tail; _light_cut reads
+        x_hi off those masses (for a delta base, rho.mass_above).  An atom
+        clock's panels are also cut at each atom's mean and mean +- 8 sd of
+        mu^s.  Pieces whose series is 0 are left out."""
         law, rho = self.base.law, self.pair.jumps
         cuts, weight = np.empty(0), 2.0 if law.even else 1.0
         candidates = [2.0]
         while candidates[-1] * 1.5 <= (_X_HI_HEAVY if law.heavy_tail else _X_HI_MAX):
             candidates.append(candidates[-1] * 1.5)
-        if self._mode == "pushforward":
+        if law.mix_route == "pushforward":
             v = law.drift
             kernel = lambda x: rho.density(x / v) / abs(v)
             sides = (math.copysign(1.0, v),)
@@ -334,21 +345,10 @@ class JumpMixEvaluator:
             bounds = np.sort(side * bounds[(bounds >= 1.0) & (bounds <= x_hi)])
             pieces.append(_on_checked_panels(f, bounds[np.diff(bounds, prepend=-np.inf) > 0]))
         lo, hi, coeffs = (np.concatenate(part) for part in zip(*pieces))
-        # a piece whose series is 0 adds nothing
         keep = np.flatnonzero(coeffs.any(axis=1))
         keep = keep[np.argsort((hi - lo)[keep], kind="stable")]
-        lo, hi, coeffs = lo[keep], hi[keep], coeffs[keep]
-        t, w_gauss, cheb_at_gauss, at_one, at_minus_one = _panel_rules()
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs = mid[:, None] + half[:, None] * t
-        gauss = half[:, None] * w_gauss * np.einsum("pk,gk->pg", coeffs, cheb_at_gauss)
-        derivs = (np.einsum("pk,nk->pn", coeffs, at) for at in (at_one, at_minus_one))
         tail_mass = weight * np.array(masses) if law.heavy_tail else np.zeros(len(sides))
-        self._grid_cache = (
-            xs.ravel(), gauss.ravel(), (gauss * xs)[np.maximum(np.abs(lo), np.abs(hi)) <= 1.0].sum(), law.even,
-            (lo, hi, gauss.sum(axis=1), *derivs), (x_hi, tail_mass, f(x_hi * np.array(sides))),
-        )
-        return self._grid_cache
+        return lo[keep], hi[keep], coeffs[keep], x_hi, tail_mass, f(x_hi * np.array(sides))
 
 
 @dataclass(frozen=True)

@@ -514,7 +514,7 @@ def test_delta_base_masses_need_no_tail_cut(tmp_path, capsys):
         report = json.loads((tmp_path / "x.json").read_text())
         assert [(row["lo"], row["hi"]) for row in report[key][:4]] == [(-8, -4), (-4, -2), (-2, -1), (-1, -0.5)]
         assert [row["mass"] for row in report[key]] == pytest.approx(want, rel=1e-14, abs=0.0)
-    assert report["gamma_bar"] == pytest.approx(-1.0526315789473684, rel=1e-14)
+    assert report["gamma_bar"] == pytest.approx(-1.0526315789473684, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("levy", [
@@ -560,7 +560,7 @@ def test_cf_at_huge_theta_stays_finite(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
     rows = [[float(v) for v in line.split(",")] for line in out.read_text().split()[1:]]
     for theta, re_part, im_part in rows:
-        assert re_part == pytest.approx(-math.log(0.5 * theta * theta), rel=1e-14)
+        assert re_part == pytest.approx(-math.log(0.5 * theta * theta), rel=1e-14, abs=0.0)
         assert im_part == 0.0
 
 
@@ -584,7 +584,7 @@ def test_clock_exponent_of_a_base_exponent_near_the_float_limit_is_finite(tmp_pa
     rows = [[float(v) for v in line.split(",")] for line in out.read_text().split()[1:]]
     assert [row[0] for row in rows] == [-10.0, -5.0, 0.0, 5.0, 10.0]
     for theta, re_part, im_part in rows:
-        assert re_part == (0.0 if theta == 0.0 else pytest.approx(want, rel=1e-14))
+        assert re_part == (0.0 if theta == 0.0 else pytest.approx(want, rel=1e-14, abs=0.0))
         assert abs(im_part) <= 1e-290
 
 

@@ -61,17 +61,17 @@ def test_gamma_measure_functionals():
     g = GammaMeasure(2.0, 3.0)
     assert g.total_mass() == INF
     assert g.interval_mass(0.5, 2.0) == pytest.approx(GAMMA_MEASURE_MASS_05_2, abs=1e-14)
-    assert g.truncated_moment(1, 1.0) == pytest.approx(GAMMA_MEASURE_TM1, rel=1e-14)
-    assert g.truncated_moment(2, 1.0) == pytest.approx(GAMMA_MEASURE_TM2, rel=1e-14)
-    assert g.one_wedge(1) == pytest.approx(GAMMA_MEASURE_ONE_WEDGE1, rel=1e-14)
-    assert g.mass_above(1.0) == pytest.approx(GAMMA_MEASURE_MASS_ABOVE1, rel=1e-13)
+    assert g.truncated_moment(1, 1.0) == pytest.approx(GAMMA_MEASURE_TM1, rel=1e-14, abs=0.0)
+    assert g.truncated_moment(2, 1.0) == pytest.approx(GAMMA_MEASURE_TM2, rel=1e-14, abs=0.0)
+    assert g.one_wedge(1) == pytest.approx(GAMMA_MEASURE_ONE_WEDGE1, rel=1e-14, abs=0.0)
+    assert g.mass_above(1.0) == pytest.approx(GAMMA_MEASURE_MASS_ABOVE1, rel=1e-13, abs=0.0)
 
 
 def test_one_sided_stable_functionals():
     s = OneSidedStableMeasure(0.5, 0.7)
-    assert s.interval_mass(1.0, 4.0) == pytest.approx(OSS_MASS_1_4, rel=1e-15)
-    assert s.truncated_moment(1, 1.0) == pytest.approx(OSS_TM1, rel=1e-15)
-    assert s.one_wedge(2) == pytest.approx(OSS_ONE_WEDGE2, rel=1e-15)
+    assert s.interval_mass(1.0, 4.0) == pytest.approx(OSS_MASS_1_4, rel=1e-15, abs=0.0)
+    assert s.truncated_moment(1, 1.0) == pytest.approx(OSS_TM1, rel=1e-15, abs=0.0)
+    assert s.one_wedge(2) == pytest.approx(OSS_ONE_WEDGE2, rel=1e-15, abs=0.0)
     assert s.one_wedge(1) < INF
     heavy = OneSidedStableMeasure(1.5, 0.7)
     assert heavy.one_wedge(1) == INF
@@ -110,9 +110,9 @@ def test_symmetric_stable_measure_mirrors_the_one_sided_density():
 
 def test_compound_exponential_functionals():
     c = CompoundExponentialMeasure(1.2, 2.5)
-    assert c.total_mass() == pytest.approx(1.2, rel=1e-15)
-    assert c.interval_mass(0.3, 1.1) == pytest.approx(CEXP_MASS_03_11, rel=1e-14)
-    assert c.truncated_moment(1, 1.0) == pytest.approx(CEXP_TM1, rel=1e-14)
+    assert c.total_mass() == pytest.approx(1.2, rel=1e-15, abs=0.0)
+    assert c.interval_mass(0.3, 1.1) == pytest.approx(CEXP_MASS_03_11, rel=1e-14, abs=0.0)
+    assert c.truncated_moment(1, 1.0) == pytest.approx(CEXP_TM1, rel=1e-14, abs=0.0)
 
 
 def test_atomic_measure_exact():
@@ -131,8 +131,8 @@ def test_tabulated_measure_matches_gamma():
     t = TabulatedMeasure(tuple(xs), tuple(g.density(xs)))
     # the interpolant of the gamma density on the grid, integrated exactly
     # by the measure's cell rule: interpolation error ~ 2e-5 relative
-    assert t.interval_mass(0.5, 2.0) == pytest.approx(GAMMA_MEASURE_MASS_05_2, rel=1e-4)
-    assert t.truncated_moment(1, 1.0) == pytest.approx(GAMMA_MEASURE_TM1, rel=1e-4)
+    assert t.interval_mass(0.5, 2.0) == pytest.approx(GAMMA_MEASURE_MASS_05_2, rel=1e-4, abs=0.0)
+    assert t.truncated_moment(1, 1.0) == pytest.approx(GAMMA_MEASURE_TM1, rel=1e-4, abs=0.0)
 
 
 # e^{-x} at 61 points on [0.5, 2], and its mirror image on [-2, -0.5]

@@ -102,7 +102,7 @@ def test_interval_set_sorts_any_disjoint_input(edges):
 
 def test_gamma_law_cdf_frozen():
     law = lm.gamma_law(2.0, 3.0).law
-    assert law.cdf(0.7, 1.3) == pytest.approx(CONVP_GAMMA23_CDF, rel=1e-14)
+    assert law.cdf(0.7, 1.3) == pytest.approx(CONVP_GAMMA23_CDF, rel=1e-14, abs=0.0)
     assert law.cdf(0.7, 0.0) == 0.0
     assert law.cdf(0.7, np.inf) == 1.0
 
@@ -156,7 +156,7 @@ def test_poisson_interval_mass_broadcasts_over_s_and_cells(jump_size):
     cdf = _poisson_count_cdf(counts[:, None], np.array([0.5, 3.0]))
     assert cdf.shape == (6, 2)
     assert (cdf[:3] == 0.0).all() and (cdf[-1] == 1.0).all()
-    assert cdf[4, 1] == pytest.approx(float(stats.poisson.cdf(2, 3.0)), rel=1e-14)
+    assert cdf[4, 1] == pytest.approx(float(stats.poisson.cdf(2, 3.0)), rel=1e-14, abs=0.0)
 
 
 def test_conv_power_delta_indicator():
@@ -259,7 +259,7 @@ def test_cauchy_small_s_ratio_closed_form():
     density = lambda x: c / (math.pi * (x * x + c * c))
     inside, _ = integrate.quad(lambda x: x * x * density(x), 0.0, 1.0, epsabs=1e-15, epsrel=1e-14)
     tail, _ = integrate.quad(density, 1.0, np.inf, epsabs=1e-15, epsrel=1e-14)
-    assert small_s_ratio(lm.cauchy_law(0.7), s) == pytest.approx(2.0 * (inside + tail) / s, rel=1e-12)
+    assert small_s_ratio(lm.cauchy_law(0.7), s) == pytest.approx(2.0 * (inside + tail) / s, rel=1e-12, abs=0.0)
 
 
 def test_lemma_constant_frozen():
@@ -289,9 +289,9 @@ def test_integrate_rho_closed_forms():
     # infinite-mass rho needs the caller's bound |fn(s)| <= bound * s near 0
     rho = GammaMeasure(2.0, 3.0)
     v1, e1, _ = integrate_rho(rho, lambda s: s, linear_bound=1.0)
-    assert v1 == pytest.approx(2.0 / 3.0, rel=1e-10)
+    assert v1 == pytest.approx(2.0 / 3.0, rel=1e-10, abs=0.0)
     v2, e2, _ = integrate_rho(rho, lambda s: s * s, linear_bound=1.0)
-    assert v2 == pytest.approx(2.0 / 9.0, rel=1e-8)
+    assert v2 == pytest.approx(2.0 / 9.0, rel=1e-8, abs=0.0)
     assert e1 >= 0 and e2 >= 0
     with pytest.raises(DomainError):
         integrate_rho(rho, lambda s: s)
@@ -382,7 +382,7 @@ def test_phi_mix_mass_standard_normal_gamma_rho():
 def test_phi_mix_mass_atomic_rho_frozen():
     rho = AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))
     r = phi_mix_mass(lm.gamma_law(2.0, 3.0), rho, [IntervalSet.of(0.2, 0.9)])[0]
-    assert r.value == pytest.approx(ATOM_MIX_MASS, rel=1e-13)
+    assert r.value == pytest.approx(ATOM_MIX_MASS, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("rho", [GammaMeasure(1.0, 1.0), AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))],
@@ -395,7 +395,7 @@ def test_an_empty_interval_set_has_mass_zero(rho):
     block = phi_mix_mass(mu, rho, cells)
     assert (block[1].value, block[1].abs_error_estimate) == (0.0, 0.0)
     for got, sets in zip(block[::2], cells[::2]):
-        assert got.value == pytest.approx(phi_mix_mass(mu, rho, [sets])[0].value, rel=1e-12)
+        assert got.value == pytest.approx(phi_mix_mass(mu, rho, [sets])[0].value, rel=1e-12, abs=0.0)
     assert block[0].value > 3.0 * block[2].value
     assert [r.value for r in phi_mix_mass(mu, rho, [empty])] == [0.0]
 
@@ -554,7 +554,7 @@ def test_phi_mix_density_gamma_integrates_to_mix_mass():
 def test_stable_mix_atoms_frozen():
     ev = phi_mix_stable(lm.cauchy_law(1.0), 1.0, AtomicMeasure(((0.5, 0.9), (2.0, 0.3))))
     r = ev.mass([IntervalSet.of(0.3, 1.4)])[0]
-    assert r.value == pytest.approx(STABLE_MIX_CAUCHY_ATOMS, rel=1e-12)
+    assert r.value == pytest.approx(STABLE_MIX_CAUCHY_ATOMS, rel=1e-12, abs=0.0)
 
 
 def test_stable_mix_agrees_with_generic_path():

@@ -297,8 +297,8 @@ def test_gamma_base_under_an_atom_clock_cuts_at_its_components():
     base = lm.gamma_law(2.0, 3.0)
     s = np.array([0.01, 0.5, 2.0])
     mean, sd = base.law.mean_sd(s)
-    assert mean == pytest.approx(stats.gamma.mean(2.0 * s, scale=1.0 / 3.0), rel=1e-15)
-    assert sd == pytest.approx(stats.gamma.std(2.0 * s, scale=1.0 / 3.0), rel=1e-15)
+    assert mean == pytest.approx(stats.gamma.mean(2.0 * s, scale=1.0 / 3.0), rel=1e-15, abs=0.0)
+    assert sd == pytest.approx(stats.gamma.std(2.0 * s, scale=1.0 / 3.0), rel=1e-15, abs=0.0)
     pair = SubordinatorPair(0.0, AtomicMeasure(((0.01, 1.0), (0.5, 0.7), (2.0, 0.4))))
     st = subordinate_triplet(base, pair)
     for th in np.linspace(-10.0, 10.0, 21):
@@ -319,6 +319,17 @@ def test_triplet_route_holds_near_theta_zero(base, pair, theta, tol):
     want = compose_cf(base, pair, theta)
     gap = abs(cf_from_triplet(subordinate_triplet(base, pair), theta) - want)
     assert gap <= tol * (1.0 if theta == 1e-6 else abs(want)), f"{gap:.3e} against {abs(want):.3e}"
+
+
+def test_heavy_tail_past_the_cut_is_refused_where_its_bound_exceeds_the_release_tolerance():
+    # the 1/2-stable clock leaves mass past the cut that 2 sqrt 2 f(x_hi) /
+    # |theta| bounds only well away from theta = 0
+    base, pair = lm.cauchy_law(1.0), SubordinatorPair(0.0, OneSidedStableMeasure(0.5, 1.0))
+    st = subordinate_triplet(base, pair)
+    with pytest.raises(QuadratureFailure, match=r"the tail past x = 8.38e\+11 is bounded only by 3.09e-06"):
+        cf_from_triplet(st, 1e-12)
+    want = compose_cf(base, pair, 0.5)
+    assert abs(cf_from_triplet(st, 0.5) - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_atom_clock_with_narrow_components_keeps_the_two_routes_together():
@@ -363,8 +374,9 @@ for base, pair in models:
 
 
 def test_bench_tracer_still_fits_the_triplet_route():
-    # bench/spans.py wraps JumpMixEvaluator._grid, reads _grid_cache and
-    # counts char_integral calls: a rename here would stop its metrics
+    # bench/spans.py wraps JumpMixEvaluator._grid and _pushforward_integral,
+    # reads _grid_cache and counts char_integral calls: a rename here would
+    # stop its metrics
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -375,15 +387,19 @@ def test_bench_tracer_still_fits_the_triplet_route():
     tracer.install()
     try:
         tracer.begin_round()
-        st = subordinate.subordinate_triplet(lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0)))
-        for th in (0.5, -3.0, 7.0):
-            subordinate.cf_from_triplet(st, th)
+        for base, pair in ((lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))),
+                           (lm.delta_law(1.5), SubordinatorPair(0.0, DELTA_CLOCKS["tabulated"]))):
+            st = subordinate.subordinate_triplet(base, pair)
+            for th in (0.5, -3.0, 7.0):
+                subordinate.cf_from_triplet(st, th)
         tracer.end_round()
     finally:
         tracer.uninstall()
     metrics = tracer.round_metrics()[-1]
     assert metrics["subordinate.grid_build_s"] > 0
-    assert metrics["subordinate.char_integral_calls"] == 3
+    # the rule clock's atoms are built under the name the tracer wraps
+    assert metrics["subordinate.pushforward_s"] > 0
+    assert metrics["subordinate.char_integral_calls"] == 6
 
 
 @pytest.mark.parametrize("base", [lm.gaussian_law(), lm.gaussian_law(0.0, 2.5), lm.cauchy_law(0.7)],
@@ -425,15 +441,22 @@ def test_gaussian_mixed_density_matches_the_generic_blocked_sum(mean, var, rho):
     (VG_BASE, VG_PAIR),
     (lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))),
     (lm.delta_law(1.5), SubordinatorPair(0.2, GammaMeasure(2.0, 3.0))),
-], ids=["vg", "cauchy-gamma", "delta-gamma"])
+    # atoms: a rule clock's nodes carried to x = v s, and a Poisson base's counts
+    (lm.delta_law(1.5), SubordinatorPair(0.2, DELTA_CLOCKS["tabulated"])),
+    (lm.poisson_law(0.8, 1.3), SubordinatorPair(0.5, AtomicMeasure(((0.7, 0.6),)))),
+], ids=["vg", "cauchy-gamma", "delta-gamma", "delta-tabulated", "poisson-atom"])
 def test_later_thetas_reuse_the_cached_grid(monkeypatch, base, pair):
     st = subordinate_triplet(base, pair)
     cf_from_triplet(st, 10.0)
     calls = []
-    law_type = type(base.law)
+    law_type, clock_type = type(base.law), type(pair.jumps)
     real_adaptive, real_density = quadrature.integrate_adaptive, law_type.mixed_density
+    real_rho, real_rule = mixing.integrate_rho, clock_type.fixed_rule
     monkeypatch.setattr(quadrature, "integrate_adaptive", lambda *a, **k: calls.append("adaptive") or real_adaptive(*a, **k))
     monkeypatch.setattr(law_type, "mixed_density", lambda *a: calls.append("density") or real_density(*a))
+    for module in (mixing, subordinate):
+        monkeypatch.setattr(module, "integrate_rho", lambda *a, **k: calls.append("rho") or real_rho(*a, **k))
+    monkeypatch.setattr(clock_type, "fixed_rule", lambda *a: calls.append("rule") or real_rule(*a))
     # one build serves every theta, near 0 and far out as well
     for th in [*np.linspace(-10.0, 10.0, 30), 1e-6, -1e-6, 100.0]:
         cf_from_triplet(st, float(th))
@@ -444,6 +467,23 @@ def test_later_thetas_reuse_the_cached_grid(monkeypatch, base, pair):
 
 GAMMA_23 = SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))
 GAMMA_11 = SubordinatorPair(0.0, GammaMeasure(1.0, 1.0))
+
+
+@pytest.mark.parametrize("base, pair", [
+    (VG_BASE, VG_PAIR),
+    (lm.cauchy_law(1.0), GAMMA_23),
+    (lm.gaussian_law(-3.0, 1.0), GAMMA_23),
+], ids=["vg", "cauchy-gamma", "neg-mean-gauss-gamma"])
+def test_piece_masses_match_the_mass_route(base, pair):
+    # the pieces' masses over 1 < |x| <= x_hi and 1e-9 < |x| <= 1, both
+    # sides together: an even law's pieces on x > 0 carry twice the mass
+    grid = JumpMixEvaluator(base, pair)._grid()
+    assert grid.n_atoms == 0
+    outer = (grid.lo >= 1.0) | (grid.hi <= -1.0)
+    for pieces, lo, hi in ((outer, 1.0, grid.x_hi), (~outer, subordinate._X_FLOOR, 1.0)):
+        want = mixing.phi_mix_mass(base, pair.jumps, [IntervalSet(((-hi, -lo), (lo, hi)))])[0]
+        gap = abs(grid.mass[pieces].sum() - want.value)
+        assert gap <= max(1e-12 * want.value, 2.0 * want.abs_error_estimate), f"({lo:g}, {hi:g}]: {gap:.3e}"
 INTERPOLATED_DENSITY_MODELS = [
     ("cauchy-gamma", lm.cauchy_law(1.0), GAMMA_23),
     ("cauchy-stable008", lm.cauchy_law(1.0), SubordinatorPair(0.0, OneSidedStableMeasure(0.08, 1.0))),
@@ -556,7 +596,7 @@ def test_subordinate_triplet_refuses_a_degenerate_base_at_zero():
         subordinate_triplet(lm.delta_law(0.0), VG_PAIR)
     # at a nonzero point the jumps are the pushforward of the clock's
     st = subordinate_triplet(lm.delta_law(1.0), VG_PAIR)
-    assert st.gamma_bar == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
+    assert st.gamma_bar == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10, abs=0.0)
 
 
 def test_poisson_counts_inside_the_unit_interval_are_capped():
@@ -568,7 +608,7 @@ def test_poisson_counts_inside_the_unit_interval_are_capped():
     with pytest.raises(QuadratureFailure, match="over 10000"):
         lm.small_s_ratio(law, 0.5)
     # 1e4 counts are still summed
-    assert lm.poisson_law(1.0, 1e-4).law.truncated_mean(0.5) == pytest.approx(0.5e-4, rel=1e-12)
+    assert lm.poisson_law(1.0, 1e-4).law.truncated_mean(0.5) == pytest.approx(0.5e-4, rel=1e-12, abs=0.0)
 
 
 def test_empty_atomic_measure_is_the_zero_measure():
@@ -691,6 +731,18 @@ def test_delta_base_under_a_tabulated_clock_spanning_the_unit_crossing(speed):
     st = subordinate_triplet(base, pair)
     for th in (0.5, -0.5, 3.0, -3.0):
         assert abs(cf_from_triplet(st, th) - compose_cf(base, pair, th)) <= 1e-9
+
+
+def test_rule_clock_atoms_are_checked_at_every_theta():
+    # delta(40) carries the tabulated clock's nodes to x = 40 s: at theta = 30
+    # the cell rule misses its check rule, and the route refuses
+    base, pair = lm.delta_law(40.0), SubordinatorPair(0.0, DELTA_CLOCKS["tabulated"])
+    st = subordinate_triplet(base, pair)
+    for th in (0.5, 3.0):
+        want = compose_cf(base, pair, th)
+        assert abs(cf_from_triplet(st, th) - want) <= 1e-15 * max(1.0, abs(want))
+    with pytest.raises(QuadratureFailure, match="mixing grid too coarse"):
+        cf_from_triplet(st, 30.0)
 
 
 def test_pushforward_beyond_resolution_fails_fast_or_agrees():
