@@ -609,7 +609,7 @@ class TabulatedMeasure(LevyMeasure):
     def _integral(self, f, lo=-INF, hi=INF):
         """f integrated against the measure over [lo, hi] by its rule, error checked."""
         value, err = quadrature.rule_sum(f, *self._rule(lo, hi))
-        if np.any(err > np.maximum(1e-6, 1e-6 * np.abs(value))):
+        if not quadrature.within(value, err, 1e-8):
             raise QuadratureFailure(f"tabulated grid too coarse: error estimate {np.max(err):.3e}")
         return value
 

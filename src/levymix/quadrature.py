@@ -69,8 +69,7 @@ def integrate_adaptive(f, lo, hi, *, tol):
     does.  Returns (value, abs_error_estimate, edges): the first two with the
     block's trailing shape, edges the final panels' edges in increasing
     order, on which kronrod_nodes gives the rule that reached tol.  At the
-    panel cap, raises QuadratureFailure unless the error is
-    within max(100 tol, 1e-6 |value|).
+    panel cap, raises QuadratureFailure unless the error is within tol.
     """
     edges = np.linspace(lo, hi, _START_PANELS + 1)
     a, b = edges[:-1], edges[1:]
@@ -82,7 +81,7 @@ def integrate_adaptive(f, lo, hi, *, tol):
         if not split.any():
             break
         if a.size + split.sum() > _MAX_PANELS:
-            if np.any(total_err > np.maximum(100.0 * tol, 1e-6 * np.abs(value))):
+            if not within(value, total_err, tol):
                 raise QuadratureFailure(
                     f"integral on [{lo:.4g}, {hi:.4g}] reached error {total_err.max():.3e} "
                     f"> tol {tol:.3e} at {a.size} panels"
@@ -97,20 +96,25 @@ def integrate_adaptive(f, lo, hi, *, tol):
     return value.reshape(shape), total_err.reshape(shape), np.append(np.sort(a), hi)
 
 
+def within(value, err, tol):
+    """Whether a quadrature result at tolerance tol is accepted: every error
+    estimate in err at most max(100 tol, 1e-6 |value|), entry by entry."""
+    return bool(np.all(err <= np.maximum(100.0 * tol, 1e-6 * np.abs(value))))
+
+
 def rule_sum(f, nodes, weights, check_weights):
     """(value, abs_error_estimate) of a fixed rule: the sum of weights *
     f(nodes) in node order, so that an atom sum is exact to the last bit, for
     f mapping the (n,) nodes to an (n,) or (n, k) block.  The error is the
     gap to the check rule on the same nodes (the embedded Gauss rule of a
     Kronrod rule; atoms check against themselves) plus 1e-15 sum |w f|,
-    both summed in node order beside the value: each column's result is
-    the same whatever the width of its block."""
+    each summed row after row (np.add.accumulate) from a zero row, as a
+    loop over the rows would, so that an empty rule sums to 0: each
+    column's result is the same whatever the width of its block."""
     fx = np.asarray(f(nodes))
-    terms, checks = (fx.T * weights).T, (fx.T * check_weights).T
-    value = np.zeros(fx.shape[1:], dtype=terms.dtype)
-    check, size = value, np.zeros(fx.shape[1:])
-    for row, check_row in zip(terms, checks):
-        value, check, size = value + row, check + check_row, size + np.abs(row)
+    terms = (fx.T * weights).T
+    value, check, size = (np.add.accumulate(np.concatenate([np.zeros((1, *fx.shape[1:]), rows.dtype), rows]))[-1]
+                          for rows in (terms, (fx.T * check_weights).T, np.abs(terms)))
     return value, np.abs(value - check) + 1e-15 * size
 
 

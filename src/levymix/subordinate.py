@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .core import (
     AtomicMeasure,
     LevyTriplet,
@@ -210,8 +211,8 @@ class JumpMixEvaluator:
         / 2), which does not cancel near x = 0, in numpy's pairwise order,
         which no BLAS thread count moves; the other pieces sum by parts, and
         the compensator is -i theta inner_moment.  The checked atoms are
-        refused where the check misses by more than max(1e-8, 1e-4 |value|),
-        as integrate_rho at tol 1e-12.  A heavy tail's masses past x_hi are
+        refused where the check's miss is not quadrature.within tol 1e-12,
+        as in integrate_rho.  A heavy tail's masses past x_hi are
         subtracted; the rest is at most the mass and, for a density
         decreasing past x_hi, 2 sqrt 2 f(x_hi) / |theta|, refused above the
         release tolerance."""
@@ -234,7 +235,7 @@ class JumpMixEvaluator:
             tk = tx[:k]
             at_atoms = -2.0 * half_sin[:k] ** 2 + 1j * (np.sin(tk) - np.where(np.abs(g.xs[:k]) <= 1.0, tk, 0.0))
             miss = abs((g.check * at_atoms).sum()) + 1e-15 * np.abs(g.w[:k] * at_atoms).sum()
-            if miss > max(1e-8, 1e-4 * abs(value)):
+            if not quadrature.within(value, miss, 1e-12):
                 raise QuadratureFailure(f"mixing grid too coarse: {miss:.3e}")
         bound = np.minimum(g.tail_mass, 2.0 * math.sqrt(2.0) * g.tail_f / abs(theta)).sum()
         if bound > _RELEASE_TOL * max(1.0, abs(value)):
@@ -252,8 +253,8 @@ class JumpMixEvaluator:
         atoms, pieces = (empty, empty, empty), (empty, empty, np.empty((0, _CHEB.size)), math.inf, empty, empty)
         if law.mix_route == "atomic":
             atoms = self._poisson_atoms()
-        elif law.mix_route == "pushforward" and self.pair.jumps.fixed_rule() is not None:
-            atoms = self._pushforward_integral()
+        elif law.mix_route == "pushforward" and (rule := self._pushforward_integral()) is not None:
+            atoms = rule
         else:
             pieces = self._pieces()
         (x_atoms, w_atoms, check), (lo, hi, coeffs, x_hi, tail_mass, tail_f) = atoms, pieces
@@ -269,12 +270,13 @@ class JumpMixEvaluator:
 
     def _pushforward_integral(self):
         """(x, w, w - c) of a clock's own rule (atoms, tabulated) under a
-        delta(v) base: its nodes carried to x = v s, its cells cut where the
-        compensator jumps.  The name is kept for bench/spans.py, which times
-        the pushforward under it."""
+        delta(v) base, from the one fixed_rule call of a build: its nodes
+        carried to x = v s, its cells cut where the compensator jumps; None
+        for a clock without a rule.  The name is kept for bench/spans.py,
+        which times the pushforward under it."""
         speed = self.base.law.drift
-        nodes, w, c = self.pair.jumps.fixed_rule((_unit_crossing(speed),))
-        return speed * nodes, w, w - c
+        rule = self.pair.jumps.fixed_rule((_unit_crossing(speed),))
+        return None if rule is None else (speed * rule[0], rule[1], rule[1] - rule[2])
 
     def _poisson_atoms(self):
         """(x, w, check) of a Poisson base: the positions k h of its counts k
@@ -386,10 +388,7 @@ def _mixing_drift_term(base: LevyTriplet, pair: SubordinatorPair) -> float:
         return v * pair.jumps.truncated_moment(1, _unit_crossing(v))
     fn = base.law.truncated_mean
     bound = 1.0 + 2.0 * (abs(base.drift) + lemma_constant(base))
-    value, err, _ = integrate_rho(pair.jumps, fn, tol=1e-12, linear_bound=bound)
-    if err > 1e-6 * max(1.0, abs(value)):
-        raise QuadratureFailure(f"drift mixing integral error estimate {err:.3e}")
-    return value
+    return integrate_rho(pair.jumps, fn, tol=1e-12, linear_bound=bound)[0]
 
 
 def subordinate_triplet(base: LevyTriplet, pair: SubordinatorPair) -> SubordinatedTriplet:

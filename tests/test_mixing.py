@@ -351,6 +351,59 @@ def test_adaptive_quadrature_past_its_panel_cap_slack_raises():
         quadrature.integrate_adaptive(f, 0.0, 100.0, tol=1e-12)
 
 
+def test_within_accepts_up_to_max_of_100_tol_and_1e_6_of_the_value():
+    assert quadrature.within(1.0, 1e-6, 1e-12) and not quadrature.within(1.0, 1.01e-6, 1e-12)
+    assert quadrature.within(0.0, 1e-10, 1e-12) and not quadrature.within(0.0, 1.01e-10, 1e-12)
+    # every entry of a block, complex values by modulus; a NaN estimate is not within
+    assert quadrature.within(np.array([3j, 0.0]), np.array([3e-6, 1e-10]), 1e-12)
+    assert not quadrature.within(np.array([3j, 0.0]), np.array([3e-6, 2e-10]), 1e-12)
+    assert not quadrature.within(1.0, math.nan, 1e-12)
+
+
+@pytest.mark.parametrize("step, raises", [(math.sqrt(2) / 2, True), (math.sqrt(2) / 1.2, False)],
+                         ids=["past-the-slack", "within-the-slack"])
+def test_integrate_rho_at_the_panel_cap(step, raises):
+    # the square wave as a function of s under a finite clock: its jumps lie
+    # inside the density's range, so the adaptive rule stops at the panel
+    # cap, with an error above the normal exit's max(tol, 1e-9 |value|)
+    f, _ = _square_wave(step)
+    rho = CompoundExponentialMeasure(1.0, 0.05)
+    if raises:
+        with pytest.raises(QuadratureFailure, match=r"reached error .* at \d+ panels$"):
+            integrate_rho(rho, f, tol=1e-12)
+        return
+    value, err, _ = integrate_rho(rho, f, tol=1e-12)
+    assert max(1e-12, 1e-9 * value) < err and quadrature.within(value, err, 1e-12)
+    assert value == pytest.approx(1.47976, rel=1e-5, abs=0.0)
+
+
+def _rows_in_order(fx, weights):
+    """sum weights * fx in node order, one row at a time from zero."""
+    total = np.zeros(fx.shape[1:], dtype=(fx.T * weights).dtype)
+    for row in (fx.T * weights).T:
+        total = total + row
+    return total
+
+
+@pytest.mark.parametrize("shape, dtype", [((915,), float), ((915, 8), float), ((1500, 3), float),
+                                          ((15000, 2), float), ((915, 4), complex), ((0,), float),
+                                          ((0, 3), complex)],
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v.__name__)
+def test_rule_sum_adds_rows_in_node_order(shape, dtype):
+    rng = np.random.default_rng(7)
+    fx = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    if dtype is complex:
+        fx = fx + 1j * rng.standard_normal(shape)
+    weights, checks = rng.random(shape[0]), rng.random(shape[0])
+    value, err = quadrature.rule_sum(lambda _: fx, np.arange(shape[0]), weights, checks)
+    want = _rows_in_order(fx, weights)
+    size = _rows_in_order(np.abs((fx.T * weights).T), np.ones(shape[0]))
+    want_err = np.abs(want - _rows_in_order(fx, checks)) + 1e-15 * size
+    assert value.shape == err.shape == shape[1:]
+    assert value.dtype == want.dtype and err.dtype == np.float64
+    assert value.tobytes() == np.asarray(want).tobytes() and err.tobytes() == np.asarray(want_err).tobytes()
+
+
 @pytest.mark.parametrize("rho", [GammaMeasure(2.0, 3.0), CompoundExponentialMeasure(1.2, 2.5),
                                  AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))], ids=["gamma", "finite_parametric", "finite_atomic"])
 def test_integrate_rho_block_equals_separate_calls(rho):
@@ -466,6 +519,17 @@ def test_phi_mix_mass_refuses_an_untagged_base():
     for rho in (GammaMeasure(1.0, 1.0), AtomicMeasure(((1.0, 0.5),))):
         with pytest.raises(UnsupportedFamily, match="law-tagged"):
             phi_mix_mass(plain, rho, [IntervalSet.of(1.0, 2.0)])
+
+
+def test_a_mass_past_the_acceptance_rule_is_refused():
+    # N(1, 0.01) under a 4-point tabulated clock: the cell rule's check
+    # misses by 3.4e-7, past max(100 tol, 1e-6 |value|) at tol 1e-10; the
+    # 61-point grid meets it and keeps its bits
+    mu, cells = lm.gaussian_law(1.0, 0.01), [IntervalSet.of(0.9, 1.1)]
+    coarse = TabulatedMeasure(tuple(np.linspace(0.5, 2.0, 4)), tuple(np.exp(-np.linspace(0.5, 2.0, 4))))
+    with pytest.raises(QuadratureFailure, match="mixing grid too coarse"):
+        phi_mix_mass(mu, coarse, cells)
+    assert phi_mix_mass(mu, TABULATED_CLOCK, cells)[0].value == 0.07333723149123102
 
 
 # --- one block per mass table --------------------------------------------------

@@ -465,6 +465,26 @@ def test_later_thetas_reuse_the_cached_grid(monkeypatch, base, pair):
     assert abs(cf_from_triplet(st, 100.0) - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def test_a_delta_base_build_asks_the_clock_for_its_rule_once(monkeypatch):
+    clock_type, calls = TabulatedMeasure, []
+    real_rule = clock_type.fixed_rule
+    monkeypatch.setattr(clock_type, "fixed_rule", lambda *a: calls.append(a[1:]) or real_rule(*a))
+    grid = JumpMixEvaluator(lm.delta_law(1.5), SubordinatorPair(0.2, DELTA_CLOCKS["tabulated"]))._grid()
+    assert calls == [((subordinate._unit_crossing(1.5),),)]
+    assert grid.n_atoms == grid.xs.size > 0
+
+
+def test_a_drift_term_past_the_acceptance_rule_is_refused():
+    # N(1, 0.01) under a 4-point tabulated clock: the truncated mean's cell
+    # rule misses its check by 4.5e-7, past max(1e-10, 1e-6 |value|) at tol
+    # 1e-12; the 61-point grid meets it
+    base = lm.gaussian_law(1.0, 0.01)
+    xs = np.linspace(0.5, 2.0, 4)
+    with pytest.raises(QuadratureFailure, match="mixing grid too coarse"):
+        subordinate_triplet(base, SubordinatorPair(0.0, TabulatedMeasure(tuple(xs), tuple(np.exp(-xs)))))
+    assert subordinate_triplet(base, SubordinatorPair(0.0, DELTA_CLOCKS["tabulated"])).gamma_bar == 0.17220677585415944
+
+
 GAMMA_23 = SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))
 GAMMA_11 = SubordinatorPair(0.0, GammaMeasure(1.0, 1.0))
 
