@@ -82,9 +82,14 @@ def _to_json(obj, indent=0) -> str:
     raise SpecError(f"cannot serialize {type(obj).__name__}")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _temp_beside(path: str) -> tuple:
+    """(fd, name) of a new temporary file in path's directory."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".levymix-")
+    return tempfile.mkstemp(dir=directory, prefix=".levymix-")
+
+
+def _atomic_write(path: str, text: str) -> None:
+    fd, tmp = _temp_beside(path)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -190,7 +195,7 @@ def _digit_text(x: np.ndarray, d: np.ndarray) -> tuple:
     return digits.view(np.uint8), (nsig > whole) * np.uint8(ord("."))
 
 
-def _block_text(v: np.ndarray, seps: np.ndarray) -> str:
+def _block_bytes(v: np.ndarray, seps: np.ndarray) -> bytes:
     """f"{x:.17g}" of each finite value, each followed by its separator:
     one byte row per value, its sign in column 0, its text from column 1
     and its separator last."""
@@ -234,21 +239,93 @@ def _block_text(v: np.ndarray, seps: np.ndarray) -> str:
     out = np.take(out, unsort, axis=0)
     out[:, 0] |= (np.signbit(v) & ~fallback) * np.uint8(ord("-"))
     out[:, -1] = seps
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return out.tobytes().translate(None, b"\0")
 
 
-def _csv(header: str, *columns) -> str:
-    """The columns side by side, formatted a block of rows at a time: the
-    bytes _fmt gives each value."""
-    table = np.column_stack(columns).astype(float, copy=False)
-    finite = np.isfinite(table)
-    if not finite.all():
-        _fmt(float(table[~finite][0]))  # raises, naming the first in row order
-    seps = np.full(table.shape[1], ord(","), np.uint8)
+def _csv(write, header: str, *columns) -> None:
+    """The columns side by side, formatted a block of rows at a time: write
+    gets the header line, then each block's bytes, the bytes _fmt gives each
+    value. Every value is checked before the first write."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    first = min((np.argmin(np.isfinite(c)) for c in columns if not np.isfinite(c).all()), default=None)
+    if first is not None:  # raises, naming the first in row order
+        _fmt(float(next(c[first] for c in columns if not math.isfinite(c[first]))))
+    n = len(columns[0])
+    seps = np.full(len(columns), ord(","), np.uint8)
     seps[-1] = ord("\n")
-    seps = np.tile(seps, min(len(table), _BLOCK_ROWS))
-    blocks = (table[r:r + _BLOCK_ROWS].ravel() for r in range(0, len(table), _BLOCK_ROWS))
-    return "".join([header + "\n", *(_block_text(v, seps[:v.size]) for v in blocks)])
+    seps = np.tile(seps, min(n, _BLOCK_ROWS))
+    write(f"{header}\n".encode("ascii"))
+    for r in range(0, n, _BLOCK_ROWS):
+        v = np.column_stack([c[r:r + _BLOCK_ROWS] for c in columns]).ravel()
+        write(_block_bytes(v, seps[:v.size]))
+
+
+class _RowFiles:
+    """A write target for _csv that splits its table into files: the rows
+    before cuts[0] go to names[0], those before cuts[1] to names[1], and so
+    on, the rest to the last name, each file under the header line, _csv's
+    first write. Each file is written to a temporary beside its name,
+    created when its first row comes, so a table that _csv refuses creates
+    none, and moved into place once its last row is written."""
+
+    def __init__(self, names, cuts):
+        self.names, self.cuts = names, cuts
+        self.header = None
+        self.k = -1  # the file being written, or the last one moved into place
+        self.fh = self.tmp = None
+        self.rows = 0  # rows before the next chunk, while a cut is ahead
+
+    def write(self, chunk: bytes) -> None:
+        if self.header is None:
+            self.header = chunk
+            return
+        view, start, ends = memoryview(chunk), 0, None
+        while start < len(chunk):
+            if self.fh is None:
+                self.k += 1
+                fd, self.tmp = _temp_beside(self.names[self.k])
+                self.fh = os.fdopen(fd, "wb")
+                self.fh.write(self.header)
+            if self.k == len(self.cuts):  # the last file takes the rest
+                self.fh.write(view[start:])
+                return
+            if ends is None:  # the offset past each of the chunk's rows
+                ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + 1
+                first, self.rows = self.rows, self.rows + ends.size
+            last = self.cuts[self.k] - first  # the chunk's rows up to file k's end
+            if last > ends.size:
+                self.fh.write(view[start:])
+                return
+            self.fh.write(view[start:ends[last - 1]])
+            self.finish()
+            start = ends[last - 1]
+
+    def finish(self) -> None:
+        """Moves the file being written into place."""
+        self.fh.close()
+        self.fh = None
+        os.replace(self.tmp, self.names[self.k])
+        self.tmp = None
+
+    def discard(self) -> None:
+        """Removes the file being written."""
+        if self.fh is not None:
+            self.fh.close()
+        if self.tmp is not None and os.path.exists(self.tmp):
+            os.unlink(self.tmp)
+
+
+def _write_csv(names, header: str, *columns, cuts=()) -> None:
+    """The table of _csv streamed into the files names, split at the rows
+    cuts as _RowFiles splits it; on an error the file being written is
+    removed."""
+    files = _RowFiles(names, cuts)
+    try:
+        _csv(files.write, header, *columns)
+        files.finish()
+    except BaseException:
+        files.discard()
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -475,20 +552,14 @@ def _mass_table(spec: ModelSpec, mass) -> list:
 def _write_paths(out: str, samples) -> None:
     """A single path goes to out, path k of several to <stem>.p<k><ext>.
     The paths are formatted as one table, so a non-finite value in any of
-    them is refused before the first file is written."""
+    them is refused before the first file is created."""
     paths = samples if isinstance(samples, list) else [samples]
-    times = np.concatenate([p.grid.times() for p in paths])
-    text = _csv("t,value", times, np.concatenate([p.values for p in paths]))
-    if len(paths) == 1:
-        _atomic_write(out, text)
-        return
-    header, body = text.split("\n", 1)
-    # path k's rows end at the newline closing its last row
-    row_ends = np.flatnonzero(np.frombuffer(body.encode("ascii"), np.uint8) == ord("\n")) + 1
-    cuts = [0, *row_ends[np.cumsum([len(p.values) for p in paths]) - 1].tolist()]
     stem, ext = os.path.splitext(out)
-    for k, (start, end) in enumerate(zip(cuts, cuts[1:])):
-        _atomic_write(f"{stem}.p{k}{ext}", f"{header}\n{body[start:end]}")
+    names = [out] if len(paths) == 1 else [f"{stem}.p{k}{ext}" for k in range(len(paths))]
+    cuts = np.cumsum([len(p.values) for p in paths[:-1]]).tolist()
+    times, values = (c[0] if len(c) == 1 else np.concatenate(c)
+                     for c in ([p.grid.times() for p in paths], [p.values for p in paths]))
+    _write_csv(names, "t,value", times, values, cuts=cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +569,12 @@ def _write_paths(out: str, samples) -> None:
 def cmd_cf(args) -> int:
     spec = load_model_spec(args.model)
     thetas = _theta_grid(args)
-    values = compose_cf(spec.levy, spec.subordinator, thetas)
-    _atomic_write(args.out, _csv("theta,re,im", thetas, values.real, values.imag))
+    # a block of rows at a time, so that the exponents' temporaries stay a
+    # block long: every value is computed from its own theta alone
+    values = np.empty(thetas.size, complex)
+    for r in range(0, thetas.size, _BLOCK_ROWS):
+        values[r:r + _BLOCK_ROWS] = compose_cf(spec.levy, spec.subordinator, thetas[r:r + _BLOCK_ROWS])
+    _write_csv([args.out], "theta,re,im", thetas, values.real, values.imag)
     return 0
 
 
@@ -571,7 +646,7 @@ def cmd_basis_sim(args) -> int:
     lo = np.vstack([rects[:, :, 0]] + [m[:, :, 0].min(axis=0) for m in members])
     hi = np.vstack([rects[:, :, 1]] + [m[:, :, 1].max(axis=0) for m in members])
     values = np.concatenate([gf.cell_values(), [value for _, value in gf.unions]])
-    _atomic_write(args.out, _csv("x0,y0,x1,y1,value", lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1], values))
+    _write_csv([args.out], "x0,y0,x1,y1,value", lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1], values)
     return 0
 
 

@@ -352,11 +352,18 @@ class OneSidedStableMeasure(LevyMeasure):
         # exp(-r k u**a), k = coeff Gamma(1 - a) / a; its angle terms are
         # sin V, sin(aV) and sin((1-a)V) for V uniform on (0, pi).  V is at
         # most math.pi, which lies below pi, so each sine is positive.
-        v = math.pi * (1.0 - rng.random(dt.shape))
+        v = rng.random(dt.shape)
+        np.subtract(1.0, v, out=v)
+        v *= math.pi
         log_k = math.log(self.coeff) + math.lgamma(1.0 - a) - math.log(a)
-        return _stable_draw(
-            rng, dt, a, log_k, dt > 0, np.sin(v), np.sin(a * v), np.sin((1.0 - a) * v), "one-sided"
-        )
+
+        def angles():
+            yield np.sin(v)
+            inner = a * v
+            yield np.sin(inner, out=inner)
+            yield np.sin(np.multiply(v, 1.0 - a, out=v), out=v)
+
+        return _stable_draw(rng, dt, a, log_k, dt > 0, angles(), "one-sided")
 
     def finite_variation(self):
         return self.index < 1
@@ -434,13 +441,25 @@ class SymmetricStableMeasure(LevyMeasure):
         # V lies above -pi/2 and below pi/2, so both cosines are positive.
         a, dt = self.index, np.asarray(dt, dtype=float)
         k = 2.0 * self.coeff * stable_cos_integral(a)
-        v = math.pi * (rng.random(dt.shape) - 0.5)
+        v = rng.random(dt.shape)
+        v -= 0.5
+        v *= math.pi
         if a == 1.0:
-            return k * dt * np.tan(v)
-        s = np.where(dt > 0, np.sin(a * v), 0.0)
-        return np.sign(s) * _stable_draw(
-            rng, dt, a, math.log(k), s != 0.0, np.cos(v), np.abs(s), np.cos((1.0 - a) * v), "symmetric"
-        )
+            out = k * dt
+            out *= np.tan(v, out=v)
+            return out
+        s = a * v
+        np.sin(s, out=s)
+        s[~(dt > 0)] = 0.0
+        live, negative = s != 0.0, s < 0.0
+
+        def angles():
+            yield np.cos(v)
+            yield np.abs(s, out=s)
+            yield np.cos(np.multiply(v, 1.0 - a, out=v), out=v)
+
+        out = _stable_draw(rng, dt, a, math.log(k), live, angles(), "symmetric")
+        return np.negative(out, out=out, where=negative)  # sign(sin(aV)) times the modulus
 
 
 @dataclass(frozen=True)
@@ -550,11 +569,11 @@ class CompoundExponentialMeasure(LevyMeasure):
         return value
 
     def sample_increments(self, dt, rng):
-        counts = _poisson(rng, self.rate * _one_length(dt), np.shape(dt))
-        out = np.zeros(counts.shape)
-        busy = counts > 0
+        # the counts as floats, the gamma shapes, each busy one then replaced by its draw
+        out = _poisson(rng, self.rate * _one_length(dt), np.shape(dt)).astype(float)
+        busy = out > 0
         if busy.any():
-            out[busy] = rng.gamma(counts[busy].astype(float), 1.0 / self.jump_rate)
+            out[busy] = rng.gamma(out[busy], 1.0 / self.jump_rate)
         return out
 
     def is_positive(self):
@@ -673,25 +692,43 @@ def stable_cos_integral(alpha: float) -> float:
     return -math.gamma(-alpha) * math.cos(math.pi * alpha / 2.0)
 
 
-def _stable_draw(rng, dt, a, log_k, live, outer, inner, rest, side) -> np.ndarray:
+def _stable_draw(rng, dt, a, log_k, live, angles, side) -> np.ndarray:
     """The modulus of Kanter's and Chambers-Mallows-Stuck's stable draws
     over steps dt, of index a and scale k: (dt k)**(1/a) inner outer**(-1/a)
-    (rest / W)**((1-a)/a) for W ~ Exp(1), from the caller's angle terms.
-    Taken in logs, so that no power under- or overflows: a W drawn as 0 is
-    read as the smallest normal float, an entry not live draws exactly 0,
-    and a draw past the float range is refused."""
-    w = np.maximum(rng.standard_exponential(dt.shape), np.finfo(float).tiny)
-    log_x = (
-        (np.log(np.where(live, dt, 1.0)) + log_k - np.log(outer)) / a
-        + np.log(np.where(live, inner, 1.0))
-        + (1.0 - a) / a * (np.log(rest) - np.log(w))
-    )
-    log_x = np.where(live, log_x, -INF)
+    (rest / W)**((1-a)/a) for W ~ Exp(1), from the angle terms outer, inner
+    and rest that the caller's iterator angles yields, each built when the
+    draw takes it and overwritten by it. Taken in logs, so that no power
+    under- or overflows: a W drawn as 0 is read as the smallest normal
+    float, an entry not live draws exactly 0, and a draw past the float
+    range is refused. The log terms are summed in place, in the order of
+    (log dt + log k - log outer) / a + log inner + (1-a)/a (log rest - log W)."""
+    dead = ~live
+    log_x = _log_in_place(np.where(live, dt, 1.0))
+    log_x += log_k
+    log_x -= _log_in_place(next(angles))  # outer
+    log_x /= a
+    term = next(angles)  # inner
+    term[dead] = 1.0
+    log_x += _log_in_place(term)
+    term = _log_in_place(next(angles))  # rest, in V's buffer
+    # W is the stream's next draw after the caller's V: no draw comes between
+    w = rng.standard_exponential(dt.shape)
+    np.maximum(w, np.finfo(float).tiny, out=w)
+    term -= _log_in_place(w)
+    term *= (1.0 - a) / a
+    log_x += term
+    log_x[dead] = -INF
     if (log_x >= _LOG_FLOAT_MAX).any():
         raise DomainError(
             f"a {side} stable increment of index {a} is past the float range (e**{np.max(log_x):.4g})"
         )
-    return np.exp(log_x)
+    return np.exp(log_x, out=log_x)
+
+
+def _log_in_place(x: np.ndarray) -> np.ndarray:
+    """log x in x's own buffer: the stable draw's terms, each dropped once
+    it is added, so that one is held at a time."""
+    return np.log(x, out=x)
 
 
 def _levy_positive(rng, c, size) -> np.ndarray:
@@ -702,7 +739,8 @@ def _levy_positive(rng, c, size) -> np.ndarray:
         if not bad.any():
             break
         z[bad] = rng.standard_normal(int(bad.sum()))
-    return np.asarray(c) / (z * z)
+    z *= z
+    return np.divide(c, z, out=z)
 
 
 @dataclass(frozen=True)

@@ -136,13 +136,24 @@ def conv_power_sample(t: LevyTriplet, r, rng) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if (r < 0).any():
         raise DomainError("convolution powers need r >= 0")
+    # The draws come in the stream's order, Z then the jumps, and each term
+    # is built in place, one temporary at a time. The sum is taken as
+    # sqrt(var r) Z + drift r - shift r + jumps(r), left to right: the
+    # floats of drift r + sqrt(var r) Z - shift r + jumps(r).
+    out = jumps = None
     with np.errstate(over="ignore", invalid="ignore"):
-        out = t.drift * r
         if t.gaussian_var > 0:
-            out = out + np.sqrt(t.gaussian_var * r) * rng.standard_normal(r.shape)
+            out = np.sqrt(t.gaussian_var * r)
+            out *= rng.standard_normal(r.shape)
         if not t.jumps.is_zero():
             jumps = t.jumps.sample_increments(r, rng)
-            out = out - _truncation_shift(t.jumps, t.convention) * r + jumps
+        if out is None:
+            out = t.drift * r
+        else:
+            out += t.drift * r
+        if jumps is not None:
+            out -= _truncation_shift(t.jumps, t.convention) * r
+            out += jumps
     if not np.isfinite(out).all():
         raise DomainError("a draw from a convolution power is past the float range")
     return out
@@ -155,8 +166,10 @@ def _clock_triplet(pair: SubordinatorPair) -> LevyTriplet:
 
 
 def _walk(inc: np.ndarray) -> np.ndarray:
+    path = np.empty(inc.size + 1)
+    path[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        path = np.concatenate(([0.0], np.cumsum(inc)))
+        np.cumsum(inc, out=path[1:])
     if not math.isfinite(path[-1]):  # a partial sum past the float range stays there
         raise DomainError("the path leaves the float range")
     return path

@@ -4,6 +4,7 @@ The golden files under tests/golden/ pin byte-exact output for three
 commands; correctness of the numbers themselves is covered by the library
 tests, so these catch any drift in serialization, seeding, or defaults.
 """
+import hashlib
 import importlib.util
 import json
 import math
@@ -11,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -139,6 +141,13 @@ def test_basis_grid_union_row_is_exact_sum(tmp_path):
 # --- CSV emitter ----------------------------------------------------------------
 
 
+def _csv_text(header, *columns):
+    """What _csv writes, joined."""
+    chunks = []
+    _csv(chunks.append, header, *columns)
+    return b"".join(chunks).decode("ascii")
+
+
 def _csv_reference(header, rows):
     """The per-value emitter the table formatting must match byte for byte."""
     return "".join(line + "\n" for line in [header] + [",".join(f"{x:.17g}" for x in row) for row in rows])
@@ -154,7 +163,7 @@ _TABLES = st.sampled_from([1, 2, 3, 5]).flatmap(
 @given(_TABLES)
 def test_csv_matches_per_value_formatting(rows):
     header = ",".join(f"c{j}" for j in range(len(rows[0])))
-    assert _csv(header, *zip(*rows)) == _csv_reference(header, rows)
+    assert _csv_text(header, *zip(*rows)) == _csv_reference(header, rows)
 
 
 # zeros of both signs, the smallest subnormal and normal, the largest finite
@@ -169,9 +178,9 @@ _EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797693134862315
 def test_csv_edge_values_match_per_value_formatting(k):
     rows = [[_EDGES[(i + j) % len(_EDGES)] for j in range(k)] for i in range(len(_EDGES))]
     header = ",".join(f"c{j}" for j in range(k))
-    assert _csv(header, *zip(*rows)) == _csv_reference(header, rows)
-    assert _csv(header, *zip(rows[0])) == _csv_reference(header, rows[:1])
-    assert _csv("t,tie", [0.0], [1234567890123456.25]) == "t,tie\n0,1234567890123456.2\n"
+    assert _csv_text(header, *zip(*rows)) == _csv_reference(header, rows)
+    assert _csv_text(header, *zip(rows[0])) == _csv_reference(header, rows[:1])
+    assert _csv_text("t,tie", [0.0], [1234567890123456.25]) == "t,tie\n0,1234567890123456.2\n"
 
 
 def _reference_columns(header, *columns):
@@ -187,9 +196,9 @@ def test_csv_matches_per_value_formatting_at_scale():
     bits = rng.integers(0, 2**64, 1_100_000, dtype=np.uint64).view(np.float64)
     columns = bits[np.isfinite(bits)][:1_000_002].reshape(-1, 3).T
     assert columns.shape == (3, 333_334)
-    assert _csv("a,b,c", *columns) == _reference_columns("a,b,c", *columns)
+    assert _csv_text("a,b,c", *columns) == _reference_columns("a,b,c", *columns)
     decades = rng.standard_normal(300_000) * 10.0 ** rng.integers(-14, 46, 300_000)
-    assert _csv("a,b", decades[::2], decades[1::2]) == _reference_columns("a,b", decades[::2], decades[1::2])
+    assert _csv_text("a,b", decades[::2], decades[1::2]) == _reference_columns("a,b", decades[::2], decades[1::2])
 
 
 def test_csv_matches_per_value_formatting_next_to_every_power_of_ten():
@@ -203,7 +212,7 @@ def test_csv_matches_per_value_formatting_next_to_every_power_of_ten():
             step = np.nextafter(step, direction)
             near.append(step)
     values = np.concatenate(near)
-    assert _csv("x,y", values, -values) == _reference_columns("x,y", values, -values)
+    assert _csv_text("x,y", values, -values) == _reference_columns("x,y", values, -values)
 
 
 def test_csv_matches_per_value_formatting_at_the_ends_of_the_float_range():
@@ -211,15 +220,15 @@ def test_csv_matches_per_value_formatting_at_the_ends_of_the_float_range():
     subnormal = np.arange(1, 2001) * 5e-324
     ends = np.array([0.0, -0.0, 2.2250738585072009e-308, 2.2250738585072014e-308, big, np.nextafter(big, 0)])
     values = np.concatenate([ends, subnormal, np.nextafter(2.2250738585072014e-308, 0) - subnormal])
-    assert _csv("x,y", values, -values) == _reference_columns("x,y", values, -values)
+    assert _csv_text("x,y", values, -values) == _reference_columns("x,y", values, -values)
 
 
 def test_csv_rounds_exact_17_digit_ties_to_even():
     # 1234567890123456.25 + j/4 is exact, and every .25 and .75 is a tie
     # at the 17th digit
     ties = 1234567890123456.25 + np.arange(-400, 400) / 4
-    assert _csv("x,y", ties, -ties) == _reference_columns("x,y", ties, -ties)
-    assert _csv("x", [1234567890123456.75]) == "x\n1234567890123456.8\n"
+    assert _csv_text("x,y", ties, -ties) == _reference_columns("x,y", ties, -ties)
+    assert _csv_text("x", [1234567890123456.75]) == "x\n1234567890123456.8\n"
 
 
 @pytest.mark.parametrize("first", range(3))
@@ -229,7 +238,7 @@ def test_csv_names_the_first_non_finite_value_in_row_order(first):
     # column order would meet rest[0] first; row order meets lead
     rows = [[1.0, 2.0, lead], [rest[0], 3.0, 4.0], [5.0, rest[1], 6.0]]
     with pytest.raises(SpecError, match=rf"^non-finite number {re.escape(str(lead))} cannot be serialized$"):
-        _csv("a,b,c", *zip(*rows))
+        _csv_text("a,b,c", *zip(*rows))
 
 
 def test_non_finite_output_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -297,6 +306,148 @@ def test_a_non_finite_value_in_any_path_writes_no_path(tmp_path, monkeypatch, ca
     assert rc == 2
     assert "non-finite number nan cannot be serialized" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("n_paths, n_steps", [(2, 2047), (3, 1500), (1, 3000)],
+                         ids=["on-a-block-edge", "inside-blocks", "one-long-path"])
+def test_paths_split_at_block_edges_each_match_their_reference(tmp_path, n_paths, n_steps):
+    # 2 x 2,048 rows put the file boundary on a row-block edge; 3 x 1,501
+    # rows put both boundaries inside blocks; 3,001 rows span two blocks
+    out = tmp_path / "mp.csv"
+    assert _run(["simulate", "--model", VG, "--dt", 0.01, "--horizon", n_steps / 100, "--seed", 4,
+                 "--n-paths", n_paths, "--out", out]) == 0
+    spec = load_model_spec(VG)
+    paths = sample_subordinated(spec.levy, spec.subordinator, TimeGrid(0.0, 0.01, n_steps), SimConfig(4, n_paths))
+    names = [f"mp.p{k}.csv" for k in range(n_paths)] if n_paths > 1 else ["mp.csv"]
+    assert sorted(os.listdir(tmp_path)) == names
+    for name, path in zip(names, paths if n_paths > 1 else [paths]):
+        assert len(path.values) == n_steps + 1
+        assert (tmp_path / name).read_text() == _reference_columns("t,value", path.grid.times(), path.values)
+
+
+def test_a_failure_while_streaming_leaves_only_complete_files(tmp_path, monkeypatch, capsys):
+    # the third block fails after the first path's 3,001 rows and part of
+    # the second's are written: the first file is in place, whole, and the
+    # second's temporary is gone
+    real, calls = cli._block_bytes, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_block_bytes", failing)
+    assert _run(["simulate", "--model", VG, "--dt", 0.01, "--horizon", 30, "--seed", 4, "--n-paths", 2,
+                 "--out", tmp_path / "mp.csv"]) == 4
+    assert "disk full" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["mp.p0.csv"]
+    spec = load_model_spec(VG)
+    paths = sample_subordinated(spec.levy, spec.subordinator, TimeGrid(0.0, 0.01, 3000), SimConfig(4, 2))
+    want = _reference_columns("t,value", paths[0].grid.times(), paths[0].values)
+    assert (tmp_path / "mp.p0.csv").read_text() == want
+
+
+_DIGEST_BASES = {
+    "gaussian": {"family": "gaussian", "params": {"mean": 0.25, "variance": 1.0}},
+    "cauchy": {"family": "cauchy", "params": {"scale": 1.0}},
+    "symstable": {"family": "symmetric_stable", "params": {"alpha": 1.5, "scale": 1.0}},
+    "poisson": {"family": "poisson", "params": {"rate": 1.0, "jump_size": 1.0}},
+    "delta": {"family": "delta", "params": {"drift": 1.5}},
+}
+_DIGEST_CLOCKS = {
+    "gamma": {"kind": "gamma", "shape": 2.0, "rate": 3.0},
+    "stable03": {"kind": "one_sided_stable", "index": 0.3, "coeff": 1.0},
+    "stable05": {"kind": "one_sided_stable", "index": 0.5, "coeff": 0.5},
+    "cpexp": {"kind": "compound_exponential", "rate": 2.0, "jump_rate": 1.5},
+    "atomic": {"kind": "atomic", "atoms": [[1.0, 1.0], [0.5, 2.0]]},
+}
+# sha256 of each file of `--seed 7 --dt 0.1 --horizon 100 --n-paths 2`
+# (basis-sim: one file), frozen when every sampler route was first pinned
+_DIGESTS = {
+    "gaussian-gamma": ("b4ecb85cc2880ed5f3b44f5e1ce23ea3ebed7940de4401eed82548433f3c07b6",
+                       "7b7b9bb4da3d5c016b3f8db0cd469f3bd8f3fa77f4a7b6649940f06d85fecec1"),
+    "gaussian-stable03": ("7c57baa553ffcd22db85cb3f36c35c22ecc67d3293777d157274aef88fc9d787",
+                          "4948fcad32a9db6e4d13eb530ff2bccb96ae039e12edbc8fcdb5084383c43869"),
+    "gaussian-stable05": ("77cd9dae7ceeaf660e1b1ea67acbbb4d222b539a76e2c6c98493e5abb78a6d27",
+                          "64fac8c44adf60eabe618663a737c52a07fdfd06d7ed5f75883df6f9f51c83e7"),
+    "gaussian-cpexp": ("773a882e70ba45332dca01cfeefcb47f175a57547fde84645cc42a2f67cdb023",
+                       "93f2c0a78a819c853454e6d73a74fd065261ee6196b4e56c7f82d1944572e9ac"),
+    "gaussian-atomic": ("061f25461de65117d3eb175f27aa6e8d257b75591e6d6fdc1014bb399512d049",
+                        "b6271cefd0f6e7d42dedeebc306e8506c79f32f35ae3ea56932f5b3ec60f99fb"),
+    "cauchy-gamma": ("dda0538c66955806dcd9034669c5fa751c2a4b7a3ffcfe5b03ebe59c8fa75df2",
+                     "e81e8ce19024a56301997746c533f0e848e6dfbc83fb98ea31ac39bfabe52bf6"),
+    "cauchy-stable03": ("d6b88a9b2f9768ec8c774d14c87c66ba8a01554abf272a23c4f3ef41e820fb62",
+                        "0e1a24035f9c68d98745999b24c35ef4732481765a0cfde7a26a3add56cc247c"),
+    "cauchy-stable05": ("ad0f4b00678c8f0fdce19b0e9268443382e8f8d76c92e52a115fc126ff81a8e3",
+                        "711446c98cf55a338dbf2729253298bea6afd525adcc6b2641e23908ff60028b"),
+    "cauchy-cpexp": ("b959e013964b4e286ef5ac4b298cca3de3e849f75b482e933d0d918c6a7116a4",
+                     "0597fb2c2621349dd7d3a3076da80d593c57fa8e9fa22faca554971ef2921791"),
+    "cauchy-atomic": ("a206a6b9df210ac7376d23d0cb51040f0c0bd4c9858253eba46cf5e89c837b16",
+                      "1e1b08adc30cc62159ad520233ecd030a5b332bfaf411ad312fd2c059162ae68"),
+    "symstable-gamma": ("c85ccb1a10138dab5889d3fad8bbc5fddc34d2ec2dcd5db448fb72756e27a530",
+                        "b0c48b1fada93eefcb696adb724d26ac67c336352043ba3ba1afa63573bc450c"),
+    "poisson-gamma": ("7d98437bca4a356285bc6c5c2f78b0c8813e7ef5f022fef5714f7f8403b46c14",
+                      "db1c060b0dfcc9657d4410258e4f3cacba7d231048e1235d3d879bad06f9da88"),
+    "delta-gamma": ("510dc403a5c9e24880910b8b425e1662a327bf4cfabf1aaf4bc7b301c9956693",
+                    "91e53da22e7c20b3e13fab6e74c31e504c410be170b7eb4c079b5e040c829f0a"),
+    "lss-sim-basis": ("9f18cb9e991707556fc599467687c59507de75e1e5d23265bd5f2c71fa5f71da",
+                      "9f18cb9e991707556fc599467687c59507de75e1e5d23265bd5f2c71fa5f71da"),
+    "lss-sim-vg": ("b162efc773cf116014a966333f11cb136e37e10b4cb34f770d068ad7feae6fd9",
+                   "d0be110d68f92c76d0cf2d8f6c398ac628d0f945e48707e11951bc250c1578f3"),
+    "basis-sim": ("d2640902530a8d34fa0950779ad415e3f41bcd7bc384ced2ba62292ec15dd38c",),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIGESTS))
+def test_every_sampler_route_writes_its_frozen_bytes(tmp_path, case):
+    out = tmp_path / "out.csv"
+    flags = ["--seed", 7, "--dt", 0.1, "--horizon", 100, "--n-paths", 2, "--out", out]
+    if case == "basis-sim":
+        argv = ["basis-sim", "--model", BASIS, "--seed", 7, "--out", out]
+    elif case.startswith("lss-sim-"):
+        argv = ["lss-sim", "--model", MODELS / f"{case[len('lss-sim-'):]}.json"] + flags
+    else:
+        base, clock = case.split("-")
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"schema": 1, "levy": _DIGEST_BASES[base],
+                                     "subordinator": {"drift": 0.1, "jumps": _DIGEST_CLOCKS[clock]}}))
+        argv = ["simulate", "--model", model] + flags
+    assert _run(argv) == 0
+    files = [out] if case == "basis-sim" else [tmp_path / f"out.p{k}.csv" for k in range(2)]
+    assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files) == _DIGESTS[case]
+
+
+@pytest.mark.parametrize("clock", ["gamma", "stable03", "stable05", "cpexp", "atomic"])
+def test_a_written_path_peaks_at_48_bytes_per_step(tmp_path, clock):
+    # the traced peak of the whole command, the path itself (8 bytes a
+    # step) and its times column (8) included; the CSV text is streamed
+    n = 100_000
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"schema": 1, "levy": GAUSS,
+                                 "subordinator": {"drift": 0.1, "jumps": _DIGEST_CLOCKS[clock]}}))
+    argv = ["simulate", "--model", model, "--seed", 3, "--dt", 0.01, "--horizon", n / 100, "--out", tmp_path / "p.csv"]
+    assert _run(argv) == 0  # warm: lazy imports and caches are not the path's
+    tracemalloc.start()
+    try:
+        assert _run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n, f"{peak / n:.1f} bytes per step"
+
+
+def test_a_cf_table_peaks_at_48_bytes_per_theta(tmp_path):
+    n = 100_000
+    argv = ["cf", "--model", VG, "--theta-steps", n, "--out", tmp_path / "cf.csv"]
+    assert _run(argv) == 0
+    tracemalloc.start()
+    try:
+        assert _run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n, f"{peak / n:.1f} bytes per theta"
 
 
 def test_recover_reports_are_reproducible(tmp_path):
