@@ -262,18 +262,18 @@ def _csv(write, header: str, *columns) -> None:
 
 class _RowFiles:
     """A write target for _csv that splits its table into files: the rows
-    before cuts[0] go to names[0], those before cuts[1] to names[1], and so
-    on, the rest to the last name, each file under the header line, _csv's
-    first write. Each file is written to a temporary beside its name,
+    before splits[0] go to names[0], those before splits[1] to names[1],
+    and so on, the rest to the last name, each file under the header line,
+    _csv's first write. Each file is written to a temporary beside its name,
     created when its first row comes, so a table that _csv refuses creates
     none, and moved into place once its last row is written."""
 
-    def __init__(self, names, cuts):
-        self.names, self.cuts = names, cuts
+    def __init__(self, names, splits):
+        self.names, self.splits = names, splits
         self.header = None
         self.k = -1  # the file being written, or the last one moved into place
         self.fh = self.tmp = None
-        self.rows = 0  # rows before the next chunk, while a cut is ahead
+        self.rows = 0  # rows before the next chunk, while a split is ahead
 
     def write(self, chunk: bytes) -> None:
         if self.header is None:
@@ -286,13 +286,13 @@ class _RowFiles:
                 fd, self.tmp = _temp_beside(self.names[self.k])
                 self.fh = os.fdopen(fd, "wb")
                 self.fh.write(self.header)
-            if self.k == len(self.cuts):  # the last file takes the rest
+            if self.k == len(self.splits):  # the last file takes the rest
                 self.fh.write(view[start:])
                 return
             if ends is None:  # the offset past each of the chunk's rows
                 ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + 1
                 first, self.rows = self.rows, self.rows + ends.size
-            last = self.cuts[self.k] - first  # the chunk's rows up to file k's end
+            last = self.splits[self.k] - first  # the chunk's rows up to file k's end
             if last > ends.size:
                 self.fh.write(view[start:])
                 return
@@ -315,11 +315,11 @@ class _RowFiles:
             os.unlink(self.tmp)
 
 
-def _write_csv(names, header: str, *columns, cuts=()) -> None:
+def _write_csv(names, header: str, *columns, splits=()) -> None:
     """The table of _csv streamed into the files names, split at the rows
-    cuts as _RowFiles splits it; on an error the file being written is
+    splits as _RowFiles splits it; on an error the file being written is
     removed."""
-    files = _RowFiles(names, cuts)
+    files = _RowFiles(names, splits)
     try:
         _csv(files.write, header, *columns)
         files.finish()
@@ -556,10 +556,10 @@ def _write_paths(out: str, samples) -> None:
     paths = samples if isinstance(samples, list) else [samples]
     stem, ext = os.path.splitext(out)
     names = [out] if len(paths) == 1 else [f"{stem}.p{k}{ext}" for k in range(len(paths))]
-    cuts = np.cumsum([len(p.values) for p in paths[:-1]]).tolist()
+    splits = np.cumsum([len(p.values) for p in paths[:-1]]).tolist()
     times, values = (c[0] if len(c) == 1 else np.concatenate(c)
                      for c in ([p.grid.times() for p in paths], [p.values for p in paths]))
-    _write_csv(names, "t,value", times, values, cuts=cuts)
+    _write_csv(names, "t,value", times, values, splits=splits)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def _poisson(rng, mean, *size):
     return rng.poisson(mean, *size)
 
 
-# The most Poisson counts a closed form or mix may sum over, one column each.
+# The most Poisson counts a mix may sum over, one column each.
 _MAX_COUNTS = 10_000
 
 # The natural log of the largest float: a draw whose log reaches it overflows.
@@ -178,11 +178,9 @@ class LevyMeasure(ABC):
         """Integral of exp(z x) - 1, elementwise over a z array."""
         raise UnsupportedFamily(f"no laplace exponent for {type(self).__name__}")
 
-    def fixed_rule(self, cuts=()):
+    def fixed_rule(self):
         """(nodes, weights, check_weights) of the measure's own rule for
-        quadrature.rule_sum, or None for a density integrated adaptively.
-        cuts are points where the integrand may jump: a rule on cells
-        splits its cells there."""
+        quadrature.rule_sum, or None for a density integrated adaptively."""
         return None
 
     def image_in_ml1(self, alpha: float) -> bool:
@@ -512,7 +510,7 @@ class AtomicMeasure(LevyMeasure):
             total = total + pos * _poisson(rng, mass * length, total.shape)
         return total
 
-    def fixed_rule(self, cuts=()):
+    def fixed_rule(self):
         masses = np.array([m for _, m in self.atoms])
         return np.array([p for p, _ in self.atoms]), masses, masses
 
@@ -611,19 +609,18 @@ class TabulatedMeasure(LevyMeasure):
         xs, dens = self._grid()
         return np.interp(np.asarray(x, dtype=float), xs, dens, left=0.0, right=0.0)
 
-    def _rule(self, lo=-INF, hi=INF, cuts=()):
+    def _rule(self, lo=-INF, hi=INF):
         """Nodes and the K15 and G7 weights times the density on the grid cut
-        to [lo, hi], its cells split at the cuts."""
+        to [lo, hi]."""
         xs, _ = self._grid()
         lo, hi = max(lo, xs[0]), min(hi, xs[-1])
-        inner = np.union1d(xs, cuts)
-        edges = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi])) if hi > lo else xs[:1]
+        edges = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi])) if hi > lo else xs[:1]
         nodes, kronrod, gauss = quadrature.kronrod_nodes(edges)
         d = self.density(nodes)
         return nodes, kronrod * d, gauss * d
 
-    def fixed_rule(self, cuts=()):
-        return self._rule(cuts=cuts)
+    def fixed_rule(self):
+        return self._rule()
 
     def _integral(self, f, lo=-INF, hi=INF):
         """f integrated against the measure over [lo, hi] by its rule, error checked."""
@@ -702,19 +699,24 @@ def _stable_draw(rng, dt, a, log_k, live, angles, side) -> np.ndarray:
     float, an entry not live draws exactly 0, and a draw past the float
     range is refused. The log terms are summed in place, in the order of
     (log dt + log k - log outer) / a + log inner + (1-a)/a (log rest - log W)."""
+    # each log is taken in its term's own buffer, and a term is dropped once
+    # it is added, so that one is held at a time
     dead = ~live
-    log_x = _log_in_place(np.where(live, dt, 1.0))
+    log_x = np.where(live, dt, 1.0)
+    np.log(log_x, out=log_x)
     log_x += log_k
-    log_x -= _log_in_place(next(angles))  # outer
+    term = next(angles)  # outer
+    log_x -= np.log(term, out=term)
     log_x /= a
     term = next(angles)  # inner
     term[dead] = 1.0
-    log_x += _log_in_place(term)
-    term = _log_in_place(next(angles))  # rest, in V's buffer
+    log_x += np.log(term, out=term)
+    term = next(angles)  # rest, in V's buffer
+    np.log(term, out=term)
     # W is the stream's next draw after the caller's V: no draw comes between
     w = rng.standard_exponential(dt.shape)
     np.maximum(w, np.finfo(float).tiny, out=w)
-    term -= _log_in_place(w)
+    term -= np.log(w, out=w)
     term *= (1.0 - a) / a
     log_x += term
     log_x[dead] = -INF
@@ -723,12 +725,6 @@ def _stable_draw(rng, dt, a, log_k, live, angles, side) -> np.ndarray:
             f"a {side} stable increment of index {a} is past the float range (e**{np.max(log_x):.4g})"
         )
     return np.exp(log_x, out=log_x)
-
-
-def _log_in_place(x: np.ndarray) -> np.ndarray:
-    """log x in x's own buffer: the stable draw's terms, each dropped once
-    it is added, so that one is held at a time."""
-    return np.log(x, out=x)
 
 
 def _levy_positive(rng, c, size) -> np.ndarray:
@@ -1031,26 +1027,25 @@ class PoissonLaw(TaggedLaw):
         mean = self.rate * np.asarray(s, dtype=float)[..., None]
         return np.exp(ks * np.log(mean) - mean - scipy.special.gammaln(ks + 1.0))
 
-    def _inner_counts(self, s):
-        """Counts k >= 1 with |h k| <= 1 and their probabilities under mu^s,
-        one row of probabilities per entry of s."""
-        top = 1.0 / abs(self.jump_size)
-        if top > _MAX_COUNTS:
-            raise QuadratureFailure(
-                f"the Poisson law's counts inside |x| <= 1 number {top:.3g}, over {_MAX_COUNTS}"
-            )
-        ks = np.arange(1, math.floor(top) + 1, dtype=float)
-        return ks, self.pmf(s, ks)
-
+    # The counts K of mu^s in |x| <= 1 are those up to m = floor(1 / |h|), and
+    # P(K >= n) is the regularized lower incomplete gamma P(n, rate s).
     def truncated_mean(self, s):
-        ks, pmf = self._inner_counts(s)
-        return self.jump_size * np.sum(ks * pmf, axis=-1)
+        # sum_{k <= m} h k P(K = k) = h mean P(K <= m - 1); with m = 0, h 0.0
+        h, m, mean = self.jump_size, np.floor(1.0 / abs(self.jump_size)), self.rate * np.asarray(s, dtype=float)
+        if m == 0:
+            return h * 0.0 * mean
+        return h * mean * (1.0 - scipy.special.gammainc(m, mean))
 
     def small_s_ratio(self, s):
-        ks, pmf = self._inner_counts(s)
-        inside = float(np.sum((self.jump_size * ks) ** 2 * pmf))
-        tail = 1.0 - _poisson_count_cdf(ks.size, self.rate * s)
-        return float((inside + tail) / s)
+        # sum_{k <= m} (h k)^2 P(K = k) = h^2 (mean P(K <= m - 1) + mean^2
+        # P(K <= m - 2)), plus the tail P(K >= m + 1) in its survival form
+        h, m, mean = self.jump_size, np.floor(1.0 / abs(self.jump_size)), self.rate * s
+        inside = 0.0
+        if m >= 1:
+            inside = mean * (1.0 - float(scipy.special.gammainc(m, mean)))
+        if m >= 2:
+            inside += mean * mean * (1.0 - float(scipy.special.gammainc(m - 1, mean)))
+        return (h * h * inside + float(scipy.special.gammainc(m + 1, mean))) / s
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def lemma_constant(mu: LevyTriplet) -> float:
 # Integration of a function against a jump measure on (0, inf).
 
 
-def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None, cuts=()):
+def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None):
     """Integral of fn over (0, inf) against rho, and the rule that gave it.
 
     fn is vectorized over s: it maps an (n,) array of s to an (n,) block, or
@@ -102,20 +102,19 @@ def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None, cuts=()
     picks the lower truncation for infinite-mass measures.
 
     Measures with their own rule (atoms, tabulated grids) are summed by it,
-    column by column, a tabulated grid's cells split at the cuts, the points
-    where fn jumps.  Densities are integrated by adaptive Gauss-Kronrod in
+    column by column.  Densities are integrated by adaptive Gauss-Kronrod in
     u = log s between a certified floor and a tail cut, whose bounds are
-    added to the quadrature's error estimate; cuts split only fixed rules,
-    so fn must not jump inside a density's range, where the adaptive rule
-    bisects the jump down to machine width.  Each column keeps its own
-    value and error estimate; unless every estimate is quadrature.within
-    tol, QuadratureFailure is raised.  Returns (value, err, (nodes,
-    weights)), value and err with the block's trailing shape, and sum
-    weights * g(nodes) the rule's integral of any g against rho: the
-    measure's own rule, or the K15 nodes in s of the final panels, weighted
-    w s rho(s), which met tol on every column of fn.
+    added to the quadrature's error estimate; fn must not jump inside a
+    density's range, where the adaptive rule bisects the jump down to
+    machine width.  Each column keeps its own value and error estimate;
+    unless every estimate is quadrature.within tol, QuadratureFailure is
+    raised.  Returns (value, err, (nodes, weights)), value and err with the
+    block's trailing shape, and sum weights * g(nodes) the rule's integral
+    of any g against rho: the measure's own rule, or the K15 nodes in s of
+    the final panels, weighted w s rho(s), which met tol on every column of
+    fn.
     """
-    rule = rho.fixed_rule(cuts)
+    rule = rho.fixed_rule()
     if rule is not None:
         value, err = quadrature.rule_sum(fn, *rule)
         rule = rule[:2]

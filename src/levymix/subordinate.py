@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .core import (
     AtomicMeasure,
     LevyTriplet,
     SubordinatorPair,
+    TabulatedMeasure,
     TruncationConvention,
     ZERO_MEASURE,
     _MAX_COUNTS,
@@ -145,14 +145,16 @@ def _on_checked_panels(f, edges):
 
 def _light_cut(candidates, masses, heavy: bool):
     """(x_hi, masses[k]): the first x_hi = candidates[k] at which every
-    side's mixed tail mass, listed in masses[k], is below 1e-14.  A light
-    tail is refused past the last candidate; a heavy one stops there and
-    returns the masses left out past it."""
-    below = np.flatnonzero(masses.max(axis=1) < 1e-14)
-    if below.size == 0 and not heavy:
+    side's mixed tail mass, listed in masses[k], is below 1e-14; masses
+    may be an iterator, read up to that row.  A light tail is refused past
+    the last candidate; a heavy one stops there and returns the masses
+    left out past it."""
+    for x_hi, row in zip(candidates, masses):
+        if max(row) < 1e-14:
+            return x_hi, row
+    if not heavy:
         raise QuadratureFailure(f"mixed density tail still above 1e-14 beyond x = {_X_HI_MAX:g}")
-    k = below[0] if below.size else -1
-    return candidates[k], masses[k]
+    return x_hi, row
 
 
 def _by_parts(phi, lo, hi, d_hi, d_lo):
@@ -167,12 +169,11 @@ def _by_parts(phi, lo, hi, d_hi, d_lo):
 
 
 # The theta-free mixed jump measure of JumpMixEvaluator._grid: its n_atoms
-# atoms ahead of its pieces' Gauss points in xs and w, check = w - c on the
-# first check.size atoms (c a rule's check weights), inner_moment = sum w x
-# over |x| <= 1, real for an even law; the pieces' lo, hi, half-widths,
+# atoms ahead of its pieces' Gauss points in xs and w, inner_moment = sum w
+# x over |x| <= 1, real for an even law; the pieces' lo, hi, half-widths,
 # masses and series derivatives at hi and lo; x_hi, a heavy tail's masses
 # past it (none for a light tail) and f there.
-MixedJumps = namedtuple("MixedJumps", "xs w n_atoms check inner_moment real lo hi half mass d_hi d_lo x_hi tail_mass tail_f")
+MixedJumps = namedtuple("MixedJumps", "xs w n_atoms inner_moment real lo hi half mass d_hi d_lo x_hi tail_mass tail_f")
 
 
 class JumpMixEvaluator:
@@ -211,12 +212,10 @@ class JumpMixEvaluator:
         below _OMEGA_SWITCH make one sum, its real part -2 sum w sin^2(theta x
         / 2), which does not cancel near x = 0, in numpy's pairwise order,
         which no BLAS thread count moves; the other pieces sum by parts, and
-        the compensator is -i theta inner_moment.  The checked atoms are
-        refused where the check's miss is not quadrature.within tol 1e-12,
-        as in integrate_rho.  A heavy tail's masses past x_hi are
-        subtracted; the rest is at most the mass and, for a density
+        the compensator is -i theta inner_moment.  A heavy tail's masses past
+        x_hi are subtracted; the rest is at most the mass and, for a density
         decreasing past x_hi, 2 sqrt 2 f(x_hi) / |theta|, refused above the
-        release tolerance."""
+        release tolerance: the only refusal that depends on theta."""
         base_part = complex(self.drift_part.char_integral(theta, TruncationConvention.STANDARD))
         if self.pair.jumps.is_zero() or theta == 0.0:
             return base_part
@@ -228,19 +227,10 @@ class JumpMixEvaluator:
         # on no pieces _by_parts would still cost about 13 us per theta
         far = (_by_parts(theta, g.lo[n:], g.hi[n:], g.d_hi[n:], g.d_lo[n:]) - g.mass[n:]).sum() if n < g.lo.size else 0j
         value = -2.0 * (g.w[:end] * half_sin * half_sin).sum() + far.real
-        if g.tail_mass.size:
-            value -= g.tail_mass.sum()
         if not g.real:
             value += 1j * ((g.w[:end] * np.sin(tx)).sum() - theta * g.inner_moment + far.imag)
-        # exp(i theta x) - 1 - i theta x 1{|x| <= 1} at the checked atoms; with
-        # none, the check would still cost about 15 us per theta
-        if k := g.check.size:
-            tk = tx[:k]
-            at_atoms = -2.0 * half_sin[:k] ** 2 + 1j * (np.sin(tk) - np.where(np.abs(g.xs[:k]) <= 1.0, tk, 0.0))
-            miss = abs((g.check * at_atoms).sum()) + 1e-15 * np.abs(g.w[:k] * at_atoms).sum()
-            if not quadrature.within(value, miss, 1e-12):
-                raise QuadratureFailure(f"mixing grid too coarse: {miss:.3e}")
         if g.tail_mass.size:
+            value -= g.tail_mass.sum()
             bound = np.minimum(g.tail_mass, 2.0 * math.sqrt(2.0) * g.tail_f / abs(theta)).sum()
             if bound > _RELEASE_TOL * max(1.0, abs(value)):
                 raise QuadratureFailure(f"the tail past x = {g.x_hi:.3g} is bounded only by {bound:.3g} "
@@ -250,42 +240,42 @@ class JumpMixEvaluator:
     def _grid(self):
         """The MixedJumps record, built on the first call and kept in
         _grid_cache for every theta: a Poisson base's counts, a delta base's
-        image of a clock's own rule, or else the mixed density's pieces."""
+        image of an atom clock, or else the mixed density's pieces."""
         if self._grid_cache is not None:
             return self._grid_cache
         law, empty = self.base.law, np.empty(0)
-        atoms, pieces = (empty, empty, empty), (empty, empty, np.empty((0, _CHEB.size)), math.inf, empty, empty)
+        atoms, pieces = (empty, empty), (empty, empty, np.empty((0, _CHEB.size)), math.inf, empty, empty)
         if law.mix_route == "atomic":
             atoms = self._poisson_atoms()
-        elif law.mix_route == "pushforward" and (rule := self._pushforward_integral()) is not None:
-            atoms = rule
+        elif law.mix_route == "pushforward" and (image := self._pushforward_integral()) is not None:
+            atoms = image
         else:
             pieces = self._pieces()
-        (x_atoms, w_atoms, check), (lo, hi, coeffs, x_hi, tail_mass, tail_f) = atoms, pieces
+        (x_atoms, w_atoms), (lo, hi, coeffs, x_hi, tail_mass, tail_f) = atoms, pieces
         t, w_gauss, cheb_at_gauss, at_one, at_minus_one = _panel_rules()
         half = 0.5 * (hi - lo)
         gauss = half[:, None] * w_gauss * np.einsum("pk,gk->pg", coeffs, cheb_at_gauss)
         xs = np.concatenate([x_atoms, (0.5 * (lo + hi)[:, None] + half[:, None] * t).ravel()])
         w = np.concatenate([w_atoms, gauss.ravel()])
         derivs = (np.einsum("pk,nk->pn", coeffs, at) for at in (at_one, at_minus_one))
-        self._grid_cache = MixedJumps(xs, w, x_atoms.size, check, (w * xs)[np.abs(xs) <= 1.0].sum(), law.even,
+        self._grid_cache = MixedJumps(xs, w, x_atoms.size, (w * xs)[np.abs(xs) <= 1.0].sum(), law.even,
                                       lo, hi, half, gauss.sum(axis=1), *derivs, x_hi, tail_mass, tail_f)
         return self._grid_cache
 
     def _pushforward_integral(self):
-        """(x, w, w - c) of a clock's own rule (atoms, tabulated) under a
-        delta(v) base, from the one fixed_rule call of a build: its nodes
-        carried to x = v s, its cells cut where the compensator jumps; None
-        for a clock without a rule.  The name is kept for bench/spans.py,
-        which times the pushforward under it."""
-        speed = self.base.law.drift
-        rule = self.pair.jumps.fixed_rule((_unit_crossing(speed),))
-        return None if rule is None else (speed * rule[0], rule[1], rule[1] - rule[2])
+        """(x, w) of an atom clock under a delta(v) base, from the one
+        fixed_rule call of a build: its atoms carried to x = v s, exact;
+        None for any other clock, whose image is a density that _pieces
+        carries.  The name is kept for bench/spans.py, which times the
+        pushforward under it."""
+        if isinstance(self.pair.jumps, AtomicMeasure):
+            s, w, _ = self.pair.jumps.fixed_rule()
+            return self.base.law.drift * s, w
+        return None
 
     def _poisson_atoms(self):
-        """(x, w, check) of a Poisson base: the positions k h of its counts k
-        >= 1, their probabilities integrated against rho, and no check: the
-        atoms check against themselves."""
+        """(x, w) of a Poisson base: the positions k h of its counts k >= 1
+        and their probabilities integrated against rho."""
         law, rho = self.base.law, self.pair.jumps
         mean_cap = law.rate * rho.tail_cutoff(1e-16)
         need = mean_cap + 12.0 * math.sqrt(mean_cap) + 30.0
@@ -297,14 +287,14 @@ class JumpMixEvaluator:
             integrate_rho(rho, lambda s: law.pmf(s, block), tol=1e-14, linear_bound=law.rate)[0]
             for block in np.split(ks, np.arange(_COUNT_BLOCK, ks.size, _COUNT_BLOCK))
         ]
-        return law.jump_size * ks, np.concatenate(masses), np.empty(0)
+        return law.jump_size * ks, np.concatenate(masses)
 
     def _pieces(self):
         """(lo, hi, coeffs, x_hi, tail_mass, tail_f): the pieces of the mixed
         density, in order of half-width, with their series, and the tail,
         whose masses are none for a light tail.
 
-        The mixed density (rho(x / |v|) / |v| for a delta(v) base; x > 0 only,
+        The mixed density (rho(x / v) / |v| for a delta(v) base; x > 0 only,
         counted twice, for an even law) is carried by the unchecked pieces of
         0 < |x| <= 1 and the checked panels of 1 < |x| <= x_hi
         (_on_checked_panels), so that the compensator's jump at |x| = 1 falls
@@ -312,11 +302,14 @@ class JumpMixEvaluator:
         integrate_rho call certifies for the mixed tail masses per side at
         _MASS_EDGES points of [_X_FLOOR, 1] and at each candidate x_hi = 2,
         3, 4.5, ... up to 1e6, or 1e12 for a heavy tail; _light_cut reads
-        x_hi off those masses (for a delta base, rho.mass_above).  An atom
-        clock's panels are also cut at each atom's mean and mean +- 8 sd of
-        mu^s.  Pieces whose series is 0 are left out."""
+        x_hi off those masses (for a delta base, rho.mass_above, up to the
+        first below 1e-14).  The pieces are also cut
+        at an atom clock's means and means +- 8 sd of mu^s, and at the images
+        v xs of a tabulated clock's grid under a delta(v) base, keeping only
+        those inside the image support, where its density is linear.  Pieces
+        whose series is 0 are left out."""
         law, rho = self.base.law, self.pair.jumps
-        cuts, weight = np.empty(0), 2.0 if law.even else 1.0
+        cuts, support, weight = np.empty(0), (-math.inf, math.inf), 2.0 if law.even else 1.0
         candidates = [2.0]
         while candidates[-1] * 1.5 <= (_X_HI_HEAVY if law.heavy_tail else _X_HI_MAX):
             candidates.append(candidates[-1] * 1.5)
@@ -324,7 +317,13 @@ class JumpMixEvaluator:
             v = law.drift
             kernel = lambda x: rho.density(x / v) / abs(v)
             sides = (math.copysign(1.0, v),)
-            masses = np.array([[rho.mass_above(x / abs(v))] for x in candidates])
+            masses = ([rho.mass_above(x / abs(v))] for x in candidates)
+            if isinstance(rho, TabulatedMeasure):
+                grid = np.asarray(rho.xs)
+                cuts = v * grid
+                support = (cuts.min(), cuts.max())
+                # a piece's end node x may round to an x / v just off the grid
+                kernel = lambda x: rho.density(np.clip(x / v, grid[0], grid[-1])) / abs(v)
         else:
             sides = (1,) if law.even else law.sides
             xs = np.concatenate([np.geomspace(_X_FLOOR, 1.0, _MASS_EDGES), candidates])
@@ -333,7 +332,7 @@ class JumpMixEvaluator:
             # the lemma's bound on mu^s(|x| > d) at d = _X_FLOOR, as in _mix_over_sets
             bound = 2.0 * lemma_constant(self.base) / (_X_FLOOR * _X_FLOOR)
             value, _, (s_nodes, s_weights) = integrate_rho(rho, tails, tol=1e-14, linear_bound=bound)
-            masses = value.reshape(len(sides), xs.size)[:, _MASS_EDGES:].T
+            masses = value.reshape(len(sides), xs.size)[:, _MASS_EDGES:].T.tolist()
             kernel = lambda x: law.mixed_density(x, s_nodes, s_weights)
             spread = law.mean_sd(s_nodes) if isinstance(rho, AtomicMeasure) else None
             if spread is not None:
@@ -346,13 +345,14 @@ class JumpMixEvaluator:
         f = lambda x: weight * kernel(x)
         pieces = []
         for side in sides:
-            near = np.sort(side * inner)
+            at = side * cuts
+            near = np.sort(side * np.union1d(inner, at[(at > _X_FLOOR) & (at < 1.0)]))
             pieces.append((near[:-1], near[1:], _series(f, near[:-1], near[1:])[0]))
-            bounds = np.concatenate([edges, [x_hi], side * cuts])
+            bounds = np.concatenate([edges, [x_hi], at])
             bounds = np.sort(side * bounds[(bounds >= 1.0) & (bounds <= x_hi)])
             pieces.append(_on_checked_panels(f, bounds[np.diff(bounds, prepend=-np.inf) > 0]))
         lo, hi, coeffs = (np.concatenate(part) for part in zip(*pieces))
-        keep = np.flatnonzero(coeffs.any(axis=1))
+        keep = np.flatnonzero(coeffs.any(axis=1) & (lo >= support[0]) & (hi <= support[1]))
         keep = keep[np.argsort((hi - lo)[keep], kind="stable")]
         tail_mass = weight * np.array(masses) if law.heavy_tail else np.empty(0)
         return lo[keep], hi[keep], coeffs[keep], x_hi, tail_mass, f(x_hi * np.array(sides))

@@ -8,8 +8,10 @@ overflow on a finite answer nor warn. Each subcommand
 runs its share of models at tiny sizes through ``cli.main`` in this
 process and must exit 0, 2, 3 or 4, with no exception escaping and no
 RuntimeWarning. The sizes stay far under the 1e7 step budget: at most 200
-steps, 5 theta points, 2 paths. The malformed side of the same space is
-``test_spec_corpus.py``.
+steps, 5 theta points, 2 paths. On a clock without drift, ``mix`` and
+``subordinate`` answer the same question, the mass table of the mixed
+measure, and must exit alike with identical tables. The malformed side of
+the same space is ``test_spec_corpus.py``.
 """
 import json
 import os
@@ -96,3 +98,48 @@ def test_schema_valid_model_ends_in_a_result_or_a_documented_exit(cmd, model, fa
             code = main(argv)
         assert code in (0, 2, 3, 4)
         assert (code == 0) == (os.listdir(tmp) != ["m.json"])
+
+
+def _mix_and_subordinate(model):
+    """(exit code, mass table or None) of mix and of subordinate on model."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w") as fh:
+            json.dump(model, fh)
+        for cmd, key in (("mix", "mixed_mass"), ("subordinate", "nu_bar")):
+            out = os.path.join(tmp, f"{cmd}.json")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([cmd, "--model", path, "--out", out])
+            if code == 0:
+                with open(out) as fh:
+                    runs.append((code, json.load(fh)[key]))
+            else:
+                runs.append((code, None))
+    return runs
+
+
+_FINE_POISSON_CLOCKS = [
+    {"kind": "gamma", "shape": 2.0, "rate": 3.0},
+    {"kind": "atomic", "atoms": [[0.5, 0.6], [2.0, 0.3]]},
+    {"kind": "compound_exponential", "rate": 2.0, "jump_rate": 1.5},
+]
+
+
+@pytest.mark.parametrize("jumps", _FINE_POISSON_CLOCKS, ids=lambda jumps: jumps["kind"])
+@pytest.mark.parametrize("jump_size", [1e-5, -2e-6, 1e-8])
+def test_mix_and_subordinate_agree_on_a_fine_poisson_base(jump_size, jumps):
+    # 1e5 to 1e8 counts inside |x| <= 1: the drift term takes the closed form
+    model = {"schema": 1, "levy": {"family": "poisson", "params": {"rate": 0.5, "jump_size": jump_size}},
+             "subordinator": {"drift": 0.0, "jumps": jumps}}
+    mix, subordinate = _mix_and_subordinate(model)
+    assert mix[0] == 0 and mix == subordinate
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(model=st.fixed_dictionaries({"schema": st.just(1), "levy": _LEVY, "subordinator": st.fixed_dictionaries(
+    {"drift": st.just(0.0), "jumps": _JUMPS})}))
+def test_mix_and_subordinate_agree_on_a_clock_without_drift(model):
+    mix, subordinate = _mix_and_subordinate(model)
+    assert mix == subordinate

@@ -3,7 +3,8 @@
 A private module-level name or a private method that only its own
 definition mentions is dead: a deletion elsewhere left it behind.  So is
 a public module-level function or class that the package does not export
-and that no other code in it mentions.
+and that no other code in it mentions, and a name a module imports and
+never uses.
 """
 import ast
 from collections import Counter
@@ -83,3 +84,27 @@ def test_no_unexported_public_helper_is_referenced_only_by_its_own_definition():
             if uses[node.name] == own:
                 orphans.append(f"{module}: {node.name}")
     assert not orphans, f"unexported public code that nothing references: {orphans}"
+
+
+def _imports(tree):
+    """(name, line) of each name the module's imports bind, from __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name.partition(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((alias.asname or alias.name, node.lineno) for alias in node.names)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__.py imports to export, as a module's __all__ lists
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line}: {name}" for name, line in _imports(tree) if name not in used]
+    assert not unused, f"imported names that nothing uses: {unused}"

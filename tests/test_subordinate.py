@@ -465,13 +465,15 @@ def test_later_thetas_reuse_the_cached_grid(monkeypatch, base, pair):
     assert abs(cf_from_triplet(st, 100.0) - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_a_delta_base_build_asks_the_clock_for_its_rule_once(monkeypatch):
-    clock_type, calls = TabulatedMeasure, []
-    real_rule = clock_type.fixed_rule
-    monkeypatch.setattr(clock_type, "fixed_rule", lambda *a: calls.append(a[1:]) or real_rule(*a))
-    grid = JumpMixEvaluator(lm.delta_law(1.5), SubordinatorPair(0.2, DELTA_CLOCKS["tabulated"]))._grid()
-    assert calls == [((subordinate._unit_crossing(1.5),),)]
-    assert grid.n_atoms == grid.xs.size > 0
+def test_a_delta_base_build_asks_an_atom_clock_for_its_rule_once(monkeypatch):
+    # the image of an atom clock is its atoms carried to x = v s, one each
+    clock, calls = DELTA_CLOCKS["atoms"], []
+    real_rule = AtomicMeasure.fixed_rule
+    monkeypatch.setattr(AtomicMeasure, "fixed_rule", lambda *a: calls.append(a[1:]) or real_rule(*a))
+    grid = JumpMixEvaluator(lm.delta_law(1.5), SubordinatorPair(0.2, clock))._grid()
+    assert calls == [()]
+    assert grid.n_atoms == grid.xs.size == len(clock.atoms)
+    assert list(grid.xs) == [1.5 * s for s, _ in clock.atoms] and list(grid.w) == [m for _, m in clock.atoms]
 
 
 def test_a_drift_term_past_the_acceptance_rule_is_refused():
@@ -619,16 +621,39 @@ def test_subordinate_triplet_refuses_a_degenerate_base_at_zero():
     assert st.gamma_bar == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10, abs=0.0)
 
 
-def test_poisson_counts_inside_the_unit_interval_are_capped():
-    # jump size 1e-30 puts 1e30 counts in |x| <= 1: refused by name before
-    # any array of them is built
+def _poisson_count_sums(rate, h, s):
+    """h sum k P(K = k) and (h^2 sum k^2 P(K = k) + P(K > m)) / s over the
+    counts 1 <= k <= m = floor(1 / |h|) of K ~ Poisson(rate s), in 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        mean = mpmath.mpf(rate) * s
+        p = inside = mpmath.exp(-mean)
+        first = second = mpmath.mpf(0)
+        for k in range(1, math.floor(1.0 / abs(h)) + 1):
+            p *= mean / k
+            first, second, inside = first + k * p, second + k * k * p, inside + p
+        return float(h * first), float((mpmath.mpf(h) ** 2 * second + 1 - inside) / s)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.7, 0.3, -0.4, 1e-3, 1e-4])
+def test_poisson_closed_forms_match_the_count_sums(h):
+    # h rate s (1 - P(m, rate s)) and its second-moment form, with the
+    # regularized incomplete gamma P: scipy's P(3, 2.5) is 2.3 ulp off, so
+    # the truncated mean is held to two ulp of h rate s
+    law = lm.poisson_law(0.5, h)
+    for s in (1e-3, 0.5, 5.0, 50.0):
+        mean, ratio = _poisson_count_sums(0.5, h, s)
+        assert abs(law.law.truncated_mean(s) - mean) <= 4.4e-16 * abs(h) * 0.5 * s
+        assert lm.small_s_ratio(law, s) == pytest.approx(ratio, rel=1e-12, abs=0.0)
+
+
+def test_poisson_counts_past_any_array_still_answer():
+    # jump size 1e-30 puts 1e30 counts in |x| <= 1, which no sum could hold
     law = lm.poisson_law(1.0, 1e-30)
-    with pytest.raises(QuadratureFailure, match="1e\\+30, over 10000"):
-        subordinate_triplet(law, VG_PAIR)
-    with pytest.raises(QuadratureFailure, match="over 10000"):
-        lm.small_s_ratio(law, 0.5)
-    # 1e4 counts are still summed
-    assert lm.poisson_law(1.0, 1e-4).law.truncated_mean(0.5) == pytest.approx(0.5e-4, rel=1e-12, abs=0.0)
+    assert law.law.truncated_mean(0.5) == pytest.approx(0.5e-30, rel=1e-15, abs=0.0)
+    assert lm.small_s_ratio(law, 0.5) == pytest.approx(1.5e-60, rel=1e-15, abs=0.0)
+    assert subordinate_triplet(law, VG_PAIR).gamma_bar == pytest.approx(1e-30, rel=1e-9, abs=0.0)
 
 
 def test_empty_atomic_measure_is_the_zero_measure():
@@ -753,16 +778,39 @@ def test_delta_base_under_a_tabulated_clock_spanning_the_unit_crossing(speed):
         assert abs(cf_from_triplet(st, th) - compose_cf(base, pair, th)) <= 1e-9
 
 
-def test_rule_clock_atoms_are_checked_at_every_theta():
-    # delta(40) carries the tabulated clock's nodes to x = 40 s: at theta = 30
-    # the cell rule misses its check rule, and the route refuses
-    base, pair = lm.delta_law(40.0), SubordinatorPair(0.0, DELTA_CLOCKS["tabulated"])
-    st = subordinate_triplet(base, pair)
-    for th in (0.5, 3.0):
-        want = compose_cf(base, pair, th)
-        assert abs(cf_from_triplet(st, th) - want) <= 1e-15 * max(1.0, abs(want))
-    with pytest.raises(QuadratureFailure, match="mixing grid too coarse"):
-        cf_from_triplet(st, 30.0)
+def _delta_tabulated_jump_integral(speed, theta, clock):
+    """The integral of e^{i k s} - 1 - i k s 1{|v s| <= 1}, k = theta v,
+    against the clock's linear density, cell by cell in closed form, in 30
+    digits: e^{i k s} ((a + b s) / (i k) + b / k^2) is the antiderivative
+    of e^{i k s} (a + b s)."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        k, crossing, total = mpmath.mpf(theta) * speed, 1 / abs(mpmath.mpf(speed)), mpmath.mpc(0)
+        cells = zip(clock.xs, clock.xs[1:], clock.dens, clock.dens[1:])
+        for lo, hi, d_lo, d_hi in ([mpmath.mpf(v) for v in cell] for cell in cells):
+            b = (d_hi - d_lo) / (hi - lo)
+            a = d_lo - b * lo
+            exp_part = lambda s: mpmath.exp(1j * k * s) * ((a + b * s) / (1j * k) + b / k**2) - a * s - b * s**2 / 2
+            moment = lambda s: a * s**2 / 2 + b * s**3 / 3
+            total += exp_part(hi) - exp_part(lo)
+            if lo < crossing:
+                total -= 1j * k * (moment(min(hi, crossing)) - moment(lo))
+        return complex(total)
+
+
+# at v = 1 and 2 an end node x of a piece rounds to an x / v just off the grid
+@pytest.mark.parametrize("speed", [1.5, -1.5, 0.3, 40.0, 1.0, 2.0])
+def test_delta_base_under_a_tabulated_clock_is_exact_at_every_theta(speed):
+    # the image density is linear between the images v xs of the grid, where
+    # the pieces are cut, inside |x| < 1 as well as past it: every piece's
+    # series is exact, at every theta, with no per-theta refusal
+    clock = DELTA_CLOCKS["tabulated"]
+    jumps = JumpMixEvaluator(lm.delta_law(speed), SubordinatorPair(0.2, clock))
+    assert jumps._grid().n_atoms == 0
+    for th in (0.5, -3.0, 30.0, 100.0, 300.0, 1000.0):
+        want = _delta_tabulated_jump_integral(speed, th, clock)
+        assert abs(jumps.char_integral(th) - want) <= 1e-12 * max(1.0, abs(want)), f"theta = {th}"
 
 
 def test_pushforward_beyond_resolution_fails_fast_or_agrees():
