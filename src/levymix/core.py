@@ -4,9 +4,9 @@ The measure side is a closed tagged union.  Each family implements the small
 set of functionals the rest of the library consumes: interval masses,
 truncated moments, (1 and |x|**p) integrals with an explicit infinity, its
 Laplace and characteristic integrals, an exact sampler of its jump sums over
-an array of step lengths, and the rule for integrating against it.  Closed
-forms are used wherever the family admits one; a cell rule only for
-tabulated densities.  Each class is its family:
+an array of step lengths, and its atoms or the break points of its density
+for integrating against it.  Closed forms are used wherever the family
+admits one, cell by cell for tabulated densities.  Each class is its family:
 a parametric measure names its ``amplitude`` field, the one it is linear
 in, and a triplet built by a law constructor holds in ``LevyTriplet.law``
 the ``TaggedLaw`` that owns the closed forms of its convolution powers mu^s.
@@ -22,7 +22,6 @@ from enum import Enum
 import numpy as np
 import scipy
 
-from . import quadrature
 from .errors import (
     DomainError,
     NotFiniteVariation,
@@ -97,9 +96,6 @@ def _poisson(rng, mean, *size):
     return rng.poisson(mean, *size)
 
 
-# The most Poisson counts a mix may sum over, one column each.
-_MAX_COUNTS = 10_000
-
 # The natural log of the largest float: a draw whose log reaches it overflows.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -118,6 +114,7 @@ class LevyMeasure(ABC):
 
     symmetric = False  # symmetric measures have a vanishing compensator integral
     amplitude = None  # name of the field the measure is linear in, if any
+    breaks = ()  # increasing points where the density is not smooth; with any, it is 0 outside them
 
     @abstractmethod
     def total_mass(self) -> float:
@@ -179,8 +176,8 @@ class LevyMeasure(ABC):
         raise UnsupportedFamily(f"no laplace exponent for {type(self).__name__}")
 
     def fixed_rule(self):
-        """(nodes, weights, check_weights) of the measure's own rule for
-        quadrature.rule_sum, or None for a density integrated adaptively."""
+        """(positions, masses) of the atoms for quadrature.rule_sum, or None
+        for a density integrated adaptively."""
         return None
 
     def image_in_ml1(self, alpha: float) -> bool:
@@ -511,8 +508,7 @@ class AtomicMeasure(LevyMeasure):
         return total
 
     def fixed_rule(self):
-        masses = np.array([m for _, m in self.atoms])
-        return np.array([p for p, _ in self.atoms]), masses, masses
+        return np.array([p for p, _ in self.atoms]), np.array([m for _, m in self.atoms])
 
     def is_zero(self):
         return not self.atoms
@@ -578,14 +574,36 @@ class CompoundExponentialMeasure(LevyMeasure):
         return True
 
 
+# 1 / (n + 3)! for n = 19 down to 0: the series of phi_3 in Horner order.
+_PHI3_SERIES = [1.0 / math.factorial(n + 3) for n in range(19, -1, -1)]
+
+
+def _phi(w):
+    """phi_k(w) = sum_n w**n / (n + k)! for k = 1, 2, 3, stacked, entry by
+    entry: from the series of phi_3 where |w| < 1, else from expm1 down by
+    phi_{k+1} = (phi_k - 1 / k!) / w, which does not cancel there."""
+    out = np.empty((3, *w.shape), w.dtype)
+    small = np.abs(w) < 1.0
+    v = w[small]
+    p3 = np.zeros_like(v)
+    for c in _PHI3_SERIES:
+        p3 = p3 * v + c
+    p2 = 0.5 + v * p3
+    out[:, small] = (1.0 + v * p2, p2, p3)
+    v = w[~small]
+    p1 = np.expm1(v) / v
+    p2 = (p1 - 1.0) / v
+    out[:, ~small] = (p1, p2, (p2 - 0.5) / v)
+    return out
+
+
 @dataclass(frozen=True)
 class TabulatedMeasure(LevyMeasure):
     """Piecewise-linear density on a strictly increasing grid; zero off-grid.
 
-    The grid must sit entirely on one side of zero.  Every integral against
-    it is one rule: the K15 nodes of each cell of the grid cut at the limits,
-    checked by the embedded G7; both are exact on x**p times a linear density
-    for p <= 2, so masses and moments are exact up to roundoff.
+    The grid must sit entirely on one side of zero, and its points are the
+    density's break points.  Masses, moments of power <= 2 and the Laplace
+    integral are exact sums over its cells.
     """
 
     xs: tuple
@@ -609,34 +627,26 @@ class TabulatedMeasure(LevyMeasure):
         xs, dens = self._grid()
         return np.interp(np.asarray(x, dtype=float), xs, dens, left=0.0, right=0.0)
 
-    def _rule(self, lo=-INF, hi=INF):
-        """Nodes and the K15 and G7 weights times the density on the grid cut
-        to [lo, hi]."""
+    breaks = property(lambda self: self.xs)
+
+    def _moment(self, power, lo=-INF, hi=INF):
+        """Integral of x**power over [lo, hi]: two Gauss-Legendre points on
+        each cell of the grid cut there, exact on cubics, so for power <= 2."""
         xs, _ = self._grid()
         lo, hi = max(lo, xs[0]), min(hi, xs[-1])
         edges = np.concatenate(([lo], xs[(xs > lo) & (xs < hi)], [hi])) if hi > lo else xs[:1]
-        nodes, kronrod, gauss = quadrature.kronrod_nodes(edges)
-        d = self.density(nodes)
-        return nodes, kronrod * d, gauss * d
-
-    def fixed_rule(self):
-        return self._rule()
-
-    def _integral(self, f, lo=-INF, hi=INF):
-        """f integrated against the measure over [lo, hi] by its rule, error checked."""
-        value, err = quadrature.rule_sum(f, *self._rule(lo, hi))
-        if not quadrature.within(value, err, 1e-8):
-            raise QuadratureFailure(f"tabulated grid too coarse: error estimate {np.max(err):.3e}")
-        return value
+        half = 0.5 * np.diff(edges)[:, None]
+        x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * np.array([-1.0, 1.0]) / math.sqrt(3.0)
+        return float((half * self.density(x) * x**power).sum())
 
     def total_mass(self):
-        return self.interval_mass(-INF, INF)
+        return self._moment(0)
 
     def interval_mass(self, lo, hi):
-        return float(self._integral(np.ones_like, lo, hi))
+        return self._moment(0, lo, hi)
 
     def truncated_moment(self, power, cutoff=1.0):
-        return float(self._integral(lambda x: x**power, -cutoff, cutoff))
+        return self._moment(power, -cutoff, cutoff)
 
     def one_wedge(self, power):
         # the grid is one-sided: |x|**power integrates to the moment's modulus
@@ -669,8 +679,16 @@ class TabulatedMeasure(LevyMeasure):
         return TabulatedMeasure(self.xs, tuple(v * factor for v in self.dens))
 
     def laplace_integral(self, z):
-        z = np.asarray(z)
-        return self._integral(lambda s: np.exp(np.multiply.outer(s, z.ravel())) - 1.0).reshape(z.shape)
+        # on a cell [a, a + h], x = a + h t: e^{zx} - 1 = m e^{wt} + e^{wt} - 1
+        # for w = z h and m = expm1(z a), and the integrals of e^{wt} (1 - t)
+        # and e^{wt} t over [0, 1] are phi_2(w) and phi_1(w) - phi_2(w)
+        xs, dens = self._grid()
+        a, h, z = xs[:-1, None], np.diff(xs)[:, None], np.asarray(z)
+        w, m = z.ravel() * h, np.expm1(z.ravel() * a)
+        p1, p2, p3 = _phi(w)
+        cells = h * (dens[:-1, None] * (m * p2 + w * p3) + dens[1:, None] * (m * (p1 - p2) + w * (p2 - p3)))
+        # row by row, so that each z's value is the same bits in any array
+        return np.add.accumulate(cells)[-1].reshape(z.shape)
 
     def is_positive(self):
         return self.xs[0] > 0

@@ -101,23 +101,22 @@ def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None):
     linear small-s bound |fn(s)| <= linear_bound * s is supplied; the bound
     picks the lower truncation for infinite-mass measures.
 
-    Measures with their own rule (atoms, tabulated grids) are summed by it,
-    column by column.  Densities are integrated by adaptive Gauss-Kronrod in
-    u = log s between a certified floor and a tail cut, whose bounds are
-    added to the quadrature's error estimate; fn must not jump inside a
-    density's range, where the adaptive rule bisects the jump down to
-    machine width.  Each column keeps its own value and error estimate;
-    unless every estimate is quadrature.within tol, QuadratureFailure is
-    raised.  Returns (value, err, (nodes, weights)), value and err with the
-    block's trailing shape, and sum weights * g(nodes) the rule's integral
-    of any g against rho: the measure's own rule, or the K15 nodes in s of
-    the final panels, weighted w s rho(s), which met tol on every column of
-    fn.
+    Atoms are summed exactly, column by column.  Densities are integrated
+    by adaptive Gauss-Kronrod in u = log s between a certified floor and a
+    tail cut, whose bounds are added to the quadrature's error estimate,
+    from starting panels also cut at the density's break points; fn must
+    not jump inside a density's range, where the adaptive rule bisects the
+    jump down to machine width.  Each column keeps its own value and error
+    estimate; unless every estimate is quadrature.within tol,
+    QuadratureFailure is raised.  Returns (value, err, (nodes, weights)),
+    value and err with the block's trailing shape, and sum weights *
+    g(nodes) the rule's integral of any g against rho: the atoms, or the
+    K15 nodes in s of the final panels, weighted w s rho(s), which met tol
+    on every column of fn.
     """
     rule = rho.fixed_rule()
     if rule is not None:
         value, err = quadrature.rule_sum(fn, *rule)
-        rule = rule[:2]
     else:
         # Density families: truncate both ends with certified bounds, then
         # integrate in u = log s so origin singularities flatten out.
@@ -156,8 +155,9 @@ def integrate_rho(rho: LevyMeasure, fn, *, tol=1e-10, linear_bound=None):
             s = np.exp(u)
             return (np.asarray(fn(s)).T * (rho.density(s) * s)).T
 
-        value, qerr, edges = quadrature.integrate_adaptive(integrand, math.log(floor), math.log(upper), tol=tol)
-        u, weights, _ = quadrature.kronrod_nodes(edges)
+        value, qerr, edges = quadrature.integrate_adaptive(integrand, math.log(floor), math.log(upper), tol=tol,
+                                                           breaks=[math.log(b) for b in rho.breaks])
+        u, weights = quadrature.kronrod_nodes(edges)
         s = np.exp(u)
         err, rule = qerr + floor_err + tail_err, (s, weights * s * rho.density(s))
     if not quadrature.within(value, err, tol):
@@ -226,10 +226,10 @@ def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, cells) -> list:
     estimate and truncation point.
 
     A base with a density integrates all the sets as one block of targets
-    on shared panels (see _mix_over_sets); an atom or tabulated clock sums
-    each column by its own rule, the same bits as a one-set call; a delta
-    base's pushforward is exact per set.  A zero clock mixes nothing, for
-    any base: every set has mass exactly 0."""
+    on shared panels (see _mix_over_sets); an atom clock sums each column
+    on its own, the same bits as a one-set call; a delta base's pushforward
+    is exact per set.  A zero clock mixes nothing, for any base: every set
+    has mass exactly 0."""
     if not rho.is_positive():
         raise DomainError("the mixing measure must live on (0, inf)")
     cells = tuple(cells)

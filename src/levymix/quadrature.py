@@ -3,9 +3,8 @@
 One adaptive rule for integrals against a jump-measure density: QUADPACK's
 Gauss-Kronrod 7/15 pair (Piessens et al. 1983) on every panel and every
 target of a block at once, bisecting only the panels that still need it.
-Beside it, the same K15/G7 pair as a fixed rule on given panels (tabulated
-cells, and the rule an adaptive integral certified), and an ordered
-weighted sum for measures with nodes of their own.
+Beside it, the K15 nodes of the panels an adaptive integral certified, and
+an ordered weighted sum for measures with atoms of their own.
 """
 
 from __future__ import annotations
@@ -59,19 +58,22 @@ def _kronrod_panels(f, lo, hi):
     return kron, err + (1.0 - _XK[-1]) * half * jump, block.shape[1:]
 
 
-def integrate_adaptive(f, lo, hi, *, tol):
+def integrate_adaptive(f, lo, hi, *, tol, breaks=()):
     """Integral of f over the finite interval [lo, hi] to absolute tolerance tol.
 
     f maps an (n,) array of nodes to an (n,) or (n, k) block, real or
-    complex; the k columns are targets integrated together on shared panels.
-    Every panel whose error on some target exceeds the panel's share (its
-    fraction of the width) of max(tol, 1e-9 |value|) is bisected, until none
-    does.  Returns (value, abs_error_estimate, edges): the first two with the
-    block's trailing shape, edges the final panels' edges in increasing
-    order, on which kronrod_nodes gives the rule that reached tol.  At the
-    panel cap, raises QuadratureFailure unless the error is within tol.
+    complex; the k columns are targets integrated together on shared panels,
+    the first ones also cut at the breaks, where f is not smooth.  Every
+    panel whose error on some target exceeds the panel's share (its
+    fraction of the width) of max(tol, 1e-9 |value|) is bisected, until
+    none does.  Returns (value, abs_error_estimate, edges): the first two
+    with the block's trailing shape, edges the final panels' edges in
+    increasing order, on which kronrod_nodes gives the rule that reached
+    tol.  At the panel cap, raises QuadratureFailure unless the error is
+    within tol.
     """
     edges = np.linspace(lo, hi, _START_PANELS + 1)
+    edges = np.union1d(edges, [b for b in breaks if lo < b < hi]) if len(breaks) else edges
     a, b = edges[:-1], edges[1:]
     val, err, shape = _kronrod_panels(f, a, b)
     while True:
@@ -102,25 +104,23 @@ def within(value, err, tol):
     return bool(np.all(err <= np.maximum(100.0 * tol, 1e-6 * np.abs(value))))
 
 
-def rule_sum(f, nodes, weights, check_weights):
-    """(value, abs_error_estimate) of a fixed rule: the sum of weights *
-    f(nodes) in node order, so that an atom sum is exact to the last bit, for
-    f mapping the (n,) nodes to an (n,) or (n, k) block.  The error is the
-    gap to the check rule on the same nodes (the embedded Gauss rule of a
-    Kronrod rule; atoms check against themselves) plus 1e-15 sum |w f|,
-    each summed row after row (np.add.accumulate) from a zero row, as a
-    loop over the rows would, so that an empty rule sums to 0: each
-    column's result is the same whatever the width of its block."""
+def rule_sum(f, nodes, weights):
+    """(value, abs_error_estimate) of an atom sum: the sum of weights *
+    f(nodes) in node order, exact to the last bit, for f mapping the (n,)
+    nodes to an (n,) or (n, k) block.  The error is 1e-15 sum |w f|.  Both
+    are summed row after row (np.add.accumulate) from a zero row, as a loop
+    over the rows would, so that an empty rule sums to 0: each column's
+    result is the same whatever the width of its block."""
     fx = np.asarray(f(nodes))
     terms = (fx.T * weights).T
-    value, check, size = (np.add.accumulate(np.concatenate([np.zeros((1, *fx.shape[1:]), rows.dtype), rows]))[-1]
-                          for rows in (terms, (fx.T * check_weights).T, np.abs(terms)))
-    return value, np.abs(value - check) + 1e-15 * size
+    value, size = (np.add.accumulate(np.concatenate([np.zeros((1, *fx.shape[1:]), rows.dtype), rows]))[-1]
+                   for rows in (terms, np.abs(terms)))
+    return value, 1e-15 * size
 
 
 def kronrod_nodes(edges):
-    """Composite K15 nodes, K15 weights and embedded G7 weights over consecutive [e_i, e_{i+1}]."""
+    """Composite K15 nodes and weights over consecutive [e_i, e_{i+1}]."""
     edges = np.asarray(edges, dtype=float)[:, None]
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
-    return (0.5 * (lo + hi) + half * _XK).ravel(), (half * _W[0]).ravel(), (half * _W[1]).ravel()
+    return (0.5 * (lo + hi) + half * _XK).ravel(), (half * _W[0]).ravel()

@@ -20,10 +20,8 @@ from .core import (
     AtomicMeasure,
     LevyTriplet,
     SubordinatorPair,
-    TabulatedMeasure,
     TruncationConvention,
     ZERO_MEASURE,
-    _MAX_COUNTS,
     char_exponent,
     laplace_exponent,
 )
@@ -36,14 +34,16 @@ from .mixing import (
 )
 
 _X_FLOOR = 1e-9
-# The tail search refuses a light-tailed law past _X_HI_MAX and stops a
-# heavy-tailed one below _X_HI_HEAVY, about 70 panels out.
+# The tail search refuses a light-tailed law past _X_HI_MAX (a delta base
+# past _X_HI_HEAVY) and stops a heavy-tailed one below _X_HI_HEAVY, about 70
+# panels out.
 _X_HI_MAX = 1e6
 _X_HI_HEAVY = 1e12
 # The two routes' release tolerance, for the bound on a heavy tail.
 _RELEASE_TOL = 1e-6
-# The atoms route integrates its Poisson counts in blocks of columns.
+# The atoms route integrates at most _MAX_COUNTS Poisson counts, in blocks of columns.
 _COUNT_BLOCK = 64
+_MAX_COUNTS = 10_000
 
 # Every piece of the x-grid is the series through the mixed density at its
 # 24 Chebyshev points: _INNER_PIECES unchecked ones per side on geometric
@@ -153,7 +153,7 @@ def _light_cut(candidates, masses, heavy: bool):
         if max(row) < 1e-14:
             return x_hi, row
     if not heavy:
-        raise QuadratureFailure(f"mixed density tail still above 1e-14 beyond x = {_X_HI_MAX:g}")
+        raise QuadratureFailure(f"mixed density tail still above 1e-14 beyond x = {x_hi:.3g}")
     return x_hi, row
 
 
@@ -269,7 +269,7 @@ class JumpMixEvaluator:
         carries.  The name is kept for bench/spans.py, which times the
         pushforward under it."""
         if isinstance(self.pair.jumps, AtomicMeasure):
-            s, w, _ = self.pair.jumps.fixed_rule()
+            s, w = self.pair.jumps.fixed_rule()
             return self.base.law.drift * s, w
         return None
 
@@ -303,23 +303,23 @@ class JumpMixEvaluator:
         _MASS_EDGES points of [_X_FLOOR, 1] and at each candidate x_hi = 2,
         3, 4.5, ... up to 1e6, or 1e12 for a heavy tail; _light_cut reads
         x_hi off those masses (for a delta base, rho.mass_above, up to the
-        first below 1e-14).  The pieces are also cut
-        at an atom clock's means and means +- 8 sd of mu^s, and at the images
-        v xs of a tabulated clock's grid under a delta(v) base, keeping only
-        those inside the image support, where its density is linear.  Pieces
+        first below 1e-14, so that its candidates run to 1e12 as well).  The
+        pieces are also cut at an atom clock's means and means +- 8 sd of
+        mu^s, and at the images v b of the clock's break points b under a
+        delta(v) base, keeping only those inside the image support.  Pieces
         whose series is 0 are left out."""
         law, rho = self.base.law, self.pair.jumps
         cuts, support, weight = np.empty(0), (-math.inf, math.inf), 2.0 if law.even else 1.0
-        candidates = [2.0]
-        while candidates[-1] * 1.5 <= (_X_HI_HEAVY if law.heavy_tail else _X_HI_MAX):
+        candidates, pushforward = [2.0], law.mix_route == "pushforward"
+        while candidates[-1] * 1.5 <= (_X_HI_HEAVY if law.heavy_tail or pushforward else _X_HI_MAX):
             candidates.append(candidates[-1] * 1.5)
-        if law.mix_route == "pushforward":
+        if pushforward:
             v = law.drift
             kernel = lambda x: rho.density(x / v) / abs(v)
             sides = (math.copysign(1.0, v),)
             masses = ([rho.mass_above(x / abs(v))] for x in candidates)
-            if isinstance(rho, TabulatedMeasure):
-                grid = np.asarray(rho.xs)
+            if rho.breaks:
+                grid = np.asarray(rho.breaks)
                 cuts = v * grid
                 support = (cuts.min(), cuts.max())
                 # a piece's end node x may round to an x / v just off the grid

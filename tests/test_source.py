@@ -108,3 +108,14 @@ def test_no_module_imports_a_name_it_never_uses():
                 used.update(ast.literal_eval(node.value))
         unused += [f"{path.name}:{line}: {name}" for name, line in _imports(tree) if name not in used]
     assert not unused, f"imported names that nothing uses: {unused}"
+
+
+def test_only_mixing_integrates_against_a_clock():
+    # integration against rho has one home: a family that grew its own rule
+    # would import the quadrature module
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        names = {name for name, _ in _imports(ast.parse(path.read_text()))}
+        if "quadrature" in names and path.name != "quadrature.py":
+            importers.append(path.name)
+    assert importers == ["mixing.py"]

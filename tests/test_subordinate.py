@@ -232,10 +232,10 @@ TWO_ROUTE_FIXTURES = [
     ("neg-mean-gauss", lm.gaussian_law(-3.0, 1.0), SubordinatorPair(0.0, GammaMeasure(1.0, 1.0)), 1e-8),
     ("delta-neg-gamma", lm.delta_law(-0.7), SubordinatorPair(0.0, GammaMeasure(1.0, 0.5)), 1e-11),
     ("delta-cexp", lm.delta_law(1.5), SubordinatorPair(0.0, CompoundExponentialMeasure(2.0, 1.5)), 1e-11),
-    # a tabulated clock: its cell rule gives the x-grid's s-nodes
+    # a tabulated clock: a density whose s-rule starts from panels cut at its grid
     ("gauss-tabulated", lm.gaussian_law(1.0, 1.0), SubordinatorPair(0.0, TabulatedMeasure(
         tuple(np.linspace(0.5, 2.0, 61)), tuple(np.exp(-np.linspace(0.5, 2.0, 61))))), 1e-8),
-    # rule clocks keep the rule sum of their nodes' images
+    # an atom clock keeps the sum of its atoms' images
     ("delta-atoms", lm.delta_law(1.5), SubordinatorPair(0.0, AtomicMeasure(((0.5, 0.6), (2.0, 0.3)))), 1e-11),
 ]
 
@@ -397,7 +397,8 @@ def test_bench_tracer_still_fits_the_triplet_route():
         tracer.uninstall()
     metrics = tracer.round_metrics()[-1]
     assert metrics["subordinate.grid_build_s"] > 0
-    # the rule clock's atoms are built under the name the tracer wraps
+    # the delta base asks for its pushforward under the name the tracer
+    # wraps, though a tabulated clock's image is pieces and it returns None
     assert metrics["subordinate.pushforward_s"] > 0
     assert metrics["subordinate.char_integral_calls"] == 6
 
@@ -441,7 +442,7 @@ def test_gaussian_mixed_density_matches_the_generic_blocked_sum(mean, var, rho):
     (VG_BASE, VG_PAIR),
     (lm.cauchy_law(1.0), SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))),
     (lm.delta_law(1.5), SubordinatorPair(0.2, GammaMeasure(2.0, 3.0))),
-    # atoms: a rule clock's nodes carried to x = v s, and a Poisson base's counts
+    # the tabulated clock's image pieces, cut at v xs, and a Poisson base's counts
     (lm.delta_law(1.5), SubordinatorPair(0.2, DELTA_CLOCKS["tabulated"])),
     (lm.poisson_law(0.8, 1.3), SubordinatorPair(0.5, AtomicMeasure(((0.7, 0.6),)))),
 ], ids=["vg", "cauchy-gamma", "delta-gamma", "delta-tabulated", "poisson-atom"])
@@ -476,15 +477,19 @@ def test_a_delta_base_build_asks_an_atom_clock_for_its_rule_once(monkeypatch):
     assert list(grid.xs) == [1.5 * s for s, _ in clock.atoms] and list(grid.w) == [m for _, m in clock.atoms]
 
 
-def test_a_drift_term_past_the_acceptance_rule_is_refused():
-    # N(1, 0.01) under a 4-point tabulated clock: the truncated mean's cell
-    # rule misses its check by 4.5e-7, past max(1e-10, 1e-6 |value|) at tol
-    # 1e-12; the 61-point grid meets it
-    base = lm.gaussian_law(1.0, 0.01)
-    xs = np.linspace(0.5, 2.0, 4)
-    with pytest.raises(QuadratureFailure, match="mixing grid too coarse"):
-        subordinate_triplet(base, SubordinatorPair(0.0, TabulatedMeasure(tuple(xs), tuple(np.exp(-xs)))))
-    assert subordinate_triplet(base, SubordinatorPair(0.0, DELTA_CLOCKS["tabulated"])).gamma_bar == 0.17220677585415944
+# The drift term of N(1, 0.01) under e^{-s} tabulated at n points of
+# [0.5, 2], its truncated mean integrated cell by cell in 40-digit mpmath.
+TABULATED_DRIFT_REFERENCES = {4: 0.17584416096924317173, 61: 0.17220677585415971783}
+
+
+@pytest.mark.parametrize("n", TABULATED_DRIFT_REFERENCES)
+def test_tabulated_clock_drift_terms_meet_their_references(n):
+    # the clock is a density with panel edges at its grid: a coarse grid is
+    # integrated as exactly as a fine one
+    xs = np.linspace(0.5, 2.0, n)
+    pair = SubordinatorPair(0.0, TabulatedMeasure(tuple(xs), tuple(np.exp(-xs))))
+    gamma_bar = subordinate_triplet(lm.gaussian_law(1.0, 0.01), pair).gamma_bar
+    assert abs(gamma_bar - TABULATED_DRIFT_REFERENCES[n]) <= 1e-15 * TABULATED_DRIFT_REFERENCES[n]
 
 
 GAMMA_23 = SubordinatorPair(0.0, GammaMeasure(2.0, 3.0))
@@ -770,7 +775,8 @@ def test_pushforward_resolves_the_compensator_jump(theta):
 @pytest.mark.parametrize("speed", [1.5, -1.5])
 def test_delta_base_under_a_tabulated_clock_spanning_the_unit_crossing(speed):
     # the grid [0.5, 2] spans s = 1/|v|, where the truncated mean and the
-    # compensator jump; the cell rule cuts its cells there for both integrals
+    # compensator jump: the drift term is the clock's closed-form moment up
+    # to there, and the image's pieces are cut at x = 1
     xs = np.linspace(0.5, 2.0, 61)
     base, pair = lm.delta_law(speed), SubordinatorPair(0.0, TabulatedMeasure(tuple(xs), tuple(np.exp(-xs))))
     st = subordinate_triplet(base, pair)
@@ -811,6 +817,23 @@ def test_delta_base_under_a_tabulated_clock_is_exact_at_every_theta(speed):
     for th in (0.5, -3.0, 30.0, 100.0, 300.0, 1000.0):
         want = _delta_tabulated_jump_integral(speed, th, clock)
         assert abs(jumps.char_integral(th) - want) <= 1e-12 * max(1.0, abs(want)), f"theta = {th}"
+
+
+@pytest.mark.parametrize("speed, thetas", [(40.0, (30.0, 100.0, 300.0, 1000.0)), (1e6, (1e-7, 1e-5, 1e-3)),
+                                           (-1e6, (1e-7, 1e-5, 1e-3)), (1e9, (1e-7, 1e-5, 1e-3))])
+def test_delta_base_under_a_tabulated_clock_keeps_the_two_routes_together(speed, thetas):
+    # the compose route's per-cell closed form against the triplet route's
+    # exact pieces, far out in theta; an image past |x| = 1e6, where a light
+    # tail's cut search is refused, answers: a delta base's closed-form
+    # masses run on to 1e12
+    base, pair = lm.delta_law(speed), SubordinatorPair(0.2 if speed == 40.0 else 0.0, DELTA_CLOCKS["tabulated"])
+    st = subordinate_triplet(base, pair)
+    for theta in thetas:
+        want = compose_cf(base, pair, theta)
+        assert abs(cf_from_triplet(st, theta) - want) <= 1e-12 * max(1.0, abs(want)), f"theta = {theta}"
+    if speed == 1e6:
+        want = complex(-0.0030842761364630496, 0.05024067109371985)
+        assert abs(cf_from_triplet(st, 1e-7) - want) <= 1e-15 * abs(want)
 
 
 def test_pushforward_beyond_resolution_fails_fast_or_agrees():
