@@ -799,9 +799,6 @@ class SubordinatorPair:
         if not self.jumps.finite_variation():
             raise NotFiniteVariation("subordinator jumps must integrate (1 and x)")
 
-    def is_zero(self) -> bool:
-        return self.drift == 0.0 and self.jumps.is_zero()
-
 
 # ---------------------------------------------------------------------------
 # Law constructors.

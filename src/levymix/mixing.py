@@ -18,7 +18,6 @@ import scipy
 from . import quadrature
 from .core import (
     INF,
-    AtomicMeasure,
     LevyMeasure,
     LevyTriplet,
     char_exponent,
@@ -67,7 +66,6 @@ class IntervalSet:
 class MixResult:
     value: float
     abs_error_estimate: float
-    truncation_point: float
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +73,16 @@ class MixResult:
 # small-s constant.
 
 
-def _require_tag(mu: LevyTriplet):
+def mixable_law(mu: LevyTriplet):
+    """The tag of a base that a clock with jumps can mix: refused for a
+    triplet built from its parts, which has no closed forms of mu^s, and for
+    a degenerate base at 0, whose mix would put mass at 0."""
     if mu.law is None:
         raise UnsupportedFamily(
             "convolution powers need a law-tagged triplet (use the law constructors)"
         )
+    if mu.is_degenerate() and mu.drift == 0.0:
+        raise DomainError("a degenerate base at 0 is outside the mixing domain")
     return mu.law
 
 
@@ -177,30 +180,24 @@ def _validate_mixing_measure(rho):
 
 
 def _delta_pushforward_mass(drift, rho, sets):
-    """Mass of rho(drift^-1 dx) over the interval set, exact, truncated at
-    the clock time of the set's farthest end: no tail search."""
+    """Mass of rho(drift^-1 dx) over the interval set for a density clock,
+    exact: its masses between the clock times of each interval's ends."""
     total = 0.0
     for lo, hi in sets.intervals:
         a, b = lo / drift, hi / drift
-        if isinstance(rho, AtomicMeasure):
-            if drift > 0:
-                total += sum(m for p, m in rho.atoms if a < p <= b)
-            else:
-                total += sum(m for p, m in rho.atoms if b <= p < a)
-        else:
-            total += rho.interval_mass(min(a, b), max(a, b))
-    far = max((max(-lo, hi) for lo, hi in sets.intervals), default=0.0)
-    return MixResult(total, 1e-15 * total, far / abs(drift))
+        total += rho.interval_mass(min(a, b), max(a, b))
+    return MixResult(total, 1e-15 * total)
 
 
 def _mix_over_sets(mu, rho, cells, interval_mass):
     """One MixResult per interval set of cells: the mu^s masses of the
     non-empty sets, interval_mass(s, lo, hi) summed over each set's
     intervals, as one (n, k) block integrated against rho; an empty set's
-    mass is 0.  The set nearest 0 gives the linear small-s bound that
-    certifies the lower cut for every column, and the truncation point is
-    the last node of the rule."""
-    out = [MixResult(0.0, 0.0, 0.0)] * len(cells)
+    mass is 0.  The set nearest 0, at distance d, gives the linear small-s
+    bound 2 c / d^2 (c the lemma constant) that certifies the lower cut for
+    every column: 0 for a base with c = 0, and inf, which no lower cut
+    meets, where it overflows."""
+    out = [MixResult(0.0, 0.0)] * len(cells)
     live = [k for k, sets in enumerate(cells) if sets.intervals]
     if not live:
         return out
@@ -209,38 +206,36 @@ def _mix_over_sets(mu, rho, cells, interval_mass):
         raise DomainError("interval sets touching 0 need a finite mixing measure")
     bound = None
     if d > 0.0:
-        bound = 2.0 * lemma_constant(mu) / min(1.0, d * d)
+        bound = 2.0 * lemma_constant(mu) / min(1.0, d) / min(1.0, d)
     lo, hi = np.array([interval for k in live for interval in cells[k].intervals]).T
     starts = np.cumsum([0] + [len(cells[k].intervals) for k in live[:-1]])
     fn = lambda s: np.add.reduceat(interval_mass(s[:, None], lo, hi), starts, axis=1)
-    value, err, (nodes, _) = integrate_rho(rho, fn, linear_bound=bound)
-    upper = float(np.max(nodes, initial=0.0))
+    value, err, _ = integrate_rho(rho, fn, linear_bound=bound)
     for k, v, e in zip(live, value, err):
-        out[k] = MixResult(max(float(v), 0.0), float(e), upper)
+        out[k] = MixResult(max(float(v), 0.0), float(e))
     return out
 
 
 def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, cells) -> list:
     """Masses of the mixed measure integral mu^s(.) rho(ds) on a sequence of
-    interval sets, one MixResult per set, each with its own value, error
-    estimate and truncation point.
+    interval sets, one MixResult per set, each with its own value and error
+    estimate.
 
-    A base with a density integrates all the sets as one block of targets
-    on shared panels (see _mix_over_sets); an atom clock sums each column
-    on its own, the same bits as a one-set call; a delta base's pushforward
-    is exact per set.  A zero clock mixes nothing, for any base: every set
-    has mass exactly 0."""
+    A density clock integrates all the sets as one block of targets on
+    shared panels (see _mix_over_sets), except under a delta base, whose
+    pushforward is exact per set; an atom clock sums each column of the
+    law's closed masses on its own, at x = v s for a delta(v) base, the same
+    bits as a one-set call.  A zero clock mixes nothing, for any base: every
+    set has mass exactly 0."""
     if not rho.is_positive():
         raise DomainError("the mixing measure must live on (0, inf)")
     cells = tuple(cells)
     if rho.is_zero():
-        return [MixResult(0.0, 0.0, 0.0)] * len(cells)
-    law = _require_tag(mu)
-    if law.mix_route == "pushforward":
-        # Degenerate base: the mix is a pushforward, defined for any
-        # positive jump measure as long as the point is not 0.
-        if law.drift == 0.0:
-            raise DomainError("a degenerate base at 0 is outside the mixing domain")
+        return [MixResult(0.0, 0.0)] * len(cells)
+    law = mixable_law(mu)
+    if law.mix_route == "pushforward" and rho.fixed_rule() is None:
+        # a delta base under a density clock: a pushforward, defined for any
+        # positive jump measure; its mass jumps where a cell ends at v s
         return [_delta_pushforward_mass(law.drift, rho, sets) for sets in cells]
     _validate_mixing_measure(rho)
     return _mix_over_sets(mu, rho, cells, law.interval_mass)
@@ -270,7 +265,7 @@ def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float) -> float:
 
 def _stable_reference_cdf(mu: LevyTriplet, alpha: float):
     """Reference CDF of the strictly stable base law, plus validation."""
-    law = _require_tag(mu)
+    law = mixable_law(mu)
     law.require_stable(alpha)
     return lambda x: law.cdf(1.0, x)
 
@@ -331,4 +326,4 @@ def small_s_ratio(mu: LevyTriplet, s: float) -> float:
         raise DomainError("s must be > 0")
     if mu.is_degenerate():
         raise DomainError("the base law must be non-degenerate")
-    return _require_tag(mu).small_s_ratio(s)
+    return mixable_law(mu).small_s_ratio(s)

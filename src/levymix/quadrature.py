@@ -38,11 +38,13 @@ _TO_EDGES = np.array([[math.prod((x - m) / (xj - m) for m in _XK if m != xj) for
 _NODES = np.concatenate([_XK, [-1.0, 1.0]])
 
 
-def _kronrod_panels(f, lo, hi):
+def _kronrod_panels(f, lo, hi, breaks):
     """K15 integrals and error estimates on the panels [lo_i, hi_i], as two
     (n_panels, k) arrays, and the trailing shape of f's block.  The error is
     QUADPACK's (|K15 - G7| scaled by the integral of |f - mean|, floored at
-    roundoff) plus the bound for a jump in the edge margins."""
+    roundoff) plus the bound for a jump in the edge margins, but for a
+    margin at one of the breaks: a jump there is the panel's own end, and
+    its edge sample may round past it."""
     half = 0.5 * (hi - lo)[:, None]
     block = np.asarray(f((0.5 * (lo + hi)[:, None] + half * _NODES).ravel()))
     fx = block.reshape(lo.size, _NODES.size, -1)
@@ -54,8 +56,10 @@ def _kronrod_panels(f, lo, hi):
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where(diff > 0.0, spread * np.minimum(1.0, (200.0 * diff / spread) ** 1.5), 0.0)
     err = np.maximum(err, 50.0 * np.finfo(float).eps * size)
-    jump = np.abs(fx[:, 15:] - _TO_EDGES @ inner).sum(axis=1)
-    return kron, err + (1.0 - _XK[-1]) * half * jump, block.shape[1:]
+    jump = np.abs(fx[:, 15:] - _TO_EDGES @ inner)
+    if breaks:
+        jump[np.isin(np.column_stack([lo, hi]), breaks)] = 0.0
+    return kron, err + (1.0 - _XK[-1]) * half * jump.sum(axis=1), block.shape[1:]
 
 
 def integrate_adaptive(f, lo, hi, *, tol, breaks=()):
@@ -63,7 +67,8 @@ def integrate_adaptive(f, lo, hi, *, tol, breaks=()):
 
     f maps an (n,) array of nodes to an (n,) or (n, k) block, real or
     complex; the k columns are targets integrated together on shared panels,
-    the first ones also cut at the breaks, where f is not smooth.  Every
+    the first ones also cut at the breaks, where f may jump: no panel is
+    charged for a jump at its own end there.  Every
     panel whose error on some target exceeds the panel's share (its
     fraction of the width) of max(tol, 1e-9 |value|) is bisected, until
     none does.  Returns (value, abs_error_estimate, edges): the first two
@@ -73,9 +78,10 @@ def integrate_adaptive(f, lo, hi, *, tol, breaks=()):
     within tol.
     """
     edges = np.linspace(lo, hi, _START_PANELS + 1)
-    edges = np.union1d(edges, [b for b in breaks if lo < b < hi]) if len(breaks) else edges
+    breaks = [b for b in breaks if lo < b < hi]
+    edges = np.union1d(edges, breaks) if breaks else edges
     a, b = edges[:-1], edges[1:]
-    val, err, shape = _kronrod_panels(f, a, b)
+    val, err, shape = _kronrod_panels(f, a, b, breaks)
     while True:
         value, total_err = val.sum(axis=0), err.sum(axis=0)
         share = (b - a)[:, None] / (hi - lo) * np.maximum(tol, 1e-9 * np.abs(value))
@@ -91,7 +97,7 @@ def integrate_adaptive(f, lo, hi, *, tol, breaks=()):
             break
         mid = 0.5 * (a[split] + b[split])
         a, b = np.concatenate([a[~split], a[split], mid]), np.concatenate([b[~split], mid, b[split]])
-        new_val, new_err, _ = _kronrod_panels(f, a[-2 * mid.size:], b[-2 * mid.size:])
+        new_val, new_err, _ = _kronrod_panels(f, a[-2 * mid.size:], b[-2 * mid.size:], breaks)
         val, err = np.concatenate([val[~split], new_val]), np.concatenate([err[~split], new_err])
     if not np.isfinite(total_err).all():
         raise QuadratureFailure(f"non-finite integrand on [{lo:.4g}, {hi:.4g}]")

@@ -317,7 +317,9 @@ def sample_lss(
     clock = _clock_triplet(pair)
 
     def values(stream):
-        d_x = _clock_then_power(mu_L, clock, ext.dt, ext.n_steps, cfg, stream)
-        return np.fft.irfft(np.fft.rfft(d_x, size) * w_hat, size)[m : m + grid.n_steps + 1]
+        spectrum = np.fft.rfft(_clock_then_power(mu_L, clock, ext.dt, ext.n_steps, cfg, stream), size)
+        spectrum *= w_hat
+        # a copy: a view of the window would keep the whole padded buffer
+        return np.fft.irfft(spectrum, size)[m : m + grid.n_steps + 1].copy()
 
     return _paths(values, grid, cfg)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    AtomicMeasure,
     LevyTriplet,
     SubordinatorPair,
     TruncationConvention,
@@ -25,11 +24,12 @@ from .core import (
     char_exponent,
     laplace_exponent,
 )
-from .errors import DomainError, QuadratureFailure, UnsupportedFamily
+from .errors import DomainError, QuadratureFailure
 from .mixing import (
     MixResult,
     integrate_rho,
     lemma_constant,
+    mixable_law,
     phi_mix_mass,
 )
 
@@ -190,8 +190,6 @@ class JumpMixEvaluator:
         self.pair = pair
         self.drift_part = base.jumps.scaled(pair.drift) if pair.drift != 0.0 else ZERO_MEASURE
         self._grid_cache = None
-        if base.law is None and not pair.jumps.is_zero():
-            raise UnsupportedFamily("mixing the jump measure needs a law-tagged base triplet")
 
     def mass(self, cells) -> list:
         """One MixResult per interval set of cells: the mixed part from one
@@ -201,7 +199,7 @@ class JumpMixEvaluator:
         out = []
         for sets, mix in zip(cells, mixes):
             drift = sum(self.drift_part.interval_mass(lo, hi) for lo, hi in sets.intervals)
-            out.append(MixResult(drift + mix.value, mix.abs_error_estimate, mix.truncation_point))
+            out.append(MixResult(drift + mix.value, mix.abs_error_estimate))
         return out
 
     def char_integral(self, theta: float) -> complex:
@@ -268,10 +266,11 @@ class JumpMixEvaluator:
         None for any other clock, whose image is a density that _pieces
         carries.  The name is kept for bench/spans.py, which times the
         pushforward under it."""
-        if isinstance(self.pair.jumps, AtomicMeasure):
-            s, w = self.pair.jumps.fixed_rule()
-            return self.base.law.drift * s, w
-        return None
+        rule = self.pair.jumps.fixed_rule()
+        if rule is None:
+            return None
+        s, w = rule
+        return self.base.law.drift * s, w
 
     def _poisson_atoms(self):
         """(x, w) of a Poisson base: the positions k h of its counts k >= 1
@@ -334,7 +333,7 @@ class JumpMixEvaluator:
             value, _, (s_nodes, s_weights) = integrate_rho(rho, tails, tol=1e-14, linear_bound=bound)
             masses = value.reshape(len(sides), xs.size)[:, _MASS_EDGES:].T.tolist()
             kernel = lambda x: law.mixed_density(x, s_nodes, s_weights)
-            spread = law.mean_sd(s_nodes) if isinstance(rho, AtomicMeasure) else None
+            spread = law.mean_sd(s_nodes) if rho.fixed_rule() is not None else None
             if spread is not None:
                 cuts = (spread[0] + np.outer([-8.0, 0.0, 8.0], spread[1])).ravel()
         x_hi, masses = _light_cut(candidates, masses, law.heavy_tail)
@@ -367,30 +366,18 @@ class SubordinatedTriplet:
     jumps: JumpMixEvaluator
 
 
-def _unit_crossing(speed: float) -> float:
-    """The largest float s with |speed * s| <= 1 in float arithmetic, about
-    1/|speed|: the clock times at which a delta(speed) base stays inside
-    |x| <= 1, where its truncated mean and the compensator count x, are
-    exactly the s <= it, an atom one ulp past 1/|speed| included."""
-    v = abs(speed)
-    s = 1.0 / v
-    while v * s > 1.0:
-        s = math.nextafter(s, 0.0)
-    while v * math.nextafter(s, math.inf) <= 1.0:
-        s = math.nextafter(s, math.inf)
-    return s
-
-
 def _mixing_drift_term(base: LevyTriplet, pair: SubordinatorPair) -> float:
     """Integral over rho of the truncated mean of mu^s.
 
     A delta(v) base's truncated mean v s 1{|v s| <= 1} jumps at s = 1/|v|;
-    its integral is v times the clock's truncated first moment up to there,
-    which every clock family has in closed form.  Other laws' truncated
-    means are continuous in s and integrated by integrate_rho."""
-    if base.law.mix_route == "pushforward":
+    under a density clock its integral is v times the clock's truncated
+    first moment up to there, which every density family has in closed
+    form.  Other laws' truncated means are continuous in s and integrated
+    by integrate_rho, which sums an atom clock exactly: a delta base's
+    atoms at their own x = v s, as the compensator counts them."""
+    if base.law.mix_route == "pushforward" and pair.jumps.fixed_rule() is None:
         v = base.law.drift
-        return v * pair.jumps.truncated_moment(1, _unit_crossing(v))
+        return v * pair.jumps.truncated_moment(1, 1.0 / abs(v))
     fn = base.law.truncated_mean
     bound = 1.0 + 2.0 * (abs(base.drift) + lemma_constant(base))
     return integrate_rho(pair.jumps, fn, tol=1e-12, linear_bound=bound)[0]
@@ -402,13 +389,8 @@ def subordinate_triplet(base: LevyTriplet, pair: SubordinatorPair) -> Subordinat
         raise DomainError("the base triplet must use the standard truncation")
     gamma_bar = base.drift * pair.drift
     if not pair.jumps.is_zero():
-        if base.law is None:
-            raise UnsupportedFamily(
-                "subordinating with jumps needs a law-tagged base triplet"
-            )
         # the pair's jumps are positive and of finite variation by construction
-        if base.is_degenerate() and base.drift == 0.0:
-            raise DomainError("a degenerate base at 0 is outside the mixing domain")
+        mixable_law(base)
         gamma_bar += _mixing_drift_term(base, pair)
     b_bar = base.gaussian_var * pair.drift
     return SubordinatedTriplet(gamma_bar, b_bar, JumpMixEvaluator(base, pair))

@@ -4,6 +4,7 @@ Frozen targets come from independent scipy.stats / mpmath evaluations of
 the defining formulas; two-route checks compare the generic quadrature
 path against closed forms computed in the test itself.
 """
+import json
 import math
 from pathlib import Path
 
@@ -332,6 +333,12 @@ def test_adaptive_quadrature_sees_a_jump_next_to_a_panel_edge():
     assert err <= 1e-12
 
 
+def test_adaptive_quadrature_refuses_a_non_finite_integrand():
+    # nan, not inf: an inf integrand makes the rule warn before the check
+    with pytest.raises(QuadratureFailure, match="non-finite integrand"):
+        quadrature.integrate_adaptive(lambda u: np.full(u.shape, np.nan), 0.0, 1.0, tol=1e-10)
+
+
 def _square_wave(step):
     """1 and 2 in turn between jumps at step, 2 step, ... below 100, and
     its exact integral over [0, 100]."""
@@ -521,6 +528,25 @@ def test_mixing_domain_is_refused_where_it_is_used():
             phi_mix_mass(mu, rho, [sets])
 
 
+# Refusals no other test reaches, each through its public entry point.
+MIXING_REFUSALS = {
+    "gamma-kernel-rate": (lambda: phi_mix_density_gamma(0.0, GammaMeasure(1.0, 1.0), 1.0), "rate must be > 0"),
+    "gamma-kernel-negative-x": (lambda: phi_mix_density_gamma(1.0, GammaMeasure(1.0, 1.0), -1.0),
+                                "lives on \\[0, inf\\)"),
+    "transform-clock-off-half-line": (lambda: mixing_cf(lm.gaussian_law(), SymmetricStableMeasure(0.5, 1.0), 1.0),
+                                      "must live on \\(0, inf\\)"),
+    "small-s-ratio-at-0": (lambda: small_s_ratio(lm.gaussian_law(), 0.0), "s must be > 0"),
+    "small-s-ratio-degenerate-base": (lambda: small_s_ratio(lm.delta_law(1.0), 0.5), "non-degenerate"),
+}
+
+
+@pytest.mark.parametrize("case", MIXING_REFUSALS)
+def test_mixing_refusals_fire(case):
+    call, message = MIXING_REFUSALS[case]
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_phi_mix_mass_refuses_an_untagged_base():
     # the base's tag is asked for once, before any quadrature
     plain = lm.LevyTriplet(0.0, 1.0, ZERO_MEASURE)
@@ -543,6 +569,27 @@ def test_tabulated_clock_masses_meet_their_references(n):
                        [IntervalSet.of(0.9, 1.1)])[0]
     gap = abs(mix.value - TABULATED_MASS_REFERENCES[n])
     assert gap <= 1e-15 * TABULATED_MASS_REFERENCES[n] and gap <= mix.abs_error_estimate
+
+
+def test_a_jump_at_a_break_is_not_bisected(monkeypatch):
+    # the clock's density drops to 0 at the grid's ends, where a panel's
+    # edge sample may round one ulp past the break; charging that as a jump
+    # in the margin bisected toward s = 0.5 and s = 2 down to 1e-16 wide
+    runs, real = [], quadrature.integrate_adaptive
+
+    def recorded(f, lo, hi, *, tol, breaks=()):
+        out = real(f, lo, hi, tol=tol, breaks=breaks)
+        start = np.union1d(np.linspace(lo, hi, quadrature._START_PANELS + 1), [b for b in breaks if lo < b < hi])
+        runs.append((start, out[2]))
+        return out
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", recorded)
+    xs = np.linspace(0.5, 2.0, 61)
+    cells = [IntervalSet.of(0.5, 1.0), IntervalSet.of(1.0, 2.0)]
+    masses = phi_mix_mass(lm.gaussian_law(0.3, 1.2), TabulatedMeasure(tuple(xs), tuple(np.exp(-xs))), cells)
+    assert [m.value for m in masses] == [0.07736102133348531, 0.08997767467182091]
+    [(start, final)] = runs
+    assert start.size == 70 and np.array_equal(final, start)
 
 
 # --- one block per mass table --------------------------------------------------
@@ -601,6 +648,32 @@ def test_cli_mass_table_is_one_integration(monkeypatch, tmp_path, command):
     model = str(Path(__file__).parent / "models" / "vg.json")
     assert main([command, "--model", model, "--out", str(tmp_path / "out.json")]) == 0
     assert widths == [(8,)]
+
+
+@pytest.mark.parametrize("command", ["mix", "subordinate"])
+@pytest.mark.parametrize("edge", [1e-170, 1e-300])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_a_partition_edge_near_zero_ends_in_a_result_or_exit_3(tmp_path, capsys, command, edge, side):
+    # the small-s bound 2 c / d^2 of a cell at distance d from 0 is inf once
+    # 1/d^2 overflows, 0 for a delta base; no lower cut meets an infinite one
+    partition = sorted([side * edge, side * 1.0])
+    models = {
+        "gauss": ({"family": "gaussian", "params": {"mean": 0.0, "variance": 1.0}},
+                  {"kind": "gamma", "shape": 2.0, "rate": 3.0}),
+        "delta": ({"family": "delta", "params": {"drift": side * 1.5}},
+                  {"kind": "atomic", "atoms": [[0.5, 0.7], [2.0, 0.3]]}),
+    }
+    out = tmp_path / "out.json"
+    for name, (levy, jumps) in models.items():
+        model = tmp_path / f"{name}.json"
+        model.write_text(json.dumps({"schema": 1, "levy": levy, "subordinator": {"drift": 0.0, "jumps": jumps},
+                                     "partition": partition}))
+        rc = main([command, "--model", str(model), "--out", str(out)])
+        if name == "gauss":
+            assert rc == 3 and "no lower cut" in capsys.readouterr().err
+        else:
+            table = json.loads(out.read_text())["mixed_mass" if command == "mix" else "nu_bar"]
+            assert rc == 0 and [row["mass"] for row in table] == [0.7]
 
 
 def test_phi_mix_density_gamma_atomic_frozen():

@@ -269,6 +269,23 @@ def test_psi_curve_anchor_and_values():
         assert curve.psi_hat[j] == pytest.approx(-cmath.log(1.0 + 0.5 * th * th), abs=1e-12)
 
 
+# Refusals no other test reaches, each through its public entry point.
+RECOVER_REFUSALS = {
+    "unmatched-curve": (lambda: PsiCurve(np.zeros(2), np.zeros(3), np.zeros(2)), lm.DomainError, "matched"),
+    "unanchored-curve": (lambda: PsiCurve(np.array([0.0, 1.0]), np.array([0.1, 1.0]), np.array([0.0, 1.0])),
+                         lm.DomainError, "anchored"),
+    "cf-zero-on-grid": (lambda: unwrap_log_cf(CFSample(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.5]))),
+                        NearZeroCF, "vanishes on the grid"),
+}
+
+
+@pytest.mark.parametrize("case", RECOVER_REFUSALS)
+def test_recover_refusals_fire(case):
+    call, error, message = RECOVER_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_psi_curve_rejects_degenerate_base_at_zero():
     grid = default_theta_grid()
     cf = analytic_cf(lambda t: 0.0j * t, grid)

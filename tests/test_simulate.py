@@ -205,6 +205,25 @@ def test_draws_and_paths_past_the_float_range_are_refused():
         sample_levy(lm.delta_law(1e308), TimeGrid(0.0, 1.0, 2))
 
 
+# Refusals no other test reaches, each through its public entry point.
+SIMULATE_REFUSALS = {
+    "negative-power": (lambda: conv_power_sample(VG_BASE, np.array([1.0, -0.5]), make_rng(0)),
+                       DomainError, "r >= 0"),
+    # drift r = 1e309: the sum itself leaves the float range
+    "draw-past-the-float-range": (lambda: conv_power_sample(lm.gaussian_law(1e308, 1.0), np.array([10.0]),
+                                                            make_rng(0)), DomainError, "past the float range"),
+    "repeated-union-index": (lambda: GridField(((((0.0, 1.0),), 1.0, 0.5),), 0).with_union((0, 0)),
+                             ConfigError, "distinct and nonempty"),
+}
+
+
+@pytest.mark.parametrize("case", SIMULATE_REFUSALS)
+def test_simulate_refusals_fire(case):
+    call, error, message = SIMULATE_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_symmetric_stable_draws_at_a_tiny_index_stay_finite():
     # at index 0.01 a step of 1e-6 has scale 1e-600, and cos(V)**100
     # underflows to 0 near V = +-pi/2: the modulus, taken in logs, is finite
@@ -473,6 +492,16 @@ def test_lss_stationary_mean_exp_kernel():
     y = sample_lss(exp_kernel(), lm.delta_law(1.0), pair, grid, 30.0, SimConfig(seed=14))
     m = 2.0 / 3.0
     assert abs(y.values.mean() - m) <= 0.05 * m
+
+
+def test_lss_paths_own_only_their_window():
+    # a view of the window would keep the padded convolution buffer alive:
+    # 1024 floats behind each 201-value path here
+    pair = SubordinatorPair(0.2, CompoundExponentialMeasure(2.0, 1.5))
+    paths = sample_lss(exp_kernel(), lm.delta_law(1.5), pair, TimeGrid(0.0, 0.05, 200), 20.0,
+                       SimConfig(seed=5, n_paths=3))
+    for p in paths:
+        assert p.values.base is None and p.values.nbytes == 201 * p.values.itemsize
 
 
 _LSS_DIRECT_CASES = {

@@ -119,3 +119,15 @@ def test_only_mixing_integrates_against_a_clock():
         if "quadrature" in names and path.name != "quadrature.py":
             importers.append(path.name)
     assert importers == ["mixing.py"]
+
+
+def test_the_mixing_modules_see_a_clock_only_through_its_interface():
+    # a family class imported into mixing or subordinate is a branch on the
+    # clock's type; a clock's atoms are asked for through fixed_rule
+    from levymix import core
+
+    families = {name for name, obj in vars(core).items()
+                if isinstance(obj, type) and issubclass(obj, core.LevyMeasure) and obj is not core.LevyMeasure}
+    imported = {f"{module}: {name}" for module in ("mixing.py", "subordinate.py")
+                for name, _ in _imports(ast.parse((SRC / module).read_text())) if name in families}
+    assert not imported, f"jump-measure classes imported: {sorted(imported)}"

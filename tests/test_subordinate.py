@@ -477,6 +477,39 @@ def test_a_delta_base_build_asks_an_atom_clock_for_its_rule_once(monkeypatch):
     assert list(grid.xs) == [1.5 * s for s, _ in clock.atoms] and list(grid.w) == [m for _, m in clock.atoms]
 
 
+# A delta(v) base under an atom clock puts each atom at the float x = v s,
+# and cells may end there exactly.  x / v need not give s back: a mass
+# tested in s-space, against lo / v and hi / v, lands in the next cell.
+# S_DOWN's x / 1.5 rounds below it, S_UP's above it.
+S_DOWN, S_UP = 1.4028776546339965, 1.7872019413649967
+ON_CELL_ENDS = [0.5, 0.75, 1.0, 1.5 * S_DOWN, 1.5 * S_UP, 3.0, 4.0]
+DELTA_ATOM_EDGES = {
+    "151": (151.03358603496065, ((1.7732391920694865, 0.7),), (1.0, 267.8186740759909, 2.0 * 267.8186740759909)),
+    "-0.379": (-0.37900450052641743, ((0.857229841309542, 0.7),),
+               (2.0 * -0.3248939678418631, -0.3248939678418631, -0.001)),
+    "1.5": (1.5, ((0.5, 0.6), (1.0 / 1.5, 0.2), (S_DOWN, 0.7), (S_UP, 0.4), (2.0, 0.3)), ON_CELL_ENDS),
+    "-1.5": (-1.5, ((0.5, 0.6), (1.0 / 1.5, 0.2), (S_DOWN, 0.7), (S_UP, 0.4), (2.0, 0.3)),
+             [-x for x in ON_CELL_ENDS[::-1]]),
+}
+
+
+@pytest.mark.parametrize("case", DELTA_ATOM_EDGES)
+def test_delta_base_masses_hold_each_atom_where_the_jump_grid_puts_it(case):
+    speed, atoms, edges = DELTA_ATOM_EDGES[case]
+    base, clock = lm.delta_law(speed), AtomicMeasure(atoms)
+    assert all(speed * s in edges for s, _ in atoms)
+    cells = list(zip(edges, edges[1:]))
+    masses = [r.value for r in lm.phi_mix_mass(base, clock, [IntervalSet.of(lo, hi) for lo, hi in cells])]
+    xs = JumpMixEvaluator(base, SubordinatorPair(0.0, clock))._grid().xs
+    for (lo, hi), got in zip(cells, masses):
+        closed = held = 0.0
+        for x, (s, m) in zip(xs, clock.atoms):
+            closed += m * float(base.law.interval_mass(s, lo, hi))
+            held += m if lo < x <= hi else 0.0
+        assert got == closed == held
+    assert math.fsum(masses) == pytest.approx(clock.total_mass(), rel=1e-15)
+
+
 # The drift term of N(1, 0.01) under e^{-s} tabulated at n points of
 # [0.5, 2], its truncated mean integrated cell by cell in 40-digit mpmath.
 TABULATED_DRIFT_REFERENCES = {4: 0.17584416096924317173, 61: 0.17220677585415971783}
