@@ -60,8 +60,6 @@ def _fmt(x: float) -> str:
 def _to_json(obj, indent=0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         rows = [f'{pad}  "{k}": {_to_json(v, indent + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -69,10 +67,6 @@ def _to_json(obj, indent=0) -> str:
             return "[]"
         rows = [f"{pad}  {_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -385,8 +379,6 @@ def _build(path: str, make, *args):
     """make(*args), a library refusal reported as a SpecError at path."""
     try:
         return make(*args)
-    except SpecError:
-        raise
     except LevyMixError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
@@ -638,8 +630,6 @@ def cmd_basis_sim(args) -> int:
         raise SpecError("seed_field.cells: basis-sim writes 2-D grids; every rect needs two edges")
     gf = sample_basis_grid(spec.levy, spec.seed_field, SimConfig(seed=args.seed))
     for union in spec.unions or ():
-        if any(not 0 <= k < len(gf.cells) for k in union):
-            raise SpecError(f"unions: cell index out of range in {list(union)}")
         gf = gf.with_union(union)
     rects = np.array([rect for rect, _, _ in gf.cells])  # (cell, axis, lo/hi)
     members = [rects[list(idx)] for idx, _ in gf.unions]

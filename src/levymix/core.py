@@ -900,7 +900,6 @@ class TaggedLaw:
     sides = (-1, 1)  # sides of 0 on which mu^s has a density
     even = False  # mu^s is symmetric about 0: the x-grid evaluates one side
     heavy_tail = False  # power-law tails: the x-grid's cut search runs to 1e12
-    mix_route = "grid"  # mixed jump measure: "grid", "atomic" or "pushforward"
 
     def interval_mass(self, s, lo, hi):
         return np.maximum(self.cdf(s, hi) - self.cdf(s, lo), 0.0)
@@ -1024,7 +1023,6 @@ class GammaLaw(TaggedLaw):
 class PoissonLaw(TaggedLaw):
     rate: float
     jump_size: float
-    mix_route = "atomic"
 
     def cdf(self, s, x):
         return self.interval_mass(s, -INF, x)
@@ -1066,7 +1064,6 @@ class PoissonLaw(TaggedLaw):
 @dataclass(frozen=True)
 class DeltaLaw(TaggedLaw):
     drift: float
-    mix_route = "pushforward"
 
     def cdf(self, s, x):
         return 1.0 * (self.drift * np.asarray(s) <= x)

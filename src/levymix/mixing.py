@@ -91,6 +91,15 @@ def lemma_constant(mu: LevyTriplet) -> float:
     return mu.gaussian_var + mu.jumps.one_wedge(2)
 
 
+def small_s_bound(mu: LevyTriplet, d: float) -> float:
+    """The lemma's linear small-s bound on mu^s(|x| > d), d > 0: 2 c /
+    min(1, d)^2, c the lemma constant.  It is 0 for a base with c = 0, and
+    inf, which no lower cut meets, where it overflows; dividing by min(1, d)
+    twice keeps a d whose square underflows from dividing by 0."""
+    d = min(1.0, d)
+    return 2.0 * lemma_constant(mu) / d / d
+
+
 # ---------------------------------------------------------------------------
 # Integration of a function against a jump measure on (0, inf).
 
@@ -193,10 +202,8 @@ def _mix_over_sets(mu, rho, cells, interval_mass):
     """One MixResult per interval set of cells: the mu^s masses of the
     non-empty sets, interval_mass(s, lo, hi) summed over each set's
     intervals, as one (n, k) block integrated against rho; an empty set's
-    mass is 0.  The set nearest 0, at distance d, gives the linear small-s
-    bound 2 c / d^2 (c the lemma constant) that certifies the lower cut for
-    every column: 0 for a base with c = 0, and inf, which no lower cut
-    meets, where it overflows."""
+    mass is 0.  The set nearest 0, at distance d, gives the small_s_bound
+    that certifies the lower cut for every column."""
     out = [MixResult(0.0, 0.0)] * len(cells)
     live = [k for k, sets in enumerate(cells) if sets.intervals]
     if not live:
@@ -204,9 +211,7 @@ def _mix_over_sets(mu, rho, cells, interval_mass):
     d = min(cells[k].distance_from_zero for k in live)
     if d <= 0.0 and math.isinf(rho.total_mass()):
         raise DomainError("interval sets touching 0 need a finite mixing measure")
-    bound = None
-    if d > 0.0:
-        bound = 2.0 * lemma_constant(mu) / min(1.0, d) / min(1.0, d)
+    bound = small_s_bound(mu, d) if d > 0.0 else None
     lo, hi = np.array([interval for k in live for interval in cells[k].intervals]).T
     starts = np.cumsum([0] + [len(cells[k].intervals) for k in live[:-1]])
     fn = lambda s: np.add.reduceat(interval_mass(s[:, None], lo, hi), starts, axis=1)
@@ -233,10 +238,10 @@ def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, cells) -> list:
     if rho.is_zero():
         return [MixResult(0.0, 0.0)] * len(cells)
     law = mixable_law(mu)
-    if law.mix_route == "pushforward" and rho.fixed_rule() is None:
+    if mu.is_degenerate() and rho.fixed_rule() is None:
         # a delta base under a density clock: a pushforward, defined for any
         # positive jump measure; its mass jumps where a cell ends at v s
-        return [_delta_pushforward_mass(law.drift, rho, sets) for sets in cells]
+        return [_delta_pushforward_mass(mu.drift, rho, sets) for sets in cells]
     _validate_mixing_measure(rho)
     return _mix_over_sets(mu, rho, cells, law.interval_mass)
 
@@ -263,13 +268,6 @@ def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float) -> float:
     return math.exp(-rate * x) / x * integrate_rho(rho, fn, linear_bound=1.2)[0]
 
 
-def _stable_reference_cdf(mu: LevyTriplet, alpha: float):
-    """Reference CDF of the strictly stable base law, plus validation."""
-    law = mixable_law(mu)
-    law.require_stable(alpha)
-    return lambda x: law.cdf(1.0, x)
-
-
 @dataclass(frozen=True)
 class StableMixEvaluator:
     """Interval masses of the mix with a strictly stable base law.
@@ -277,32 +275,34 @@ class StableMixEvaluator:
     Uses the scaling identity: mu^s(A) is mu evaluated on s**(-1/alpha) A, so
     the mix is a multiplicative smearing of the pushforward of rho under
     s -> s**(1/alpha) against one reference CDF; no per-s convolution powers.
+    The base, alpha and rho are checked once, at construction.
     """
 
     mu: LevyTriplet
     alpha: float
     rho: LevyMeasure
 
+    def __post_init__(self):
+        mixable_law(self.mu).require_stable(self.alpha)
+        _validate_mixing_measure(self.rho)
+        if not self.rho.image_in_ml1(self.alpha):
+            raise DomainError(
+                "the image of rho under s -> s**(1/alpha) must integrate (1 and t)"
+            )
+
     def mass(self, cells) -> list:
         """One MixResult per interval set of cells, integrated as one block."""
-        cdf = _stable_reference_cdf(self.mu, self.alpha)
-        inv = 1.0 / self.alpha
+        law, inv = self.mu.law, 1.0 / self.alpha
 
         def interval_mass(s, lo, hi):
             scale = s**-inv
-            return np.maximum(cdf(hi * scale) - cdf(lo * scale), 0.0)
+            return np.maximum(law.cdf(1.0, hi * scale) - law.cdf(1.0, lo * scale), 0.0)
 
         return _mix_over_sets(self.mu, self.rho, tuple(cells), interval_mass)
 
 
 def phi_mix_stable(mu: LevyTriplet, alpha: float, rho: LevyMeasure) -> StableMixEvaluator:
     """Evaluator for mixing a strictly alpha-stable base law with rho."""
-    _stable_reference_cdf(mu, alpha)  # validates base and alpha
-    _validate_mixing_measure(rho)
-    if not rho.image_in_ml1(alpha):
-        raise DomainError(
-            "the image of rho under s -> s**(1/alpha) must integrate (1 and t)"
-        )
     return StableMixEvaluator(mu, alpha, rho)
 
 
@@ -312,8 +312,7 @@ def mixing_cf(mu: LevyTriplet, rho: LevyMeasure, theta: float) -> complex:
     Equals the integral of exp(s * log_cf_mu(theta)) rho(ds); this identity
     needs rho to have finite total mass.
     """
-    if not rho.is_positive():
-        raise DomainError("the mixing measure must live on (0, inf)")
+    _validate_mixing_measure(rho)
     if math.isinf(rho.total_mass()):
         raise DomainError("the transform identity needs a finite mixing measure")
     phi = char_exponent(mu, theta)

@@ -105,7 +105,13 @@ class GridField:
         return np.array([value for _, _, value in self.cells])
 
     def with_union(self, indices) -> "GridField":
-        idx = tuple(int(i) for i in indices)
+        """The field with the union of the cells at indices stored: each an
+        int (not a bool) in [0, number of cells), none repeated."""
+        idx = tuple(indices)
+        for i in idx:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < len(self.cells):
+                raise ConfigError(f"union index {i!r} is not a cell index in [0, {len(self.cells)})")
+        idx = tuple(map(int, idx))
         if len(set(idx)) != len(idx) or not idx:
             raise ConfigError("union indices must be distinct and nonempty")
         total = sum(self.cells[i][2] for i in idx)

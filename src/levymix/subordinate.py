@@ -31,6 +31,7 @@ from .mixing import (
     lemma_constant,
     mixable_law,
     phi_mix_mass,
+    small_s_bound,
 )
 
 _X_FLOOR = 1e-9
@@ -237,15 +238,16 @@ class JumpMixEvaluator:
 
     def _grid(self):
         """The MixedJumps record, built on the first call and kept in
-        _grid_cache for every theta: a Poisson base's counts, a delta base's
-        image of an atom clock, or else the mixed density's pieces."""
+        _grid_cache for every theta: a Poisson base's counts (a base whose
+        jumps are atoms), a delta base's image of an atom clock, or else the
+        mixed density's pieces."""
         if self._grid_cache is not None:
             return self._grid_cache
-        law, empty = self.base.law, np.empty(0)
+        jumps, empty = self.base.jumps, np.empty(0)
         atoms, pieces = (empty, empty), (empty, empty, np.empty((0, _CHEB.size)), math.inf, empty, empty)
-        if law.mix_route == "atomic":
+        if not jumps.is_zero() and jumps.fixed_rule() is not None:
             atoms = self._poisson_atoms()
-        elif law.mix_route == "pushforward" and (image := self._pushforward_integral()) is not None:
+        elif self.base.is_degenerate() and (image := self._pushforward_integral()) is not None:
             atoms = image
         else:
             pieces = self._pieces()
@@ -256,7 +258,7 @@ class JumpMixEvaluator:
         xs = np.concatenate([x_atoms, (0.5 * (lo + hi)[:, None] + half[:, None] * t).ravel()])
         w = np.concatenate([w_atoms, gauss.ravel()])
         derivs = (np.einsum("pk,nk->pn", coeffs, at) for at in (at_one, at_minus_one))
-        self._grid_cache = MixedJumps(xs, w, x_atoms.size, (w * xs)[np.abs(xs) <= 1.0].sum(), law.even,
+        self._grid_cache = MixedJumps(xs, w, x_atoms.size, (w * xs)[np.abs(xs) <= 1.0].sum(), self.base.law.even,
                                       lo, hi, half, gauss.sum(axis=1), *derivs, x_hi, tail_mass, tail_f)
         return self._grid_cache
 
@@ -270,23 +272,25 @@ class JumpMixEvaluator:
         if rule is None:
             return None
         s, w = rule
-        return self.base.law.drift * s, w
+        return self.base.drift * s, w
 
     def _poisson_atoms(self):
         """(x, w) of a Poisson base: the positions k h of its counts k >= 1
-        and their probabilities integrated against rho."""
+        and their probabilities integrated against rho; h and the rate are
+        the base's one atom."""
+        (h,), (rate,) = self.base.jumps.fixed_rule()
         law, rho = self.base.law, self.pair.jumps
-        mean_cap = law.rate * rho.tail_cutoff(1e-16)
+        mean_cap = rate * rho.tail_cutoff(1e-16)
         need = mean_cap + 12.0 * math.sqrt(mean_cap) + 30.0
         if not need <= _MAX_COUNTS:
             raise QuadratureFailure(f"the Poisson mix needs {need:.3g} jump counts, over {_MAX_COUNTS}")
         ks = np.arange(1.0, max(20, math.ceil(need)) + 1.0)
         # each P(K = k), k >= 1, is at most rate s: the small-s bound
         masses = [
-            integrate_rho(rho, lambda s: law.pmf(s, block), tol=1e-14, linear_bound=law.rate)[0]
+            integrate_rho(rho, lambda s: law.pmf(s, block), tol=1e-14, linear_bound=rate)[0]
             for block in np.split(ks, np.arange(_COUNT_BLOCK, ks.size, _COUNT_BLOCK))
         ]
-        return law.jump_size * ks, np.concatenate(masses)
+        return h * ks, np.concatenate(masses)
 
     def _pieces(self):
         """(lo, hi, coeffs, x_hi, tail_mass, tail_f): the pieces of the mixed
@@ -309,11 +313,11 @@ class JumpMixEvaluator:
         whose series is 0 are left out."""
         law, rho = self.base.law, self.pair.jumps
         cuts, support, weight = np.empty(0), (-math.inf, math.inf), 2.0 if law.even else 1.0
-        candidates, pushforward = [2.0], law.mix_route == "pushforward"
+        candidates, pushforward = [2.0], self.base.is_degenerate()
         while candidates[-1] * 1.5 <= (_X_HI_HEAVY if law.heavy_tail or pushforward else _X_HI_MAX):
             candidates.append(candidates[-1] * 1.5)
         if pushforward:
-            v = law.drift
+            v = self.base.drift
             kernel = lambda x: rho.density(x / v) / abs(v)
             sides = (math.copysign(1.0, v),)
             masses = ([rho.mass_above(x / abs(v))] for x in candidates)
@@ -328,9 +332,8 @@ class JumpMixEvaluator:
             xs = np.concatenate([np.geomspace(_X_FLOOR, 1.0, _MASS_EDGES), candidates])
             tails = lambda s: np.hstack([law.sf(s[:, None], xs) if side > 0 else law.cdf(s[:, None], -xs)
                                          for side in sides])
-            # the lemma's bound on mu^s(|x| > d) at d = _X_FLOOR, as in _mix_over_sets
-            bound = 2.0 * lemma_constant(self.base) / (_X_FLOOR * _X_FLOOR)
-            value, _, (s_nodes, s_weights) = integrate_rho(rho, tails, tol=1e-14, linear_bound=bound)
+            value, _, (s_nodes, s_weights) = integrate_rho(rho, tails, tol=1e-14,
+                                                           linear_bound=small_s_bound(self.base, _X_FLOOR))
             masses = value.reshape(len(sides), xs.size)[:, _MASS_EDGES:].T.tolist()
             kernel = lambda x: law.mixed_density(x, s_nodes, s_weights)
             spread = law.mean_sd(s_nodes) if rho.fixed_rule() is not None else None
@@ -375,8 +378,8 @@ def _mixing_drift_term(base: LevyTriplet, pair: SubordinatorPair) -> float:
     form.  Other laws' truncated means are continuous in s and integrated
     by integrate_rho, which sums an atom clock exactly: a delta base's
     atoms at their own x = v s, as the compensator counts them."""
-    if base.law.mix_route == "pushforward" and pair.jumps.fixed_rule() is None:
-        v = base.law.drift
+    if base.is_degenerate() and pair.jumps.fixed_rule() is None:
+        v = base.drift
         return v * pair.jumps.truncated_moment(1, 1.0 / abs(v))
     fn = base.law.truncated_mean
     bound = 1.0 + 2.0 * (abs(base.drift) + lemma_constant(base))

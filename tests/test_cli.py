@@ -853,6 +853,13 @@ def test_unwritable_out_exits_4(tmp_path, capsys):
     assert rc == 4
 
 
+def test_out_that_is_a_directory_exits_4_and_leaves_no_temporary(tmp_path):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert _run(["mix", "--model", VG, "--out", out]) == 4
+    assert sorted(os.listdir(tmp_path)) == ["taken"] and os.listdir(out) == []
+
+
 def test_missing_model_exits_4(tmp_path):
     rc = _run(["cf", "--model", tmp_path / "none.json", "--out", tmp_path / "x.csv"])
     assert rc == 4
@@ -876,6 +883,25 @@ def test_config_error_exits_2(tmp_path):
     assert not (tmp_path / "y.csv").exists()
 
 
+BASIS_DOC = json.loads((MODELS / "basis.json").read_text())
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("mix", dict(json.loads(VG_TEXT), partition=[-1.0, 1.0]), "partition: no usable intervals"),
+    ("basis-sim", json.loads(VG_TEXT), "seed_field: required for basis-sim"),
+    ("basis-sim", dict(BASIS_DOC, seed_field={"cells": [dict(BASIS_DOC["seed_field"]["cells"][0], rect=[[0.0, 1.0]])]}),
+     "seed_field.cells: basis-sim writes 2-D grids"),
+    ("basis-sim", dict(BASIS_DOC, unions=[[0, 2]]), r"union index 2 is not a cell index in \[0, 2\)"),
+], ids=["partition-all-straddling-0", "basis-sim-without-seed-field", "basis-sim-1d-rect",
+        "union-index-past-the-cells"])
+def test_a_model_its_command_cannot_use_exits_2(tmp_path, capsys, command, doc, message):
+    model, out = tmp_path / "model.json", tmp_path / "x.out"
+    model.write_text(json.dumps(doc))
+    assert _run([command, "--model", model, "--out", out]) == 2
+    assert re.match(f"error: {message}", capsys.readouterr().err)
+    assert not out.exists()
+
+
 # Every case fails on its flags before an array is built.
 @pytest.mark.parametrize("argv, flag", [
     (["simulate", "--dt", 0, "--horizon", 1], "--dt"),
@@ -889,6 +915,8 @@ def test_config_error_exits_2(tmp_path):
     (["lss-sim", "--dt", 0.1, "--horizon", 1, "--burn-in", "inf"], "--burn-in"),
     (["lss-sim", "--dt", 0.1, "--horizon", 1, "--burn-in", 1e9], "--burn-in"),
     (["cf", "--theta-steps", 10_000_001], "--theta-steps"),
+    (["cf", "--theta-min", 1, "--theta-max", 1], "--theta-max"),
+    (["simulate", "--horizon", 1], "--dt"),
 ])
 def test_grid_flags_out_of_range_exit_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.out"

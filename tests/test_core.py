@@ -32,7 +32,7 @@ from levymix.core import (
     TruncationConvention,
     ZERO_MEASURE,
 )
-from levymix.errors import DomainError, NotFiniteVariation, QuadratureFailure
+from levymix.errors import DomainError, NotFiniteVariation, QuadratureFailure, UnsupportedFamily
 
 INF = float("inf")
 
@@ -617,3 +617,32 @@ def test_tail_cutoff_bounds_remaining_mass():
         cut = m.tail_cutoff(1e-9)
         # the stable cutoff solves its bound with equality
         assert m.mass_above(cut) <= 1e-9 * (1.0 + 1e-12)
+
+
+ZERO = TruncationConvention.ZERO
+CORE_REFUSALS = {
+    "gamma-third-moment": (lambda: GammaMeasure(2.0, 3.0).truncated_moment(3), DomainError, "power must be 1 or 2"),
+    "one-sided-stable-third-moment": (lambda: OneSidedStableMeasure(0.5, 1.0).truncated_moment(3),
+                                      DomainError, "power must be 1 or 2"),
+    "compound-exponential-third-moment": (lambda: CompoundExponentialMeasure(2.0, 1.5).truncated_moment(3),
+                                          DomainError, "power must be 1 or 2"),
+    "one-sided-stable-zero-truncation": (lambda: OneSidedStableMeasure(1.5, 1.0).char_integral(1.0, ZERO),
+                                         NotFiniteVariation, "zero truncation needs index < 1"),
+    "symmetric-stable-zero-truncation": (lambda: SymmetricStableMeasure(1.5, 1.0).char_integral(1.0, ZERO),
+                                         NotFiniteVariation, "zero truncation needs index < 1"),
+    "one-sided-stable-laplace-past-index-one": (lambda: OneSidedStableMeasure(1.5, 1.0).laplace_integral(-1.0),
+                                                NotFiniteVariation, "laplace exponent needs index < 1"),
+    # the default of LevyMeasure: a two-sided measure has no Laplace exponent
+    "symmetric-stable-laplace": (lambda: SymmetricStableMeasure(0.5, 1.0).laplace_integral(-1.0),
+                                 UnsupportedFamily, "no laplace exponent for SymmetricStableMeasure"),
+    "cos-integral-past-index-two": (lambda: lm.stable_cos_integral(2.5), DomainError, r"alpha must lie in \(0, 2\)"),
+    "delta-density": (lambda: lm.delta_law(1.0).law.density(1.0, 1.0), UnsupportedFamily,
+                      "no closed density for DeltaLaw"),
+}
+
+
+@pytest.mark.parametrize("case", CORE_REFUSALS)
+def test_core_refusals_fire(case):
+    call, error, message = CORE_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -30,6 +30,7 @@ from levymix.core import (
 from levymix.errors import DomainError, QuadratureFailure, UnsupportedFamily
 from levymix.mixing import (
     IntervalSet,
+    StableMixEvaluator,
     integrate_rho,
     lemma_constant,
     mixing_cf,
@@ -530,20 +531,25 @@ def test_mixing_domain_is_refused_where_it_is_used():
 
 # Refusals no other test reaches, each through its public entry point.
 MIXING_REFUSALS = {
-    "gamma-kernel-rate": (lambda: phi_mix_density_gamma(0.0, GammaMeasure(1.0, 1.0), 1.0), "rate must be > 0"),
+    "gamma-kernel-rate": (lambda: phi_mix_density_gamma(0.0, GammaMeasure(1.0, 1.0), 1.0),
+                          DomainError, "rate must be > 0"),
     "gamma-kernel-negative-x": (lambda: phi_mix_density_gamma(1.0, GammaMeasure(1.0, 1.0), -1.0),
-                                "lives on \\[0, inf\\)"),
+                                DomainError, "lives on \\[0, inf\\)"),
     "transform-clock-off-half-line": (lambda: mixing_cf(lm.gaussian_law(), SymmetricStableMeasure(0.5, 1.0), 1.0),
-                                      "must live on \\(0, inf\\)"),
-    "small-s-ratio-at-0": (lambda: small_s_ratio(lm.gaussian_law(), 0.0), "s must be > 0"),
-    "small-s-ratio-degenerate-base": (lambda: small_s_ratio(lm.delta_law(1.0), 0.5), "non-degenerate"),
+                                      DomainError, "must live on \\(0, inf\\)"),
+    "small-s-ratio-at-0": (lambda: small_s_ratio(lm.gaussian_law(), 0.0), DomainError, "s must be > 0"),
+    "small-s-ratio-degenerate-base": (lambda: small_s_ratio(lm.delta_law(1.0), 0.5), DomainError, "non-degenerate"),
+    "stable-mix-of-a-gamma-base": (lambda: phi_mix_stable(lm.gamma_law(2.0, 3.0), 1.0, GammaMeasure(1.0, 1.0)),
+                                   UnsupportedFamily, "not a supported strictly stable base"),
+    "stable-mix-of-a-gaussian-at-index-one": (lambda: phi_mix_stable(lm.gaussian_law(0.0, 1.0), 1.0,
+                                                                     GammaMeasure(1.0, 1.0)), DomainError, "2-stable"),
 }
 
 
 @pytest.mark.parametrize("case", MIXING_REFUSALS)
 def test_mixing_refusals_fire(case):
-    call, message = MIXING_REFUSALS[case]
-    with pytest.raises(DomainError, match=message):
+    call, error, message = MIXING_REFUSALS[case]
+    with pytest.raises(error, match=message):
         call()
 
 
@@ -619,7 +625,7 @@ def test_mass_block_agrees_with_one_cell_calls(case):
     for sets, b, one in zip(BLOCK_CELLS, block, ones):
         gap = abs(b.value - one.value)
         assert gap <= 1e-12 * one.value and gap <= b.abs_error_estimate, (sets, b, one)
-    if rho.fixed_rule() is not None or mu.law.mix_route == "pushforward":
+    if rho.fixed_rule() is not None or mu.is_degenerate():
         # the rules sum each column on its own, error estimate included, and
         # the pushforward is exact
         assert block == ones
@@ -735,6 +741,24 @@ def test_phi_mix_stable_domain_checks():
     # the same rho passes the image condition for alpha = 1/2
     ev = phi_mix_stable(lm.one_sided_stable_law(0.5, 0.6), 0.5, OneSidedStableMeasure(0.7, 1.0))
     assert ev.alpha == 0.5
+
+
+@pytest.mark.parametrize("mu, alpha, rho, error, message", [
+    (lm.gamma_law(2.0, 3.0), 1.0, GammaMeasure(1.0, 1.0), UnsupportedFamily, "not a supported strictly stable base"),
+    (lm.cauchy_law(1.0), 1.0, SymmetricStableMeasure(0.5, 1.0), DomainError, "must live on"),
+    (lm.gaussian_law(0.0, 1.0), 2.0, OneSidedStableMeasure(0.7, 1.0), DomainError, "image of rho"),
+], ids=["base", "clock", "image"])
+def test_a_stable_evaluator_is_checked_once_at_construction(monkeypatch, mu, alpha, rho, error, message):
+    # built directly, the evaluator refuses what phi_mix_stable refuses ...
+    with pytest.raises(error, match=message):
+        StableMixEvaluator(mu, alpha, rho)
+    # ... and a valid one's masses check nothing again
+    ev = StableMixEvaluator(lm.cauchy_law(1.0), 1.0, GammaMeasure(1.2, 0.9))
+    calls = []
+    monkeypatch.setattr(mixing, "mixable_law", lambda mu: calls.append(mu))
+    monkeypatch.setattr(mixing, "_validate_mixing_measure", lambda rho: calls.append(rho))
+    assert ev.mass([IntervalSet.of(0.7, 2.2)])[0].value > 0.0
+    assert calls == []
 
 
 def test_mixing_cf_frozen_values():

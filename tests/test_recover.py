@@ -276,6 +276,7 @@ RECOVER_REFUSALS = {
                          lm.DomainError, "anchored"),
     "cf-zero-on-grid": (lambda: unwrap_log_cf(CFSample(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.5]))),
                         NearZeroCF, "vanishes on the grid"),
+    "fixed-alpha-past-one": (lambda: FitOptions(fixed_alpha=1.5), lm.ConfigError, r"fixed_alpha must lie in \(0, 1\)"),
 }
 
 

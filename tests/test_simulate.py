@@ -206,6 +206,7 @@ def test_draws_and_paths_past_the_float_range_are_refused():
 
 
 # Refusals no other test reaches, each through its public entry point.
+THREE_CELLS = GridField(tuple((((k, k + 1.0),), 1.0, 0.5 * k) for k in range(3)), 0)
 SIMULATE_REFUSALS = {
     "negative-power": (lambda: conv_power_sample(VG_BASE, np.array([1.0, -0.5]), make_rng(0)),
                        DomainError, "r >= 0"),
@@ -214,6 +215,12 @@ SIMULATE_REFUSALS = {
                                                             make_rng(0)), DomainError, "past the float range"),
     "repeated-union-index": (lambda: GridField(((((0.0, 1.0),), 1.0, 0.5),), 0).with_union((0, 0)),
                              ConfigError, "distinct and nonempty"),
+    # a union index is an int cell index as given: none wraps, is truncated,
+    # is parsed from a string or is left to an IndexError
+    "negative-union-index": (lambda: THREE_CELLS.with_union((0, -1)), ConfigError, "union index -1 "),
+    "fractional-union-index": (lambda: THREE_CELLS.with_union((1.7, 2)), ConfigError, "union index 1.7 "),
+    "string-union-index": (lambda: THREE_CELLS.with_union(("1", 0)), ConfigError, "union index '1' "),
+    "union-index-past-the-cells": (lambda: THREE_CELLS.with_union((0, 7)), ConfigError, "union index 7 "),
 }
 
 

@@ -131,3 +131,22 @@ def test_the_mixing_modules_see_a_clock_only_through_its_interface():
     imported = {f"{module}: {name}" for module in ("mixing.py", "subordinate.py")
                 for name, _ in _imports(ast.parse((SRC / module).read_text())) if name in families}
     assert not imported, f"jump-measure classes imported: {sorted(imported)}"
+
+
+def test_the_mixing_modules_see_a_base_only_through_its_interface():
+    # a base is routed by what its triplet says of itself (is_degenerate, its
+    # jumps' fixed_rule): a tagged-law class imported into mixing or
+    # subordinate, or a comparison with a string literal, names a route
+    from levymix import core
+
+    laws = {name for name, obj in vars(core).items() if isinstance(obj, type) and issubclass(obj, core.TaggedLaw)}
+    found = []
+    for module in ("mixing.py", "subordinate.py"):
+        tree = ast.parse((SRC / module).read_text())
+        found += [f"{module}: imports {name}" for name, _ in _imports(tree) if name in laws]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant) and isinstance(side.value, str)
+                    for side in [node.left, *node.comparators]):
+                found.append(f"{module}:{node.lineno}: compares with a string")
+    assert not found, f"routes named outside the base's interface: {found}"

@@ -140,7 +140,7 @@ def test_jump_mass_block_agrees_with_one_cell_calls(base, pair):
     block = jumps.mass(cells)
     for sets, b in zip(cells, block):
         one = jumps.mass([sets])[0]
-        if pair.jumps.fixed_rule() is not None or base.law.mix_route == "pushforward":
+        if pair.jumps.fixed_rule() is not None or base.is_degenerate():
             assert b == one
         gap = abs(b.value - one.value)
         assert gap <= 1e-12 * one.value and gap <= b.abs_error_estimate
@@ -237,6 +237,10 @@ TWO_ROUTE_FIXTURES = [
         tuple(np.linspace(0.5, 2.0, 61)), tuple(np.exp(-np.linspace(0.5, 2.0, 61))))), 1e-8),
     # an atom clock keeps the sum of its atoms' images
     ("delta-atoms", lm.delta_law(1.5), SubordinatorPair(0.0, AtomicMeasure(((0.5, 0.6), (2.0, 0.3)))), 1e-11),
+    # bases without moments under an atom clock: no mean +- 8 sd cuts
+    ("cauchy-atoms", lm.cauchy_law(1.0), SubordinatorPair(0.0, AtomicMeasure(((0.5, 0.7), (2.0, 0.3)))), 1e-8),
+    ("half-stable-atoms", lm.one_sided_stable_law(0.5, 0.6),
+     SubordinatorPair(0.0, AtomicMeasure(((0.5, 0.7), (2.0, 0.3)))), 1e-8),
 ]
 
 
@@ -791,6 +795,14 @@ def test_light_tail_cut_is_bounded_before_the_grid():
     st = subordinate_triplet(lm.gaussian_law(), SubordinatorPair(0.0, OneSidedStableMeasure(0.5, 0.5)))
     with pytest.raises(QuadratureFailure, match="beyond x"):
         cf_from_triplet(st, 10.0)
+
+
+def test_refused_panels_past_the_piece_cap_are_refused():
+    # a narrow base far from 0 under a wide clock: bisection does not mend
+    # the x-grid's panels, and their fallback pieces would pass _MAX_PIECES
+    st = subordinate_triplet(lm.gaussian_law(100.0, 0.01), SubordinatorPair(0.0, GammaMeasure(1.0, 0.01)))
+    with pytest.raises(QuadratureFailure, match="refused panels need 511350 pieces, over 100000"):
+        cf_from_triplet(st, 1.0)
 
 
 @pytest.mark.parametrize("theta", [-10.0, 0.5, 9.9])
