@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 import scipy
@@ -30,13 +29,6 @@ from .errors import (
 )
 
 INF = math.inf
-
-
-class TruncationConvention(Enum):
-    """Compensator choice in the exponent: x on |x| <= 1, or none at all."""
-
-    STANDARD = "standard"
-    ZERO = "zero"
 
 
 def _require(cond, message):
@@ -166,10 +158,11 @@ class LevyMeasure(ABC):
         times factor.  A measure that names no amplitude overrides this."""
         return replace(self, **{self.amplitude: getattr(self, self.amplitude) * factor})
 
-    def char_integral(self, theta, convention: "TruncationConvention"):
-        """Integral of exp(i theta x) - 1 - i theta tau(x), elementwise over a
-        theta array: the Laplace integral at i theta less the compensator."""
-        return self.laplace_integral(1j * theta) - 1j * theta * _truncation_shift(self, convention)
+    def char_integral(self, theta):
+        """Integral of exp(i theta x) - 1 - i theta x 1{|x| <= 1}, elementwise
+        over a theta array: the Laplace integral at i theta less the
+        compensator."""
+        return self.laplace_integral(1j * theta) - 1j * theta * _truncation_shift(self)
 
     def laplace_integral(self, z):
         """Integral of exp(z x) - 1, elementwise over a z array."""
@@ -305,12 +298,10 @@ class OneSidedStableMeasure(LevyMeasure):
             )
         return cut
 
-    def char_integral(self, theta, convention):
+    def char_integral(self, theta):
         a, c = self.index, self.coeff
         if a < 1:
-            return super().char_integral(theta, convention)
-        if convention is TruncationConvention.ZERO:
-            raise NotFiniteVariation("zero truncation needs index < 1")
+            return super().char_integral(theta)
         if a > 1:
             # Fully compensated closed form, compensation moved to |x| <= 1.
             return c * math.gamma(-a) * (-1j * theta) ** a + 1j * theta * c / (a - 1.0)
@@ -418,10 +409,8 @@ class SymmetricStableMeasure(LevyMeasure):
     def tail_cutoff(self, tol):
         return self._half().tail_cutoff(tol / 2.0)
 
-    def char_integral(self, theta, convention):
-        # The compensator integral vanishes by symmetry under both conventions.
-        if convention is TruncationConvention.ZERO and self.index >= 1:
-            raise NotFiniteVariation("zero truncation needs index < 1")
+    def char_integral(self, theta):
+        # The compensator integral vanishes by symmetry.
         return np.asarray(
             -2.0 * self.coeff * stable_cos_integral(self.index) * np.abs(theta) ** self.index,
             dtype=complex,
@@ -759,7 +748,7 @@ def _levy_positive(rng, c, size) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LevyTriplet:
-    """Characteristic triplet (drift, gaussian_var, jumps) under a convention.
+    """Characteristic triplet (drift, gaussian_var, jumps), truncated at |x| <= 1.
 
     law holds the ``TaggedLaw`` of a triplet built by a law constructor, so
     the convolution powers of the time-one law stay available in closed
@@ -769,16 +758,10 @@ class LevyTriplet:
     drift: float
     gaussian_var: float
     jumps: LevyMeasure
-    convention: TruncationConvention = TruncationConvention.STANDARD
     law: "TaggedLaw | None" = None
 
     def __post_init__(self):
         _require(self.gaussian_var >= 0, "gaussian_var must be >= 0")
-        if self.convention is TruncationConvention.ZERO:
-            if not self.jumps.finite_variation():
-                raise NotFiniteVariation(
-                    "the zero-truncation convention needs finite variation jumps"
-                )
 
     def is_degenerate(self) -> bool:
         """True for a point mass (pure drift, possibly zero)."""
@@ -1177,12 +1160,10 @@ class OneSidedStableLaw(_StableLaw):
 # Exponents.
 
 
-def _truncation_shift(measure: LevyMeasure, convention: TruncationConvention) -> float:
-    """Drift the compensator removes: the integral of x over |x| <= 1 under
-    the standard convention, which vanishes for a symmetric measure."""
-    if convention is TruncationConvention.STANDARD and not measure.symmetric:
-        return measure.truncated_moment(1, 1.0)
-    return 0.0
+def _truncation_shift(measure: LevyMeasure) -> float:
+    """Drift the compensator removes: the integral of x over |x| <= 1, which
+    vanishes for a symmetric measure."""
+    return 0.0 if measure.symmetric else measure.truncated_moment(1, 1.0)
 
 
 def char_exponent(triplet: LevyTriplet, theta):
@@ -1195,7 +1176,7 @@ def char_exponent(triplet: LevyTriplet, theta):
     value = (
         1j * th * triplet.drift
         - 0.5 * triplet.gaussian_var * th * th
-        + triplet.jumps.char_integral(th, triplet.convention)
+        + triplet.jumps.char_integral(th)
     )
     value = np.where(th == 0.0, 0.0 + 0.0j, value)
     return complex(value[0]) if np.ndim(theta) == 0 else value

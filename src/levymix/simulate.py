@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LevyTriplet, SubordinatorPair, TruncationConvention, _truncation_shift
+from .core import LevyTriplet, SubordinatorPair, _truncation_shift
 from .errors import ConfigError, DomainError
 from .subordinate import SeedField
 
@@ -158,17 +158,25 @@ def conv_power_sample(t: LevyTriplet, r, rng) -> np.ndarray:
         else:
             out += t.drift * r
         if jumps is not None:
-            out -= _truncation_shift(t.jumps, t.convention) * r
+            out -= _truncation_shift(t.jumps) * r
             out += jumps
     if not np.isfinite(out).all():
         raise DomainError("a draw from a convolution power is past the float range")
     return out
 
 
-def _clock_triplet(pair: SubordinatorPair) -> LevyTriplet:
-    """The subordinator as the Levy triplet (drift, 0, jumps) under the
-    zero-truncation convention (Sato 1999, Thm 21.5): its shift is 0."""
-    return LevyTriplet(pair.drift, 0.0, pair.jumps, TruncationConvention.ZERO)
+def _clock_sample(pair: SubordinatorPair, r, rng) -> np.ndarray:
+    """One exact draw of the clock over each step length in r: drift r +
+    jumps(r) (Sato 1999, Thm 21.5). The jumps are drawn first, so drift r
+    is never held beside a draw's temporaries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        jumps = None if pair.jumps.is_zero() else pair.jumps.sample_increments(r, rng)
+        out = pair.drift * r
+        if jumps is not None:
+            out += jumps
+    if not np.isfinite(out).all():
+        raise DomainError("a draw from a convolution power is past the float range")
+    return out
 
 
 def _walk(inc: np.ndarray) -> np.ndarray:
@@ -188,31 +196,36 @@ def _paths(values, grid: TimeGrid, cfg: SimConfig):
 
 
 # ---------------------------------------------------------------------------
-# Levy paths; a subordinator is the Levy path of its clock triplet.
+# Levy paths and subordinator paths.
 
 
-def sample_levy(t: LevyTriplet, grid: TimeGrid, cfg: SimConfig = SimConfig()):
-    """Levy path(s) with iid increments per step, started at 0."""
+def _increment_paths(draw, grid: TimeGrid, cfg: SimConfig):
+    """Path(s) started at 0 whose increments are draw(steps, rng), one
+    step length dt per grid step, on channel 0 of each stream."""
 
     def values(stream):
-        rng = make_rng(cfg.seed, stream, channel=0)
-        return _walk(conv_power_sample(t, np.full(grid.n_steps, grid.dt), rng))
+        return _walk(draw(np.full(grid.n_steps, grid.dt), make_rng(cfg.seed, stream, channel=0)))
 
     return _paths(values, grid, cfg)
 
 
+def sample_levy(t: LevyTriplet, grid: TimeGrid, cfg: SimConfig = SimConfig()):
+    """Levy path(s) with iid increments per step, started at 0."""
+    return _increment_paths(lambda r, rng: conv_power_sample(t, r, rng), grid, cfg)
+
+
 def sample_subordinator(pair: SubordinatorPair, grid: TimeGrid, cfg: SimConfig = SimConfig()):
     """Nondecreasing path(s) of the subordinator on the grid, started at 0."""
-    return sample_levy(_clock_triplet(pair), grid, cfg)
+    return _increment_paths(lambda r, rng: _clock_sample(pair, r, rng), grid, cfg)
 
 
 # ---------------------------------------------------------------------------
 # Time-changed paths.
 
 
-def _clock_then_power(mu_L, clock, dt, n, cfg, stream):
+def _clock_then_power(mu_L, pair, dt, n, cfg, stream):
     """n clock increments on channel 0, then one draw from mu_L to each one's power on channel 1."""
-    d_t = conv_power_sample(clock, np.full(n, dt), make_rng(cfg.seed, stream, channel=0))
+    d_t = _clock_sample(pair, np.full(n, dt), make_rng(cfg.seed, stream, channel=0))
     return conv_power_sample(mu_L, d_t, make_rng(cfg.seed, stream, channel=1))
 
 
@@ -229,10 +242,8 @@ def sample_subordinated(
     the clock increment, then one exact draw from the base law raised to
     that power.
     """
-    clock = _clock_triplet(pair)
-
     def values(stream):
-        return _walk(_clock_then_power(mu_L, clock, grid.dt, grid.n_steps, cfg, stream))
+        return _walk(_clock_then_power(mu_L, pair, grid.dt, grid.n_steps, cfg, stream))
 
     return _paths(values, grid, cfg)
 
@@ -253,7 +264,7 @@ def sample_basis_ensemble(mu_L: LevyTriplet, fld: SeedField, cfg: SimConfig, n_d
     """n_draws independent copies of every cell value; shape (n_draws, n_cells)."""
     _require_count(n_draws, "n_draws")
     cols = [
-        _clock_then_power(mu_L, _clock_triplet(cell.pair), cell.control_mass, n_draws, cfg, idx)
+        _clock_then_power(mu_L, cell.pair, cell.control_mass, n_draws, cfg, idx)
         for idx, cell in enumerate(fld.cells)
     ]
     return np.column_stack(cols)
@@ -277,7 +288,13 @@ class LssKernel:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
         pos = x > 0
-        out[pos] = np.exp(-x[pos]) * x[pos] ** self.alpha
+        xp = x[pos]
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.exp(-xp) * xp**self.alpha
+            # where a factor passes the float range, the same number in logs
+            bad = ~np.isfinite(k)
+            k[bad] = np.exp(self.alpha * np.log(xp[bad]) - xp[bad])
+        out[pos] = k
         return out
 
 
@@ -313,17 +330,18 @@ def sample_lss(
         raise ConfigError("burn_in must be > 0")
     if not burn_in / grid.dt <= _MAX_STEPS:
         raise ConfigError(f"burn_in must span at most {_MAX_STEPS:.0e} steps of dt, got {burn_in / grid.dt:.3g}")
-    if float(kernel(np.array([burn_in]))[0]) > 1e-8:
+    if not float(kernel(np.array([burn_in]))[0]) <= 1e-8:
         raise ConfigError("burn_in too small: kernel has not decayed to 1e-8")
     m = int(math.ceil(burn_in / grid.dt))
     ext = TimeGrid(grid.t0 - m * grid.dt, grid.dt, m + grid.n_steps)
     weights = kernel(grid.dt * np.arange(ext.n_steps + 1))
+    if not np.isfinite(weights).all():
+        raise ConfigError(f"the kernel exp(-x) x**{kernel.alpha:g} passes the float range")
     size = 1 << (2 * ext.n_steps - 1).bit_length()
     w_hat = np.fft.rfft(weights, size)
-    clock = _clock_triplet(pair)
 
     def values(stream):
-        spectrum = np.fft.rfft(_clock_then_power(mu_L, clock, ext.dt, ext.n_steps, cfg, stream), size)
+        spectrum = np.fft.rfft(_clock_then_power(mu_L, pair, ext.dt, ext.n_steps, cfg, stream), size)
         spectrum *= w_hat
         # a copy: a view of the window would keep the whole padded buffer
         return np.fft.irfft(spectrum, size)[m : m + grid.n_steps + 1].copy()

@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     LevyTriplet,
     SubordinatorPair,
-    TruncationConvention,
     ZERO_MEASURE,
     char_exponent,
     laplace_exponent,
@@ -215,7 +214,7 @@ class JumpMixEvaluator:
         x_hi are subtracted; the rest is at most the mass and, for a density
         decreasing past x_hi, 2 sqrt 2 f(x_hi) / |theta|, refused above the
         release tolerance: the only refusal that depends on theta."""
-        base_part = complex(self.drift_part.char_integral(theta, TruncationConvention.STANDARD))
+        base_part = complex(self.drift_part.char_integral(theta))
         if self.pair.jumps.is_zero() or theta == 0.0:
             return base_part
         g = self._grid()
@@ -388,8 +387,6 @@ def _mixing_drift_term(base: LevyTriplet, pair: SubordinatorPair) -> float:
 
 def subordinate_triplet(base: LevyTriplet, pair: SubordinatorPair) -> SubordinatedTriplet:
     """Characteristic triplet of the base process run on the subordinator clock."""
-    if base.convention is not TruncationConvention.STANDARD:
-        raise DomainError("the base triplet must use the standard truncation")
     gamma_bar = base.drift * pair.drift
     if not pair.jumps.is_zero():
         # the pair's jumps are positive and of finite variation by construction

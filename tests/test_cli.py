@@ -948,6 +948,42 @@ def test_lss_sim_command(tmp_path):
     assert len(lines) == 42  # header + 41 grid points
 
 
+def _gamma_kernel_model(tmp_path, alpha):
+    model = tmp_path / "kernel.json"
+    model.write_text(json.dumps({"schema": 1, "levy": GAUSS,
+                                 "subordinator": {"drift": 0.1, "jumps": {"kind": "gamma", "shape": 2.0, "rate": 3.0}},
+                                 "kernel": {"kind": "gamma_kernel", "alpha": alpha}}))
+    return model
+
+
+@pytest.mark.parametrize("alpha, burn_in", [(120, 1000), (150, 2000)])
+def test_a_gamma_kernel_whose_factors_pass_the_float_range_still_answers(tmp_path, alpha, burn_in):
+    # x**alpha overflows and exp(-x) underflows far out in the burn-in, yet
+    # their product, the kernel itself, stays a float: the weights are that
+    # product, and the suite turns any RuntimeWarning into an error
+    out = tmp_path / "y.csv"
+    argv = ["lss-sim", "--model", _gamma_kernel_model(tmp_path, alpha), "--dt", 0.1, "--horizon", 10,
+            "--burn-in", burn_in, "--out", out]
+    assert _run(argv) == 0
+    values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+    assert values.size == 101 and np.isfinite(values).all()
+
+
+def test_a_gamma_kernel_past_the_float_range_exits_2(tmp_path, capsys):
+    # exp(-x) x**300 peaks at e**1411: no weight vector holds it
+    out = tmp_path / "y.csv"
+    argv = ["lss-sim", "--model", _gamma_kernel_model(tmp_path, 300), "--dt", 0.1, "--horizon", 10,
+            "--burn-in", 3000, "--out", out]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err == "error: the kernel exp(-x) x**300 passes the float range\n"
+    assert not out.exists()
+
+
+def test_to_json_refuses_an_object_it_cannot_write():
+    with pytest.raises(SpecError, match="^cannot serialize object$"):
+        cli._to_json(object())
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "levymix.cli", "--help"],

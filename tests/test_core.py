@@ -29,7 +29,6 @@ from levymix.core import (
     SymmetricStableLaw,
     SymmetricStableMeasure,
     TabulatedMeasure,
-    TruncationConvention,
     ZERO_MEASURE,
 )
 from levymix.errors import DomainError, NotFiniteVariation, QuadratureFailure, UnsupportedFamily
@@ -396,23 +395,6 @@ def test_each_class_is_its_own_family_record():
         assert cls.amplitude in names or cls.scaled is not lm.LevyMeasure.scaled, cls.__name__
 
 
-def test_zero_convention_expresses_the_same_law():
-    for law in (lm.gamma_law(2.0, 3.0), lm.poisson_law(0.8, 1.3), lm.one_sided_stable_law(0.5, 0.6)):
-        # the zero convention's drift is the standard one less the compensator
-        moved = dataclasses.replace(
-            law, drift=law.drift - law.jumps.truncated_moment(1, 1.0), convention=TruncationConvention.ZERO
-        )
-        for th in (0.5, 2.0, -3.5):
-            assert lm.char_exponent(moved, th) == pytest.approx(
-                lm.char_exponent(law, th), abs=1e-12
-            )
-
-
-def test_zero_convention_rejects_infinite_variation():
-    with pytest.raises(NotFiniteVariation):
-        LevyTriplet(0.0, 0.0, SymmetricStableMeasure(1.5, 0.4), TruncationConvention.ZERO)
-
-
 def test_subordinator_pair_validation():
     with pytest.raises(DomainError):
         SubordinatorPair(-0.1, ZERO_MEASURE)
@@ -444,11 +426,10 @@ def test_finite_variation_agrees_with_the_one_wedge(measure):
 @pytest.mark.parametrize("index, coeff", [(1e-299, 1e10), (0.1, 1e308)])
 def test_stable_clock_whose_one_wedge_overflows_has_finite_variation(index, coeff):
     # coeff / (1 - index) + coeff / index passes the float range: that is
-    # not a divergence, so the clock and its zero-convention triplet stand
+    # not a divergence, so the clock stands
     nu = OneSidedStableMeasure(index, coeff)
     assert nu.one_wedge(1) == INF
     SubordinatorPair(0.0, nu)
-    LevyTriplet(0.0, 0.0, nu, TruncationConvention.ZERO)
     with pytest.raises(DomainError, match="Laplace exponent .* past the float range"):
         lm.laplace_exponent(SubordinatorPair(0.0, nu), np.array([0.0, -1.0]))
 
@@ -507,8 +488,7 @@ def test_stable_closed_forms_and_draws_are_finite_at_the_index_floor(coeff):
     # refused by name, and the suite turns any RuntimeWarning into an error
     index, theta, dt = 1e-299, np.geomspace(1e-8, 1e8, 9), np.geomspace(1e-8, 1e8, 9)
     for m in (OneSidedStableMeasure(index, coeff), SymmetricStableMeasure(index, coeff)):
-        for value in (m.one_wedge(1), m.one_wedge(2), m.char_integral(theta, TruncationConvention.STANDARD),
-                      m.char_integral(-theta, TruncationConvention.ZERO)):
+        for value in (m.one_wedge(1), m.one_wedge(2), m.char_integral(theta), m.char_integral(-theta)):
             assert np.isfinite(value).all()
         with pytest.raises(QuadratureFailure, match="overflows a float"):
             m.tail_cutoff(1e-12)
@@ -537,7 +517,7 @@ def test_index_one_stable_char_integral_matches_fourier_quadrature(theta):
     re_tail, _ = integrate.quad(lambda x: x**-2.0, 1.0, np.inf, weight="cos", wvar=w)
     im_tail, _ = integrate.quad(lambda x: x**-2.0, 1.0, np.inf, weight="sin", wvar=w)
     expected = c * complex(re_head + re_tail - 1.0, math.copysign(1.0, theta) * (im_head + im_tail))
-    got = OneSidedStableMeasure(1.0, c).char_integral(np.array([theta]), TruncationConvention.STANDARD)
+    got = OneSidedStableMeasure(1.0, c).char_integral(np.array([theta]))
     assert abs(got[0] - expected) < 1e-9
     value = lm.char_exponent(LevyTriplet(0.1, 0.0, OneSidedStableMeasure(1.0, c)), theta)
     assert abs(value - (0.1j * theta + expected)) < 1e-9
@@ -556,7 +536,7 @@ def test_index_above_one_stable_char_integral_matches_fourier_quadrature(theta):
     re_tail, _ = integrate.quad(lambda x: x ** (-a - 1.0), 1.0, np.inf, weight="cos", wvar=w)
     im_tail, _ = integrate.quad(lambda x: x ** (-a - 1.0), 1.0, np.inf, weight="sin", wvar=w)
     expected = c * complex(re_head + re_tail - 1.0 / a, math.copysign(1.0, theta) * (im_head + im_tail))
-    got = OneSidedStableMeasure(a, c).char_integral(theta, TruncationConvention.STANDARD)
+    got = OneSidedStableMeasure(a, c).char_integral(theta)
     assert abs(got - expected) < 1e-9
 
 
@@ -619,17 +599,12 @@ def test_tail_cutoff_bounds_remaining_mass():
         assert m.mass_above(cut) <= 1e-9 * (1.0 + 1e-12)
 
 
-ZERO = TruncationConvention.ZERO
 CORE_REFUSALS = {
     "gamma-third-moment": (lambda: GammaMeasure(2.0, 3.0).truncated_moment(3), DomainError, "power must be 1 or 2"),
     "one-sided-stable-third-moment": (lambda: OneSidedStableMeasure(0.5, 1.0).truncated_moment(3),
                                       DomainError, "power must be 1 or 2"),
     "compound-exponential-third-moment": (lambda: CompoundExponentialMeasure(2.0, 1.5).truncated_moment(3),
                                           DomainError, "power must be 1 or 2"),
-    "one-sided-stable-zero-truncation": (lambda: OneSidedStableMeasure(1.5, 1.0).char_integral(1.0, ZERO),
-                                         NotFiniteVariation, "zero truncation needs index < 1"),
-    "symmetric-stable-zero-truncation": (lambda: SymmetricStableMeasure(1.5, 1.0).char_integral(1.0, ZERO),
-                                         NotFiniteVariation, "zero truncation needs index < 1"),
     "one-sided-stable-laplace-past-index-one": (lambda: OneSidedStableMeasure(1.5, 1.0).laplace_integral(-1.0),
                                                 NotFiniteVariation, "laplace exponent needs index < 1"),
     # the default of LevyMeasure: a two-sided measure has no Laplace exponent

@@ -537,6 +537,8 @@ MIXING_REFUSALS = {
                                 DomainError, "lives on \\[0, inf\\)"),
     "transform-clock-off-half-line": (lambda: mixing_cf(lm.gaussian_law(), SymmetricStableMeasure(0.5, 1.0), 1.0),
                                       DomainError, "must live on \\(0, inf\\)"),
+    "transform-clock-of-infinite-mass": (lambda: mixing_cf(lm.gaussian_law(), OneSidedStableMeasure(0.5, 1.0), 1.0),
+                                         DomainError, "needs a finite mixing measure"),
     "small-s-ratio-at-0": (lambda: small_s_ratio(lm.gaussian_law(), 0.0), DomainError, "s must be > 0"),
     "small-s-ratio-degenerate-base": (lambda: small_s_ratio(lm.delta_law(1.0), 0.5), DomainError, "non-degenerate"),
     "stable-mix-of-a-gamma-base": (lambda: phi_mix_stable(lm.gamma_law(2.0, 3.0), 1.0, GammaMeasure(1.0, 1.0)),

@@ -4,7 +4,6 @@ Statistical checks use fixed seeds with 4-sigma-style bounds on moments or
 empirical CFs; everything structural (monotonicity, additivity, stream
 reproducibility) is asserted exactly.
 """
-import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from levymix.core import (
     SubordinatorPair,
     SymmetricStableMeasure,
     TabulatedMeasure,
-    TruncationConvention,
     ZERO_MEASURE,
 )
 from levymix.errors import ConfigError, DomainError, UnsupportedFamily
@@ -336,18 +334,6 @@ def test_levy_path_ecf_matches_exponent():
         assert abs(ecf - want) <= 6.0 / math.sqrt(n)
 
 
-def test_levy_increments_follow_the_triplet_convention():
-    # the same law under either truncation convention has the same mean
-    grid = TimeGrid(0.0, 1.0, 20_000)
-    standard = lm.gamma_law(2.0, 3.0)
-    zero = dataclasses.replace(
-        standard, drift=standard.drift - standard.jumps.truncated_moment(1, 1.0), convention=TruncationConvention.ZERO
-    )
-    for law in (standard, zero):
-        inc = sample_levy(law, grid, SimConfig(seed=9)).increments()
-        assert abs(inc.mean() - 2.0 / 3.0) <= 4.0 * math.sqrt((2.0 / 9.0) / inc.size)
-
-
 # --- subordinated paths ----------------------------------------------------------
 
 
@@ -536,10 +522,10 @@ def test_lss_matches_the_direct_riemann_sum(name):
     m = int(math.ceil(burn_in / grid.dt))
     n_ext = m + grid.n_steps
     weights = kernel(grid.dt * np.arange(n_ext + 1))
-    clock = LevyTriplet(pair.drift, 0.0, pair.jumps, TruncationConvention.ZERO)
+    r = np.full(n_ext, grid.dt)
     size = 1 << (2 * n_ext - 1).bit_length()
     for stream, y in enumerate(ys):
-        d_t = conv_power_sample(clock, np.full(n_ext, grid.dt), make_rng(cfg.seed, stream, channel=0))
+        d_t = pair.drift * r + pair.jumps.sample_increments(r, make_rng(cfg.seed, stream, channel=0))
         d_x = conv_power_sample(base, d_t, make_rng(cfg.seed, stream, channel=1))
         direct = np.convolve(d_x, weights)[m : m + grid.n_steps + 1]
         bound = np.finfo(float).eps * math.log2(size) * np.abs(weights).sum() * np.abs(d_x).max()

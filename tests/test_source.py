@@ -150,3 +150,20 @@ def test_the_mixing_modules_see_a_base_only_through_its_interface():
                     for side in [node.left, *node.comparators]):
                 found.append(f"{module}:{node.lineno}: compares with a string")
     assert not found, f"routes named outside the base's interface: {found}"
+
+
+def test_a_triplet_has_one_truncation_convention():
+    # a triplet is truncated at |x| <= 1 and nothing else: no function takes
+    # a convention, and a clock is drawn from its SubordinatorPair, never
+    # rebuilt as a triplet
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                found += [f"{path.name}:{node.lineno}: takes a convention" for name in names if name == "convention"]
+            if path.name == "simulate.py" and isinstance(node, ast.Call) and _used_name(node.func) == "LevyTriplet":
+                found.append(f"{path.name}:{node.lineno}: builds a LevyTriplet")
+    assert not found, f"a second truncation convention: {found}"

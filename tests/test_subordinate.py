@@ -5,7 +5,6 @@ computed triplet (drift and Gaussian terms plus the mixed jump integral).
 Frozen values come from closed forms evaluated with cmath/scipy only.
 """
 import cmath
-import dataclasses
 import importlib.util
 import math
 import os
@@ -637,15 +636,6 @@ def test_cauchy_gamma_grid_keeps_its_kernel_budget(monkeypatch):
     monkeypatch.setattr(type(base.law), "mixed_density", counted)
     JumpMixEvaluator(base, GAMMA_23)._grid()
     assert sum(entries) <= 1_400_000, f"{sum(entries)} kernel entries"
-
-
-def test_subordinate_triplet_rejects_zero_convention_base():
-    law = lm.gamma_law(2.0, 3.0)
-    moved = dataclasses.replace(
-        law, drift=law.drift - law.jumps.truncated_moment(1, 1.0), convention=lm.TruncationConvention.ZERO
-    )
-    with pytest.raises(DomainError):
-        subordinate_triplet(moved, VG_PAIR)
 
 
 def test_subordinate_triplet_rejects_untagged_base_with_jumps():
