@@ -509,8 +509,13 @@ def load_model_spec(path: str) -> ModelSpec:
 def _theta_grid(args) -> np.ndarray:
     if not 2 <= args.theta_steps <= _MAX_STEPS:
         raise ConfigError(f"--theta-steps must be between 2 and {_MAX_STEPS:.0e}")
+    for flag, value in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if not args.theta_max > args.theta_min:
         raise ConfigError("--theta-max must exceed --theta-min")
+    if not math.isfinite(args.theta_max - args.theta_min):
+        raise ConfigError("--theta-max - --theta-min must be finite")
     return np.linspace(args.theta_min, args.theta_max, args.theta_steps)
 
 

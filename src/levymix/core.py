@@ -173,11 +173,6 @@ class LevyMeasure(ABC):
         for a density integrated adaptively."""
         return None
 
-    def image_in_ml1(self, alpha: float) -> bool:
-        """Whether the image under s -> s**(1/alpha) integrates (1 and t), given
-        that the measure integrates (1 and s): only a power law at 0 breaks it."""
-        return True
-
     def mass_above(self, eps: float) -> float:
         _require(eps > 0, "threshold must be positive")
         return self.interval_mass(eps, INF) + self.interval_mass(-INF, -eps)
@@ -353,9 +348,6 @@ class OneSidedStableMeasure(LevyMeasure):
 
     def finite_variation(self):
         return self.index < 1
-
-    def image_in_ml1(self, alpha):
-        return self.index < 1.0 / alpha
 
     def is_positive(self):
         return True
@@ -899,10 +891,6 @@ class TaggedLaw:
         only place the x-grid evaluates the law's kernel."""
         return _row_blocks(xs, s_nodes.size, lambda x: self.density(s_nodes, x) @ s_weights)
 
-    def require_stable(self, alpha: float) -> None:
-        """Raise unless the law is strictly alpha-stable with a closed cdf."""
-        raise UnsupportedFamily(f"{type(self).__name__} is not a supported strictly stable base")
-
 
 @dataclass(frozen=True)
 class GaussianLaw(TaggedLaw):
@@ -960,12 +948,6 @@ class GaussianLaw(TaggedLaw):
         )
         tails = 1.0 - gap
         return float((inside_sq + tails) / s)
-
-    def require_stable(self, alpha):
-        if alpha != 2.0:
-            raise DomainError("a gaussian base is 2-stable")
-        if self.mean != 0.0:
-            raise DomainError("strict 2-stability needs mean 0")
 
 
 @dataclass(frozen=True)
@@ -1069,11 +1051,6 @@ class _StableLaw(TaggedLaw):
                 f"{self.closed_index} only"
             )
 
-    def require_stable(self, alpha):
-        if alpha != self.alpha:
-            raise DomainError(f"base law has stability index {self.alpha}, not {alpha}")
-        self._closed()
-
 
 @dataclass(frozen=True)
 class SymmetricStableLaw(_StableLaw):
@@ -1166,18 +1143,32 @@ def _truncation_shift(measure: LevyMeasure) -> float:
     return 0.0 if measure.symmetric else measure.truncated_moment(1, 1.0)
 
 
+def finite_theta(theta) -> np.ndarray:
+    """theta as a float array of at least one dimension, every entry finite."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.isfinite(th).all():
+        raise DomainError(f"theta must be finite, got {th[~np.isfinite(th)][0]}")
+    return th
+
+
 def char_exponent(triplet: LevyTriplet, theta):
     """Log characteristic function of the time-one law at theta.
 
     theta may be a scalar (the result is a complex) or an array (the result
-    is a complex array of its shape); theta = 0 gives exactly 0.
+    is a complex array of its shape); theta = 0 gives exactly 0.  A theta
+    that is not finite, or whose exponent is not, is refused.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    value = (
-        1j * th * triplet.drift
-        - 0.5 * triplet.gaussian_var * th * th
-        + triplet.jumps.char_integral(th)
-    )
+    th = finite_theta(theta)
+    # an overflow, or inf - inf between the terms, is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (
+            1j * th * triplet.drift
+            - 0.5 * triplet.gaussian_var * th * th
+            + triplet.jumps.char_integral(th)
+        )
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise DomainError(f"the exponent at theta = {th[bad][0]:g} is past the float range")
     value = np.where(th == 0.0, 0.0 + 0.0j, value)
     return complex(value[0]) if np.ndim(theta) == 0 else value
 

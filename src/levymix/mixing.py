@@ -198,40 +198,19 @@ def _delta_pushforward_mass(drift, rho, sets):
     return MixResult(total, 1e-15 * total)
 
 
-def _mix_over_sets(mu, rho, cells, interval_mass):
-    """One MixResult per interval set of cells: the mu^s masses of the
-    non-empty sets, interval_mass(s, lo, hi) summed over each set's
-    intervals, as one (n, k) block integrated against rho; an empty set's
-    mass is 0.  The set nearest 0, at distance d, gives the small_s_bound
-    that certifies the lower cut for every column."""
-    out = [MixResult(0.0, 0.0)] * len(cells)
-    live = [k for k, sets in enumerate(cells) if sets.intervals]
-    if not live:
-        return out
-    d = min(cells[k].distance_from_zero for k in live)
-    if d <= 0.0 and math.isinf(rho.total_mass()):
-        raise DomainError("interval sets touching 0 need a finite mixing measure")
-    bound = small_s_bound(mu, d) if d > 0.0 else None
-    lo, hi = np.array([interval for k in live for interval in cells[k].intervals]).T
-    starts = np.cumsum([0] + [len(cells[k].intervals) for k in live[:-1]])
-    fn = lambda s: np.add.reduceat(interval_mass(s[:, None], lo, hi), starts, axis=1)
-    value, err, _ = integrate_rho(rho, fn, linear_bound=bound)
-    for k, v, e in zip(live, value, err):
-        out[k] = MixResult(max(float(v), 0.0), float(e))
-    return out
-
-
 def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, cells) -> list:
     """Masses of the mixed measure integral mu^s(.) rho(ds) on a sequence of
     interval sets, one MixResult per set, each with its own value and error
     estimate.
 
-    A density clock integrates all the sets as one block of targets on
-    shared panels (see _mix_over_sets), except under a delta base, whose
-    pushforward is exact per set; an atom clock sums each column of the
-    law's closed masses on its own, at x = v s for a delta(v) base, the same
-    bits as a one-set call.  A zero clock mixes nothing, for any base: every
-    set has mass exactly 0."""
+    A density clock integrates the mu^s masses of all the non-empty sets,
+    summed over each set's intervals, as one (n, k) block of targets on
+    shared panels, except under a delta base, whose pushforward is exact per
+    set; an atom clock sums each column of the law's closed masses on its
+    own, at x = v s for a delta(v) base, the same bits as a one-set call.
+    The set nearest 0, at distance d, gives the small_s_bound that
+    certifies the lower cut for every column.  An empty set's mass is 0, and
+    a zero clock mixes nothing, for any base: every set has mass exactly 0."""
     if not rho.is_positive():
         raise DomainError("the mixing measure must live on (0, inf)")
     cells = tuple(cells)
@@ -243,7 +222,21 @@ def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, cells) -> list:
         # positive jump measure; its mass jumps where a cell ends at v s
         return [_delta_pushforward_mass(mu.drift, rho, sets) for sets in cells]
     _validate_mixing_measure(rho)
-    return _mix_over_sets(mu, rho, cells, law.interval_mass)
+    out = [MixResult(0.0, 0.0)] * len(cells)
+    live = [k for k, sets in enumerate(cells) if sets.intervals]
+    if not live:
+        return out
+    d = min(cells[k].distance_from_zero for k in live)
+    if d <= 0.0 and math.isinf(rho.total_mass()):
+        raise DomainError("interval sets touching 0 need a finite mixing measure")
+    bound = small_s_bound(mu, d) if d > 0.0 else None
+    lo, hi = np.array([interval for k in live for interval in cells[k].intervals]).T
+    starts = np.cumsum([0] + [len(cells[k].intervals) for k in live[:-1]])
+    fn = lambda s: np.add.reduceat(law.interval_mass(s[:, None], lo, hi), starts, axis=1)
+    value, err, _ = integrate_rho(rho, fn, linear_bound=bound)
+    for k, v, e in zip(live, value, err):
+        out[k] = MixResult(max(float(v), 0.0), float(e))
+    return out
 
 
 def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float) -> float:
@@ -266,44 +259,6 @@ def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float) -> float:
 
     # 1/Gamma(s) ~ s near 0, so |fn| <= 1.2 s for floors below 1e-8.
     return math.exp(-rate * x) / x * integrate_rho(rho, fn, linear_bound=1.2)[0]
-
-
-@dataclass(frozen=True)
-class StableMixEvaluator:
-    """Interval masses of the mix with a strictly stable base law.
-
-    Uses the scaling identity: mu^s(A) is mu evaluated on s**(-1/alpha) A, so
-    the mix is a multiplicative smearing of the pushforward of rho under
-    s -> s**(1/alpha) against one reference CDF; no per-s convolution powers.
-    The base, alpha and rho are checked once, at construction.
-    """
-
-    mu: LevyTriplet
-    alpha: float
-    rho: LevyMeasure
-
-    def __post_init__(self):
-        mixable_law(self.mu).require_stable(self.alpha)
-        _validate_mixing_measure(self.rho)
-        if not self.rho.image_in_ml1(self.alpha):
-            raise DomainError(
-                "the image of rho under s -> s**(1/alpha) must integrate (1 and t)"
-            )
-
-    def mass(self, cells) -> list:
-        """One MixResult per interval set of cells, integrated as one block."""
-        law, inv = self.mu.law, 1.0 / self.alpha
-
-        def interval_mass(s, lo, hi):
-            scale = s**-inv
-            return np.maximum(law.cdf(1.0, hi * scale) - law.cdf(1.0, lo * scale), 0.0)
-
-        return _mix_over_sets(self.mu, self.rho, tuple(cells), interval_mass)
-
-
-def phi_mix_stable(mu: LevyTriplet, alpha: float, rho: LevyMeasure) -> StableMixEvaluator:
-    """Evaluator for mixing a strictly alpha-stable base law with rho."""
-    return StableMixEvaluator(mu, alpha, rho)
 
 
 def mixing_cf(mu: LevyTriplet, rho: LevyMeasure, theta: float) -> complex:

@@ -120,8 +120,9 @@ class GridField:
 
 def make_rng(seed: int, stream_id: int = 0, channel: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream, channel)."""
+    # a uint64 array: numpy reads a list with a word of 2**63 or more through float64
     key = [seed & _MASK64, ((stream_id & _MASK64) << 16 | (channel & 0xFFFF)) & _MASK64]
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .core import (
     SubordinatorPair,
     ZERO_MEASURE,
     char_exponent,
+    finite_theta,
     laplace_exponent,
 )
 from .errors import DomainError, QuadratureFailure
@@ -398,6 +399,7 @@ def subordinate_triplet(base: LevyTriplet, pair: SubordinatorPair) -> Subordinat
 
 def cf_from_triplet(st: SubordinatedTriplet, theta: float) -> complex:
     """Log-CF reassembled from the subordinated triplet's own pieces."""
+    finite_theta(theta)
     value = 1j * theta * st.gamma_bar - 0.5 * st.b_bar * theta * theta
     return value + st.jumps.char_integral(theta)
 

@@ -917,6 +917,9 @@ def test_a_model_its_command_cannot_use_exits_2(tmp_path, capsys, command, doc, 
     (["cf", "--theta-steps", 10_000_001], "--theta-steps"),
     (["cf", "--theta-min", 1, "--theta-max", 1], "--theta-max"),
     (["simulate", "--horizon", 1], "--dt"),
+    (["cf", "--theta-max", "inf"], "--theta-max"),
+    (["cf", "--theta-min=-inf"], "--theta-min"),
+    (["cf", "--theta-min=-1e308", "--theta-max", 1e308], "--theta-max"),
 ])
 def test_grid_flags_out_of_range_exit_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.out"

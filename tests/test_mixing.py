@@ -30,13 +30,11 @@ from levymix.core import (
 from levymix.errors import DomainError, QuadratureFailure, UnsupportedFamily
 from levymix.mixing import (
     IntervalSet,
-    StableMixEvaluator,
     integrate_rho,
     lemma_constant,
     mixing_cf,
     phi_mix_density_gamma,
     phi_mix_mass,
-    phi_mix_stable,
     small_s_ratio,
 )
 
@@ -246,6 +244,18 @@ def test_tagged_law_closed_forms_take_arrays_in_s(mu):
         assert [values[i] for i in range(s.size)] == [law.interval_mass(v, lo, hi) for v in s]
     values = law.truncated_mean(s)
     assert [values[i] for i in range(s.size)] == [law.truncated_mean(v) for v in s]
+
+
+@pytest.mark.parametrize("mu, alpha", [
+    (lm.cauchy_law(0.7), 1.0), (lm.gaussian_law(0.0, 2.0), 2.0), (lm.one_sided_stable_law(0.5, 0.6), 0.5),
+], ids=["cauchy", "gaussian", "half_stable"])
+def test_stable_law_powers_are_its_scalings(mu, alpha):
+    # a strictly alpha-stable law has mu^s(-inf, x] = mu(-inf, x s**(-1/alpha)]
+    s = np.geomspace(1e-6, 1e6, 25)[:, None]
+    x = np.geomspace(1e-3, 1e3, 13)
+    x = np.concatenate([-x[::-1], x])[None, :]
+    gap = np.abs(mu.law.cdf(s, x) - mu.law.cdf(1.0, x * s ** (-1.0 / alpha)))
+    assert gap.max() <= 2.3e-16
 
 
 def test_one_sided_stable_small_s_ratio_closed_form():
@@ -541,10 +551,6 @@ MIXING_REFUSALS = {
                                          DomainError, "needs a finite mixing measure"),
     "small-s-ratio-at-0": (lambda: small_s_ratio(lm.gaussian_law(), 0.0), DomainError, "s must be > 0"),
     "small-s-ratio-degenerate-base": (lambda: small_s_ratio(lm.delta_law(1.0), 0.5), DomainError, "non-degenerate"),
-    "stable-mix-of-a-gamma-base": (lambda: phi_mix_stable(lm.gamma_law(2.0, 3.0), 1.0, GammaMeasure(1.0, 1.0)),
-                                   UnsupportedFamily, "not a supported strictly stable base"),
-    "stable-mix-of-a-gaussian-at-index-one": (lambda: phi_mix_stable(lm.gaussian_law(0.0, 1.0), 1.0,
-                                                                     GammaMeasure(1.0, 1.0)), DomainError, "2-stable"),
 }
 
 
@@ -633,15 +639,6 @@ def test_mass_block_agrees_with_one_cell_calls(case):
         assert block == ones
 
 
-def test_stable_mix_block_agrees_with_one_cell_calls():
-    ev = phi_mix_stable(lm.cauchy_law(1.0), 1.0, GammaMeasure(1.2, 0.9))
-    block = ev.mass(BLOCK_CELLS)
-    for sets, b in zip(BLOCK_CELLS, block):
-        one = ev.mass([sets])[0]
-        assert abs(b.value - one.value) <= min(1e-12 * one.value, b.abs_error_estimate)
-    assert ev.mass([]) == []
-
-
 @pytest.mark.parametrize("command", ["mix", "subordinate"])
 def test_cli_mass_table_is_one_integration(monkeypatch, tmp_path, command):
     # the eight cells of the default partition off 0, as one (n, 8) block
@@ -710,57 +707,9 @@ def test_phi_mix_density_gamma_integrates_to_mix_mass():
 
 
 def test_stable_mix_atoms_frozen():
-    ev = phi_mix_stable(lm.cauchy_law(1.0), 1.0, AtomicMeasure(((0.5, 0.9), (2.0, 0.3))))
-    r = ev.mass([IntervalSet.of(0.3, 1.4)])[0]
+    rho = AtomicMeasure(((0.5, 0.9), (2.0, 0.3)))
+    r = phi_mix_mass(lm.cauchy_law(1.0), rho, [IntervalSet.of(0.3, 1.4)])[0]
     assert r.value == pytest.approx(STABLE_MIX_CAUCHY_ATOMS, rel=1e-12, abs=0.0)
-
-
-def test_stable_mix_agrees_with_generic_path():
-    rho = GammaMeasure(1.2, 0.9)
-    cases = [
-        (lm.cauchy_law(1.0), 1.0),
-        (lm.gaussian_law(0.0, 2.0), 2.0),
-        (lm.one_sided_stable_law(0.5, 0.6), 0.5),
-    ]
-    sets = IntervalSet.of(0.7, 2.2)
-    for mu, alpha in cases:
-        fast = phi_mix_stable(mu, alpha, rho).mass([sets])[0]
-        slow = phi_mix_mass(mu, rho, [sets])[0]
-        assert fast.value == pytest.approx(slow.value, abs=1e-9)
-
-
-def test_phi_mix_stable_domain_checks():
-    with pytest.raises(DomainError):
-        phi_mix_stable(lm.gaussian_law(0.5, 1.0), 2.0, GammaMeasure(1.0, 1.0))
-    with pytest.raises(DomainError):
-        phi_mix_stable(lm.cauchy_law(1.0), 2.0, GammaMeasure(1.0, 1.0))
-    with pytest.raises(DomainError):
-        phi_mix_stable(lm.cauchy_law(1.0), 1.0, SymmetricStableMeasure(0.5, 1.0))
-    # rho itself has finite variation, but its image under s -> sqrt(s)
-    # (alpha = 2) has index 1.4 and does not
-    with pytest.raises(DomainError):
-        phi_mix_stable(lm.gaussian_law(0.0, 1.0), 2.0, OneSidedStableMeasure(0.7, 1.0))
-    # the same rho passes the image condition for alpha = 1/2
-    ev = phi_mix_stable(lm.one_sided_stable_law(0.5, 0.6), 0.5, OneSidedStableMeasure(0.7, 1.0))
-    assert ev.alpha == 0.5
-
-
-@pytest.mark.parametrize("mu, alpha, rho, error, message", [
-    (lm.gamma_law(2.0, 3.0), 1.0, GammaMeasure(1.0, 1.0), UnsupportedFamily, "not a supported strictly stable base"),
-    (lm.cauchy_law(1.0), 1.0, SymmetricStableMeasure(0.5, 1.0), DomainError, "must live on"),
-    (lm.gaussian_law(0.0, 1.0), 2.0, OneSidedStableMeasure(0.7, 1.0), DomainError, "image of rho"),
-], ids=["base", "clock", "image"])
-def test_a_stable_evaluator_is_checked_once_at_construction(monkeypatch, mu, alpha, rho, error, message):
-    # built directly, the evaluator refuses what phi_mix_stable refuses ...
-    with pytest.raises(error, match=message):
-        StableMixEvaluator(mu, alpha, rho)
-    # ... and a valid one's masses check nothing again
-    ev = StableMixEvaluator(lm.cauchy_law(1.0), 1.0, GammaMeasure(1.2, 0.9))
-    calls = []
-    monkeypatch.setattr(mixing, "mixable_law", lambda mu: calls.append(mu))
-    monkeypatch.setattr(mixing, "_validate_mixing_measure", lambda rho: calls.append(rho))
-    assert ev.mass([IntervalSet.of(0.7, 2.2)])[0].value > 0.0
-    assert calls == []
 
 
 def test_mixing_cf_frozen_values():

@@ -5,6 +5,7 @@ empirical CFs; everything structural (monotonicity, additivity, stream
 reproducibility) is asserted exactly.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,11 @@ def test_make_rng_streams_are_reproducible_and_disjoint():
     e = make_rng(43, stream_id=3, channel=1).random(8)
     for other in (c, d, e):
         assert not np.array_equal(a, other)
+    # key words of 2**63 and more are keys of their own, read without a cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for seed, other in ((-1, 0), (2**63 + 1, 2**63)):
+            assert not np.array_equal(make_rng(seed, 3, 1).random(8), make_rng(other, 3, 1).random(8))
 
 
 def test_conv_power_sample_families():

@@ -167,3 +167,24 @@ def test_a_triplet_has_one_truncation_convention():
             if path.name == "simulate.py" and isinstance(node, ast.Call) and _used_name(node.func) == "LevyTriplet":
                 found.append(f"{path.name}:{node.lineno}: builds a LevyTriplet")
     assert not found, f"a second truncation convention: {found}"
+
+
+def test_every_family_method_has_a_caller():
+    # a public method of a jump-measure or tagged-law family is interface: a
+    # method that no code in the package calls, outside the definitions of
+    # that name, is left behind by a deleted caller
+    from levymix import core
+
+    families = {name for name, obj in vars(core).items()
+                if isinstance(obj, type) and issubclass(obj, (core.LevyMeasure, core.TaggedLaw))}
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    methods = {}
+    for node in ast.parse((SRC / "core.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name in families:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    methods.setdefault(item.name, []).append(item)
+    uses = Counter(_used_name(node) for tree in trees for node in ast.walk(tree))
+    orphans = sorted(name for name, defs in methods.items()
+                     if uses[name] == sum(_used_name(inner) == name for d in defs for inner in ast.walk(d)))
+    assert not orphans, f"family methods that nothing calls: {orphans}"

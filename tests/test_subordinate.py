@@ -73,6 +73,25 @@ def test_compose_cf_closed_form_grid():
         assert compose_cf(VG_BASE, VG_PAIR, float(th)) == pytest.approx(want, abs=1e-13)
 
 
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+def test_a_theta_that_is_not_finite_is_refused(theta):
+    st = subordinate_triplet(VG_BASE, VG_PAIR)
+    for call in (lambda: lm.char_exponent(VG_BASE, theta), lambda: compose_cf(VG_BASE, VG_PAIR, [0.5, theta]),
+                 lambda: cf_from_triplet(st, theta)):
+        with pytest.raises(DomainError, match="theta must be finite"):
+            call()
+
+
+def test_an_exponent_past_the_float_range_is_refused_naming_its_theta():
+    # -var theta^2 / 2 passes the float range near |theta| = 1.9e154
+    assert math.isfinite(lm.char_exponent(VG_BASE, 1e154).real)
+    with pytest.raises(DomainError, match=r"the exponent at theta = -2e\+154 is past the float range"):
+        compose_cf(VG_BASE, VG_PAIR, np.array([1.0, -2e154, 3e154]))
+    # a Poisson base's drift and compensator reach inf - inf near the float limit
+    with pytest.raises(DomainError, match=r"the exponent at theta = 1.7e\+308 is past the float range"):
+        lm.char_exponent(lm.poisson_law(2.0, 0.7), 1.7e308)
+
+
 def test_compose_cf_additive_under_pair_convolution():
     rng = np.random.default_rng(11)
     p1 = SubordinatorPair(0.2, GammaMeasure(1.0, 2.0))
