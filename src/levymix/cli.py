@@ -25,7 +25,7 @@ import numpy as np
 from . import core
 from .core import LevyTriplet, SubordinatorPair
 from .errors import ConfigError, LevyMixError, SpecError
-from .mixing import IntervalSet, phi_mix_mass
+from .mixing import phi_mix_mass
 from .recover import FAMILIES, default_theta_grid, recover_from_path
 from .simulate import (
     _MAX_STEPS,
@@ -542,7 +542,7 @@ def _mass_table(spec: ModelSpec, mass) -> list:
     cells = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if not lo < 0.0 <= hi]
     if not cells:
         raise SpecError("partition: no usable intervals (every cell straddles 0)")
-    masses = mass([IntervalSet.of(lo, hi) for lo, hi in cells])
+    masses = mass(cells)
     return [{"lo": lo, "hi": hi, "mass": r.value} for (lo, hi), r in zip(cells, masses)]
 
 

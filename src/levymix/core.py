@@ -478,8 +478,10 @@ class AtomicMeasure(LevyMeasure):
 
     def laplace_integral(self, z):
         total = 0.0
-        for pos, mass in self.atoms:
-            total = total + mass * (np.exp(z * pos) - 1.0)
+        # z * pos may overflow to -inf, where exp gives the right term, 0
+        with np.errstate(over="ignore"):
+            for pos, mass in self.atoms:
+                total = total + mass * (np.exp(z * pos) - 1.0)
         return total
 
     def sample_increments(self, dt, rng):

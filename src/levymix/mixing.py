@@ -17,49 +17,11 @@ import scipy
 
 from . import quadrature
 from .core import (
-    INF,
     LevyMeasure,
     LevyTriplet,
     char_exponent,
 )
 from .errors import DomainError, QuadratureFailure, UnsupportedFamily
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Disjoint half-open intervals (lo, hi], none of which contains 0.
-
-    Sets touching 0 (lo == 0) are legal but only usable against finite
-    mixing measures; the evaluators enforce that.
-    """
-
-    intervals: tuple
-
-    def __post_init__(self):
-        cleaned = []
-        for lo, hi in self.intervals:
-            lo, hi = float(lo), float(hi)
-            if not hi > lo:
-                raise DomainError(f"interval ({lo}, {hi}] is empty")
-            if lo < 0.0 <= hi:
-                raise DomainError(f"interval ({lo}, {hi}] contains 0")
-            cleaned.append((lo, hi))
-        cleaned.sort()
-        for (_, hi_prev), (lo_next, _) in zip(cleaned, cleaned[1:]):
-            if lo_next < hi_prev:
-                raise DomainError("intervals must be pairwise disjoint")
-        object.__setattr__(self, "intervals", tuple(cleaned))
-
-    @classmethod
-    def of(cls, lo, hi):
-        return cls(((lo, hi),))
-
-    @property
-    def distance_from_zero(self):
-        d = INF
-        for lo, hi in self.intervals:
-            d = min(d, lo if lo >= 0 else -hi)
-        return d
 
 
 @dataclass(frozen=True)
@@ -188,55 +150,47 @@ def _validate_mixing_measure(rho):
         raise DomainError("the mixing measure must integrate (1 and s)")
 
 
-def _delta_pushforward_mass(drift, rho, sets):
-    """Mass of rho(drift^-1 dx) over the interval set for a density clock,
-    exact: its masses between the clock times of each interval's ends."""
-    total = 0.0
-    for lo, hi in sets.intervals:
-        a, b = lo / drift, hi / drift
-        total += rho.interval_mass(min(a, b), max(a, b))
-    return MixResult(total, 1e-15 * total)
-
-
 def phi_mix_mass(mu: LevyTriplet, rho: LevyMeasure, cells) -> list:
     """Masses of the mixed measure integral mu^s(.) rho(ds) on a sequence of
-    interval sets, one MixResult per set, each with its own value and error
-    estimate.
+    half-open intervals (lo, hi], one MixResult per interval, each with its
+    own value and error estimate; a union's mass is the sum of its
+    intervals' masses.
 
-    A density clock integrates the mu^s masses of all the non-empty sets,
-    summed over each set's intervals, as one (n, k) block of targets on
-    shared panels, except under a delta base, whose pushforward is exact per
-    set; an atom clock sums each column of the law's closed masses on its
-    own, at x = v s for a delta(v) base, the same bits as a one-set call.
-    The set nearest 0, at distance d, gives the small_s_bound that
-    certifies the lower cut for every column.  An empty set's mass is 0, and
-    a zero clock mixes nothing, for any base: every set has mass exactly 0."""
+    A density clock integrates the mu^s masses of all the intervals as one
+    (n, k) block of targets on shared panels, except under a delta(v) base,
+    whose pushforward is exact: the clock's mass between the times lo/v and
+    hi/v; an atom clock sums each column of the law's closed masses on its
+    own, at x = v s for a delta(v) base, the same bits as a one-interval
+    call.  The interval nearest 0, at distance d, gives the small_s_bound
+    that certifies the lower cut for every column.  An interval touching 0
+    needs a finite clock, and a zero clock mixes nothing, for any base:
+    every interval has mass exactly 0."""
     if not rho.is_positive():
         raise DomainError("the mixing measure must live on (0, inf)")
-    cells = tuple(cells)
+    cells = [(float(lo), float(hi)) for lo, hi in cells]
+    for lo, hi in cells:
+        if not hi > lo:
+            raise DomainError(f"interval ({lo}, {hi}] is empty")
+        if lo < 0.0 <= hi:
+            raise DomainError(f"interval ({lo}, {hi}] contains 0")
     if rho.is_zero():
         return [MixResult(0.0, 0.0)] * len(cells)
     law = mixable_law(mu)
     if mu.is_degenerate() and rho.fixed_rule() is None:
         # a delta base under a density clock: a pushforward, defined for any
         # positive jump measure; its mass jumps where a cell ends at v s
-        return [_delta_pushforward_mass(mu.drift, rho, sets) for sets in cells]
+        masses = [rho.interval_mass(*sorted((lo / mu.drift, hi / mu.drift))) for lo, hi in cells]
+        return [MixResult(m, 1e-15 * m) for m in masses]
     _validate_mixing_measure(rho)
-    out = [MixResult(0.0, 0.0)] * len(cells)
-    live = [k for k, sets in enumerate(cells) if sets.intervals]
-    if not live:
-        return out
-    d = min(cells[k].distance_from_zero for k in live)
+    if not cells:
+        return []
+    lo, hi = np.array(cells).T
+    d = float(np.min(np.where(lo >= 0.0, lo, -hi)))
     if d <= 0.0 and math.isinf(rho.total_mass()):
-        raise DomainError("interval sets touching 0 need a finite mixing measure")
+        raise DomainError("intervals touching 0 need a finite mixing measure")
     bound = small_s_bound(mu, d) if d > 0.0 else None
-    lo, hi = np.array([interval for k in live for interval in cells[k].intervals]).T
-    starts = np.cumsum([0] + [len(cells[k].intervals) for k in live[:-1]])
-    fn = lambda s: np.add.reduceat(law.interval_mass(s[:, None], lo, hi), starts, axis=1)
-    value, err, _ = integrate_rho(rho, fn, linear_bound=bound)
-    for k, v, e in zip(live, value, err):
-        out[k] = MixResult(max(float(v), 0.0), float(e))
-    return out
+    value, err, _ = integrate_rho(rho, lambda s: law.interval_mass(s[:, None], lo, hi), linear_bound=bound)
+    return [MixResult(max(float(v), 0.0), float(e)) for v, e in zip(value, err)]
 
 
 def phi_mix_density_gamma(rate: float, rho: LevyMeasure, x: float) -> float:

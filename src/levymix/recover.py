@@ -300,9 +300,6 @@ def psi_curve(mu_L: LevyTriplet, cf: CFSample) -> PsiCurve:
         raise DegenerateBaseProcess("a point mass at zero identifies nothing")
     h = unwrap_log_cf(cf)
     z = char_exponent(mu_L, cf.theta_grid)
-    j0 = cf.zero_index()
-    z[j0] = 0.0
-    h[j0] = 0.0
     return PsiCurve(z, h, cf.theta_grid, cf.n_obs)
 
 

@@ -193,15 +193,12 @@ class JumpMixEvaluator:
         self._grid_cache = None
 
     def mass(self, cells) -> list:
-        """One MixResult per interval set of cells: the mixed part from one
-        phi_mix_mass call for all of them, plus the drift part's mass."""
+        """One MixResult per interval (lo, hi] of cells: the mixed part from
+        one phi_mix_mass call for all of them, plus the drift part's mass."""
         cells = tuple(cells)
         mixes = phi_mix_mass(self.base, self.pair.jumps, cells)
-        out = []
-        for sets, mix in zip(cells, mixes):
-            drift = sum(self.drift_part.interval_mass(lo, hi) for lo, hi in sets.intervals)
-            out.append(MixResult(drift + mix.value, mix.abs_error_estimate))
-        return out
+        return [MixResult(self.drift_part.interval_mass(lo, hi) + mix.value, mix.abs_error_estimate)
+                for (lo, hi), mix in zip(cells, mixes)]
 
     def char_integral(self, theta: float) -> complex:
         """The jump integral at theta: the drift part's closed form plus the
@@ -400,8 +397,12 @@ def subordinate_triplet(base: LevyTriplet, pair: SubordinatorPair) -> Subordinat
 def cf_from_triplet(st: SubordinatedTriplet, theta: float) -> complex:
     """Log-CF reassembled from the subordinated triplet's own pieces."""
     finite_theta(theta)
-    value = 1j * theta * st.gamma_bar - 0.5 * st.b_bar * theta * theta
-    return value + st.jumps.char_integral(theta)
+    # an overflow, or inf - inf between the terms, is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 1j * theta * st.gamma_bar - 0.5 * st.b_bar * theta * theta + st.jumps.char_integral(theta)
+    if not np.isfinite(value):
+        raise DomainError(f"the exponent at theta = {theta:g} is past the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from levymix.core import (
     ZERO_MEASURE,
 )
 from levymix.mixing import (
-    IntervalSet,
     mixing_cf,
     phi_mix_density_gamma,
     phi_mix_mass,
@@ -104,7 +103,7 @@ def test_gamma_mix_density_integrates_to_mass(gate):
     worst = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, _ = integrate.quad(lambda x: phi_mix_density_gamma(1.0, rho, x), lo, hi, limit=200)
-        r = phi_mix_mass(lm.gamma_law(1.0, 1.0), rho, [IntervalSet.of(float(lo), float(hi))])[0]
+        r = phi_mix_mass(lm.gamma_law(1.0, 1.0), rho, [(float(lo), float(hi))])[0]
         worst = max(worst, abs(val - r.value))
     gate("gamma-kernel mix density vs mass", worst <= 1e-8,
          f"worst interval diff {worst:.2e} over 50 intervals (tol 1e-08)", 10.0)
@@ -127,7 +126,7 @@ def test_stable_mix_evaluator_matches_generic(gate):
                 return (mu.law.cdf(1.0, hi * scale) - mu.law.cdf(1.0, lo * scale)) * rho.density(s)
             ref = sum(integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
                       for a, b in ((0.0, 1.0), (1.0, np.inf)))
-            got = phi_mix_mass(mu, rho, [IntervalSet.of(lo, hi)])[0].value
+            got = phi_mix_mass(mu, rho, [(lo, hi)])[0].value
             worst = max(worst, abs(got - ref))
     gate("stable scaling shortcut vs generic", worst <= 1e-8,
          f"worst diff {worst:.2e} on 20 intervals x 2 bases (tol 1e-08)", 5.0)

@@ -739,6 +739,18 @@ def test_clock_exponent_of_a_base_exponent_near_the_float_limit_is_finite(tmp_pa
         assert abs(im_part) <= 1e-290
 
 
+def test_an_atom_clock_at_a_base_exponent_past_the_float_range_is_minus_its_mass(tmp_path, capsys):
+    # a Cauchy base's exponent near -1e308 times each atom's time overflows
+    # to -inf, where the atom's term is exp(-inf) - 1 = -1
+    base = {"family": "cauchy", "params": {"scale": 0.8}}
+    model = _model(tmp_path / "m.json", base, {"kind": "atomic", "atoms": [[0.5, 0.7], [1.5, 0.4]]})
+    out = tmp_path / "cf.csv"
+    rc = _run(["cf", "--model", model, "--theta-min", 1e308, "--theta-max", 1.7e308, "--out", out])
+    assert rc == 0, capsys.readouterr().err
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().split()[1:]]
+    assert rows and all((re_part, im_part) == (-1.1, 0.0) for _, re_part, im_part in rows)
+
+
 @pytest.mark.parametrize("index", [0.01, 0.05, 0.97, 0.99])
 @pytest.mark.parametrize("base", [GAUSS, {"family": "poisson", "params": {"rate": 1.0, "jump_size": -2.0}}],
                          ids=["gaussian", "poisson"])

@@ -29,7 +29,6 @@ from levymix.core import (
 )
 from levymix.errors import DomainError, QuadratureFailure, UnsupportedFamily
 from levymix.mixing import (
-    IntervalSet,
     integrate_rho,
     lemma_constant,
     mixing_cf,
@@ -64,37 +63,6 @@ MIXING_CF_CAUCHY_THETA2 = 0.66666666666666663
 LEMMA_GAMMA23 = 0.20406381252807057
 # cauchy-scaling mix with atoms 0.9 delta_0.5 + 0.3 delta_2 on (0.3, 1.4]
 STABLE_MIX_CAUCHY_ATOMS = 0.24101418803038341
-
-
-# --- interval sets -----------------------------------------------------------
-
-
-def test_interval_set_normalizes_and_validates():
-    s = IntervalSet(((1.0, 2.0), (-3.0, -1.0)))
-    assert s.intervals == ((-3.0, -1.0), (1.0, 2.0))
-    assert s.distance_from_zero == 1.0
-    with pytest.raises(DomainError):
-        IntervalSet(((-1.0, 1.0),))
-    with pytest.raises(DomainError):
-        IntervalSet(((1.0, 1.0),))
-    with pytest.raises(DomainError):
-        IntervalSet(((1.0, 3.0), (2.0, 4.0)))
-
-
-def test_interval_set_touching_zero_is_legal():
-    s = IntervalSet.of(0.0, 1.0)
-    assert s.distance_from_zero == 0.0
-
-
-@given(
-    edges=st.lists(st.floats(0.05, 50.0), min_size=2, max_size=6, unique=True)
-)
-@settings(max_examples=50, deadline=None)
-def test_interval_set_sorts_any_disjoint_input(edges):
-    edges = sorted(edges)
-    ivals = [(edges[i], edges[i + 1]) for i in range(0, len(edges) - 1, 2)]
-    s = IntervalSet(tuple(reversed(ivals)))
-    assert list(s.intervals) == sorted(ivals)
 
 
 # --- convolution powers ------------------------------------------------------
@@ -451,43 +419,28 @@ def test_phi_mix_mass_standard_normal_gamma_rho():
     # exp(-sqrt(2)|x|)/|x|; masses via exponential integrals
     mu = lm.gaussian_law()
     rho = GammaMeasure(1.0, 1.0)
-    r = phi_mix_mass(mu, rho, [IntervalSet.of(1.0, 2.0)])[0]
+    r = phi_mix_mass(mu, rho, [(1.0, 2.0)])[0]
     assert r.value == pytest.approx(VG_MIX_MASS_1_2, abs=1e-10)
     assert r.value == pytest.approx(VG_MIX_MASS_1_2, abs=10 * r.abs_error_estimate + 1e-14)
-    neg = phi_mix_mass(mu, rho, [IntervalSet.of(-2.0, -1.0)])[0]
+    neg = phi_mix_mass(mu, rho, [(-2.0, -1.0)])[0]
     assert neg.value == pytest.approx(VG_MIX_MASS_1_2, abs=1e-10)
 
 
 def test_phi_mix_mass_atomic_rho_frozen():
     rho = AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))
-    r = phi_mix_mass(lm.gamma_law(2.0, 3.0), rho, [IntervalSet.of(0.2, 0.9)])[0]
+    r = phi_mix_mass(lm.gamma_law(2.0, 3.0), rho, [(0.2, 0.9)])[0]
     assert r.value == pytest.approx(ATOM_MIX_MASS, rel=1e-13, abs=0.0)
-
-
-@pytest.mark.parametrize("rho", [GammaMeasure(1.0, 1.0), AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))],
-                         ids=["gamma", "atoms"])
-def test_an_empty_interval_set_has_mass_zero(rho):
-    # among other sets an empty one takes none of its neighbour's mass, and
-    # alone it is 0, as under a delta base's pushforward
-    mu, empty = lm.gaussian_law(), IntervalSet(())
-    cells = [IntervalSet.of(1.0, 2.0), empty, IntervalSet.of(2.0, 3.0)]
-    block = phi_mix_mass(mu, rho, cells)
-    assert (block[1].value, block[1].abs_error_estimate) == (0.0, 0.0)
-    for got, sets in zip(block[::2], cells[::2]):
-        assert got.value == pytest.approx(phi_mix_mass(mu, rho, [sets])[0].value, rel=1e-12, abs=0.0)
-    assert block[0].value > 3.0 * block[2].value
-    assert [r.value for r in phi_mix_mass(mu, rho, [empty])] == [0.0]
 
 
 def test_phi_mix_mass_delta_base_pushforward():
     # degenerate base with drift d: the mix is rho(x/d), exactly
     rho = AtomicMeasure(((0.5, 0.7), (1.5, 0.4)))
-    r = phi_mix_mass(lm.delta_law(2.0), rho, [IntervalSet.of(0.9, 1.1)])[0]
+    r = phi_mix_mass(lm.delta_law(2.0), rho, [(0.9, 1.1)])[0]
     assert r.value == 0.7
-    rneg = phi_mix_mass(lm.delta_law(-2.0), rho, [IntervalSet.of(-1.1, -0.9)])[0]
+    rneg = phi_mix_mass(lm.delta_law(-2.0), rho, [(-1.1, -0.9)])[0]
     assert rneg.value == 0.7
     with pytest.raises(DomainError):
-        phi_mix_mass(lm.delta_law(0.0), rho, [IntervalSet.of(0.9, 1.1)])
+        phi_mix_mass(lm.delta_law(0.0), rho, [(0.9, 1.1)])
 
 
 def test_phi_mix_mass_preserves_total_mass_of_finite_rho():
@@ -496,47 +449,36 @@ def test_phi_mix_mass_preserves_total_mass_of_finite_rho():
     # so the fixture keeps its mass away from s = 0
     mu = lm.gaussian_law()
     rho = AtomicMeasure(((1.0, 0.7), (2.0, 0.5)))
-    sets = IntervalSet(((-1e6, -1e-6), (1e-6, 1e6)))
-    r = phi_mix_mass(mu, rho, [sets])[0]
-    assert r.value == pytest.approx(rho.total_mass(), abs=1e-6)
+    total = sum(r.value for r in phi_mix_mass(mu, rho, [(-1e6, -1e-6), (1e-6, 1e6)]))
+    assert total == pytest.approx(rho.total_mass(), abs=1e-6)
     # widening the exhaustion only closes the gap
-    wider = phi_mix_mass(mu, rho, [IntervalSet(((-1e6, -1e-8), (1e-8, 1e6)))])[0]
-    assert abs(wider.value - rho.total_mass()) <= abs(r.value - rho.total_mass())
-
-
-def test_phi_mix_mass_additive_over_disjoint_sets():
-    mu = lm.gaussian_law()
-    rho = GammaMeasure(1.0, 1.0)
-    a = phi_mix_mass(mu, rho, [IntervalSet.of(0.5, 1.0)])[0]
-    b = phi_mix_mass(mu, rho, [IntervalSet.of(1.0, 2.5)])[0]
-    both = phi_mix_mass(mu, rho, [IntervalSet(((0.5, 1.0), (1.0, 2.5)))])[0]
-    slack = a.abs_error_estimate + b.abs_error_estimate + both.abs_error_estimate
-    assert a.value + b.value == pytest.approx(both.value, abs=slack + 1e-12)
+    wider = sum(r.value for r in phi_mix_mass(mu, rho, [(-1e6, -1e-8), (1e-8, 1e6)]))
+    assert abs(wider - rho.total_mass()) <= abs(total - rho.total_mass())
 
 
 def test_phi_mix_mass_domain_errors():
     mu = lm.gaussian_law()
     with pytest.raises(DomainError):
-        phi_mix_mass(mu, SymmetricStableMeasure(0.5, 1.0), [IntervalSet.of(1.0, 2.0)])
-    # sets touching 0 need a finite mixing measure
+        phi_mix_mass(mu, SymmetricStableMeasure(0.5, 1.0), [(1.0, 2.0)])
+    # intervals touching 0 need a finite mixing measure
     with pytest.raises(DomainError):
-        phi_mix_mass(mu, GammaMeasure(1.0, 1.0), [IntervalSet.of(0.0, 1.0)])
+        phi_mix_mass(mu, GammaMeasure(1.0, 1.0), [(0.0, 1.0)])
     # finite rho is fine there
-    r = phi_mix_mass(mu, CompoundExponentialMeasure(1.2, 2.5), [IntervalSet.of(0.0, 1.0)])[0]
+    r = phi_mix_mass(mu, CompoundExponentialMeasure(1.2, 2.5), [(0.0, 1.0)])[0]
     assert 0.0 < r.value < 1.2
 
 
 def test_mixing_domain_is_refused_where_it_is_used():
     # in the domain: a positive clock of finite variation, or a degenerate
     # base at a nonzero point, whose mix is a pushforward
-    sets = IntervalSet.of(1.0, 2.0)
-    assert phi_mix_mass(lm.gaussian_law(), GammaMeasure(1.0, 1.0), [sets])[0].value > 0.0
-    assert phi_mix_mass(lm.delta_law(1.0), GammaMeasure(1.0, 1.0), [sets])[0].value > 0.0
+    cell = (1.0, 2.0)
+    assert phi_mix_mass(lm.gaussian_law(), GammaMeasure(1.0, 1.0), [cell])[0].value > 0.0
+    assert phi_mix_mass(lm.delta_law(1.0), GammaMeasure(1.0, 1.0), [cell])[0].value > 0.0
     for mu, rho in ((lm.gaussian_law(), SymmetricStableMeasure(0.5, 1.0)),
                     (lm.gaussian_law(), OneSidedStableMeasure(1.5, 1.0)),
                     (lm.delta_law(0.0), GammaMeasure(1.0, 1.0))):
         with pytest.raises(DomainError):
-            phi_mix_mass(mu, rho, [sets])
+            phi_mix_mass(mu, rho, [cell])
 
 
 # Refusals no other test reaches, each through its public entry point.
@@ -551,6 +493,13 @@ MIXING_REFUSALS = {
                                          DomainError, "needs a finite mixing measure"),
     "small-s-ratio-at-0": (lambda: small_s_ratio(lm.gaussian_law(), 0.0), DomainError, "s must be > 0"),
     "small-s-ratio-degenerate-base": (lambda: small_s_ratio(lm.delta_law(1.0), 0.5), DomainError, "non-degenerate"),
+    "empty-interval": (lambda: phi_mix_mass(lm.gaussian_law(), GammaMeasure(1.0, 1.0), [(1.0, 1.0)]),
+                       DomainError, "interval \\(1.0, 1.0\\] is empty"),
+    "interval-containing-0": (lambda: phi_mix_mass(lm.gaussian_law(), GammaMeasure(1.0, 1.0), [(-1.0, 1.0)]),
+                              DomainError, "interval \\(-1.0, 1.0\\] contains 0"),
+    # the intervals are checked before a zero clock returns its zeros
+    "interval-containing-0-under-a-zero-clock": (lambda: phi_mix_mass(lm.gaussian_law(), ZERO_MEASURE, [(-1.0, 1.0)]),
+                                                 DomainError, "contains 0"),
 }
 
 
@@ -566,7 +515,7 @@ def test_phi_mix_mass_refuses_an_untagged_base():
     plain = lm.LevyTriplet(0.0, 1.0, ZERO_MEASURE)
     for rho in (GammaMeasure(1.0, 1.0), AtomicMeasure(((1.0, 0.5),))):
         with pytest.raises(UnsupportedFamily, match="law-tagged"):
-            phi_mix_mass(plain, rho, [IntervalSet.of(1.0, 2.0)])
+            phi_mix_mass(plain, rho, [(1.0, 2.0)])
 
 
 # The mass of N(1, 0.01)'s mix on (0.9, 1.1] under e^{-s} tabulated at n
@@ -580,7 +529,7 @@ def test_tabulated_clock_masses_meet_their_references(n):
     # integrated as exactly as a fine one, and its estimate covers the gap
     xs = np.linspace(0.5, 2.0, n)
     mix = phi_mix_mass(lm.gaussian_law(1.0, 0.01), TabulatedMeasure(tuple(xs), tuple(np.exp(-xs))),
-                       [IntervalSet.of(0.9, 1.1)])[0]
+                       [(0.9, 1.1)])[0]
     gap = abs(mix.value - TABULATED_MASS_REFERENCES[n])
     assert gap <= 1e-15 * TABULATED_MASS_REFERENCES[n] and gap <= mix.abs_error_estimate
 
@@ -599,7 +548,7 @@ def test_a_jump_at_a_break_is_not_bisected(monkeypatch):
 
     monkeypatch.setattr(quadrature, "integrate_adaptive", recorded)
     xs = np.linspace(0.5, 2.0, 61)
-    cells = [IntervalSet.of(0.5, 1.0), IntervalSet.of(1.0, 2.0)]
+    cells = [(0.5, 1.0), (1.0, 2.0)]
     masses = phi_mix_mass(lm.gaussian_law(0.3, 1.2), TabulatedMeasure(tuple(xs), tuple(np.exp(-xs))), cells)
     assert [m.value for m in masses] == [0.07736102133348531, 0.08997767467182091]
     [(start, final)] = runs
@@ -608,10 +557,9 @@ def test_a_jump_at_a_break_is_not_bisected(monkeypatch):
 
 # --- one block per mass table --------------------------------------------------
 
-# a table's cells on both sides of 0, and one set of two intervals
-BLOCK_CELLS = [IntervalSet.of(lo, hi) for lo, hi in (
-    (-4.0, -2.0), (-2.0, -1.0), (-1.0, -0.5), (-0.5, -0.1), (0.1, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 4.0))
-] + [IntervalSet(((-3.0, -1.0), (0.2, 0.7)))]
+# a table's cells on both sides of 0, and two that overlap them
+BLOCK_CELLS = [(-4.0, -2.0), (-2.0, -1.0), (-1.0, -0.5), (-0.5, -0.1), (0.1, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 4.0),
+               (-3.0, -1.0), (0.2, 0.7)]
 TABULATED_CLOCK = TabulatedMeasure(tuple(np.linspace(0.5, 2.0, 61)), tuple(np.exp(-np.linspace(0.5, 2.0, 61))))
 ATOM_CLOCK = AtomicMeasure(((0.5, 0.7), (1.5, 0.4), (3.0, 0.2)))
 BLOCK_CASES = {
@@ -628,11 +576,11 @@ BLOCK_CASES = {
 def test_mass_block_agrees_with_one_cell_calls(case):
     mu, rho = BLOCK_CASES[case]
     block = phi_mix_mass(mu, rho, BLOCK_CELLS)
-    ones = [phi_mix_mass(mu, rho, [sets])[0] for sets in BLOCK_CELLS]
+    ones = [phi_mix_mass(mu, rho, [cell])[0] for cell in BLOCK_CELLS]
     assert len(block) == len(BLOCK_CELLS)
-    for sets, b, one in zip(BLOCK_CELLS, block, ones):
+    for cell, b, one in zip(BLOCK_CELLS, block, ones):
         gap = abs(b.value - one.value)
-        assert gap <= 1e-12 * one.value and gap <= b.abs_error_estimate, (sets, b, one)
+        assert gap <= 1e-12 * one.value and gap <= b.abs_error_estimate, (cell, b, one)
     if rho.fixed_rule() is not None or mu.is_degenerate():
         # the rules sum each column on its own, error estimate included, and
         # the pushforward is exact
@@ -702,13 +650,13 @@ def test_phi_mix_density_gamma_integrates_to_mix_mass():
     val, err = integrate.quad(
         lambda x: phi_mix_density_gamma(1.0, rho, x), lo, hi, limit=200
     )
-    r = phi_mix_mass(lm.gamma_law(1.0, 1.0), rho, [IntervalSet.of(lo, hi)])[0]
+    r = phi_mix_mass(lm.gamma_law(1.0, 1.0), rho, [(lo, hi)])[0]
     assert val == pytest.approx(r.value, abs=1e-8)
 
 
 def test_stable_mix_atoms_frozen():
     rho = AtomicMeasure(((0.5, 0.9), (2.0, 0.3)))
-    r = phi_mix_mass(lm.cauchy_law(1.0), rho, [IntervalSet.of(0.3, 1.4)])[0]
+    r = phi_mix_mass(lm.cauchy_law(1.0), rho, [(0.3, 1.4)])[0]
     assert r.value == pytest.approx(STABLE_MIX_CAUCHY_ATOMS, rel=1e-12, abs=0.0)
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levymix as lm
+from levymix import core
 from levymix.core import (
     AtomicMeasure,
     CompoundExponentialMeasure,
@@ -198,6 +199,22 @@ def test_one_sided_stable_sampler_refusals():
     # at index 0.01 a step of length 10 has scale e**691
     with pytest.raises(DomainError, match="past the float range"):
         OneSidedStableMeasure(0.01, 1.0).sample_increments(np.full(100, 10.0), make_rng(0))
+
+
+def test_a_half_stable_draw_redraws_only_an_exact_zero_normal():
+    # c / Z^2 would be inf at Z = 0.0: that entry alone is drawn again
+    class Stub:
+        def __init__(self):
+            self.sizes = []
+
+        def standard_normal(self, size):
+            self.sizes.append(size)
+            return np.array([0.5, 0.0, -2.0]) if len(self.sizes) == 1 else np.array([0.25])
+
+    rng = Stub()
+    x = core._levy_positive(rng, 3.0, 3)
+    assert rng.sizes == [3, 1]
+    assert x.tolist() == [3.0 / 0.5**2, 3.0 / 0.25**2, 3.0 / 2.0**2]
 
 
 def test_draws_and_paths_past_the_float_range_are_refused():

@@ -188,3 +188,34 @@ def test_every_family_method_has_a_caller():
     orphans = sorted(name for name, defs in methods.items()
                      if uses[name] == sum(_used_name(inner) == name for d in defs for inner in ast.walk(d)))
     assert not orphans, f"family methods that nothing calls: {orphans}"
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    """bench/spans.py, read as it is, wraps package functions and methods by
+    name: one renamed or deleted in the package would fail a traced run.
+
+    Its CALL_METRICS table is left out: it counts calls of
+    quadrature.integrate_interval, which the package no longer has, and
+    that name waits for a change to the benchmark itself."""
+    import importlib
+    import importlib.util
+    import inspect
+
+    path = SRC.parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = {f"{layer}.{attr}" for layer, attrs in spans.EXTRA_FUNCTIONS.items() for attr in attrs}
+    names |= {f"{layer}.{cls}.{meth}" for layer, methods in spans.METHODS.items() for cls, meth in methods}
+    names |= {name for members in spans.GROUPS.values() for name in members}
+    names |= {target for target in spans.TIME_METRICS.values() if target not in spans.GROUPS}
+    names |= set(spans._hooks({}))
+    missing = []
+    for name in sorted(names):
+        layer, *attrs = name.split(".")
+        obj = importlib.import_module(f"levymix.{layer}")
+        for attr in attrs:
+            obj = vars(obj).get(attr) if obj is not None else None
+        if not (inspect.isfunction(obj) and obj.__module__ == f"levymix.{layer}"):
+            missing.append(name)
+    assert len(names) >= 27 and not missing, f"names the tracer wraps that the package lacks: {missing}"

@@ -8,6 +8,7 @@ import cmath
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -31,7 +32,6 @@ from levymix.core import (
     ZERO_MEASURE,
 )
 from levymix.errors import DomainError, QuadratureFailure, UnsupportedFamily
-from levymix.mixing import IntervalSet
 from levymix.subordinate import (
     JumpMixEvaluator,
     SeedCell,
@@ -90,6 +90,20 @@ def test_an_exponent_past_the_float_range_is_refused_naming_its_theta():
     # a Poisson base's drift and compensator reach inf - inf near the float limit
     with pytest.raises(DomainError, match=r"the exponent at theta = 1.7e\+308 is past the float range"):
         lm.char_exponent(lm.poisson_law(2.0, 0.7), 1.7e308)
+    # the triplet route refuses what compose_cf refuses, without a warning
+    drifted = subordinate_triplet(VG_BASE, SubordinatorPair(0.5, GammaMeasure(1.0, 1.0)))
+    for st, theta in ((drifted, 1e200), (drifted, 1.7e308), (subordinate_triplet(VG_BASE, VG_PAIR), 1.7e308)):
+        with pytest.raises(DomainError, match=re.escape(f"the exponent at theta = {theta:g} is past the float range")):
+            cf_from_triplet(st, theta)
+        with pytest.raises(DomainError, match="past the float range"):
+            compose_cf(VG_BASE, st.jumps.pair, theta)
+
+
+def test_an_atom_clock_past_the_float_range_tends_to_minus_its_mass():
+    # z * pos overflows to -inf at each atom, where exp gives the term 0
+    pair = SubordinatorPair(0.0, AtomicMeasure(((0.5, 0.7), (1.5, 0.4))))
+    for theta in (1e308, 1.7e308, -1.7e308):
+        assert compose_cf(lm.cauchy_law(0.8), pair, theta) == -1.1 + 0j
 
 
 def test_compose_cf_additive_under_pair_convolution():
@@ -126,20 +140,10 @@ def test_subordinate_triplet_symmetric_base_has_zero_mixing_drift():
 
 def test_subordinate_triplet_jump_mass_frozen():
     st = subordinate_triplet(VG_BASE, VG_PAIR)
-    r = st.jumps.mass([IntervalSet.of(1.0, 2.0)])[0]
+    r = st.jumps.mass([(1.0, 2.0)])[0]
     assert r.value == pytest.approx(VG_MIX_MASS_1_2, abs=1e-10)
-    neg = st.jumps.mass([IntervalSet.of(-2.0, -1.0)])[0]
+    neg = st.jumps.mass([(-2.0, -1.0)])[0]
     assert neg.value == pytest.approx(VG_MIX_MASS_1_2, abs=1e-10)
-
-
-def test_subordinate_triplet_jump_mass_additive():
-    st = subordinate_triplet(VG_BASE, VG_PAIR)
-    a = st.jumps.mass([IntervalSet.of(0.5, 1.2)])[0]
-    b = st.jumps.mass([IntervalSet.of(1.2, 3.0)])[0]
-    both = st.jumps.mass([IntervalSet(((0.5, 1.2), (1.2, 3.0)))])[0]
-    slack = a.abs_error_estimate + b.abs_error_estimate + both.abs_error_estimate
-    assert a.value >= 0 and b.value >= 0
-    assert a.value + b.value == pytest.approx(both.value, abs=slack + 1e-12)
 
 
 @pytest.mark.parametrize("base, pair", [
@@ -152,18 +156,17 @@ def test_subordinate_triplet_jump_mass_additive():
 ], ids=["gamma-gamma", "poisson-atoms", "delta-gamma", "gauss-atoms", "gauss-tabulated"])
 def test_jump_mass_block_agrees_with_one_cell_calls(base, pair):
     # the drift part beta0 * nu is added to each cell of the block
-    cells = [IntervalSet.of(lo, hi) for lo, hi in ((-2.0, -0.5), (0.05, 0.3), (0.3, 1.0), (1.0, 2.5))]
-    cells.append(IntervalSet(((0.1, 0.2), (1.5, 3.0))))
+    cells = [(-2.0, -0.5), (0.05, 0.3), (0.3, 1.0), (1.0, 2.5), (0.1, 0.2), (1.5, 3.0)]
     jumps = subordinate_triplet(base, pair).jumps
     block = jumps.mass(cells)
-    for sets, b in zip(cells, block):
-        one = jumps.mass([sets])[0]
+    for cell, b in zip(cells, block):
+        one = jumps.mass([cell])[0]
         if pair.jumps.fixed_rule() is not None or base.is_degenerate():
             assert b == one
         gap = abs(b.value - one.value)
         assert gap <= 1e-12 * one.value and gap <= b.abs_error_estimate
     drifted = JumpMixEvaluator(base, SubordinatorPair(0.4, ZERO_MEASURE)).mass(cells)
-    want = [sum(base.jumps.scaled(0.4).interval_mass(lo, hi) for lo, hi in c.intervals) for c in cells]
+    want = [base.jumps.scaled(0.4).interval_mass(lo, hi) for lo, hi in cells]
     assert [r.value for r in drifted] == want
 
 
@@ -521,7 +524,7 @@ def test_delta_base_masses_hold_each_atom_where_the_jump_grid_puts_it(case):
     base, clock = lm.delta_law(speed), AtomicMeasure(atoms)
     assert all(speed * s in edges for s, _ in atoms)
     cells = list(zip(edges, edges[1:]))
-    masses = [r.value for r in lm.phi_mix_mass(base, clock, [IntervalSet.of(lo, hi) for lo, hi in cells])]
+    masses = [r.value for r in lm.phi_mix_mass(base, clock, cells)]
     xs = JumpMixEvaluator(base, SubordinatorPair(0.0, clock))._grid().xs
     for (lo, hi), got in zip(cells, masses):
         closed = held = 0.0
@@ -563,9 +566,10 @@ def test_piece_masses_match_the_mass_route(base, pair):
     assert grid.n_atoms == 0
     outer = (grid.lo >= 1.0) | (grid.hi <= -1.0)
     for pieces, lo, hi in ((outer, 1.0, grid.x_hi), (~outer, subordinate._X_FLOOR, 1.0)):
-        want = mixing.phi_mix_mass(base, pair.jumps, [IntervalSet(((-hi, -lo), (lo, hi)))])[0]
-        gap = abs(grid.mass[pieces].sum() - want.value)
-        assert gap <= max(1e-12 * want.value, 2.0 * want.abs_error_estimate), f"({lo:g}, {hi:g}]: {gap:.3e}"
+        sides = mixing.phi_mix_mass(base, pair.jumps, [(-hi, -lo), (lo, hi)])
+        want, want_err = sum(r.value for r in sides), sum(r.abs_error_estimate for r in sides)
+        gap = abs(grid.mass[pieces].sum() - want)
+        assert gap <= max(1e-12 * want, 2.0 * want_err), f"({lo:g}, {hi:g}]: {gap:.3e}"
 INTERPOLATED_DENSITY_MODELS = [
     ("cauchy-gamma", lm.cauchy_law(1.0), GAMMA_23),
     ("cauchy-stable008", lm.cauchy_law(1.0), SubordinatorPair(0.0, OneSidedStableMeasure(0.08, 1.0))),
@@ -712,7 +716,7 @@ def test_empty_atomic_measure_is_the_zero_measure():
     # of no positions for its tail cut
     empty = AtomicMeasure(())
     assert empty == ZERO_MEASURE and empty.is_zero() and empty.tail_cutoff(1e-12) == 1.0
-    mix = lm.phi_mix_mass(lm.delta_law(1.0), empty, [IntervalSet.of(0.5, 1.5)])[0]
+    mix = lm.phi_mix_mass(lm.delta_law(1.0), empty, [(0.5, 1.5)])[0]
     assert (mix.value, mix.abs_error_estimate) == (0.0, 0.0)
     st = subordinate_triplet(lm.poisson_law(1.0), SubordinatorPair(0.0, empty))
     assert (st.gamma_bar, st.jumps.char_integral(1.0)) == (0.0, 0j)
